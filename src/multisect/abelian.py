@@ -86,16 +86,15 @@ class FiniteAbelianGroup:
         return tuple((n * a) % d for a, d in zip(x, self.invariant_factors))
 
     def subgroup_generated(self, vectors: Iterable[Element]) -> frozenset[Element]:
-        gens = [self.reduce(v) for v in vectors]
+        """H + <g> is the union of the cosets H + m g for m below the
+        least m with m g in H, so the subgroup grows a coset at a time."""
         seen = {self.zero}
-        frontier = [self.zero]
-        while frontier:
-            current = frontier.pop()
-            for g in gens:
-                nxt = self.add(current, g)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
+        for g in (self.reduce(v) for v in vectors):
+            subgroup = list(seen)
+            shift = g
+            while shift not in seen:
+                seen.update(self.add(h, shift) for h in subgroup)
+                shift = self.add(shift, g)
         return frozenset(seen)
 
     def generates(self, vectors: Iterable[Element]) -> bool:

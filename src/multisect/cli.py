@@ -7,8 +7,8 @@ would break that.  Diagram and presentation formats are the ones defined
 next to their types; stdin/stdout piping uses '-' (the default).
 
 Exit codes: 0 success (for ``validate``: all sectors verified; for
-``distinguish``: verdict distinct), 1 failed validation, 2 bad usage or
-parse errors, 10 same-orbit, 20 inconclusive.
+``distinguish``: verdict distinct), 1 failed validation, 2 bad usage,
+parse or I/O errors, 10 same-orbit, 20 inconclusive.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .diagrams import (FormatError, GeometricHeegaardDiagram,
                        parse_heegaard, pi1_of_diagram, stabilize, validate)
 from .nielsen import (DEFAULT_QUOTIENT_BOUND, distinguish, flip_check,
                       format_certificate, spine_tuple)
-from .presentations import (abelianization, format_presentation,
+from .presentations import (AbelianInvariants, abelianization, format_presentation,
                             parse_presentation, tietze_simplify)
 from .render import diagram_to_svg
 from .words import canonical_cyclic, parse_word
@@ -65,15 +65,30 @@ class Report:
         return "\n".join(self.lines) + "\n"
 
 
-def _input_line(report: Report, text: str, label: str) -> None:
+def _read_input(report: Report, path: str, parse):
+    """Parse one input file and echo its sha256 on the report."""
+    text, label = _read_text(path)
+    value = parse(text)
     report.field("input", f"{label} sha256={content_digest(text)}")
+    return value
 
 
-def _diagram_header(report: Report, d: MultisectionDiagram) -> None:
+def _diagram_report(args) -> tuple[MultisectionDiagram, Report]:
+    """Parse the input diagram and start the command's report with the
+    input digest and the diagram's shape."""
+    report = Report(args.command)
+    d = _read_input(report, args.input, parse_diagram)
     report.field("genus", d.surface.genus)
     report.field("systems", len(d.systems))
     report.field("closed", "true" if d.closed else "false")
     report.field("claimed-types", " ".join(str(k) for k in d.claimed_types))
+    return d, report
+
+
+def _invariant_fields(report: Report, invariants: AbelianInvariants) -> None:
+    report.field("free-rank", invariants.free_rank)
+    report.field("torsion", " ".join(str(t) for t in invariants.torsion) or "none")
+    report.field("group", invariants.describe())
 
 
 def _echo(msg: str) -> None:
@@ -154,11 +169,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    text, label = _read_text(args.input)
-    d = parse_diagram(text)
-    report = Report("validate")
-    _input_line(report, text, label)
-    _diagram_header(report, d)
+    d, report = _diagram_report(args)
     started = time.perf_counter()
     result = validate(d, budget=args.budget)
     report.section("assumptions")
@@ -203,11 +214,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_pi1(args) -> int:
-    text, label = _read_text(args.input)
-    d = parse_diagram(text)
-    report = Report("pi1")
-    _input_line(report, text, label)
-    _diagram_header(report, d)
+    d, report = _diagram_report(args)
     pres = pi1_of_diagram(d)
     simplified = tietze_simplify(pres, args.budget)
     report.section("presentation")
@@ -215,31 +222,18 @@ def cmd_pi1(args) -> int:
     report.section("simplified")
     report.raw(format_presentation(simplified.presentation))
     report.section("invariants")
-    invariants = abelianization(pres)
-    report.field("free-rank", invariants.free_rank)
-    report.field("torsion", " ".join(str(t) for t in invariants.torsion) or "none")
-    report.field("group", invariants.describe())
+    _invariant_fields(report, abelianization(pres))
     _write_text(args.output, report.render())
     return 0
 
 
 def cmd_homology(args) -> int:
-    text, label = _read_text(args.input)
-    d = parse_diagram(text)
-    report = Report("homology")
-    _input_line(report, text, label)
-    _diagram_header(report, d)
-    invariants = abelianization(pi1_of_diagram(d))
+    d, report = _diagram_report(args)
     report.section("pi1-invariants")
-    report.field("free-rank", invariants.free_rank)
-    report.field("torsion", " ".join(str(t) for t in invariants.torsion) or "none")
-    report.field("group", invariants.describe())
+    _invariant_fields(report, abelianization(pi1_of_diagram(d)))
     if not d.closed:
         report.section("boundary-invariants")
-        binv = cons.boundary_invariants(d)
-        report.field("free-rank", binv.free_rank)
-        report.field("torsion", " ".join(str(t) for t in binv.torsion) or "none")
-        report.field("group", binv.describe())
+        _invariant_fields(report, cons.boundary_invariants(d))
     _write_text(args.output, report.render())
     return 0
 
@@ -260,9 +254,7 @@ def _presentations_match(p1, p2) -> bool:
 def cmd_distinguish(args) -> int:
     report = Report("distinguish")
     if args.presentation is not None:
-        text, label = _read_text(args.presentation)
-        pres = parse_presentation(text)
-        _input_line(report, text, label)
+        pres = _read_input(report, args.presentation, parse_presentation)
         if args.tuple1 is None or args.tuple2 is None:
             raise FormatError("presentation mode needs --tuple1 and --tuple2")
         t1 = _parse_tuple(args.tuple1, pres.generator_count)
@@ -271,20 +263,13 @@ def cmd_distinguish(args) -> int:
     elif args.flip:
         if args.diagram is None:
             raise FormatError("--flip needs --diagram")
-        text, label = _read_text(args.diagram)
-        d = parse_diagram(text)
-        _input_line(report, text, label)
-        cert = flip_check(d, args.bound)
+        cert = flip_check(_read_input(report, args.diagram, parse_diagram), args.bound)
     else:
         if args.diagram is None or args.diagram2 is None:
             raise FormatError(
                 "diagram mode needs --diagram and --diagram2 (or --flip)")
-        text1, label1 = _read_text(args.diagram)
-        text2, label2 = _read_text(args.diagram2)
-        d1 = parse_diagram(text1)
-        d2 = parse_diagram(text2)
-        _input_line(report, text1, label1)
-        _input_line(report, text2, label2)
+        d1 = _read_input(report, args.diagram, parse_diagram)
+        d2 = _read_input(report, args.diagram2, parse_diagram)
         p1 = pi1_of_diagram(d1)
         p2 = pi1_of_diagram(d2)
         if not _presentations_match(p1, p2):
@@ -304,14 +289,23 @@ def cmd_distinguish(args) -> int:
 
 
 def cmd_render(args) -> int:
-    text, _ = _read_text(args.input)
-    d = parse_diagram(text)
-    _write_text(args.svg, diagram_to_svg(d, args.size))
+    _write_text(args.svg, diagram_to_svg(_load_diagram(args), args.size))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _add_io(parser, output=True):
@@ -337,9 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     lens.add_argument("--q", type=int, required=True)
     _add_io(lens)
 
-    for name, extra in (("sum", [("--copies", int, 2, "number of copies")]),
+    for name, extra in (("sum", [("--copies", _at_least(1), 2, "number of copies")]),
                         ("mirror", []),
-                        ("stabilize", [("--times", int, 1, "stabilizations")]),
+                        ("stabilize", [("--times", _at_least(0), 1, "stabilizations")]),
                         ("bisect", []),
                         ("double", [])):
         p = verbs.add_parser(name)
@@ -358,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(ins)
 
     glue = verbs.add_parser("glue", help="chain copies of one bisection")
-    glue.add_argument("--copies", type=int, required=True)
+    glue.add_argument("--copies", type=_at_least(1), required=True)
     glue.add_argument("--cap", choices=["auto", "none"], default="none")
     _add_io(glue)
 
@@ -385,12 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--sector2", type=int, default=0)
     dist.add_argument("--flip", action="store_true",
                       help="compare the two sectors of one bounded bisection")
-    dist.add_argument("--bound", type=int, default=DEFAULT_QUOTIENT_BOUND)
+    dist.add_argument("--bound", type=_at_least(1), default=DEFAULT_QUOTIENT_BOUND)
     dist.add_argument("-o", "--output", default="-")
 
     render = sub.add_parser("render", help="schematic SVG chord diagram")
     render.add_argument("--svg", default="-", help="output file ('-' for stdout)")
-    render.add_argument("--size", type=int, default=640)
+    render.add_argument("--size", type=_at_least(1), default=640)
     _add_io(render, output=False)
 
     return parser
@@ -411,10 +405,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return HANDLERS[args.command](args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # parse, usage and I/O errors; exit 1 is reserved for validation
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,13 +11,13 @@ letter, which is how a curve travels to the mirror copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from math import gcd
 
 from .diagrams import (CutSystem, DiagramError, GeometricHeegaardDiagram,
-                       MultisectionDiagram, SurfaceModel, pi1_of_diagram,
-                       presentation_of_pair, read_against)
+                       MultisectionDiagram, SurfaceModel, adjacent_pairs,
+                       boundary_invariants, pi1_of_diagram, read_system)
 from .presentations import (GroupPresentation, abelianization, tietze_simplify,
                             DEFAULT_TIETZE_BUDGET)
 from .words import (FreeAutomorphism, Word, apply, automorphism,
@@ -166,17 +166,9 @@ def _standard_readings(systems: tuple[CutSystem, ...], closed: bool):
     """Readings cached on every constructed diagram: all sector pairs,
     the boundary pair, and every pair (1, j) feeding pi1."""
     s = len(systems)
-    pairs = set()
-    for i in range(1, s):
-        pairs.add((i, i + 1))
-    pairs.add((s, 1))
-    for j in range(2, s + 1):
-        pairs.add((1, j))
-    out = []
-    for i, j in sorted(pairs):
-        words = tuple(read_against(c, systems[i - 1]) for c in systems[j - 1].curves)
-        out.append(((i, j), words))
-    return tuple(out)
+    pairs = set(adjacent_pairs(s, True)) | {(1, j) for j in range(2, s + 1)}
+    return tuple(((i, j), read_system(systems[i - 1], systems[j - 1]))
+                 for i, j in sorted(pairs))
 
 
 def bisection_from_heegaard(h: GeometricHeegaardDiagram) -> MultisectionDiagram:
@@ -249,20 +241,31 @@ def bisection_from_trisection(t: MultisectionDiagram,
                                readings)
 
 
+def _doubled_context(d: MultisectionDiagram) -> DoubledSurfaceContext:
+    if d.surface.genus % 2 != 0:
+        raise DiagramError("central genus is odd; not a doubled surface")
+    return DoubledSurfaceContext(d.surface.genus // 2)
+
+
+def _is_doubled_cocores(system: CutSystem, ctx: DoubledSurfaceContext) -> bool:
+    return system.curves == _cocore_curves(ctx)
+
+
 def _product_bisection_genus(d: MultisectionDiagram) -> int:
     """Input genus g of a diagram shaped like bisection_from_heegaard
     output (possibly doubled/extended); raises when the shape is absent."""
-    if d.surface.genus % 2 != 0:
-        raise DiagramError("central genus is odd; not a doubled surface")
-    g = d.surface.genus // 2
-    ctx = DoubledSurfaceContext(g)
-    if tuple(c.letters for c in d.systems[0].curves) != \
-            tuple(c.letters for c in _alpha_curves(ctx)):
+    ctx = _doubled_context(d)
+    if d.systems[0].curves != _alpha_curves(ctx):
         raise DiagramError("system 1 is not the doubled a-type basis")
-    if tuple(c.letters for c in d.systems[1].curves) != \
-            tuple(c.letters for c in _cocore_curves(ctx)):
+    if not _is_doubled_cocores(d.systems[1], ctx):
         raise DiagramError("system 2 is not the doubled cocore system")
-    return g
+    return ctx.input_genus
+
+
+def _check_invariants(before: MultisectionDiagram, after: MultisectionDiagram,
+                      step: str) -> None:
+    if abelianization(pi1_of_diagram(after)) != abelianization(pi1_of_diagram(before)):
+        raise AssertionError(f"{step} changed the group invariants")
 
 
 def double_bisection(b: MultisectionDiagram) -> MultisectionDiagram:
@@ -272,17 +275,12 @@ def double_bisection(b: MultisectionDiagram) -> MultisectionDiagram:
     if b.closed or len(b.systems) != 3:
         raise DiagramError("input must be a bounded three-system diagram")
     g = _product_bisection_genus(b)
-    beta = b.systems[1]
-    delta = CutSystem(b.surface, beta.curves, beta.standardizer, "delta")
-    systems = b.systems + (delta,)
+    systems = b.systems + (replace(b.systems[1], label="delta"),)
     readings = _standard_readings(systems, closed=True)
     diagram = MultisectionDiagram(b.surface, systems, True, (g, g, g, g), readings)
     if diagram.reading_map[(1, 4)] != diagram.reading_map[(1, 2)]:
         raise AssertionError("parallel copy must read identically to its source")
-    before = abelianization(pi1_of_diagram(b))
-    after = abelianization(pi1_of_diagram(diagram))
-    if before != after:
-        raise AssertionError("doubling changed the group invariants")
+    _check_invariants(b, diagram, "doubling")
     return diagram
 
 
@@ -299,18 +297,13 @@ def insert_parallel_sectors(d: MultisectionDiagram, position: int,
         raise DiagramError("count must be non-negative")
     if count == 0:
         return d
-    g2 = d.surface.genus
-    if g2 % 2 != 0:
-        raise DiagramError("central genus is odd; not a doubled surface")
-    ctx = DoubledSurfaceContext(g2 // 2)
     base = d.systems[position - 1]
-    if tuple(c.letters for c in base.curves) != \
-            tuple(c.letters for c in _cocore_curves(ctx)):
+    if not _is_doubled_cocores(base, _doubled_context(d)):
         raise DiagramError(
             f"system {position} is not product-compatible (doubled cocores)")
 
-    copies = tuple(CutSystem(d.surface, base.curves, base.standardizer,
-                             f"{base.label}_ins{k + 1}")
+    g2 = d.surface.genus
+    copies = tuple(replace(base, label=f"{base.label}_ins{k + 1}")
                    for k in range(count))
     systems = d.systems[:position] + copies + d.systems[position:]
     old_k = d.claimed_types[position - 1]
@@ -318,8 +311,7 @@ def insert_parallel_sectors(d: MultisectionDiagram, position: int,
         d.claimed_types[position:]
     readings = _standard_readings(systems, d.closed)
     out = MultisectionDiagram(d.surface, systems, d.closed, types, readings)
-    if abelianization(pi1_of_diagram(out)) != abelianization(pi1_of_diagram(d)):
-        raise AssertionError("sector insertion changed the group invariants")
+    _check_invariants(d, out, "sector insertion")
     return out
 
 
@@ -355,41 +347,23 @@ def glue_bisections(plan: GluePlan) -> MultisectionDiagram:
     alpha, beta, gamma = b.systems
     m = plan.copies
 
-    def relabeled(system: CutSystem, label: str) -> CutSystem:
-        return CutSystem(system.surface, system.curves, system.standardizer, label)
-
-    systems = [relabeled(gamma, "gamma_1"), relabeled(beta, "beta_1"),
-               relabeled(alpha, "alpha_1")]
+    systems = [replace(gamma, label="gamma_1"), replace(beta, label="beta_1"),
+               replace(alpha, label="alpha_1")]
     gamma_count, alpha_count = 1, 1
     for i in range(2, m + 1):
-        systems.append(relabeled(beta, f"beta_{i}"))
+        systems.append(replace(beta, label=f"beta_{i}"))
         if i % 2 == 0:
             gamma_count += 1
-            systems.append(relabeled(gamma, f"gamma_{gamma_count}"))
+            systems.append(replace(gamma, label=f"gamma_{gamma_count}"))
         else:
             alpha_count += 1
-            systems.append(relabeled(alpha, f"alpha_{alpha_count}"))
+            systems.append(replace(alpha, label=f"alpha_{alpha_count}"))
     systems = tuple(systems)
     types = (g,) * (2 * m)
     readings = _standard_readings(systems, closed=False)
     out = MultisectionDiagram(b.surface, systems, False, types, readings)
-    if abelianization(pi1_of_diagram(out)) != abelianization(pi1_of_diagram(b)):
-        raise AssertionError("gluing changed the group invariants")
+    _check_invariants(b, out, "gluing")
     return out
-
-
-def boundary_invariants(d: MultisectionDiagram):
-    """Abelian invariants of the boundary pair presentation of a bounded
-    diagram (system s read against system 1, or the reverse when only
-    that direction is readable; the invariants agree)."""
-    if d.closed:
-        raise DiagramError("closed diagrams have no boundary")
-    s = len(d.systems)
-    try:
-        pres = presentation_of_pair(d, 1, s)
-    except DiagramError:
-        pres = presentation_of_pair(d, s, 1)
-    return abelianization(pres)
 
 
 def auto_cap(plan: GluePlan) -> MultisectionDiagram:
@@ -420,13 +394,11 @@ def cap_off(d1: MultisectionDiagram, d2: MultisectionDiagram) -> MultisectionDia
     cap_mid = d2.systems[1]
     labels = {sys.label for sys in d1.systems}
     label = cap_mid.label if cap_mid.label not in labels else "beta_cap"
-    spliced = CutSystem(d2.surface, cap_mid.curves, cap_mid.standardizer, label)
-    systems = d1.systems + (spliced,)
+    systems = d1.systems + (replace(cap_mid, label=label),)
     types = d1.claimed_types + (d2.claimed_types[1], d2.claimed_types[0])
     readings = _standard_readings(systems, closed=True)
     out = MultisectionDiagram(d1.surface, systems, True, types, readings)
-    if abelianization(pi1_of_diagram(out)) != abelianization(pi1_of_diagram(d1)):
-        raise AssertionError("capping changed the group invariants")
+    _check_invariants(d1, out, "capping")
     return out
 
 
@@ -457,10 +429,8 @@ def merge_adjacent_sectors(d: MultisectionDiagram, interface: int,
             raise DiagramError("only interior systems of a bounded diagram merge")
         prev, nxt = interface - 1, interface + 1
 
-    families = {}
-    for side in (prev, nxt):
-        families[side] = tuple(read_against(c, d.systems[side - 1])
-                               for c in d.systems[interface - 1].curves)
+    families = {side: read_system(d.systems[side - 1], d.systems[interface - 1])
+                for side in (prev, nxt)}
     if not any(all(len(w) <= 1 for w in fam) for fam in families.values()):
         shown = {side: [format_word(w) for w in fam]
                  for side, fam in families.items()}
@@ -468,9 +438,8 @@ def merge_adjacent_sectors(d: MultisectionDiagram, interface: int,
             f"interface {interface} is not parallel into either neighbour: {shown}",
             families)
 
-    merged_words = tuple(read_against(c, d.systems[prev - 1])
-                         for c in d.systems[nxt - 1].curves)
-    merged_pres = GroupPresentation(d.surface.genus, merged_words)
+    merged_pres = GroupPresentation(d.surface.genus,
+                                    read_system(d.systems[prev - 1], d.systems[nxt - 1]))
     simplified = tietze_simplify(merged_pres, budget).presentation
     if simplified.relators:
         raise MergeRefusedError(
@@ -480,20 +449,12 @@ def merge_adjacent_sectors(d: MultisectionDiagram, interface: int,
     keep = [i for i in range(1, s + 1) if i != interface]
     systems = tuple(d.systems[i - 1] for i in keep)
 
+    # a surviving sector keeps its type; the merged one gets merged_k
     old_types = dict(zip(d.sector_pairs(), d.claimed_types))
-    new_types = []
-    count = len(keep)
-    limit = count if d.closed else count - 1
-    for idx in range(limit):
-        a_old = keep[idx]
-        b_old = keep[(idx + 1) % count]
-        if (a_old, b_old) in old_types:
-            new_types.append(old_types[(a_old, b_old)])
-        else:
-            new_types.append(merged_k)
+    new_types = tuple(old_types.get((keep[i - 1], keep[j - 1]), merged_k)
+                      for i, j in adjacent_pairs(len(keep), d.closed))
     readings = _standard_readings(systems, d.closed)
-    return MultisectionDiagram(d.surface, systems, d.closed, tuple(new_types),
-                               readings)
+    return MultisectionDiagram(d.surface, systems, d.closed, new_types, readings)
 
 
 def genus_bound_report(d: MultisectionDiagram) -> dict[str, object]:

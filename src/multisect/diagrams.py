@@ -146,17 +146,13 @@ def express_against(w: Word, system: CutSystem) -> Word:
     in the dual generators (freely but not cyclically reduced)."""
     if w.rank != system.surface.rank:
         raise DiagramError("word rank does not match the system's surface")
-    if system.standardizer is None:
-        raise DiagramError(f"system {system.label!r} has no standardizer")
+    duals = system.dual_index  # raises when the system has no standardizer
     image = apply(system.standardizer, w)
-    dead = set(system.standard_letters)
-    duals = system.dual_index
     out = []
     for lt in image.letters:
         k = abs(lt)
-        if k in dead:
-            continue
-        out.append(duals[k] if lt > 0 else -duals[k])
+        if k in duals:  # the standard letters have no dual and drop out
+            out.append(duals[k] if lt > 0 else -duals[k])
     return Word(system.surface.genus, tuple(out))
 
 
@@ -201,7 +197,7 @@ class GeometricHeegaardDiagram:
     def relators(self) -> tuple[Word, ...]:
         """Readings of the beta curves against alpha: relators of the
         fundamental group of the underlying 3-manifold."""
-        return tuple(read_against(c, self.alpha) for c in self.beta.curves)
+        return read_system(self.alpha, self.beta)
 
     def pi1_presentation(self) -> GroupPresentation:
         return GroupPresentation(self.genus, self.relators())
@@ -256,6 +252,14 @@ def stabilize(h: GeometricHeegaardDiagram) -> GeometricHeegaardDiagram:
 
 
 Pair = tuple[int, int]
+
+
+def adjacent_pairs(count: int, closed: bool) -> tuple[Pair, ...]:
+    """Pairs (i, i + 1) of ``count`` systems in order, and (count, 1)
+    when the family closes up: the sector pairs of a diagram."""
+    if closed:
+        return tuple((i, i % count + 1) for i in range(1, count + 1))
+    return tuple((i, i + 1) for i in range(1, count))
 
 
 @dataclass(frozen=True)
@@ -322,10 +326,7 @@ class MultisectionDiagram:
         return {pair: words for pair, words in self.readings}
 
     def sector_pairs(self) -> tuple[Pair, ...]:
-        s = len(self.systems)
-        if self.closed:
-            return tuple((i, i % s + 1) for i in range(1, s + 1))
-        return tuple((i, i + 1) for i in range(1, s))
+        return adjacent_pairs(len(self.systems), self.closed)
 
     def boundary_pair(self) -> Pair | None:
         if self.closed:
@@ -333,11 +334,14 @@ class MultisectionDiagram:
         return (len(self.systems), 1)
 
 
+def read_system(system_i: CutSystem, system_j: CutSystem) -> tuple[Word, ...]:
+    """Curves of system j read against system i."""
+    return tuple(read_against(c, system_i) for c in system_j.curves)
+
+
 def compute_reading(d: MultisectionDiagram, i: int, j: int) -> tuple[Word, ...]:
     """Curves of system j expressed against system i (fresh computation)."""
-    system_i = d.systems[i - 1]
-    system_j = d.systems[j - 1]
-    return tuple(read_against(c, system_i) for c in system_j.curves)
+    return read_system(d.systems[i - 1], d.systems[j - 1])
 
 
 def reading_of_pair(d: MultisectionDiagram, i: int, j: int) -> tuple[Word, ...]:
@@ -398,20 +402,26 @@ def validate(d: MultisectionDiagram,
         claimed = d.claimed_types[idx]
         verdict = _pair_verdict(d, pair[0], pair[1], claimed, budget)
         entries.append((pair, claimed, verdict))
-    boundary = None
     pair = d.boundary_pair()
-    if pair is not None:
-        # the boundary pair is stored as (s, 1) but preferably read with
-        # the roles reversed, presenting the boundary from the system-1
-        # side; both orientations carry the same invariants, so fall
-        # back when only one direction is readable
-        s = len(d.systems)
-        try:
-            boundary_pres = presentation_of_pair(d, 1, s)
-        except DiagramError:
-            boundary_pres = presentation_of_pair(d, s, 1)
-        boundary = (pair, abelianization(boundary_pres))
+    boundary = None if pair is None else (pair, boundary_invariants(d))
     return ValidationReport(tuple(entries), boundary)
+
+
+def boundary_invariants(d: MultisectionDiagram) -> AbelianInvariants:
+    """Abelian invariants of the boundary pair presentation of a bounded
+    diagram."""
+    if d.closed:
+        raise DiagramError("closed diagrams have no boundary")
+    # the boundary pair is stored as (s, 1) but preferably read with the
+    # roles reversed, presenting the boundary from the system-1 side; both
+    # orientations carry the same invariants, so fall back when only one
+    # direction is readable
+    s = len(d.systems)
+    try:
+        pres = presentation_of_pair(d, 1, s)
+    except DiagramError:
+        pres = presentation_of_pair(d, s, 1)
+    return abelianization(pres)
 
 
 # ---------------------------------------------------------------------------
@@ -508,18 +518,22 @@ def format_diagram(d: MultisectionDiagram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_diagram(text: str) -> MultisectionDiagram:
-    reader = _LineReader(text)
-    if reader.take() != "MSD 1":
-        raise FormatError("expected 'MSD 1' header", reader.line_no)
+def _parse_header(reader: _LineReader, header: str) -> int:
+    """The header line, then ``genus <g>``; returns the genus."""
+    if reader.take() != header:
+        raise FormatError(f"expected '{header}' header", reader.line_no)
     line = reader.take()
     if not line.startswith("genus "):
-        raise FormatError("expected 'genus <G>'", reader.line_no)
+        raise FormatError("expected 'genus <g>'", reader.line_no)
     try:
-        genus = int(line.split()[1])
+        return int(line.split()[1])
     except (IndexError, ValueError):
         raise FormatError("bad genus line", reader.line_no) from None
-    surface = SurfaceModel(genus)
+
+
+def parse_diagram(text: str) -> MultisectionDiagram:
+    reader = _LineReader(text)
+    surface = SurfaceModel(_parse_header(reader, "MSD 1"))
     line = reader.take()
     if line not in ("closed true", "closed false"):
         raise FormatError("expected 'closed <true|false>'", reader.line_no)
@@ -574,15 +588,7 @@ def format_heegaard(h: GeometricHeegaardDiagram) -> str:
 
 def parse_heegaard(text: str) -> GeometricHeegaardDiagram:
     reader = _LineReader(text)
-    if reader.take() != "HD 1":
-        raise FormatError("expected 'HD 1' header", reader.line_no)
-    line = reader.take()
-    if not line.startswith("genus "):
-        raise FormatError("expected 'genus <g>'", reader.line_no)
-    try:
-        genus = int(line.split()[1])
-    except (IndexError, ValueError):
-        raise FormatError("bad genus line", reader.line_no) from None
+    genus = _parse_header(reader, "HD 1")
     name = ""
     params = None
     while True:
@@ -592,10 +598,12 @@ def parse_heegaard(text: str) -> GeometricHeegaardDiagram:
         if nxt.startswith("name "):
             name = reader.take()[len("name "):]
         elif nxt.startswith("params "):
-            parts = reader.take().split()
-            if len(parts) != 3:
-                raise FormatError("expected 'params <p> <q>'", reader.line_no)
-            params = (int(parts[1]), int(parts[2]))
+            line = reader.take()
+            try:
+                _, p, q = line.split()
+                params = (int(p), int(q))
+            except ValueError:
+                raise FormatError("expected 'params <p> <q>'", reader.line_no) from None
         else:
             break
     surface = SurfaceModel(genus)

@@ -21,6 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
+from math import prod
 
 from .abelian import Element, FiniteAbelianGroup, configured_bound, \
     enumerate_abelian_groups
@@ -30,7 +31,7 @@ from .matrices import IntegerMatrix, determinant, smith_normal_form
 from .presentations import (GroupPresentation, abelianization,
                             enumerate_finite_abelian_quotients, tietze_simplify,
                             DEFAULT_TIETZE_BUDGET)
-from .words import Word, apply, format_word
+from .words import Word, _apply_images, apply, format_word, parse_word
 
 MOVES = ("swap12", "cycle", "invert1", "mult12")
 DEFAULT_QUOTIENT_BOUND = 100
@@ -54,21 +55,32 @@ class GeneratingTuple:
         return len(self.elements)
 
 
-def _move_elements(group: FiniteAbelianGroup, t: Tuple_, move: str) -> Tuple_:
-    n = len(t)
+def _move(t: tuple, move: str, mul, inv) -> tuple:
+    """One elementary move on a tuple over a group given by its product
+    ``mul`` and inverse ``inv``."""
     if move == "swap12":
-        if n < 2:
+        if len(t) < 2:
             raise ValueError("swap12 needs at least two entries")
         return (t[1], t[0]) + t[2:]
     if move == "cycle":
         return t[1:] + (t[0],)
     if move == "invert1":
-        return (group.neg(t[0]),) + t[1:]
+        return (inv(t[0]),) + t[1:]
     if move == "mult12":
-        if n < 2:
+        if len(t) < 2:
             raise ValueError("mult12 needs at least two entries")
-        return (group.add(t[0], t[1]),) + t[1:]
+        return (mul(t[0], t[1]),) + t[1:]
     raise ValueError(f"unknown move {move!r}")
+
+
+def _moves_for(width: int) -> tuple[str, ...]:
+    """The moves that apply to tuples of the given width: swap12 and
+    mult12 need two entries."""
+    return MOVES if width >= 2 else ("cycle", "invert1")
+
+
+def _move_elements(group: FiniteAbelianGroup, t: Tuple_, move: str) -> Tuple_:
+    return _move(t, move, group.add, group.neg)
 
 
 def nielsen_move(t: GeneratingTuple, move: str) -> GeneratingTuple:
@@ -108,25 +120,16 @@ def orbit_enumerate(group: FiniteAbelianGroup, n: int) -> OrbitPartition:
     elements = list(group.elements())
     generating = [t for t in iproduct(elements, repeat=n) if group.generates(t)]
     generating_set = set(generating)
+    moves = _moves_for(n)
     seen: set[Tuple_] = set()
     orbits = []
     for seed in generating:
         if seed in seen:
             continue
-        members = {seed}
-        queue = deque([seed])
-        while queue:
-            current = queue.popleft()
-            for move in MOVES:
-                if len(current) < 2 and move in ("swap12", "mult12"):
-                    continue
-                nxt = _move_elements(group, current, move)
-                if nxt not in members:
-                    if nxt not in generating_set:
-                        raise AssertionError("move left the generating set")
-                    members.add(nxt)
-                    queue.append(nxt)
-        seen |= members
+        members = _search(seed, moves, lambda t, m: _move_elements(group, t, m))[0]
+        if not generating_set.issuperset(members):
+            raise AssertionError("move left the generating set")
+        seen.update(members)
         orbits.append((seed, tuple(sorted(members))))
     return OrbitPartition(group, n, tuple(orbits))
 
@@ -139,26 +142,40 @@ def connect_tuples(group: FiniteAbelianGroup, start: Tuple_,
     target = tuple(group.reduce(e) for e in target)
     if start == target:
         return ()
-    parents: dict[Tuple_, tuple[Tuple_, str]] = {start: (start, "")}
+    parents, found = _search(start, _moves_for(len(start)),
+                             lambda t, m: _move_elements(group, t, m), goal=target)
+    return _path(parents, target) if found else None
+
+
+def _search(start, moves, step, goal=None, node_limit=None):
+    """Breadth-first search from ``start`` under ``step(node, move)``,
+    which returns None for a successor the search must not enter.
+
+    No node is expanded once ``node_limit`` nodes are known.  Returns the
+    parent map, which sends each node to ``(parent, move)`` and the start
+    to None, and whether ``goal`` was reached; the search stops there."""
+    parents = {start: None}
     queue = deque([start])
-    while queue:
+    while queue and (node_limit is None or len(parents) < node_limit):
         current = queue.popleft()
-        for move in MOVES:
-            if len(current) < 2 and move in ("swap12", "mult12"):
-                continue
-            nxt = _move_elements(group, current, move)
-            if nxt in parents:
+        for move in moves:
+            nxt = step(current, move)
+            if nxt is None or nxt in parents:
                 continue
             parents[nxt] = (current, move)
-            if nxt == target:
-                path = []
-                node = nxt
-                while node != start:
-                    node, move_name = parents[node]
-                    path.append(move_name)
-                return tuple(reversed(path))
+            if nxt == goal:
+                return parents, True
             queue.append(nxt)
-    return None
+    return parents, False
+
+
+def _path(parents: dict, node) -> tuple[str, ...]:
+    """The moves leading from the start of a search to ``node``."""
+    path = []
+    while parents[node] is not None:
+        node, move = parents[node]
+        path.append(move)
+    return tuple(reversed(path))
 
 
 def _is_prime(p: int) -> bool:
@@ -197,35 +214,18 @@ def determinant_invariant(t: GeneratingTuple) -> tuple[int, ...]:
 WordTuple = tuple[Word, ...]
 
 
-def _conjugating_word(move: str, rank: int) -> Word | None:
-    if not move.startswith("conj "):
-        return None
-    from .words import parse_word
-    return parse_word(move[len("conj "):], rank)
+def _conjugate(t: WordTuple, c: Word, c_inv: Word) -> WordTuple:
+    return tuple(c * w * c_inv for w in t)
 
 
 def apply_word_move(t: WordTuple, move: str) -> WordTuple:
     """The four elementary moves plus whole-tuple conjugation by a
     generator (`conj g<k>` / `conj g<k>^-1`), which absorbs base point
     changes; all entries stay freely reduced."""
-    n = len(t)
-    rank = t[0].rank if t else 0
-    conj = _conjugating_word(move, rank)
-    if conj is not None:
-        return tuple(conj * w * conj.inverse() for w in t)
-    if move == "swap12":
-        if n < 2:
-            raise ValueError("swap12 needs at least two entries")
-        return (t[1], t[0]) + t[2:]
-    if move == "cycle":
-        return t[1:] + (t[0],)
-    if move == "invert1":
-        return (t[0].inverse(),) + t[1:]
-    if move == "mult12":
-        if n < 2:
-            raise ValueError("mult12 needs at least two entries")
-        return (t[0] * t[1],) + t[1:]
-    raise ValueError(f"unknown move {move!r}")
+    if move.startswith("conj "):
+        c = parse_word(move[len("conj "):], t[0].rank if t else 0)
+        return _conjugate(t, c, c.inverse())
+    return _move(t, move, Word.__mul__, Word.inverse)
 
 
 def free_tuple_search(t1: WordTuple, t2: WordTuple, rank: int,
@@ -234,40 +234,19 @@ def free_tuple_search(t1: WordTuple, t2: WordTuple, rank: int,
     moves above, compared as freely reduced words."""
     if t1 == t2:
         return ()
-    moves = list(MOVES)
-    for k in range(1, rank + 1):
-        moves.append(f"conj g{k}")
-        moves.append(f"conj g{k}^-1")
+    # the conjugating word and its inverse per move, built once per search
+    conjugators = {f"conj g{k}{tag}": (Word(rank, (s * k,)), Word(rank, (-s * k,)))
+                   for k in range(1, rank + 1) for s, tag in ((1, ""), (-1, "^-1"))}
+    moves = _moves_for(len(t1)) + tuple(conjugators)
     limit_len = max(sum(len(w) for w in t1), sum(len(w) for w in t2)) + 4
 
-    def key(t: WordTuple):
-        return tuple(w.letters for w in t)
+    def step(t: WordTuple, move: str) -> WordTuple | None:
+        nxt = (_conjugate(t, *conjugators[move]) if move in conjugators
+               else apply_word_move(t, move))
+        return nxt if sum(len(w) for w in nxt) <= limit_len else None
 
-    parents = {key(t1): None}
-    queue = deque([t1])
-    visited = 1
-    while queue and visited < node_limit:
-        current = queue.popleft()
-        for move in moves:
-            if len(current) < 2 and move in ("swap12", "mult12"):
-                continue
-            nxt = apply_word_move(current, move)
-            if sum(len(w) for w in nxt) > limit_len:
-                continue
-            k = key(nxt)
-            if k in parents:
-                continue
-            parents[k] = (key(current), move)
-            visited += 1
-            if nxt == t2:
-                path = []
-                node = k
-                while parents[node] is not None:
-                    node, move_name = parents[node]
-                    path.append(move_name)
-                return tuple(reversed(path))
-            queue.append(nxt)
-    return None
+    parents, found = _search(t1, moves, step, goal=t2, node_limit=node_limit)
+    return _path(parents, t2) if found else None
 
 
 # ---------------------------------------------------------------------------
@@ -373,21 +352,11 @@ def format_certificate(cert: NielsenCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rewrite_word(w: Word, images: tuple[Word, ...], new_rank: int) -> Word:
-    out: list[int] = []
-    for lt in w.letters:
-        img = images[abs(lt) - 1]
-        out.extend(img.letters if lt > 0 else img.inverse().letters)
-    return Word(new_rank, tuple(out))
-
-
 def _generates_abelianization(pres: GroupPresentation, t: WordTuple) -> bool:
     rows = [w.exponent_sums() for w in t]
     rows.extend(rel.exponent_sums() for rel in pres.relators)
     snf = smith_normal_form(IntegerMatrix.from_rows(rows, pres.generator_count))
     return snf.rank == pres.generator_count and snf.invariant_factors == ()
-
-
 
 
 def distinguish(pres: GroupPresentation, t1: WordTuple, t2: WordTuple,
@@ -415,8 +384,8 @@ def distinguish(pres: GroupPresentation, t1: WordTuple, t2: WordTuple,
     target = simplified.presentation
     images = simplified.generator_images
     rank = target.generator_count
-    r1 = tuple(_rewrite_word(w, images, rank) for w in t1)
-    r2 = tuple(_rewrite_word(w, images, rank) for w in t2)
+    r1 = tuple(_apply_images(images, w, rank) for w in t1)
+    r2 = tuple(_apply_images(images, w, rank) for w in t2)
 
     for t in (r1, r2):
         if not _generates_abelianization(target, t):
@@ -431,20 +400,13 @@ def distinguish(pres: GroupPresentation, t1: WordTuple, t2: WordTuple,
     quotients_seen = 0
     surjections_seen = 0
     for group in enumerate_abelian_groups(bound, max_rank=n):
-        if ab.free_rank == 0:
-            total = 1
-            for dd in ab.torsion:
-                total *= dd
-            if total % group.order != 0:
-                continue
+        if ab.free_rank == 0 and prod(ab.torsion) % group.order != 0:
+            continue
         if group.order ** n > orbit_bound:
             continue
         if group.order ** max(rank, 1) > orbit_bound:
             continue
-        try:
-            surjections = enumerate_finite_abelian_quotients(target, [group])
-        except ValueError:
-            continue
+        surjections = enumerate_finite_abelian_quotients(target, [group])
         if not surjections:
             continue
         quotients_seen += 1

@@ -15,7 +15,7 @@ from itertools import product as iproduct
 
 from .abelian import FiniteAbelianGroup, configured_bound
 from .matrices import IntegerMatrix, smith_normal_form
-from .words import Word, canonical_cyclic, format_word, parse_word
+from .words import Word, _apply_images, canonical_cyclic, format_word, parse_word
 
 DEFAULT_TIETZE_BUDGET = 10_000
 
@@ -95,18 +95,14 @@ class TietzeResult:
     presentation's generators (the isomorphism witness)."""
 
 
-def _substitute(word: Word, gen: int, replacement: Word, new_rank: int) -> Word:
-    out: list[int] = []
-    for lt in word.letters:
-        if abs(lt) == gen:
-            src = replacement.letters if lt > 0 else replacement.inverse().letters
-            out.extend(src)
-        else:
-            out.append(lt)
-    # renumber generators above the eliminated one
-    shifted = tuple(lt - 1 if lt > gen else (lt + 1 if lt < -gen else lt)
-                    for lt in out)
-    return Word(new_rank, shifted)
+def _elimination_images(gens: int, gen: int, replacement: Word) -> tuple[Word, ...]:
+    """Generator images that eliminate ``gen`` in favour of
+    ``replacement`` and renumber the generators above it down by one."""
+    images: list[Word | None] = [Word(gens - 1, (k if k < gen else k - 1,))
+                                 if k != gen else None for k in range(1, gens + 1)]
+    # the replacement avoids gen, so renumbering it never reads the hole
+    images[gen - 1] = _apply_images(images, replacement, gens - 1)
+    return tuple(images)
 
 
 def _overlap_reduction(relators: list[Word]) -> tuple[int, Word] | None:
@@ -202,9 +198,10 @@ def tietze_simplify(pres: GroupPresentation,
             v = Word(gens, rel.letters[pos + 1:])
             replacement = u.inverse() * v.inverse() if sign > 0 else v * u
             new_gens = gens - 1
-            relators = [_substitute(r, g, replacement, new_gens).cyclic_reduce()
+            substitution = _elimination_images(gens, g, replacement)
+            relators = [_apply_images(substitution, r, new_gens).cyclic_reduce()
                         for i, r in enumerate(relators) if i != ridx]
-            images = [_substitute(w, g, replacement, new_gens) for w in images]
+            images = [_apply_images(substitution, w, new_gens) for w in images]
             label = names[g - 1] if names else f"g{survivors[g - 1]}"
             trace.append(f"eliminate generator {label}")
             survivors.pop(g - 1)
@@ -289,10 +286,19 @@ class Surjection:
     images: tuple[tuple[int, ...], ...]  # one element per generator
 
     def evaluate(self, word: Word) -> tuple[int, ...]:
-        vec = self.target.zero
-        for exponent, image in zip(word.exponent_sums(), self.images):
-            vec = self.target.add(vec, self.target.scale(exponent, image))
-        return vec
+        return _evaluate_row(self.target, word.exponent_sums(), self.images)
+
+
+def _evaluate_row(target: FiniteAbelianGroup, row: tuple[int, ...],
+                  images) -> tuple[int, ...]:
+    """Image of an exponent row when generator k maps to ``images[k - 1]``,
+    summed componentwise and reduced once; zero exponents are skipped."""
+    vec = [0] * target.rank
+    for exponent, image in zip(row, images):
+        if exponent:
+            for c, x in enumerate(image):
+                vec[c] += exponent * x
+    return tuple(v % d for v, d in zip(vec, target.invariant_factors))
 
 
 def enumerate_finite_abelian_quotients(
@@ -309,17 +315,11 @@ def enumerate_finite_abelian_quotients(
             raise ValueError(
                 f"quotient search space for {target.describe()} exceeds the bound")
         relator_rows = [rel.exponent_sums() for rel in pres.relators]
+        zero = target.zero
         for assignment in iproduct(list(target.elements()),
                                    repeat=pres.generator_count):
-            ok = True
-            for row in relator_rows:
-                vec = target.zero
-                for exponent, image in zip(row, assignment):
-                    vec = target.add(vec, target.scale(exponent, image))
-                if vec != target.zero:
-                    ok = False
-                    break
-            if not ok:
+            if any(_evaluate_row(target, row, assignment) != zero
+                   for row in relator_rows):
                 continue
             if not target.generates(assignment):
                 continue

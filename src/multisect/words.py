@@ -85,7 +85,7 @@ class Word:
             raise ValueError("rank must be non-negative")
         letters = tuple(self.letters)
         for lt in letters:
-            if not isinstance(lt, int) or lt == 0 or abs(lt) > self.rank:
+            if type(lt) is not int or lt == 0 or abs(lt) > self.rank:
                 raise ValueError(f"letter {lt!r} is not valid in rank {self.rank}")
         object.__setattr__(self, "letters", _reduce(letters))
 
@@ -175,10 +175,13 @@ def canonical_cyclic(w: Word) -> Word:
 
 
 def _apply_images(images: tuple[Word, ...], w: Word, rank: int) -> Word:
+    """Substitute ``images[k - 1]`` for generator k throughout ``w``."""
     out: list[int] = []
     for lt in w.letters:
-        img = images[abs(lt) - 1]
-        out.extend(img.letters if lt > 0 else img.inverse().letters)
+        if lt > 0:
+            out.extend(images[lt - 1].letters)
+        else:
+            out.extend(-x for x in reversed(images[-lt - 1].letters))
     return Word(rank, tuple(out))
 
 
@@ -264,22 +267,20 @@ def automorphism(rank: int,
     Generators absent from ``images`` map to themselves; the same default
     applies to ``inverse`` when given.
     """
-    imgs = list(identity_automorphism(rank).images)
-    for gen, lts in images.items():
-        imgs[gen - 1] = Word(rank, tuple(lts))
-    inv = None
-    if inverse is not None:
-        inv_list = list(identity_automorphism(rank).images)
-        for gen, lts in inverse.items():
-            inv_list[gen - 1] = Word(rank, tuple(lts))
-        inv = tuple(inv_list)
-    return FreeAutomorphism(rank, tuple(imgs), inv, provenance)
+    def full(sparse: Mapping[int, Iterable[int]]) -> tuple[Word, ...]:
+        out = list(identity_automorphism(rank).images)
+        for gen, lts in sparse.items():
+            out[gen - 1] = Word(rank, tuple(lts))
+        return tuple(out)
+
+    imgs = full(images)
+    return FreeAutomorphism(rank, imgs, None if inverse is None else full(inverse),
+                            provenance)
 
 
 def invert_all(rank: int) -> FreeAutomorphism:
     """The involution sending every generator to its inverse."""
-    images = tuple(Word(rank, (-(k + 1),)) for k in range(rank))
-    return FreeAutomorphism(rank, images, images, "built-in")
+    return flip_letters(rank, range(1, rank + 1))
 
 
 def flip_letters(rank: int, gens: Iterable[int]) -> FreeAutomorphism:

@@ -75,6 +75,24 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_missing_input_file_is_an_io_error(tmp_path, capsys):
+    assert run("validate", "-i", tmp_path / "missing.msd") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "sum", "--copies", 0),
+    ("construct", "stabilize", "--times", -3),
+    ("render", "--size", -5),
+    ("distinguish", "--bound", 0),
+])
+def test_numeric_flags_are_range_checked(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
 def test_pi1_and_homology_reports(lens_msd, tmp_path):
     out = tmp_path / "pi1.txt"
     assert run("pi1", "-i", lens_msd, "-o", out) == 0

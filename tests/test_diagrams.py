@@ -203,6 +203,9 @@ def test_parse_errors_carry_line_numbers():
     assert exc.value.line == 2
     with pytest.raises(FormatError):
         parse_heegaard("HD 2\n")
+    with pytest.raises(FormatError) as exc:
+        parse_heegaard("HD 1\ngenus 1\nparams x y\n")
+    assert exc.value.line == 3
 
 
 def test_unreadable_pair_error():

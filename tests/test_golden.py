@@ -1,0 +1,71 @@
+"""Golden digests of CLI outputs.
+
+The byte-stability tests elsewhere compare two runs of the same code, so
+a refactor could change every report consistently and still pass them.
+These pipelines compare against sha256 digests recorded once, so any
+change to a report, certificate, SVG, HD or MSD byte shows up here.  The
+runs use relative file names in a temporary working directory, which
+keeps the ``input:`` lines free of temporary paths.
+"""
+
+import hashlib
+import shlex
+
+from multisect.cli import main
+
+PRESENTATION = "gens 2\ng1 g2 g1^-1 g2^-1\ng1 g1 g1 g1 g1\ng2 g2 g2 g2 g2\n"
+
+# (argv, expected exit code); every file written is digested below
+PIPELINE = (
+    ("construct lens --p 5 --q 2 -o l52.hd", 0),
+    ("construct bisect -i l52.hd -o b.msd", 0),
+    ("construct double -i b.msd -o d.msd", 0),
+    ("construct insert -i d.msd --count 2 -o i.msd", 0),
+    ("validate -i i.msd -o i.validate", 0),
+    ("pi1 -i i.msd -o i.pi1", 0),
+    ("homology -i i.msd -o i.homology", 0),
+    ("render -i i.msd --svg i.svg", 0),
+    ("construct glue -i l52.hd --copies 3 --cap auto -o g.msd", 0),
+    ("construct merge -i g.msd --interface 3 -o m.msd", 0),
+    ("validate -i m.msd -o m.validate", 0),
+    ("pi1 -i m.msd -o m.pi1", 0),
+    ("homology -i m.msd -o m.homology", 0),
+    ("distinguish --flip --diagram b.msd -o flip.cert", 0),
+    ("distinguish --presentation p.txt --tuple1 'g1, g2' --tuple2 'g1, g2 g2' "
+     "-o distinct.cert", 0),
+    ("distinguish --presentation p.txt --tuple1 'g1, g2' "
+     "--tuple2 'g1, g2 g2 g2 g2' -o inconclusive.cert", 20),
+    ("distinguish --presentation p.txt --tuple1 'g1, g2' "
+     "--tuple2 'g1, g1 g2 g1^-1' -o same.cert", 10),
+)
+
+DIGESTS = {
+    "l52.hd": "33fd1086357a04fa87adf17edf2a6fca6b132f08a3ce78acb628ec103c6da422",
+    "b.msd": "bb90ab9fb1b732dca2e4489163c58021b7c8e0859d6315f52b8247cc2a75934c",
+    "d.msd": "c713bc24fcc5e84122b16f9c4c2e41e71325269e9c0a9327f1dcc1ef42bcdc86",
+    "i.msd": "2478a278307cbe5dba87fabadd8fe8271dbcf55c354cffa684c60bf574ea7f2a",
+    "i.validate": "76b8f02d17ed407951b52237cf69f5197e07064b9b1de7c04b9fdac9e7fea7d5",
+    "i.pi1": "e06950f631d72c7bd1ef2ed1d63da51ef93b49f1826b8d59c378a6b78aa169d8",
+    "i.homology": "ecfd2028c5d11bb60599ba484aa05c79a27b8e1aced7a2bba0dc526ffc951420",
+    "i.svg": "3eb1ddb9fbdce169b5b8b8936df33aa040f6f8bf5363f08fb66f903ca94106db",
+    "g.msd": "32ade3c39d12b6512919cd7a11d6cd80e8cb6af48adc29246e45df23e6dbc2be",
+    "m.msd": "e2e1a49756d2db6b2b5e7e451dbca8db08127f494a7811a04afad4b0d7eba709",
+    "m.validate": "16f3ce01a7cf07036793701463d8998c4ec3147408a722a378baf8d72c94e61c",
+    "m.pi1": "845f087deec46a769c7fa75f9ea3fa37d60531c2111258e6f9174d255b7637aa",
+    "m.homology": "25af42d0f609f092dbf0ed51eb1613742d0ff698cc2245e263ef7e1ad5ddd1c6",
+    "flip.cert": "94f192ac24c9030e6507b81429ba2405261970ff163520e5b8a5abe74f779dc8",
+    "distinct.cert": "96b213e1c942f9e1fec652593abe9615fd77af444fa7c4230313fde0e664fffa",
+    "inconclusive.cert": "8e548a3475dcf03e1fcbc95a4d52477e73e47ca61c36a640a33466e4f2ac3b24",
+    "same.cert": "998ca00310dd931bff138e7901d850b5554a3b9d622890512d3128cd02334fd6",
+}
+
+
+def test_pipeline_outputs_match_recorded_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.txt").write_text(PRESENTATION)
+    for command, code in PIPELINE:
+        assert main(shlex.split(command)) == code, command
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in DIGESTS}
+    assert digests == DIGESTS
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*DIGESTS, "p.txt"])

@@ -62,6 +62,8 @@ def test_word_rejects_bad_letters():
         Word(2, (3,))
     with pytest.raises(ValueError):
         Word(2, (0,))
+    with pytest.raises(ValueError):
+        Word(2, (True,))
 
 
 def test_apply_examples():
