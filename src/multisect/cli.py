@@ -8,7 +8,9 @@ next to their types; stdin/stdout piping uses '-' (the default).
 
 Exit codes: 0 success (for ``validate``: all sectors verified; for
 ``distinguish``: verdict distinct), 1 failed validation, 2 bad usage,
-parse or I/O errors, 10 same-orbit, 20 inconclusive.
+parse or I/O errors, 3 a failed internal self-check (an
+``AssertionError``, reported as one ``error: internal invariant
+failed:`` line), 10 same-orbit, 20 inconclusive.
 """
 
 from __future__ import annotations
@@ -409,6 +411,10 @@ def main(argv=None) -> int:
         # parse, usage and I/O errors; exit 1 is reserved for validation
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        # a self-check failed: a defect in this program, not in the input
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

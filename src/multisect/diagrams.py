@@ -78,11 +78,19 @@ class CutSystem:
     """G disjoint curves cutting the surface to a planar piece, given as
     words plus a standardizing automorphism.
 
-    The exponent matrix of the curves must have all invariant factors 1
+    The exponent vectors of the curves must be part of a basis of Z^2G
     (necessary for any cut system).  When a standardizer is present it
     must carry the curves to pairwise distinct positive single letters,
     the system's standard letters; the complementary letters, in
     increasing order, name the dual generators 1..G of the free quotient.
+
+    With a standardizer, checking the standard letters is the whole
+    check: the standardizer's abelianized matrix M is unimodular (its
+    construction checks that), and the curves' exponent vectors are the
+    rows of M^-1 at the distinct standard letters, so they are part of a
+    basis.  Only a system without a standardizer pays for a Smith normal
+    form of its exponent matrix, which must have rank G and all
+    invariant factors 1.
     """
 
     surface: SurfaceModel
@@ -104,15 +112,16 @@ class CutSystem:
                     f"system {self.label!r}: curve not cyclically reduced")
         if " " in self.label or not self.label:
             raise DiagramError("system labels must be nonempty and space-free")
-        rows = [c.exponent_sums() for c in self.curves]
-        snf = smith_normal_form(IntegerMatrix.from_rows(rows, self.surface.rank))
-        if snf.rank != genus or snf.invariant_factors != ():
-            raise DiagramError(
-                f"system {self.label!r}: exponent matrix is not part of a basis")
-        if self.standardizer is not None:
-            if self.standardizer.rank != self.surface.rank:
-                raise DiagramError(f"system {self.label!r}: standardizer rank mismatch")
-            _ = self.standard_letters  # force validation
+        if self.standardizer is None:
+            rows = [c.exponent_sums() for c in self.curves]
+            snf = smith_normal_form(IntegerMatrix.from_rows(rows, self.surface.rank))
+            if snf.rank != genus or snf.invariant_factors != ():
+                raise DiagramError(
+                    f"system {self.label!r}: exponent matrix is not part of a basis")
+            return
+        if self.standardizer.rank != self.surface.rank:
+            raise DiagramError(f"system {self.label!r}: standardizer rank mismatch")
+        _ = self.standard_letters  # force validation
 
     @cached_property
     def standard_letters(self) -> tuple[int, ...]:
@@ -333,6 +342,23 @@ class MultisectionDiagram:
             return None
         return (len(self.systems), 1)
 
+    @cached_property
+    def boundary_invariants(self) -> AbelianInvariants:
+        """Abelian invariants of the boundary pair presentation of a
+        bounded diagram, computed once per diagram."""
+        if self.closed:
+            raise DiagramError("closed diagrams have no boundary")
+        # the boundary pair is stored as (s, 1) but preferably read with
+        # the roles reversed, presenting the boundary from the system-1
+        # side; both orientations carry the same invariants, so fall back
+        # when only one direction is readable
+        s = len(self.systems)
+        try:
+            pres = presentation_of_pair(self, 1, s)
+        except DiagramError:
+            pres = presentation_of_pair(self, s, 1)
+        return abelianization(pres)
+
 
 def read_system(system_i: CutSystem, system_j: CutSystem) -> tuple[Word, ...]:
     """Curves of system j read against system i."""
@@ -409,19 +435,9 @@ def validate(d: MultisectionDiagram,
 
 def boundary_invariants(d: MultisectionDiagram) -> AbelianInvariants:
     """Abelian invariants of the boundary pair presentation of a bounded
-    diagram."""
-    if d.closed:
-        raise DiagramError("closed diagrams have no boundary")
-    # the boundary pair is stored as (s, 1) but preferably read with the
-    # roles reversed, presenting the boundary from the system-1 side; both
-    # orientations carry the same invariants, so fall back when only one
-    # direction is readable
-    s = len(d.systems)
-    try:
-        pres = presentation_of_pair(d, 1, s)
-    except DiagramError:
-        pres = presentation_of_pair(d, s, 1)
-    return abelianization(pres)
+    diagram (``MultisectionDiagram.boundary_invariants``, shared by every
+    caller on the same diagram)."""
+    return d.boundary_invariants
 
 
 # ---------------------------------------------------------------------------

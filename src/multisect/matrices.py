@@ -4,6 +4,14 @@ Everything here works over the integers with Python's arbitrary-precision
 arithmetic; no value is ever rounded or wrapped.  The Smith normal form is
 returned together with the unimodular transforms that witness it, and the
 identity ``U @ A @ V == D`` is checked on every call.
+
+Unimodularity of U and V comes from the elimination's operation log, not
+from a determinant: every row or column swap, addition of a multiple of
+one row or column to another, and row negation is logged, and U and V
+must equal the identity with the logged operations replayed on it by code
+separate from the elimination.  Each logged operation is an elementary
+matrix of determinant +-1, so a transform that matches its replay is a
+product of them and therefore unimodular.
 """
 
 from __future__ import annotations
@@ -48,12 +56,16 @@ class IntegerMatrix:
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        prod = tuple(
-            tuple(sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                  for j in range(other.cols))
-            for i in range(self.rows)
-        )
-        return IntegerMatrix(self.rows, other.cols, prod)
+        # each product row is a combination of the rows of ``other``;
+        # zero coefficients add nothing and are skipped
+        prod = []
+        for row in self.entries:
+            acc = [0] * other.cols
+            for x, other_row in zip(row, other.entries):
+                if x:
+                    acc = [a + x * y for a, y in zip(acc, other_row)]
+            prod.append(tuple(acc))
+        return IntegerMatrix(self.rows, other.cols, tuple(prod))
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
@@ -107,19 +119,28 @@ class SmithForm:
         return sum(1 for d in self.D.diagonal() if d != 0)
 
 
-def _swap_rows(m, u, i, j):
+# Elementary operations of the elimination.  Each one updates the working
+# matrix and its transform, and logs itself as (kind, dst, src, q): row
+# operations in the row log, which replays to U, and column operations in
+# the column log, which replays to V transposed.
+_SWAP, _ADD, _NEGATE = "swap", "add", "negate"
+
+
+def _swap_rows(m, u, log, i, j):
     m[i], m[j] = m[j], m[i]
     u[i], u[j] = u[j], u[i]
+    log.append((_SWAP, i, j, 0))
 
 
-def _swap_cols(m, v, i, j):
+def _swap_cols(m, v, log, i, j):
     for row in m:
         row[i], row[j] = row[j], row[i]
     for row in v:
         row[i], row[j] = row[j], row[i]
+    log.append((_SWAP, i, j, 0))
 
 
-def _add_row(m, u, dst, src, q):
+def _add_row(m, u, log, dst, src, q):
     # row dst += q * row src
     mr, ms = m[dst], m[src]
     for j in range(len(mr)):
@@ -127,13 +148,38 @@ def _add_row(m, u, dst, src, q):
     ur, us = u[dst], u[src]
     for j in range(len(ur)):
         ur[j] += q * us[j]
+    log.append((_ADD, dst, src, q))
 
 
-def _add_col(m, v, dst, src, q):
+def _add_col(m, v, log, dst, src, q):
     for row in m:
         row[dst] += q * row[src]
     for row in v:
         row[dst] += q * row[src]
+    log.append((_ADD, dst, src, q))
+
+
+def _negate_row(m, u, log, t):
+    m[t] = [-x for x in m[t]]
+    u[t] = [-x for x in u[t]]
+    log.append((_NEGATE, t, t, 0))
+
+
+def _replay(n: int, log) -> tuple[tuple[int, ...], ...]:
+    """The n x n identity with the logged row operations applied in order.
+
+    Written apart from the elimination's helpers on purpose: a transform
+    is accepted as unimodular only when this independent replay of its
+    elementary operations reproduces it."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for kind, dst, src, q in log:
+        if kind == _SWAP:
+            rows[dst], rows[src] = rows[src], rows[dst]
+        elif kind == _ADD:
+            rows[dst] = [x + q * y for x, y in zip(rows[dst], rows[src])]
+        else:
+            rows[dst] = [-x for x in rows[dst]]
+    return tuple(tuple(row) for row in rows)
 
 
 def smith_normal_form(a: IntegerMatrix) -> SmithForm:
@@ -142,11 +188,17 @@ def smith_normal_form(a: IntegerMatrix) -> SmithForm:
     Pivot rule: smallest nonzero absolute value in the trailing block,
     ties broken by (row, col).  The rule is fixed, so output is
     deterministic for a given input.
+
+    Checked on every call: ``U @ A @ V == D``, D diagonal with its nonzero
+    entries in a divisibility chain, and U and V equal to the replay of
+    the logged elementary operations (hence unimodular).
     """
     r, c = a.rows, a.cols
     m = [list(row) for row in a.entries]
     u = [list(row) for row in IntegerMatrix.identity(r).entries]
     v = [list(row) for row in IntegerMatrix.identity(c).entries]
+    row_log: list = []
+    col_log: list = []
 
     t = 0
     while t < min(r, c):
@@ -161,21 +213,21 @@ def smith_normal_form(a: IntegerMatrix) -> SmithForm:
         if pivot is None:
             break
         if pivot[0] != t:
-            _swap_rows(m, u, t, pivot[0])
+            _swap_rows(m, u, row_log, t, pivot[0])
         if pivot[1] != t:
-            _swap_cols(m, v, t, pivot[1])
+            _swap_cols(m, v, col_log, t, pivot[1])
 
         dirty = False
         for i in range(t + 1, r):
             if m[i][t] != 0:
                 q = m[i][t] // m[t][t]
-                _add_row(m, u, i, t, -q)
+                _add_row(m, u, row_log, i, t, -q)
                 if m[i][t] != 0:
                     dirty = True
         for j in range(t + 1, c):
             if m[t][j] != 0:
                 q = m[t][j] // m[t][t]
-                _add_col(m, v, j, t, -q)
+                _add_col(m, v, col_log, j, t, -q)
                 if m[t][j] != 0:
                     dirty = True
         if dirty:
@@ -191,14 +243,11 @@ def smith_normal_form(a: IntegerMatrix) -> SmithForm:
             if offender is not None:
                 break
         if offender is not None:
-            _add_row(m, u, t, offender, 1)
+            _add_row(m, u, row_log, t, offender, 1)
             continue
 
         if m[t][t] < 0:
-            for j in range(c):
-                m[t][j] = -m[t][j]
-            for j in range(r):
-                u[t][j] = -u[t][j]
+            _negate_row(m, u, row_log, t)
         t += 1
 
     d_mat = IntegerMatrix.from_rows(m, c)
@@ -210,7 +259,8 @@ def smith_normal_form(a: IntegerMatrix) -> SmithForm:
 
     if (u_mat @ a) @ v_mat != d_mat:
         raise AssertionError("Smith normal form identity U*A*V = D failed")
-    if determinant(u_mat) not in (1, -1) or determinant(v_mat) not in (1, -1):
+    if (u_mat.entries != _replay(r, row_log)
+            or v_mat.entries != tuple(zip(*_replay(c, col_log)))):
         raise AssertionError("Smith normal form transforms are not unimodular")
     if not d_mat.is_diagonal():
         raise AssertionError("Smith normal form result is not diagonal")

@@ -189,12 +189,18 @@ def _apply_images(images: tuple[Word, ...], w: Word, rank: int) -> Word:
 class FreeAutomorphism:
     """An automorphism given by generator images.
 
-    Validity is checked through the abelianized matrix, whose determinant
-    must be +-1; this is necessary but not sufficient, so an automorphism
-    built elsewhere is trusted at the caller's risk (``provenance`` records
-    whether it came from a construction in this package or from a user).
     When the generator images of the inverse are known they are carried
-    along, which keeps inversion available without ever searching for it.
+    along, which keeps inversion available without ever searching for it,
+    and they are the validity check: phi(psi(x_k)) must reduce to x_k for
+    every generator.  That proves phi surjective, and finitely generated
+    free groups are Hopfian (a surjective endomorphism is an
+    automorphism), so it proves phi an automorphism with inverse psi; it
+    also makes the abelianized matrices mutually inverse, so no
+    determinant is computed.  Without an inverse the check is that the
+    abelianized matrix has determinant +-1, which is necessary but not
+    sufficient, so such an automorphism is trusted at the caller's risk
+    (``provenance`` records whether it came from a construction in this
+    package or from a user).
     """
 
     rank: int
@@ -208,17 +214,20 @@ class FreeAutomorphism:
         for img in self.images:
             if img.rank != self.rank:
                 raise ValueError("image rank mismatch")
-        mat = IntegerMatrix.from_rows([img.exponent_sums() for img in self.images],
-                                      self.rank)
-        if determinant(mat) not in (1, -1):
-            raise ValueError("abelianized determinant is not +-1; not an automorphism")
-        if self.inverse_images is not None:
-            if len(self.inverse_images) != self.rank:
-                raise ValueError("need one inverse image per generator")
-            for k in range(self.rank):
-                back = _apply_images(self.images, self.inverse_images[k], self.rank)
-                if back.letters != (k + 1,):
-                    raise ValueError("declared inverse does not invert the automorphism")
+        if self.inverse_images is None:
+            mat = IntegerMatrix.from_rows(
+                [img.exponent_sums() for img in self.images], self.rank)
+            if determinant(mat) not in (1, -1):
+                raise ValueError(
+                    "abelianized determinant is not +-1; not an automorphism")
+            return
+        if len(self.inverse_images) != self.rank:
+            raise ValueError("need one inverse image per generator")
+        for k, img in enumerate(self.inverse_images):
+            if img.rank != self.rank:
+                raise ValueError("inverse image rank mismatch")
+            if _apply_images(self.images, img, self.rank).letters != (k + 1,):
+                raise ValueError("declared inverse does not invert the automorphism")
 
     def __call__(self, w: Word) -> Word:
         return apply(self, w)

@@ -1,5 +1,7 @@
 import pytest
 
+import multisect.cli
+import multisect.diagrams
 from multisect.cli import main
 from multisect.constructions import bisection_from_heegaard, lens_diagram
 from multisect.diagrams import format_diagram, format_heegaard, parse_diagram, \
@@ -91,6 +93,34 @@ def test_numeric_flags_are_range_checked(argv, capsys):
         run(*argv)
     assert exc.value.code == 2
     assert "must be at least" in capsys.readouterr().err
+
+
+def test_failed_self_check_exits_3(lens_msd, monkeypatch, capsys):
+    def failing(args):
+        raise AssertionError("Smith normal form transforms are not unimodular")
+
+    monkeypatch.setitem(multisect.cli.HANDLERS, "validate", failing)
+    assert run("validate", "-i", lens_msd) == 3
+    assert capsys.readouterr().err == (
+        "error: internal invariant failed: "
+        "Smith normal form transforms are not unimodular\n")
+
+
+def test_validate_computes_boundary_invariants_once(lens_msd, tmp_path, monkeypatch):
+    # every boundary computation is one abelianization through diagrams;
+    # the boundary section and the genus bound share it
+    calls = []
+    original = multisect.diagrams.abelianization
+
+    def counting(pres):
+        calls.append(pres)
+        return original(pres)
+
+    monkeypatch.setattr(multisect.diagrams, "abelianization", counting)
+    out = tmp_path / "report.txt"
+    assert run("validate", "-i", lens_msd, "-o", out) == 0
+    assert "boundary-h1-rank: 2" in out.read_text()
+    assert len(calls) == 1
 
 
 def test_pi1_and_homology_reports(lens_msd, tmp_path):

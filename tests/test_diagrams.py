@@ -1,5 +1,6 @@
 import pytest
 
+import multisect.diagrams
 from multisect.diagrams import (CutSystem, DiagramError, FormatError,
                                 MultisectionDiagram, SurfaceModel,
                                 connected_sum, express_against, format_diagram,
@@ -51,6 +52,29 @@ def test_cut_system_rejects_bad_standardizer():
     surf = SurfaceModel(1)
     with pytest.raises(DiagramError):
         CutSystem(surf, (Word(2, (2, 2, 1)),), identity_automorphism(2), "beta")
+
+
+def test_standardized_cut_system_is_checked_by_its_standard_letters(monkeypatch):
+    def no_snf(matrix):
+        raise AssertionError("Smith normal form computed despite a standardizer")
+
+    monkeypatch.setattr(multisect.diagrams, "smith_normal_form", no_snf)
+    surf = SurfaceModel(1)
+    assert CutSystem(surf, (Word(2, (1,)),), identity_automorphism(2)).standard_letters \
+        == (1,)
+    # g1 g2 is part of a basis, g1 g1 is not: either way the identity
+    # sends the curve to a non-letter, and that is what refuses it
+    for curve in ((1, 2), (1, 1)):
+        with pytest.raises(DiagramError, match="not a positive letter"):
+            CutSystem(surf, (Word(2, curve),), identity_automorphism(2), "beta")
+    # two equal curves have a rank-1 exponent matrix; their standard
+    # letters collide
+    with pytest.raises(DiagramError, match="standard letters collide"):
+        CutSystem(SurfaceModel(2), (Word(4, (1,)), Word(4, (1,))),
+                  identity_automorphism(4), "beta")
+    # without a standardizer the Smith normal form is the check
+    with pytest.raises(AssertionError, match="despite a standardizer"):
+        CutSystem(surf, (Word(2, (1,)),), None, "bare")
 
 
 def test_read_against_lens_curve(lens21):

@@ -60,12 +60,42 @@ DIGESTS = {
 }
 
 
-def test_pipeline_outputs_match_recorded_digests(tmp_path, monkeypatch):
+# lens(5,2) with its standardizer's inverse block left out: parsing this
+# file and the bisection built from it takes the determinant branch of
+# the automorphism check, which tracked inverses otherwise bypass
+NO_INVERSE_HD = ("HD 1\ngenus 1\nname lens(5,2)\nparams 5 2\nsystem beta\n"
+                 "curve g2 g2 g2 g1 g2 g2 g1\nstandardizer\n"
+                 "image g1 g1 g2^-1 g1 g1 g2^-1 g1\nimage g2 g1^-1 g1^-1\n")
+
+NO_INVERSE_PIPELINE = (
+    ("construct bisect -i n.hd -o nb.msd", 0),
+    ("validate -i nb.msd -o nb.validate", 0),
+    ("homology -i nb.msd -o nb.homology", 0),
+)
+
+NO_INVERSE_DIGESTS = {
+    "nb.msd": "d16cfe228a43efd8021321ea2e262b2329f81a04c6aad12635e1dbebf29b065a",
+    "nb.validate": "5c0e019564ba73098c31d9b954806d8ed6d39f288c35f66b8ecfe31d55d03c3a",
+    "nb.homology": "e4bdd8c5c92eb03eefa50d62c4ed2cc8a7f37a78372f4c77ee9f4e8d6ad46bdf",
+}
+
+
+def _run_pipeline(tmp_path, monkeypatch, inputs, pipeline, expected):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "p.txt").write_text(PRESENTATION)
-    for command, code in PIPELINE:
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    for command, code in pipeline:
         assert main(shlex.split(command)) == code, command
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in DIGESTS}
-    assert digests == DIGESTS
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*DIGESTS, "p.txt"])
+               for name in expected}
+    assert digests == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*expected, *inputs])
+
+
+def test_pipeline_outputs_match_recorded_digests(tmp_path, monkeypatch):
+    _run_pipeline(tmp_path, monkeypatch, {"p.txt": PRESENTATION}, PIPELINE, DIGESTS)
+
+
+def test_standardizer_without_inverse_matches_recorded_digests(tmp_path, monkeypatch):
+    _run_pipeline(tmp_path, monkeypatch, {"n.hd": NO_INVERSE_HD},
+                  NO_INVERSE_PIPELINE, NO_INVERSE_DIGESTS)

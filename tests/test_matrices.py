@@ -3,7 +3,9 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
+import multisect.matrices
 from multisect.matrices import IntegerMatrix, determinant, smith_normal_form
 
 
@@ -107,3 +109,47 @@ def test_snf_against_minors_oracle_100_random():
         nonzero = [d for d in snf.D.diagonal() if d != 0]
         for x, y in zip(nonzero, nonzero[1:]):
             assert y % x == 0
+
+
+def test_snf_transform_must_match_its_operation_log(monkeypatch):
+    # negating a row by -2 instead of -1 doubles one row of U and the
+    # matching row of D: U*A*V = D, diagonality and divisibility all still
+    # hold, and only the replayed operation log exposes U as non-unimodular
+    def doubling_negation(m, u, log, t):
+        m[t] = [-2 * x for x in m[t]]
+        u[t] = [-2 * x for x in u[t]]
+        log.append(("negate", t, t, 0))
+
+    monkeypatch.setattr(multisect.matrices, "_negate_row", doubling_negation)
+    a = IntegerMatrix.from_rows([[-1, 0], [0, 3]], 2)
+    with pytest.raises(AssertionError, match="not unimodular"):
+        smith_normal_form(a)
+
+
+def _naive_product(a, b):
+    return tuple(tuple(sum(a.entries[i][k] * b.entries[k][j] for k in range(a.cols))
+                       for j in range(b.cols))
+                 for i in range(a.rows))
+
+
+@st.composite
+def matrix_pairs(draw):
+    r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10 ** 25, 10 ** 25))
+
+    def matrix(rows, cols):
+        zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
+        zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0))))
+        return IntegerMatrix.from_rows(
+            [[0 if i in zero_rows or j in zero_cols else draw(entry)
+              for j in range(cols)] for i in range(rows)], cols)
+
+    return matrix(r, k), matrix(k, c)
+
+
+@given(matrix_pairs())
+def test_matmul_matches_naive_triple_sum(pair):
+    a, b = pair
+    product = a @ b
+    assert (product.rows, product.cols) == (a.rows, b.cols)
+    assert product.entries == _naive_product(a, b)

@@ -95,6 +95,26 @@ def test_automorphism_rejects_wrong_inverse():
         automorphism(2, {1: (1, 2)}, {1: (1, 2)})
 
 
+def test_declared_inverse_is_the_automorphism_check(monkeypatch):
+    # (g1 g1, g2) abelianizes to determinant 2; with a declared inverse no
+    # determinant is computed, so the inverse check alone must refuse it
+    with pytest.raises(ValueError, match="declared inverse does not invert"):
+        FreeAutomorphism(2, (Word(2, (1, 1)), Word(2, (2,))),
+                         (Word(2, (1,)), Word(2, (2,))))
+    with pytest.raises(ValueError, match="inverse image rank mismatch"):
+        FreeAutomorphism(2, (Word(2, (1,)), Word(2, (2,))),
+                         (Word(3, (3,)), Word(2, (2,))))
+
+    def no_determinant(matrix):
+        raise AssertionError("determinant computed despite a declared inverse")
+
+    monkeypatch.setattr(multisect.words, "determinant", no_determinant)
+    phi = automorphism(2, {1: (1, 2)}, {1: (1, -2)})
+    assert phi.inverse().images[0].letters == (1, -2)
+    with pytest.raises(AssertionError):
+        FreeAutomorphism(2, phi.images)
+
+
 def test_inverse_round_trip():
     phi = automorphism(2, {1: (1, 2)}, {1: (1, -2)})
     inv = phi.inverse()
