@@ -381,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--sector2", type=int, default=0)
     dist.add_argument("--flip", action="store_true",
                       help="compare the two sectors of one bounded bisection")
-    dist.add_argument("--bound", type=_at_least(1), default=DEFAULT_QUOTIENT_BOUND)
+    dist.add_argument("--bound", type=_at_least(1), default=DEFAULT_QUOTIENT_BOUND,
+                      help="largest witness quotient order m^n")
     dist.add_argument("-o", "--output", default="-")
 
     render = sub.add_parser("render", help="schematic SVG chord diagram")

@@ -28,7 +28,8 @@ from .presentations import (AbelianInvariants, GroupPresentation, SectorVerdict,
                             DEFAULT_TIETZE_BUDGET)
 from .words import (FreeAutomorphism, Word, apply, block_automorphism,
                     canonical_cyclic, compose, flip_letters, format_word,
-                    identity_automorphism, invert_all, parse_word)
+                    identity_automorphism, invert_all, parse_integer,
+                    parse_word)
 
 
 class DiagramError(ValueError):
@@ -542,9 +543,12 @@ def _parse_header(reader: _LineReader, header: str) -> int:
     if not line.startswith("genus "):
         raise FormatError("expected 'genus <g>'", reader.line_no)
     try:
-        return int(line.split()[1])
+        genus = parse_integer(line.split()[1])
     except (IndexError, ValueError):
-        raise FormatError("bad genus line", reader.line_no) from None
+        genus = None
+    if genus is None or genus < 0:
+        raise FormatError("bad genus line", reader.line_no)
+    return genus
 
 
 def parse_diagram(text: str) -> MultisectionDiagram:
@@ -558,7 +562,7 @@ def parse_diagram(text: str) -> MultisectionDiagram:
     if not line.startswith("types"):
         raise FormatError("expected 'types <k1> <k2> ...'", reader.line_no)
     try:
-        types = tuple(int(tok) for tok in line.split()[1:])
+        types = tuple(parse_integer(tok) for tok in line.split()[1:])
     except ValueError:
         raise FormatError("bad types line", reader.line_no) from None
 
@@ -576,7 +580,7 @@ def parse_diagram(text: str) -> MultisectionDiagram:
             if len(parts) != 3:
                 raise FormatError("expected 'reading <i> <j>'", reader.line_no)
             try:
-                i, j = int(parts[1]), int(parts[2])
+                i, j = parse_integer(parts[1]), parse_integer(parts[2])
             except ValueError:
                 raise FormatError("bad reading indices", reader.line_no) from None
             words = _parse_words(reader, "word", surface.genus, surface.genus)
@@ -617,7 +621,7 @@ def parse_heegaard(text: str) -> GeometricHeegaardDiagram:
             line = reader.take()
             try:
                 _, p, q = line.split()
-                params = (int(p), int(q))
+                params = (parse_integer(p), parse_integer(q))
             except ValueError:
                 raise FormatError("expected 'params <p> <q>'", reader.line_no) from None
         else:

@@ -1,5 +1,5 @@
 """Nielsen moves on generating tuples, orbit enumeration in finite
-abelian quotients, and non-isotopy certificates.
+abelian groups, and non-isotopy certificates.
 
 The four elementary moves on an ordered tuple (a_1, ..., a_n):
 
@@ -20,17 +20,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iproduct
-from math import prod
+from itertools import product as iproduct, takewhile
+from math import gcd
 
-from .abelian import Element, FiniteAbelianGroup, configured_bound, \
-    enumerate_abelian_groups
+from .abelian import Element, FiniteAbelianGroup, configured_bound
 from .diagrams import DiagramError, MultisectionDiagram, express_against, \
     presentation_of_pair, pi1_of_diagram
 from .matrices import IntegerMatrix, determinant, smith_normal_form
-from .presentations import (GroupPresentation, abelianization,
-                            enumerate_finite_abelian_quotients, tietze_simplify,
-                            DEFAULT_TIETZE_BUDGET)
+from .presentations import (AbelianInvariants, GroupPresentation, Surjection,
+                            tietze_simplify, DEFAULT_TIETZE_BUDGET)
 from .words import Word, _apply_images, apply, format_word, parse_word
 
 MOVES = ("swap12", "cycle", "invert1", "mult12")
@@ -97,11 +95,7 @@ class OrbitPartition:
 
     @cached_property
     def orbit_of(self) -> dict[Tuple_, Tuple_]:
-        out = {}
-        for ident, members in self.orbits:
-            for m in members:
-                out[m] = ident
-        return out
+        return {m: ident for ident, members in self.orbits for m in members}
 
     @property
     def tuple_count(self) -> int:
@@ -178,34 +172,25 @@ def _path(parents: dict, node) -> tuple[str, ...]:
     return tuple(reversed(path))
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+def _determinant_class(det: int, m: int) -> tuple[int, ...]:
+    return tuple(sorted({det % m, -det % m}))
 
 
 def determinant_invariant(t: GeneratingTuple) -> tuple[int, ...]:
     """Determinant of the component matrix modulo sign, for n-tuples in
-    (Z/p)^n with p prime: constant on move-orbits because every move acts
-    by an elementary matrix of determinant +-1."""
+    (Z/m)^n: constant on move-orbits because every move acts by an
+    elementary matrix of determinant +-1, and complete (see distinguish)."""
     group = t.group
-    p = group.invariant_factors[0] if group.invariant_factors else 0
-    if not group.invariant_factors or any(d != p for d in group.invariant_factors):
-        raise ValueError("determinant invariant needs an elementary abelian group")
-    if not _is_prime(p):
-        raise ValueError("determinant invariant needs a prime modulus")
-    n = group.rank
+    factors = group.invariant_factors
+    if not factors or any(d != factors[0] for d in factors):
+        raise ValueError("determinant invariant needs a group (Z/m)^n")
+    m, n = factors[0], group.rank
     if len(t.elements) != n:
         raise ValueError("tuple length must equal the group rank")
-    det = determinant(IntegerMatrix.from_rows([list(e) for e in t.elements], n)) % p
-    if det == 0:
-        raise AssertionError("generating tuple with singular component matrix")
-    return tuple(sorted({det, (p - det) % p}))
+    det = determinant(IntegerMatrix.from_rows([list(e) for e in t.elements], n))
+    if gcd(det, m) != 1:
+        raise AssertionError("generating tuple with a non-unit determinant")
+    return _determinant_class(det, m)
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +283,11 @@ def spine_tuple(d: MultisectionDiagram, sector: int) -> WordTuple:
 class NielsenCertificate:
     """Outcome of a tuple comparison, with enough data to replay it.
 
-    ``distinct`` carries a finite quotient, a surjection, and the two
-    orbit identifiers that separate the images; ``same_orbit`` carries a
-    move sequence connecting the tuples as free words.  ``inconclusive``
-    records what was searched and claims nothing.
+    ``distinct`` carries a quotient (Z/m)^n, a surjection onto it (one
+    image per generator), the images of the two tuples and their
+    determinant classes; ``same_orbit`` carries a move sequence
+    connecting the tuples as free words.  ``inconclusive`` records what
+    was compared and claims nothing.
     """
 
     verdict: str  # "distinct" | "same_orbit" | "inconclusive"
@@ -312,13 +298,16 @@ class NielsenCertificate:
     surjection: tuple[Element, ...] | None = None
     image1: Tuple_ | None = None
     image2: Tuple_ | None = None
-    orbit_id1: Tuple_ | None = None
-    orbit_id2: Tuple_ | None = None
+    orbit_id1: tuple[int, ...] | None = None
+    orbit_id2: tuple[int, ...] | None = None
     moves: tuple[str, ...] | None = None
     searched: str = ""
 
     def replay(self) -> bool:
-        """Re-verify the certificate from its own data."""
+        """Re-verify the certificate from its own data.  For ``distinct``:
+        the surjection kills every relator, its images generate, the
+        images are the tuples' evaluations, and their determinant classes
+        differ, which no move changes (each has determinant +-1)."""
         if self.verdict == "same_orbit":
             if self.moves is None:
                 return False
@@ -327,10 +316,21 @@ class NielsenCertificate:
                 current = apply_word_move(current, move)
             return current == self.tuple2
         if self.verdict == "distinct":
-            if self.quotient is None or self.image1 is None or self.image2 is None:
+            group = self.quotient
+            if None in (group, self.surjection, self.image1, self.image2):
                 return False
-            first = connect_tuples(self.quotient, self.image1, self.image2)
-            return first is None
+            try:
+                q = Surjection(group, tuple(group.reduce(v) for v in self.surjection))
+                return (len(q.images) == self.presentation.generator_count
+                        and all(q.evaluate(rel) == group.zero
+                                for rel in self.presentation.relators)
+                        and group.generates(q.images)
+                        and self.image1 == tuple(map(q.evaluate, self.tuple1))
+                        and self.image2 == tuple(map(q.evaluate, self.tuple2))
+                        and determinant_invariant(GeneratingTuple(group, self.image1))
+                        != determinant_invariant(GeneratingTuple(group, self.image2)))
+            except ValueError:
+                return False
         return True
 
 
@@ -339,12 +339,10 @@ def format_certificate(cert: NielsenCertificate) -> str:
     lines.append("tuple1: " + "; ".join(format_word(w) for w in cert.tuple1))
     lines.append("tuple2: " + "; ".join(format_word(w) for w in cert.tuple2))
     if cert.quotient is not None:
-        lines.append(f"quotient: {cert.quotient.describe()}")
-        lines.append("surjection: " + "; ".join(str(v) for v in cert.surjection))
-        lines.append(f"image1: {cert.image1}")
-        lines.append(f"image2: {cert.image2}")
-        lines.append(f"orbit1: {cert.orbit_id1}")
-        lines.append(f"orbit2: {cert.orbit_id2}")
+        lines += [f"quotient: {cert.quotient.describe()}",
+                  "surjection: " + "; ".join(str(v) for v in cert.surjection),
+                  f"image1: {cert.image1}", f"image2: {cert.image2}",
+                  f"orbit1: {cert.orbit_id1}", f"orbit2: {cert.orbit_id2}"]
     if cert.moves is not None:
         lines.append("moves: " + (" ".join(cert.moves) if cert.moves else "(none)"))
     if cert.searched:
@@ -364,14 +362,19 @@ def distinguish(pres: GroupPresentation, t1: WordTuple, t2: WordTuple,
                 budget: int = DEFAULT_TIETZE_BUDGET,
                 search_nodes: int = DEFAULT_SEARCH_NODES) -> NielsenCertificate:
     """Compare two generating tuples of a presented group up to Nielsen
-    moves, by mapping them through every finite abelian quotient of order
-    at most ``bound``.
+    moves, through its abelian quotients of order at most ``bound``.
 
-    ``distinct`` on the first quotient that separates the images;
-    ``same_orbit`` only when a bounded free-word move search connects the
-    tuples outright; ``inconclusive`` otherwise.  The presentation is
-    Tietze-simplified first and the tuples are rewritten through the
-    isomorphism, so certificates are stated in the simplified group.
+    For A = Z/d_1 x ... x Z/d_r with d_1 | ... | d_r, generating n-tuples
+    form one move-orbit when n > r, and for n = r the orbits are the
+    classes of +-det mod d_1 (Nielsen for r = 1; Diaconis & Graham,
+    Colloq. Math. 80, 1999).  So one Smith normal form U A V = D of the
+    relator matrix decides: if H1 needs fewer than n generators nothing
+    separates, else ``distinct`` on the least m | d_1 with m^n <= ``bound``
+    at which the tuples' H1 determinants differ up to sign, witnessed by
+    (Z/m)^n and the surjection read off V.  ``same_orbit`` only when a
+    bounded free-word move search connects the tuples outright;
+    ``inconclusive`` otherwise.  Certificates are stated in the
+    Tietze-simplified presentation, with the tuples rewritten through it.
     """
     if len(t1) != len(t2):
         raise ValueError("tuples must have the same length")
@@ -395,46 +398,42 @@ def distinguish(pres: GroupPresentation, t1: WordTuple, t2: WordTuple,
         return NielsenCertificate("same_orbit", target, r1, r2, moves=(),
                                   searched="tuples equal after rewriting")
 
-    ab = abelianization(target)
-    orbit_bound = configured_bound()
-    quotients_seen = 0
-    surjections_seen = 0
-    for group in enumerate_abelian_groups(bound, max_rank=n):
-        if ab.free_rank == 0 and prod(ab.torsion) % group.order != 0:
-            continue
-        if group.order ** n > orbit_bound:
-            continue
-        if group.order ** max(rank, 1) > orbit_bound:
-            continue
-        surjections = enumerate_finite_abelian_quotients(target, [group])
-        if not surjections:
-            continue
-        quotients_seen += 1
-        partition = orbit_enumerate(group, n)
-        if len(partition.orbits) < 2:
-            surjections_seen += len(surjections)
-            continue
-        for q in surjections:
-            surjections_seen += 1
-            img1 = tuple(q.evaluate(w) for w in r1)
-            img2 = tuple(q.evaluate(w) for w in r2)
-            if not group.generates(img1) or not group.generates(img2):
+    # H1 coordinates of a word with exponent row x: x V at the columns of
+    # D whose diagonal entry is not 1, zeros and free columns included
+    snf = smith_normal_form(target.exponent_matrix())
+    diagonal = snf.D.diagonal()
+    columns = [j for j in range(rank) if j >= len(diagonal) or diagonal[j] != 1]
+    h1 = f"H1 = {AbelianInvariants(rank - snf.rank, snf.invariant_factors).describe()}"
+    if len(columns) < n:
+        searched = (f"{h1} needs {len(columns)} < {n} generators: one Nielsen "
+                    "class in every abelian quotient")
+    else:
+        d1 = diagonal[columns[0]] if columns[0] < len(diagonal) else 0
+        basis = IntegerMatrix.from_rows(
+            [[row[j] for j in columns] for row in snf.V.entries], n)
+        det1, det2 = (determinant(IntegerMatrix.from_rows(
+            [w.exponent_sums() for w in t], rank) @ basis) for t in (r1, r2))
+        tried = 0
+        for m in takewhile(lambda m: m ** n <= bound, range(2, (d1 or bound) + 1)):
+            if d1 % m:
                 continue
-            id1 = partition.orbit_of[img1]
-            id2 = partition.orbit_of[img2]
-            if id1 != id2:
+            tried += 1
+            class1, class2 = _determinant_class(det1, m), _determinant_class(det2, m)
+            if class1 != class2:
+                group = FiniteAbelianGroup((m,) * n)
+                q = Surjection(group, tuple(map(group.reduce, basis.entries)))
                 return NielsenCertificate(
-                    "distinct", target, r1, r2, group, q.images, img1, img2,
-                    id1, id2,
-                    searched=f"{quotients_seen} quotients, "
-                             f"{surjections_seen} surjections")
+                    "distinct", target, r1, r2, group, q.images,
+                    tuple(map(q.evaluate, r1)), tuple(map(q.evaluate, r2)),
+                    class1, class2, searched=f"{h1}; +-det differs mod {m}, the "
+                    f"least such m | {d1} with m^{n} <= {bound}")
+        searched = (f"{h1}; +-det equal mod every m | {d1} with m^{n} <= "
+                    f"{bound} ({tried} tried)" if tried else
+                    f"{h1}; +-det not compared: no m | {d1} with m^{n} <= {bound}")
     moves = free_tuple_search(r1, r2, rank, search_nodes)
-    searched = (f"{quotients_seen} quotients, {surjections_seen} surjections, "
-                f"free search up to {search_nodes} nodes")
-    if moves is not None:
-        return NielsenCertificate("same_orbit", target, r1, r2, moves=moves,
-                                  searched=searched)
-    return NielsenCertificate("inconclusive", target, r1, r2, searched=searched)
+    return NielsenCertificate("inconclusive" if moves is None else "same_orbit",
+                              target, r1, r2, moves=moves,
+                              searched=f"{searched}; free search up to {search_nodes} nodes")
 
 
 def flip_check(d: MultisectionDiagram,

@@ -15,7 +15,8 @@ from itertools import product as iproduct
 
 from .abelian import FiniteAbelianGroup, configured_bound
 from .matrices import IntegerMatrix, smith_normal_form
-from .words import Word, _apply_images, canonical_cyclic, format_word, parse_word
+from .words import (Word, _apply_images, canonical_cyclic, format_word,
+                    parse_integer, parse_word)
 
 DEFAULT_TIETZE_BUDGET = 10_000
 
@@ -339,7 +340,7 @@ def parse_presentation(text: str) -> GroupPresentation:
     if not lines or not lines[0].startswith("gens "):
         raise ValueError("presentation text must start with 'gens <n>'")
     try:
-        gens = int(lines[0].split()[1])
+        gens = parse_integer(lines[0].split()[1])
     except (IndexError, ValueError):
         raise ValueError("bad generator count line") from None
     relators = tuple(parse_word(ln, gens) for ln in lines[1:])

@@ -17,6 +17,7 @@ multiple threads is safe.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -41,9 +42,15 @@ __all__ = [
     "flip_letters",
     "relabel",
     "block_automorphism",
+    "parse_integer",
     "parse_word",
     "format_word",
 ]
+
+# the form ``str(int)`` writes back; [0-9] rather than \d keeps it ASCII
+_INTEGER = "0|-?[1-9][0-9]*"
+_INTEGER_RE = re.compile(_INTEGER)
+_TOKEN_RE = re.compile(rf"g({_INTEGER})(\^-1)?")
 
 
 def letter(index: int, sign: int) -> int:
@@ -342,24 +349,29 @@ def format_word(w: Word) -> str:
     return " ".join(f"g{lt}" if lt > 0 else f"g{-lt}^-1" for lt in w.letters)
 
 
+def parse_integer(text: str) -> int:
+    """A decimal integer written the one way ``str`` writes it back (ASCII
+    digits, an optional leading minus, no leading zero, no ``+`` or
+    ``_``), so that every accepted token formats back to itself."""
+    if _INTEGER_RE.fullmatch(text) is None:
+        raise ValueError(f"bad integer {text!r}")
+    return int(text)
+
+
 def parse_word(text: str, rank: int) -> Word:
+    """Parse the shared word grammar: ``g<k>`` or ``g<k>^-1`` tokens, with
+    ``<k>`` an integer in [1, rank] as :func:`parse_integer` reads it, or
+    ``1`` for the empty word."""
     text = text.strip()
     if text == "1" or text == "":
         return Word(rank)
     letters = []
     for token in text.split():
-        body = token
-        sign = 1
-        if token.endswith("^-1"):
-            body = token[:-3]
-            sign = -1
-        if not body.startswith("g"):
+        match = _TOKEN_RE.fullmatch(token)
+        if match is None:
             raise ValueError(f"bad word token {token!r}")
-        try:
-            idx = int(body[1:])
-        except ValueError:
-            raise ValueError(f"bad word token {token!r}") from None
+        idx = int(match[1])
         if not 1 <= idx <= rank:
             raise ValueError(f"generator g{idx} out of range for rank {rank}")
-        letters.append(sign * idx)
+        letters.append(-idx if match[2] else idx)
     return Word(rank, tuple(letters))

@@ -221,15 +221,36 @@ def test_hd_round_trip(lens21):
     assert format_heegaard(parsed) == text
 
 
-def test_parse_errors_carry_line_numbers():
+def test_parse_errors_carry_line_numbers(lens21, lens21_bisection):
     with pytest.raises(FormatError) as exc:
         parse_diagram("MSD 1\ngenus x\n")
+    assert exc.value.line == 2
+    with pytest.raises(FormatError) as exc:
+        parse_heegaard("HD 1\ngenus -1\n")
     assert exc.value.line == 2
     with pytest.raises(FormatError):
         parse_heegaard("HD 2\n")
     with pytest.raises(FormatError) as exc:
         parse_heegaard("HD 1\ngenus 1\nparams x y\n")
     assert exc.value.line == 3
+    # int() accepts each replacement token, so these files used to parse
+    # and then fail a bit-exact round-trip
+    hd, msd = format_heegaard(lens21), format_diagram(lens21_bisection)
+    for parse, text, old, new in (
+            (parse_heegaard, hd, "genus 1", "genus 01"),
+            (parse_heegaard, hd, "params 2 1", "params 2 +1"),
+            (parse_heegaard, hd, "curve g2 g2 g1", "curve g02 g2 g1"),
+            (parse_heegaard, hd, "image g2 g1^-1", "image g2 g+1^-1"),
+            (parse_diagram, msd, "genus 2", "genus \u0662"),
+            (parse_diagram, msd, "types 1 1", "types 1 1_0"),
+            (parse_diagram, msd, "reading 1 2", "reading 1 +2"),
+            (parse_diagram, msd, "word g1 g2^-1", "word g01 g2^-1")):
+        lines = text.splitlines()
+        line = lines.index(old) + 1
+        lines[line - 1] = new
+        with pytest.raises(FormatError) as exc:
+            parse("\n".join(lines) + "\n")
+        assert exc.value.line == line, new
 
 
 def test_unreadable_pair_error():

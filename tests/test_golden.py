@@ -53,10 +53,10 @@ DIGESTS = {
     "m.validate": "16f3ce01a7cf07036793701463d8998c4ec3147408a722a378baf8d72c94e61c",
     "m.pi1": "845f087deec46a769c7fa75f9ea3fa37d60531c2111258e6f9174d255b7637aa",
     "m.homology": "25af42d0f609f092dbf0ed51eb1613742d0ff698cc2245e263ef7e1ad5ddd1c6",
-    "flip.cert": "94f192ac24c9030e6507b81429ba2405261970ff163520e5b8a5abe74f779dc8",
-    "distinct.cert": "96b213e1c942f9e1fec652593abe9615fd77af444fa7c4230313fde0e664fffa",
-    "inconclusive.cert": "8e548a3475dcf03e1fcbc95a4d52477e73e47ca61c36a640a33466e4f2ac3b24",
-    "same.cert": "998ca00310dd931bff138e7901d850b5554a3b9d622890512d3128cd02334fd6",
+    "flip.cert": "d8ce47f1d79753665b6bdf28649369b940e185dcd8edfa4ac52947055d3d21dc",
+    "distinct.cert": "2cecfa576834153a929f886d7f356f938927daa45e63ffc1d8303323c65b6047",
+    "inconclusive.cert": "5629f12e0e5e9fd5b9f12b5377398be30bdd9e9788c023deea3af3415992fec4",
+    "same.cert": "264a78766d925d969845af14ae64c33dc66d9232936c4b809a85819badb7ff5c",
 }
 
 

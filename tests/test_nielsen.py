@@ -1,8 +1,14 @@
 import random
+import time
+from dataclasses import replace
+from math import prod
 
 import pytest
 
-from multisect.abelian import FiniteAbelianGroup
+import multisect.abelian
+import multisect.nielsen
+import multisect.presentations
+from multisect.abelian import FiniteAbelianGroup, enumerate_abelian_groups
 from multisect.constructions import bisection_from_heegaard, lens_diagram
 from multisect.diagrams import (CutSystem, DiagramError, MultisectionDiagram,
                                 SurfaceModel)
@@ -11,7 +17,8 @@ from multisect.nielsen import (GeneratingTuple, NielsenCertificate,
                                determinant_invariant, distinguish, flip_check,
                                format_certificate, free_tuple_search,
                                nielsen_move, orbit_enumerate, spine_tuple)
-from multisect.presentations import GroupPresentation
+from multisect.presentations import (GroupPresentation, abelianization,
+                                     enumerate_finite_abelian_quotients)
 from multisect.words import Word, identity_automorphism
 
 
@@ -96,8 +103,11 @@ def test_determinant_invariant_examples():
 
 
 def test_determinant_invariant_shape_errors():
+    # composite moduli are allowed; mixed factors are not
+    assert determinant_invariant(GeneratingTuple(FiniteAbelianGroup((4,)), ((1,),))) == (1, 3)
     with pytest.raises(ValueError):
-        determinant_invariant(GeneratingTuple(FiniteAbelianGroup((4,)), ((1,),)))
+        determinant_invariant(GeneratingTuple(FiniteAbelianGroup((2, 4)),
+                                              ((1, 0), (0, 1))))
     g = FiniteAbelianGroup((5,))
     t = GeneratingTuple(g, ((1,), (2,)))
     with pytest.raises(ValueError):
@@ -305,3 +315,141 @@ def test_randomized_certificate_soundness():
         assert current == t2
         checked += 1
     assert checked == 200
+
+
+# ---------------------------------------------------------------------------
+# the closed form against the exhaustive quotient x orbit sweep
+
+
+def _abelian_presentation(*orders):
+    """Z/d_1 x ... x Z/d_r, with 0 for a free factor Z."""
+    r = len(orders)
+    relators = [Word(r, (i, j, -i, -j)) for i in range(1, r + 1)
+                for j in range(i + 1, r + 1)]
+    relators += [Word(r, (i,) * d) for i, d in enumerate(orders, 1) if d]
+    return GroupPresentation(r, tuple(relators))
+
+
+def _words(rank, *letter_tuples):
+    return tuple(Word(rank, letters) for letters in letter_tuples)
+
+
+def _sweep_verdict(pres, t1, t2, bound):
+    """Reference verdict: every abelian group of order at most ``bound``
+    and rank at most n, every surjection onto it, and its move-orbits of
+    generating n-tuples; then the free-word search."""
+    n = len(t1)
+    ab = abelianization(pres)
+    for group in enumerate_abelian_groups(bound, max_rank=n):
+        if ab.free_rank == 0 and prod(ab.torsion) % group.order:
+            continue  # no surjection onto a group whose order does not divide |H1|
+        surjections = enumerate_finite_abelian_quotients(pres, [group])
+        if not surjections:
+            continue
+        orbit_of = orbit_enumerate(group, n).orbit_of
+        for q in surjections:
+            if (orbit_of[tuple(map(q.evaluate, t1))]
+                    != orbit_of[tuple(map(q.evaluate, t2))]):
+                return "distinct"
+    return "inconclusive" if free_tuple_search(t1, t2, pres.generator_count) is None \
+        else "same_orbit"
+
+
+SWEEP_CASES = [
+    # (orders, tuple1, tuple2, bound); orders 0 is a free factor Z
+    ((5, 5), ((1,), (2,)), ((1,), (2, 2)), 25),
+    ((5, 5), ((1,), (2,)), ((1,), (2,) * 4), 25),
+    ((8, 8), ((1,), (2,)), ((1,), (2,) * 3), 64),       # composite d1: m = 8
+    ((8, 8), ((1,), (2,)), ((1,), (2,) * 3), 20),       # m in {2, 4}: +-1 only
+    ((9, 9), ((1,), (2,)), ((1,), (2, 2)), 81),         # composite d1: m = 9
+    ((9, 9), ((1,), (2,)), ((1,), (2, 2)), 20),         # m = 3: 2 = -1 mod 3
+    ((4, 8), ((1,), (2,)), ((1, 2), (2,) * 3), 32),     # non-elementary, d1 = 4
+    ((5, 10), ((1,), (2,)), ((1,), (2,) * 3), 25),      # non-elementary, d1 = 5
+    ((5, 0), ((1,), (2,)), ((1, 1), (2,)), 25),         # free factor
+    ((5, 0), ((1,), (2,)), ((1, 1), (2,)), 20),
+    ((5,), ((1,), (1,)), ((1, 1), (1,)), 25),           # n > r: one orbit
+    ((5,), ((1,), ()), ((1, 1), ()), 25),
+]
+
+
+@pytest.mark.parametrize("orders,t1,t2,bound", SWEEP_CASES)
+def test_distinguish_matches_the_exhaustive_sweep(orders, t1, t2, bound):
+    rank = len(orders)
+    cert = distinguish(_abelian_presentation(*orders), _words(rank, *t1),
+                       _words(rank, *t2), bound)
+    assert cert.replay()
+    assert cert.verdict == _sweep_verdict(cert.presentation, cert.tuple1,
+                                          cert.tuple2, bound)
+
+
+def test_distinguish_and_replay_enumerate_nothing(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumeration called")
+
+    for module, name in ((multisect.abelian, "enumerate_abelian_groups"),
+                         (multisect.presentations, "enumerate_finite_abelian_quotients"),
+                         (multisect.nielsen, "enumerate_abelian_groups"),
+                         (multisect.nielsen, "enumerate_finite_abelian_quotients"),
+                         (multisect.nielsen, "orbit_enumerate"),
+                         (multisect.nielsen, "connect_tuples")):
+        monkeypatch.setattr(module, name, forbidden, raising=False)
+    p = _abelian_presentation(5, 5)
+    for t2, verdict in ((((1,), (2, 2)), "distinct"),
+                        (((1,), (2,) * 4), "inconclusive")):
+        cert = distinguish(p, _words(2, (1,), (2,)), _words(2, *t2))
+        assert cert.verdict == verdict
+        assert cert.replay()
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 9])
+@pytest.mark.parametrize("n", [1, 2])
+def test_determinant_classes_are_the_orbits_for_composite_moduli(m, n):
+    group = FiniteAbelianGroup((m,) * n)
+    classes = [{determinant_invariant(GeneratingTuple(group, t)) for t in members}
+               for _, members in orbit_enumerate(group, n).orbits]
+    assert all(len(c) == 1 for c in classes)
+    assert len({c.pop() for c in classes}) == len(classes)
+
+
+def test_distinct_past_the_former_orbit_cap():
+    # 625^4 candidate 4-tuples in (Z/5)^4, far past the 10^6 cap of
+    # orbit_enumerate; one determinant per tuple decides the comparison
+    p = _abelian_presentation(5, 5, 5, 5)
+    t1 = _words(4, (1,), (2,), (3,), (4,))
+    t2 = _words(4, (1,), (2,), (3,), (4, 4))
+    start = time.perf_counter()
+    cert = distinguish(p, t1, t2, bound=625)
+    assert cert.verdict == "distinct"
+    assert cert.quotient.invariant_factors == (5,) * 4
+    assert (cert.orbit_id1, cert.orbit_id2) == ((1, 4), (2, 3))
+    assert cert.replay()
+    assert time.perf_counter() - start < 1.0
+    assert distinguish(p, t1, t2, bound=624).verdict == "inconclusive"
+
+
+def test_distinct_replay_checks_each_claim():
+    cert = distinguish(_abelian_presentation(5, 5), _words(2, (1,), (2,)),
+                       _words(2, (1,), (2, 2)))
+    assert cert.verdict == "distinct" and cert.replay()
+    z25 = FiniteAbelianGroup((25, 25))
+    tampered = [
+        # 1: x^5 does not die in (Z/25)^2
+        replace(cert, quotient=z25),
+        # 1: an extra relator x^2 that the surjection does not kill
+        replace(cert, presentation=GroupPresentation(
+            2, cert.presentation.relators + (Word(2, (1, 1)),))),
+        # 2: both generators onto the first factor, images made to match
+        replace(cert, surjection=((1, 0), (2, 0)), image1=((1, 0), (2, 0)),
+                image2=((1, 0), (4, 0))),
+        # 3: an image that is not the evaluation of its tuple
+        replace(cert, image1=((0, 1), (1, 0))),
+        replace(cert, image2=((1, 0), (0, 3))),
+        # no image for the second generator
+        replace(cert, surjection=((1, 0),)),
+        # 4: tuple2 = (x, y^4) evaluates into the class of tuple1
+        replace(cert, tuple2=_words(2, (1,), (2,) * 4), image2=((1, 0), (0, 4))),
+        # no data at all
+        replace(cert, quotient=None),
+    ]
+    for bad in tampered:
+        assert not bad.replay()

@@ -124,6 +124,9 @@ def test_presentation_text_round_trip():
     assert parse_presentation(text) == p
     with pytest.raises(ValueError):
         parse_presentation("nope")
+    for text in ("gens 1_0\n", "gens +2\n", "gens 02\n", "gens 2\ng01 g2\n"):
+        with pytest.raises(ValueError):
+            parse_presentation(text)
 
 
 def _random_presentation(rng):

@@ -152,6 +152,10 @@ def test_word_grammar_round_trip():
         parse_word("g4", 3)
     with pytest.raises(ValueError):
         parse_word("x1", 3)
+    # int() accepts these bodies, but they would format back differently
+    for token in ("g+1", "g01", "g1_0", "g\u0661", "g 1", "g1^-1^-1"):
+        with pytest.raises(ValueError):
+            parse_word(token, 10)
 
 
 def test_canonical_cyclic():
