@@ -16,6 +16,7 @@ failed:`` line), 10 same-orbit, 20 inconclusive.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -224,7 +225,7 @@ def cmd_pi1(args) -> int:
     report.section("simplified")
     report.raw(format_presentation(simplified.presentation))
     report.section("invariants")
-    _invariant_fields(report, abelianization(pres))
+    _invariant_fields(report, simplified.invariants)
     _write_text(args.output, report.render())
     return 0
 
@@ -407,9 +408,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return HANDLERS[args.command](args)
+        code = HANDLERS[args.command](args)
+        # a reader that closed early shows up here, not at interpreter exit
+        sys.stdout.flush()
+        return code
     except (ValueError, OSError) as exc:
         # parse, usage and I/O errors; exit 1 is reserved for validation
+        if isinstance(exc, BrokenPipeError):
+            # the report is undeliverable; point stdout at the null device
+            # so that the flush at exit does not fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

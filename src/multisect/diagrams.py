@@ -26,20 +26,19 @@ from .matrices import IntegerMatrix, smith_normal_form
 from .presentations import (AbelianInvariants, GroupPresentation, SectorVerdict,
                             abelianization, verify_free_of_rank,
                             DEFAULT_TIETZE_BUDGET)
-from .words import (FreeAutomorphism, Word, apply, block_automorphism,
-                    canonical_cyclic, compose, flip_letters, format_word,
-                    identity_automorphism, invert_all, parse_integer,
-                    parse_word)
+from .words import (FormatError, FreeAutomorphism, Word, apply,
+                    block_automorphism, canonical_cyclic, compose, flip_letters,
+                    format_word, identity_automorphism, invert_all,
+                    parse_integer, parse_word)
 
 
 class DiagramError(ValueError):
-    pass
+    """An inconsistent diagram.  ``where`` names the part at fault when
+    it is one line of the file format: ``"types"`` or a reading pair."""
 
-
-class FormatError(ValueError):
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(f"line {line}: {message}" if line is not None else message)
+    def __init__(self, message: str, where: str | tuple[int, int] | None = None):
+        self.where = where
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -303,29 +302,34 @@ class MultisectionDiagram:
         expected = s if self.closed else s - 1
         if len(self.claimed_types) != expected:
             raise DiagramError(
-                f"expected {expected} claimed sector types, got {len(self.claimed_types)}")
+                f"expected {expected} claimed sector types, got {len(self.claimed_types)}",
+                "types")
         for k in self.claimed_types:
             if not 0 <= k <= self.surface.genus:
-                raise DiagramError("claimed sector rank exceeds the central genus")
+                raise DiagramError(f"claimed sector rank {k} is outside "
+                                   f"0..{self.surface.genus}", "types")
         readings = tuple(sorted(((pair, tuple(words)) for pair, words in self.readings),
                                 key=lambda item: item[0]))
         object.__setattr__(self, "readings", readings)
-        if len({pair for pair, _ in readings}) != len(readings):
-            raise DiagramError("duplicate reading pair")
+        for (pair, _), (following, _) in zip(readings, readings[1:]):
+            if pair == following:
+                raise DiagramError(f"duplicate reading pair {pair}", pair)
         for (i, j), words in readings:
             if not (1 <= i <= s and 1 <= j <= s and i != j):
-                raise DiagramError(f"reading pair {(i, j)} out of range")
+                raise DiagramError(f"reading pair {(i, j)} out of range", (i, j))
             if len(words) != self.surface.genus:
-                raise DiagramError(f"reading {(i, j)}: expected one word per curve")
+                raise DiagramError(f"reading {(i, j)}: expected one word per curve",
+                                   (i, j))
             for w in words:
                 if w.rank != self.surface.genus:
-                    raise DiagramError(f"reading {(i, j)}: dual rank mismatch")
+                    raise DiagramError(f"reading {(i, j)}: dual rank mismatch", (i, j))
             if self.systems[i - 1].standardizer is not None:
                 fresh = compute_reading(self, i, j)
                 for cached, again in zip(words, fresh):
                     if canonical_cyclic(cached) != canonical_cyclic(again):
                         raise DiagramError(
-                            f"cached reading {(i, j)} disagrees with recomputation")
+                            f"cached reading {(i, j)} disagrees with recomputation",
+                            (i, j))
 
     @property
     def sector_count(self) -> int:
@@ -565,6 +569,7 @@ def parse_diagram(text: str) -> MultisectionDiagram:
         types = tuple(parse_integer(tok) for tok in line.split()[1:])
     except ValueError:
         raise FormatError("bad types line", reader.line_no) from None
+    line_of = {"types": reader.line_no}  # DiagramError.where -> line number
 
     systems = []
     readings = []
@@ -583,6 +588,7 @@ def parse_diagram(text: str) -> MultisectionDiagram:
                 i, j = parse_integer(parts[1]), parse_integer(parts[2])
             except ValueError:
                 raise FormatError("bad reading indices", reader.line_no) from None
+            line_of[(i, j)] = reader.line_no
             words = _parse_words(reader, "word", surface.genus, surface.genus)
             readings.append(((i, j), words))
         else:
@@ -590,10 +596,11 @@ def parse_diagram(text: str) -> MultisectionDiagram:
     try:
         return MultisectionDiagram(surface, tuple(systems), closed, types,
                                    tuple(readings))
-    except FormatError:
-        raise
     except ValueError as exc:
-        raise FormatError(str(exc)) from None
+        # a fault of the whole file (too few systems, a repeated label)
+        # is reported at its last line
+        where = getattr(exc, "where", None)
+        raise FormatError(str(exc), line_of.get(where, reader.line_no)) from None
 
 
 def format_heegaard(h: GeometricHeegaardDiagram) -> str:
@@ -631,7 +638,7 @@ def parse_heegaard(text: str) -> GeometricHeegaardDiagram:
     try:
         return GeometricHeegaardDiagram(genus, beta, name, params)
     except ValueError as exc:
-        raise FormatError(str(exc)) from None
+        raise FormatError(str(exc), reader.line_no) from None
 
 
 def content_digest(text: str) -> str:

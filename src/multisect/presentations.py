@@ -6,17 +6,23 @@ construction.  Simplification is deliberately conservative: a generator is
 eliminated only when it occurs exactly once in some relator, which is
 always a valid Tietze move and needs no word-problem machinery.  The
 payoff is a three-valued freeness check that never overclaims.
+
+Simplification checks every move on the relators' exponent rows instead
+of comparing Smith normal forms at both ends (see :func:`tietze_simplify`),
+so the input's abelian invariants are those of the small simplified
+presentation, and those of a free one need no computation at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
 
 from .abelian import FiniteAbelianGroup, configured_bound
 from .matrices import IntegerMatrix, smith_normal_form
-from .words import (Word, _apply_images, canonical_cyclic, format_word,
-                    parse_integer, parse_word)
+from .words import (FormatError, Word, _apply_images, canonical_cyclic,
+                    format_word, parse_integer, parse_word)
 
 DEFAULT_TIETZE_BUDGET = 10_000
 
@@ -95,6 +101,15 @@ class TietzeResult:
     """For each original generator, its expression in the simplified
     presentation's generators (the isomorphism witness)."""
 
+    @cached_property
+    def invariants(self) -> AbelianInvariants:
+        """Abelian invariants of the input.  The per-step row checks prove
+        them equal to those of ``presentation``: Z^gens when no relator is
+        left, else one Smith normal form of the simplified matrix."""
+        if not self.presentation.relators:
+            return AbelianInvariants(self.presentation.generator_count)
+        return abelianization(self.presentation)
+
 
 def _elimination_images(gens: int, gen: int, replacement: Word) -> tuple[Word, ...]:
     """Generator images that eliminate ``gen`` in favour of
@@ -106,25 +121,80 @@ def _elimination_images(gens: int, gen: int, replacement: Word) -> tuple[Word, .
     return tuple(images)
 
 
-def _overlap_reduction(relators: list[Word]) -> tuple[int, Word] | None:
+def _rotated_product_length(r: tuple[int, ...], s: tuple[int, ...],
+                            shift: int) -> int:
+    """Length of the cyclic reduction of ``r`` times the rotation
+    ``s[shift:] + s[:shift]``, by index arithmetic on the letters.
+
+    ``r`` must be freely reduced and ``s`` cyclically reduced, so that
+    every rotation of ``s`` is freely reduced.  Then the product cancels
+    only at the junction, k letters from each side, and cyclic reduction
+    strips c more pairs from the ends of what is left.
+    """
+    a, b = len(r), len(s)
+    k = 0
+    while k < a and k < b and r[a - 1 - k] == -s[(shift + k) % b]:
+        k += 1
+    n = a + b - 2 * k
+    head = a - k  # the reduced product is r[:head] then the rotation from k on
+
+    def at(i: int) -> int:
+        return r[i] if i < head else s[(shift + k + i - head) % b]
+
+    c = 0
+    while n - 2 * c >= 2 and at(c) == -at(n - 1 - c):
+        c += 1
+    return n - 2 * c
+
+
+def _overlap_reduction(relators: list[Word]) -> tuple[int, int, int, Word] | None:
     """First relator that shrinks when multiplied by a rotation of
     another relator or its inverse (a conjugate, so the normal closure
-    is unchanged).  Scan order is fixed, so the choice is deterministic.
+    is unchanged), as ``(index, other index, sign, shorter word)``.
+    Scan order is fixed, so the choice is deterministic.  Lengths are
+    tested on the letter tuples; only the chosen word is built.
     """
     for i, r in enumerate(relators):
-        if r.is_identity():
+        letters = r.letters
+        if not letters:
             continue
+        inv_first, inv_last = -letters[0], -letters[-1]
         for j, other in enumerate(relators):
             if i == j or other.is_identity():
                 continue
-            for base in (other, other.inverse()):
-                letters = base.letters
-                for shift in range(len(letters)):
-                    rotated = Word(r.rank, letters[shift:] + letters[:shift])
-                    candidate = (r * rotated).cyclic_reduce()
-                    if len(candidate) < len(r):
-                        return i, candidate
+            inverse = tuple(-lt for lt in reversed(other.letters))
+            for sign, s in ((1, other.letters), (-1, inverse)):
+                for shift in range(len(s)):
+                    # without cancellation at the junction or at the ends
+                    # the product keeps every letter and cannot be shorter
+                    if s[shift] != inv_last and s[shift - 1] != inv_first:
+                        continue
+                    length = _rotated_product_length(letters, s, shift)
+                    if length < len(letters):
+                        rotated = Word(r.rank, s[shift:] + s[:shift])
+                        candidate = (r * rotated).cyclic_reduce()
+                        if len(candidate) != length:
+                            raise AssertionError(
+                                "shrink length disagrees with the reduced product")
+                        return i, j, sign, candidate
     return None
+
+
+def _eliminated_row(row: tuple[int, ...], pivot: tuple[int, ...],
+                    g: int) -> tuple[int, ...]:
+    """``row - (row[g] / pivot[g]) * pivot`` without column g, for a
+    pivot entry of +-1 (so the quotient is the product)."""
+    factor = row[g - 1] * pivot[g - 1]
+    if not factor:  # most rows avoid g
+        return row[:g - 1] + row[g:]
+    return tuple(x - factor * p for k, (x, p) in enumerate(zip(row, pivot))
+                 if k != g - 1)
+
+
+def _check_row(word: Word, predicted: tuple[int, ...], move: str) -> None:
+    if word.exponent_sums() != predicted:
+        raise AssertionError(f"{move}: relator {format_word(word)} does not have "
+                             f"the predicted exponent row {predicted}")
 
 
 def tietze_simplify(pres: GroupPresentation,
@@ -140,46 +210,66 @@ def tietze_simplify(pres: GroupPresentation,
     candidate is the highest-index eliminable generator, in the
     lowest-index relator exhibiting it; shrinking picks the first
     reduction in a fixed scan.  Exhausting the budget returns the best
-    presentation reached.  The abelianization is asserted unchanged.
+    presentation reached.
+
+    Every move is checked on the exponent rows of the relators, which
+    are carried along: a dropped empty relator has a zero row, a dropped
+    duplicate's row is +- the row it duplicates, a shrunk relator's row
+    is its old row +- the other relator's, and an elimination has a +-1
+    pivot and turns every other row into ``row - (row[g] / pivot[g]) *
+    pivot`` with the pivot's row and column g deleted.  Each rewritten
+    relator must have its predicted row, so the cokernel never changes
+    and the result's ``invariants`` are read off the simplified
+    presentation.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    start_invariants = abelianization(pres)
 
     gens = pres.generator_count
     relators = list(pres.relators)
+    rows = [rel.exponent_sums() for rel in relators]
     names = list(pres.display_names) if pres.display_names is not None else None
     survivors = list(range(1, gens + 1))
     images = [Word(gens, (k,)) for k in survivors]
     trace: list[str] = []
     steps = 0
+    canonical: dict[Word, tuple[int, ...]] = {}  # dedup keys of relators seen
 
     progress = True
     while progress and steps < budget:
         progress = False
 
         kept = []
-        for rel in relators:
+        for rel, row in zip(relators, rows):
             if rel.is_identity() and steps < budget:
+                if any(row):
+                    raise AssertionError("drop empty relator: its exponent row "
+                                         f"{row} is not zero")
                 steps += 1
                 trace.append("drop empty relator")
                 progress = True
             else:
-                kept.append(rel)
-        relators = kept
+                kept.append((rel, row))
 
-        seen: set[tuple[int, ...]] = set()
+        seen: dict[tuple[int, ...], tuple[int, ...]] = {}
         deduped = []
-        for rel in relators:
-            key = canonical_cyclic(rel).letters
+        for rel, row in kept:
+            key = canonical.get(rel)
+            if key is None:
+                key = canonical[rel] = canonical_cyclic(rel).letters
             if key in seen and steps < budget:
+                twin = seen[key]
+                if row != twin and row != tuple(-x for x in twin):
+                    raise AssertionError(f"drop duplicate relator: row {row} is "
+                                         f"not +- the row {twin} it duplicates")
                 steps += 1
                 trace.append("drop duplicate relator")
                 progress = True
             else:
-                seen.add(key)
-                deduped.append(rel)
-        relators = deduped
+                seen.setdefault(key, row)
+                deduped.append((rel, row))
+        relators = [rel for rel, _ in deduped]
+        rows = [row for _, row in deduped]
 
         candidate: tuple[int, int] | None = None  # (generator, relator index)
         for ridx, rel in enumerate(relators):
@@ -193,6 +283,10 @@ def tietze_simplify(pres: GroupPresentation,
             steps += 1
             g, ridx = candidate
             rel = relators[ridx]
+            pivot = rows[ridx]
+            if pivot[g - 1] not in (1, -1):
+                raise AssertionError(f"eliminate generator: pivot entry "
+                                     f"{pivot[g - 1]} is not +-1")
             pos = next(i for i, lt in enumerate(rel.letters) if abs(lt) == g)
             sign = 1 if rel.letters[pos] > 0 else -1
             u = Word(gens, rel.letters[:pos])
@@ -202,6 +296,10 @@ def tietze_simplify(pres: GroupPresentation,
             substitution = _elimination_images(gens, g, replacement)
             relators = [_apply_images(substitution, r, new_gens).cyclic_reduce()
                         for i, r in enumerate(relators) if i != ridx]
+            rows = [_eliminated_row(row, pivot, g)
+                    for i, row in enumerate(rows) if i != ridx]
+            for r, row in zip(relators, rows):
+                _check_row(r, row, "eliminate generator")
             images = [_apply_images(substitution, w, new_gens) for w in images]
             label = names[g - 1] if names else f"g{survivors[g - 1]}"
             trace.append(f"eliminate generator {label}")
@@ -215,15 +313,16 @@ def tietze_simplify(pres: GroupPresentation,
         shrink = _overlap_reduction(relators)
         if shrink is not None and steps < budget:
             steps += 1
-            ridx, shorter = shrink
+            ridx, other, sign, shorter = shrink
+            predicted = tuple(x + sign * y for x, y in zip(rows[ridx], rows[other]))
+            _check_row(shorter, predicted, "shrink relator")
             relators[ridx] = shorter
+            rows[ridx] = predicted
             trace.append("shrink relator by a conjugate")
             progress = True
 
     simplified = GroupPresentation(gens, tuple(relators),
                                    tuple(names) if names is not None else None)
-    if abelianization(simplified) != start_invariants:
-        raise AssertionError("Tietze simplification changed the abelianization")
     return TietzeResult(simplified, tuple(trace), steps,
                         tuple(survivors), tuple(images))
 
@@ -272,7 +371,7 @@ def verify_free_of_rank(pres: GroupPresentation, rank: int,
     """Certify, refute, or give up on the claim that the presented group
     is free of the given rank."""
     result = tietze_simplify(pres, budget)
-    invariants = abelianization(pres)
+    invariants = result.invariants
     simplified = result.presentation
     if not simplified.relators and simplified.generator_count == rank:
         return SectorVerdict.verified(rank, invariants, result.trace)
@@ -336,12 +435,25 @@ def format_presentation(pres: GroupPresentation) -> str:
 
 
 def parse_presentation(text: str) -> GroupPresentation:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("gens "):
-        raise ValueError("presentation text must start with 'gens <n>'")
+    """Read :func:`format_presentation` text; blank lines are skipped, and
+    every fault is a :class:`FormatError` naming its line."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines:
+        raise FormatError("presentation text must start with 'gens <n>'", 1)
+    number, head = lines[0]
+    parts = head.split()
+    if len(parts) != 2 or parts[0] != "gens":
+        raise FormatError("expected 'gens <n>'", number)
     try:
-        gens = parse_integer(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise ValueError("bad generator count line") from None
-    relators = tuple(parse_word(ln, gens) for ln in lines[1:])
-    return GroupPresentation(gens, relators)
+        gens = parse_integer(parts[1])
+        if gens < 0:
+            raise ValueError(gens)
+    except ValueError:
+        raise FormatError(f"bad generator count {parts[1]!r}", number) from None
+    relators = []
+    for number, line in lines[1:]:
+        try:
+            relators.append(parse_word(line, gens))
+        except ValueError as exc:
+            raise FormatError(str(exc), number) from None
+    return GroupPresentation(gens, tuple(relators))

@@ -42,6 +42,7 @@ __all__ = [
     "flip_letters",
     "relabel",
     "block_automorphism",
+    "FormatError",
     "parse_integer",
     "parse_word",
     "format_word",
@@ -51,6 +52,15 @@ __all__ = [
 _INTEGER = "0|-?[1-9][0-9]*"
 _INTEGER_RE = re.compile(_INTEGER)
 _TOKEN_RE = re.compile(rf"g({_INTEGER})(\^-1)?")
+
+
+class FormatError(ValueError):
+    """Text that does not parse, with the 1-based number of the line at
+    fault when one is known."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
 def letter(index: int, sign: int) -> int:

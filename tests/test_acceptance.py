@@ -252,6 +252,7 @@ def test_criterion_8_property_suites():
             pres = GroupPresentation(gens, tuple(relators))
             result = tietze_simplify(pres)
             assert abelianization(result.presentation) == abelianization(pres)
+            assert result.invariants == abelianization(pres)
 
         for _ in range(1000):
             rank = rng.randint(1, 5)

@@ -1,9 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import multisect.cli
 import multisect.diagrams
+import multisect.matrices
+import multisect.nielsen
+import multisect.presentations
 from multisect.cli import main
-from multisect.constructions import bisection_from_heegaard, lens_diagram
+from multisect.constructions import (bisection_from_heegaard, double_bisection,
+                                     lens_diagram)
 from multisect.diagrams import format_diagram, format_heegaard, parse_diagram, \
     validate
 
@@ -121,6 +130,73 @@ def test_validate_computes_boundary_invariants_once(lens_msd, tmp_path, monkeypa
     assert run("validate", "-i", lens_msd, "-o", out) == 0
     assert "boundary-h1-rank: 2" in out.read_text()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p, q, validate_snfs", [
+    (2, 1, []),
+    # sector (2, 3) read from system 2 keeps one relator on two
+    # generators; telling Unknown from RefutedByHomology there takes the
+    # invariants of that 1 x 2 matrix, and the reverse reading verifies
+    (5, 2, [(1, 2)]),
+])
+def test_validate_and_pi1_take_no_redundant_smith_forms(p, q, validate_snfs,
+                                                        tmp_path, monkeypatch):
+    # a closed product diagram: every Tietze run that ends free has its
+    # invariants by construction, and pi1 takes one Smith normal form, of
+    # the simplified presentation
+    path = tmp_path / "double.msd"
+    path.write_text(format_diagram(double_bisection(
+        bisection_from_heegaard(lens_diagram(p, q)))))
+    calls = []
+    original = multisect.matrices.smith_normal_form
+
+    def counting(matrix):
+        calls.append((matrix.rows, matrix.cols))
+        return original(matrix)
+
+    for module in (multisect.matrices, multisect.presentations, multisect.diagrams,
+                   multisect.nielsen):
+        if getattr(module, "smith_normal_form", None) is original:
+            monkeypatch.setattr(module, "smith_normal_form", counting)
+    out = tmp_path / "report.txt"
+    assert run("validate", "-i", path, "-o", out) == 0
+    assert calls == validate_snfs
+    calls.clear()
+    assert run("pi1", "-i", path, "-o", out) == 0
+    assert f"group: Z/{p}" in out.read_text()
+    assert calls == [(1, 1)]
+
+
+def test_failed_tietze_row_check_exits_3(lens_msd, monkeypatch, capsys):
+    original = multisect.presentations._elimination_images
+
+    def wrong(gens, gen, replacement):
+        images = list(original(gens, gen, replacement))
+        images[gen - 1] = images[gen - 1] * images[gen - 1]
+        return tuple(images)
+
+    monkeypatch.setattr(multisect.presentations, "_elimination_images", wrong)
+    assert run("pi1", "-i", lens_msd) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: internal invariant failed: eliminate generator")
+
+
+@pytest.mark.parametrize("buffering", [[], ["-u"]])
+def test_reader_closing_early_exits_2_without_traceback(lens_msd, buffering):
+    # the reader is gone before the report is written; the write or the
+    # flush fails inside main, which reports it as one error line
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(multisect.cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, *buffering, "-m", "multisect", "pi1", "-o", "-"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=env)
+    proc.stdout.close()
+    _, err = proc.communicate(lens_msd.read_bytes(), timeout=60)
+    assert proc.returncode == 2
+    text = err.decode()
+    assert text.startswith("error: ") and text.count("\n") == 1, text
+    assert "Broken pipe" in text
 
 
 def test_pi1_and_homology_reports(lens_msd, tmp_path):

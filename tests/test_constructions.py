@@ -1,5 +1,6 @@
 import pytest
 
+import multisect.constructions
 from multisect.constructions import (DoubledSurfaceContext, GluePlan,
                                      GlueMismatchError, MergeRefusedError,
                                      auto_cap, bisection_from_heegaard,
@@ -12,8 +13,8 @@ from multisect.constructions import (DoubledSurfaceContext, GluePlan,
 from multisect.diagrams import (CutSystem, DiagramError, MultisectionDiagram,
                                 SurfaceModel, connected_sum, pi1_of_diagram,
                                 standard_alpha_system, validate)
-from multisect.presentations import AbelianInvariants, abelianization, \
-    verify_free_of_rank
+from multisect.presentations import AbelianInvariants, GroupPresentation, \
+    abelianization, verify_free_of_rank
 from multisect.words import Word, apply, automorphism
 
 
@@ -242,6 +243,30 @@ def test_insert_at_last_closed_position(lens21_bisection):
     out = insert_parallel_sectors(d4, 4, 1)  # the parallel copy qualifies too
     assert out.claimed_types == (1, 1, 1, 2, 1)
     assert validate(out).ok
+
+
+@pytest.mark.parametrize("build, step", [
+    (double_bisection, "doubling"),
+    (lambda b: insert_parallel_sectors(b, 2, 1), "sector insertion"),
+])
+def test_tampered_pi1_reading_fails_the_relator_check(build, step, lens21_bisection,
+                                                      monkeypatch):
+    # both constructions add a fourth system to a three-system input; a
+    # pi1 of the result that reads one relator differently must be caught
+    original = multisect.constructions.pi1_of_diagram
+
+    def tampered(d):
+        pres = original(d)
+        if len(d.systems) < 4:
+            return pres
+        relators = list(pres.relators)
+        k = next(i for i, r in enumerate(relators) if not r.is_identity())
+        relators[k] = relators[k] * relators[k]
+        return GroupPresentation(pres.generator_count, tuple(relators))
+
+    monkeypatch.setattr(multisect.constructions, "pi1_of_diagram", tampered)
+    with pytest.raises(AssertionError, match=f"{step} changed the pi1 relators"):
+        build(lens21_bisection)
 
 
 def test_insert_rejects_non_product_system(lens21_bisection):

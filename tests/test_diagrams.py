@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import multisect.diagrams
@@ -233,6 +235,9 @@ def test_parse_errors_carry_line_numbers(lens21, lens21_bisection):
     with pytest.raises(FormatError) as exc:
         parse_heegaard("HD 1\ngenus 1\nparams x y\n")
     assert exc.value.line == 3
+    with pytest.raises(FormatError, match="require a beta standardizer") as exc:
+        parse_heegaard("HD 1\ngenus 1\nsystem beta\ncurve g2\n")
+    assert exc.value.line == 4
     # int() accepts each replacement token, so these files used to parse
     # and then fail a bit-exact round-trip
     hd, msd = format_heegaard(lens21), format_diagram(lens21_bisection)
@@ -251,6 +256,25 @@ def test_parse_errors_carry_line_numbers(lens21, lens21_bisection):
         with pytest.raises(FormatError) as exc:
             parse("\n".join(lines) + "\n")
         assert exc.value.line == line, new
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("types 1 1", "types 1 -1", "claimed sector rank -1 is outside 0..2"),
+    ("types 1 1", "types 1 3", "claimed sector rank 3 is outside 0..2"),
+    ("types 1 1", "types 1 1 1", "expected 2 claimed sector types"),
+    ("reading 1 2", "reading 1 9", "reading pair (1, 9) out of range"),
+    ("reading 1 2", "reading 1 3", "duplicate reading pair (1, 3)"),
+    ("reading 1 2", "reading 2 1", "cached reading (2, 1) disagrees"),
+])
+def test_diagram_errors_name_the_line_at_fault(lens21_bisection, old, new, message):
+    lines = format_diagram(lens21_bisection).splitlines()
+    line = lines.index(old) + 1
+    lines[line - 1] = new
+    with pytest.raises(FormatError, match=re.escape(message)) as exc:
+        parse_diagram("\n".join(lines) + "\n")
+    if "duplicate" in message:  # reported at the later of the two readings
+        line = lines.index("reading 1 3", line) + 1
+    assert exc.value.line == line
 
 
 def test_unreadable_pair_error():

@@ -3,13 +3,15 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import multisect.presentations
 from multisect.abelian import FiniteAbelianGroup, invariant_factor_chains
 from multisect.presentations import (AbelianInvariants, GroupPresentation,
-                                     SectorVerdict, abelianization,
+                                     SectorVerdict, _overlap_reduction,
+                                     _rotated_product_length, abelianization,
                                      enumerate_finite_abelian_quotients,
                                      format_presentation, parse_presentation,
                                      tietze_simplify, verify_free_of_rank)
-from multisect.words import Word
+from multisect.words import FormatError, Word
 
 
 def pres(gens, *relators):
@@ -129,6 +131,18 @@ def test_presentation_text_round_trip():
             parse_presentation(text)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("gens x\n", 1),
+    ("gens 2 junk\n", 1),
+    ("gens -1\n", 1),
+    ("\ngens 2\n\ng1 g3\n", 4),
+])
+def test_parse_presentation_errors_name_their_line(text, line):
+    with pytest.raises(FormatError) as exc:
+        parse_presentation(text)
+    assert exc.value.line == line
+
+
 def _random_presentation(rng):
     gens = rng.randint(1, 4)
     relators = []
@@ -159,3 +173,95 @@ def test_chains_multiply_to_order(order):
         assert prod == order
         for x, y in zip(chain, chain[1:]):
             assert y % x == 0
+
+
+def cyclically_reduced(rank, letters):
+    return Word(rank, tuple(letters)).cyclic_reduce()
+
+
+letter_lists = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=9)
+
+
+@given(letter_lists, letter_lists)
+def test_rotated_product_length_matches_word_arithmetic(r_letters, s_letters):
+    r = cyclically_reduced(3, r_letters)
+    other = cyclically_reduced(3, s_letters)
+    for base in (other, other.inverse()):
+        s = base.letters
+        for shift in range(len(s)):
+            rotation = Word(3, s[shift:] + s[:shift])
+            assert _rotated_product_length(r.letters, s, shift) == \
+                len((r * rotation).cyclic_reduce())
+
+
+def reference_overlap_reduction(relators):
+    """The shrink scan with a Word for every rotation, in the same order."""
+    for i, r in enumerate(relators):
+        if r.is_identity():
+            continue
+        for j, other in enumerate(relators):
+            if i == j or other.is_identity():
+                continue
+            for sign, base in ((1, other), (-1, other.inverse())):
+                letters = base.letters
+                for shift in range(len(letters)):
+                    rotated = Word(r.rank, letters[shift:] + letters[:shift])
+                    candidate = (r * rotated).cyclic_reduce()
+                    if len(candidate) < len(r):
+                        return i, j, sign, candidate
+    return None
+
+
+@given(st.lists(letter_lists, max_size=4))
+def test_overlap_scan_chooses_what_word_arithmetic_chooses(relator_letters):
+    relators = [cyclically_reduced(3, letters) for letters in relator_letters]
+    assert _overlap_reduction(relators) == reference_overlap_reduction(relators)
+
+
+def test_wrong_elimination_substitution_fails_the_row_check(monkeypatch):
+    original = multisect.presentations._elimination_images
+
+    def wrong(gens, gen, replacement):
+        images = list(original(gens, gen, replacement))
+        images[gen - 1] = images[gen - 1] * images[gen - 1]
+        return tuple(images)
+
+    monkeypatch.setattr(multisect.presentations, "_elimination_images", wrong)
+    # eliminating y through x y^-1 must substitute x for y in x^2 y^2
+    with pytest.raises(AssertionError, match="eliminate generator"):
+        tietze_simplify(pres(2, (1, -2), (1, 1, 2, 2)))
+
+
+def test_wrong_shrink_word_fails_the_row_check(monkeypatch):
+    original = multisect.presentations._overlap_reduction
+
+    def wrong(relators):
+        found = original(relators)
+        if found is None:
+            return None
+        i, j, sign, shorter = found
+        return i, j, sign, shorter * Word(shorter.rank, (1,))
+
+    monkeypatch.setattr(multisect.presentations, "_overlap_reduction", wrong)
+    # no generator occurs once; x y x^-1 y^-1 x shrinks by the commutator
+    p = pres(2, (1, 2, -1, -2), (1, 2, -1, -2, 1, 1, 2, 2))
+    with pytest.raises(AssertionError, match="shrink relator"):
+        tietze_simplify(p)
+
+
+def test_tietze_invariants_come_without_a_second_snf(monkeypatch):
+    calls = []
+    original = multisect.presentations.smith_normal_form
+
+    def counting(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(multisect.presentations, "smith_normal_form", counting)
+    free = tietze_simplify(pres(3, (1, 2), (2, -3, 1)))
+    assert free.presentation.relators == ()
+    assert free.invariants == AbelianInvariants(1, ())
+    assert calls == []
+    cyclic = tietze_simplify(pres(2, (1, -2), (1, 1, 1), (2, 2, 2)))
+    assert cyclic.invariants == AbelianInvariants(0, (3,))
+    assert len(calls) == 1  # of the simplified one-relator matrix
