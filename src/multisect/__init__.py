@@ -6,7 +6,7 @@ homology computation, and Nielsen-class certificates separating
 decompositions that no isotopy can match.
 """
 
-from .abelian import FiniteAbelianGroup, configured_bound
+from .abelian import FiniteAbelianGroup
 from .matrices import IntegerMatrix, SmithForm, smith_normal_form
 from .presentations import (AbelianInvariants, GroupPresentation, SectorVerdict,
                             Surjection, TietzeResult, abelianization,

@@ -2,36 +2,21 @@
 
 A group is a product Z/d1 x ... x Z/dr with d1 | d2 | ... | dr, and its
 elements are integer tuples reduced componentwise.  These are the targets
-of the finite-quotient searches; their size is capped by the configured
-bound so enumeration stays cheap.
+of the finite-quotient searches; their order is capped at ``ORDER_BOUND``
+so enumeration stays cheap.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import product
 from math import prod
 from typing import Iterable, Iterator
 
-DEFAULT_BOUND = 10 ** 6
+# largest group order, quotient search space and orbit tuple space built
+ORDER_BOUND = 10 ** 6
 
 Element = tuple[int, ...]
-
-
-def configured_bound() -> int:
-    """Size bound for quotient targets and orbit enumeration; the
-    MULTISECT_BOUND environment variable overrides the default 10^6."""
-    raw = os.environ.get("MULTISECT_BOUND")
-    if raw is None:
-        return DEFAULT_BOUND
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"MULTISECT_BOUND must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError("MULTISECT_BOUND must be positive")
-    return value
 
 
 @dataclass(frozen=True)
@@ -47,9 +32,8 @@ class FiniteAbelianGroup:
         for x, y in zip(factors, factors[1:]):
             if y % x != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
-        if self.order > configured_bound():
-            raise ValueError(
-                f"group order {self.order} exceeds the configured bound")
+        if self.order > ORDER_BOUND:
+            raise ValueError(f"group order {self.order} exceeds {ORDER_BOUND}")
 
     @property
     def order(self) -> int:

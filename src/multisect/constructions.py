@@ -18,8 +18,7 @@ from math import gcd
 from .diagrams import (CutSystem, DiagramError, GeometricHeegaardDiagram,
                        MultisectionDiagram, SurfaceModel, adjacent_pairs,
                        boundary_invariants, pi1_of_diagram, read_system)
-from .presentations import (GroupPresentation, abelianization, tietze_simplify,
-                            DEFAULT_TIETZE_BUDGET)
+from .presentations import GroupPresentation, abelianization, tietze_simplify
 from .words import (FreeAutomorphism, Word, apply, automorphism,
                     block_automorphism, compose, flip_letters, format_word,
                     identity_automorphism, invert_all, relabel)
@@ -422,8 +421,7 @@ def cap_off(d1: MultisectionDiagram, d2: MultisectionDiagram) -> MultisectionDia
     return out
 
 
-def merge_adjacent_sectors(d: MultisectionDiagram, interface: int,
-                           budget: int = DEFAULT_TIETZE_BUDGET) -> MultisectionDiagram:
+def merge_adjacent_sectors(d: MultisectionDiagram, interface: int) -> MultisectionDiagram:
     """Remove an interface system, merging its two neighbouring sectors.
 
     The merge is certified, never silent: the removed system's curves
@@ -460,7 +458,7 @@ def merge_adjacent_sectors(d: MultisectionDiagram, interface: int,
 
     merged_pres = GroupPresentation(d.surface.genus,
                                     read_system(d.systems[prev - 1], d.systems[nxt - 1]))
-    simplified = tietze_simplify(merged_pres, budget).presentation
+    simplified = tietze_simplify(merged_pres).presentation
     if simplified.relators:
         raise MergeRefusedError(
             "merged sector does not certify as a handlebody", families)

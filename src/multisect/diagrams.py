@@ -464,16 +464,26 @@ def _format_system(system: CutSystem, lines: list[str]) -> None:
 
 
 class _LineReader:
+    """The lines of an HD or MSD file, which must be laid out the one way
+    the formatters write them: every line ends in a newline and holds
+    tokens separated by single spaces.  A blank line, a tab, a carriage
+    return, leading, trailing or repeated whitespace and a missing final
+    newline are each a FormatError at their line, so that a file that
+    parses formats back to itself."""
+
     def __init__(self, text: str):
-        self.lines = text.splitlines()
+        lines = text.split("\n")
+        if lines.pop():
+            raise FormatError("missing final newline", len(lines) + 1)
+        for number, line in enumerate(lines, 1):
+            if not line or " ".join(line.split()) != line:
+                raise FormatError("blank line or whitespace other than single "
+                                  "spaces between tokens", number)
+        self.lines = lines
         self.pos = 0
 
     def peek(self) -> str | None:
-        while self.pos < len(self.lines) and not self.lines[self.pos].strip():
-            self.pos += 1
-        if self.pos >= len(self.lines):
-            return None
-        return self.lines[self.pos].strip()
+        return self.lines[self.pos] if self.pos < len(self.lines) else None
 
     def take(self) -> str:
         line = self.peek()
@@ -490,22 +500,24 @@ class _LineReader:
 def _parse_words(reader: _LineReader, keyword: str, count: int, rank: int) -> tuple[Word, ...]:
     words = []
     for _ in range(count):
-        line = reader.take()
-        if not line.startswith(keyword + " ") and line != keyword:
+        head, _, text = reader.take().partition(" ")
+        if head != keyword or not text:
             raise FormatError(f"expected '{keyword} <word>'", reader.line_no)
         try:
-            words.append(parse_word(line[len(keyword):], rank))
+            word = parse_word(text, rank)
         except ValueError as exc:
             raise FormatError(str(exc), reader.line_no) from None
+        # a letter next to its inverse cancels and would not be written back
+        if len(word) != (0 if text == "1" else text.count(" ") + 1):
+            raise FormatError("word is not freely reduced", reader.line_no)
+        words.append(word)
     return tuple(words)
 
 
 def _parse_system(reader: _LineReader, surface: SurfaceModel) -> CutSystem:
-    header = reader.take()
-    parts = header.split(maxsplit=1)
-    if parts[0] != "system" or len(parts) != 2:
+    keyword, _, label = reader.take().partition(" ")
+    if keyword != "system" or not label:
         raise FormatError("expected 'system <label>'", reader.line_no)
-    label = parts[1]
     curves = _parse_words(reader, "curve", surface.genus, surface.rank)
     std = None
     if reader.peek() == "standardizer":
@@ -543,12 +555,12 @@ def _parse_header(reader: _LineReader, header: str) -> int:
     """The header line, then ``genus <g>``; returns the genus."""
     if reader.take() != header:
         raise FormatError(f"expected '{header}' header", reader.line_no)
-    line = reader.take()
-    if not line.startswith("genus "):
+    keyword, _, value = reader.take().partition(" ")
+    if keyword != "genus":
         raise FormatError("expected 'genus <g>'", reader.line_no)
     try:
-        genus = parse_integer(line.split()[1])
-    except (IndexError, ValueError):
+        genus = parse_integer(value)
+    except ValueError:
         genus = None
     if genus is None or genus < 0:
         raise FormatError("bad genus line", reader.line_no)
@@ -561,46 +573,48 @@ def parse_diagram(text: str) -> MultisectionDiagram:
     line = reader.take()
     if line not in ("closed true", "closed false"):
         raise FormatError("expected 'closed <true|false>'", reader.line_no)
-    closed = line.endswith("true")
-    line = reader.take()
-    if not line.startswith("types"):
+    closed = line == "closed true"
+    keyword, *values = reader.take().split(" ")
+    if keyword != "types":
         raise FormatError("expected 'types <k1> <k2> ...'", reader.line_no)
     try:
-        types = tuple(parse_integer(tok) for tok in line.split()[1:])
+        types = tuple(parse_integer(tok) for tok in values)
     except ValueError:
         raise FormatError("bad types line", reader.line_no) from None
     line_of = {"types": reader.line_no}  # DiagramError.where -> line number
 
     systems = []
+    while (line := reader.peek()) is not None and not line.startswith("reading "):
+        systems.append(_parse_system(reader, surface))
     readings = []
-    while True:
-        nxt = reader.peek()
-        if nxt is None:
-            break
-        if nxt.startswith("system"):
-            systems.append(_parse_system(reader, surface))
-        elif nxt.startswith("reading"):
-            header = reader.take()
-            parts = header.split()
-            if len(parts) != 3:
-                raise FormatError("expected 'reading <i> <j>'", reader.line_no)
-            try:
-                i, j = parse_integer(parts[1]), parse_integer(parts[2])
-            except ValueError:
-                raise FormatError("bad reading indices", reader.line_no) from None
-            line_of[(i, j)] = reader.line_no
-            words = _parse_words(reader, "word", surface.genus, surface.genus)
-            readings.append(((i, j), words))
-        else:
-            raise FormatError(f"unexpected line {nxt!r}", reader.line_no + 1)
+    unordered = None  # first reading line whose pair precedes the one before
+    while reader.peek() is not None:
+        keyword, *indices = reader.take().split(" ")
+        if keyword == "system":
+            raise FormatError("systems must come before the readings", reader.line_no)
+        if keyword != "reading" or len(indices) != 2:
+            raise FormatError("expected 'reading <i> <j>'", reader.line_no)
+        try:
+            pair = (parse_integer(indices[0]), parse_integer(indices[1]))
+        except ValueError:
+            raise FormatError("bad reading indices", reader.line_no) from None
+        if readings and pair < readings[-1][0] and unordered is None:
+            unordered = reader.line_no
+        line_of[pair] = reader.line_no
+        words = _parse_words(reader, "word", surface.genus, surface.genus)
+        readings.append((pair, words))
     try:
-        return MultisectionDiagram(surface, tuple(systems), closed, types,
-                                   tuple(readings))
+        d = MultisectionDiagram(surface, tuple(systems), closed, types,
+                                tuple(readings))
     except ValueError as exc:
         # a fault of the whole file (too few systems, a repeated label)
         # is reported at its last line
         where = getattr(exc, "where", None)
         raise FormatError(str(exc), line_of.get(where, reader.line_no)) from None
+    # checked last, so that a fault in a reading itself is what is reported
+    if unordered is not None:
+        raise FormatError("reading pairs out of order", unordered)
+    return d
 
 
 def format_heegaard(h: GeometricHeegaardDiagram) -> str:
@@ -617,24 +631,18 @@ def parse_heegaard(text: str) -> GeometricHeegaardDiagram:
     reader = _LineReader(text)
     genus = _parse_header(reader, "HD 1")
     name = ""
+    if (reader.peek() or "").startswith("name "):
+        name = reader.take()[len("name "):]
     params = None
-    while True:
-        nxt = reader.peek()
-        if nxt is None:
-            raise FormatError("missing beta system", reader.line_no)
-        if nxt.startswith("name "):
-            name = reader.take()[len("name "):]
-        elif nxt.startswith("params "):
-            line = reader.take()
-            try:
-                _, p, q = line.split()
-                params = (parse_integer(p), parse_integer(q))
-            except ValueError:
-                raise FormatError("expected 'params <p> <q>'", reader.line_no) from None
-        else:
-            break
-    surface = SurfaceModel(genus)
-    beta = _parse_system(reader, surface)
+    if (reader.peek() or "").startswith("params "):
+        try:
+            _, p, q = reader.take().split(" ")
+            params = (parse_integer(p), parse_integer(q))
+        except ValueError:
+            raise FormatError("expected 'params <p> <q>'", reader.line_no) from None
+    beta = _parse_system(reader, SurfaceModel(genus))
+    if reader.peek() is not None:
+        raise FormatError("unexpected line after the beta system", reader.line_no + 1)
     try:
         return GeometricHeegaardDiagram(genus, beta, name, params)
     except ValueError as exc:

@@ -23,12 +23,12 @@ from functools import cached_property
 from itertools import product as iproduct, takewhile
 from math import gcd
 
-from .abelian import Element, FiniteAbelianGroup, configured_bound
+from .abelian import ORDER_BOUND, Element, FiniteAbelianGroup
 from .diagrams import DiagramError, MultisectionDiagram, express_against, \
     presentation_of_pair, pi1_of_diagram
 from .matrices import IntegerMatrix, determinant, smith_normal_form
 from .presentations import (AbelianInvariants, GroupPresentation, Surjection,
-                            tietze_simplify, DEFAULT_TIETZE_BUDGET)
+                            tietze_simplify)
 from .words import Word, _apply_images, apply, format_word, parse_word
 
 MOVES = ("swap12", "cycle", "invert1", "mult12")
@@ -109,8 +109,8 @@ def orbit_enumerate(group: FiniteAbelianGroup, n: int) -> OrbitPartition:
     is named by its least member, so parallel or repeated runs agree."""
     if n < 1:
         raise ValueError("tuple length must be positive")
-    if group.order ** n > configured_bound():
-        raise ValueError("tuple space exceeds the configured bound")
+    if group.order ** n > ORDER_BOUND:
+        raise ValueError(f"tuple space exceeds {ORDER_BOUND}")
     elements = list(group.elements())
     generating = [t for t in iproduct(elements, repeat=n) if group.generates(t)]
     generating_set = set(generating)
@@ -358,9 +358,7 @@ def _generates_abelianization(pres: GroupPresentation, t: WordTuple) -> bool:
 
 
 def distinguish(pres: GroupPresentation, t1: WordTuple, t2: WordTuple,
-                bound: int = DEFAULT_QUOTIENT_BOUND,
-                budget: int = DEFAULT_TIETZE_BUDGET,
-                search_nodes: int = DEFAULT_SEARCH_NODES) -> NielsenCertificate:
+                bound: int = DEFAULT_QUOTIENT_BOUND) -> NielsenCertificate:
     """Compare two generating tuples of a presented group up to Nielsen
     moves, through its abelian quotients of order at most ``bound``.
 
@@ -383,7 +381,7 @@ def distinguish(pres: GroupPresentation, t1: WordTuple, t2: WordTuple,
         if w.rank != pres.generator_count:
             raise ValueError("tuple entries must live in the presented group")
 
-    simplified = tietze_simplify(pres, budget)
+    simplified = tietze_simplify(pres)
     target = simplified.presentation
     images = simplified.generator_images
     rank = target.generator_count
@@ -430,10 +428,10 @@ def distinguish(pres: GroupPresentation, t1: WordTuple, t2: WordTuple,
         searched = (f"{h1}; +-det equal mod every m | {d1} with m^{n} <= "
                     f"{bound} ({tried} tried)" if tried else
                     f"{h1}; +-det not compared: no m | {d1} with m^{n} <= {bound}")
-    moves = free_tuple_search(r1, r2, rank, search_nodes)
+    moves = free_tuple_search(r1, r2, rank)
     return NielsenCertificate("inconclusive" if moves is None else "same_orbit",
-                              target, r1, r2, moves=moves,
-                              searched=f"{searched}; free search up to {search_nodes} nodes")
+                              target, r1, r2, moves=moves, searched=f"{searched}; "
+                              f"free search up to {DEFAULT_SEARCH_NODES} nodes")
 
 
 def flip_check(d: MultisectionDiagram,

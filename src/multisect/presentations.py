@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
 
-from .abelian import FiniteAbelianGroup, configured_bound
+from .abelian import ORDER_BOUND, FiniteAbelianGroup
 from .matrices import IntegerMatrix, smith_normal_form
 from .words import (FormatError, Word, _apply_images, canonical_cyclic,
                     format_word, parse_integer, parse_word)
@@ -31,7 +31,6 @@ DEFAULT_TIETZE_BUDGET = 10_000
 class GroupPresentation:
     generator_count: int
     relators: tuple[Word, ...] = ()
-    display_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.generator_count < 0:
@@ -42,11 +41,6 @@ class GroupPresentation:
                 raise ValueError("relator rank does not match generator count")
             fixed.append(rel.cyclic_reduce())
         object.__setattr__(self, "relators", tuple(fixed))
-        if self.display_names is not None:
-            names = tuple(self.display_names)
-            if len(names) != self.generator_count:
-                raise ValueError("need one display name per generator")
-            object.__setattr__(self, "display_names", names)
 
     def exponent_matrix(self) -> IntegerMatrix:
         return IntegerMatrix.from_rows(
@@ -228,7 +222,6 @@ def tietze_simplify(pres: GroupPresentation,
     gens = pres.generator_count
     relators = list(pres.relators)
     rows = [rel.exponent_sums() for rel in relators]
-    names = list(pres.display_names) if pres.display_names is not None else None
     survivors = list(range(1, gens + 1))
     images = [Word(gens, (k,)) for k in survivors]
     trace: list[str] = []
@@ -301,11 +294,7 @@ def tietze_simplify(pres: GroupPresentation,
             for r, row in zip(relators, rows):
                 _check_row(r, row, "eliminate generator")
             images = [_apply_images(substitution, w, new_gens) for w in images]
-            label = names[g - 1] if names else f"g{survivors[g - 1]}"
-            trace.append(f"eliminate generator {label}")
-            survivors.pop(g - 1)
-            if names:
-                names.pop(g - 1)
+            trace.append(f"eliminate generator g{survivors.pop(g - 1)}")
             gens = new_gens
             progress = True
             continue
@@ -321,10 +310,8 @@ def tietze_simplify(pres: GroupPresentation,
             trace.append("shrink relator by a conjugate")
             progress = True
 
-    simplified = GroupPresentation(gens, tuple(relators),
-                                   tuple(names) if names is not None else None)
-    return TietzeResult(simplified, tuple(trace), steps,
-                        tuple(survivors), tuple(images))
+    return TietzeResult(GroupPresentation(gens, tuple(relators)), tuple(trace),
+                        steps, tuple(survivors), tuple(images))
 
 
 @dataclass(frozen=True)
@@ -409,9 +396,8 @@ def enumerate_finite_abelian_quotients(
     candidate is a choice of image vector per generator that annihilates
     every relator; candidates that fail to generate are discarded."""
     out: list[Surjection] = []
-    bound = configured_bound()
     for target in targets:
-        if target.order ** max(pres.generator_count, 1) > bound:
+        if target.order ** max(pres.generator_count, 1) > ORDER_BOUND:
             raise ValueError(
                 f"quotient search space for {target.describe()} exceeds the bound")
         relator_rows = [rel.exponent_sums() for rel in pres.relators]

@@ -18,7 +18,7 @@ multiple threads is safe.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .matrices import IntegerMatrix, determinant
@@ -215,15 +215,13 @@ class FreeAutomorphism:
     also makes the abelianized matrices mutually inverse, so no
     determinant is computed.  Without an inverse the check is that the
     abelianized matrix has determinant +-1, which is necessary but not
-    sufficient, so such an automorphism is trusted at the caller's risk
-    (``provenance`` records whether it came from a construction in this
-    package or from a user).
+    sufficient, so such an automorphism, and any composed from it, is
+    trusted at the caller's risk.
     """
 
     rank: int
     images: tuple[Word, ...]
     inverse_images: tuple[Word, ...] | None = None
-    provenance: str = field(default="user", compare=False)
 
     def __post_init__(self):
         if len(self.images) != self.rank:
@@ -252,8 +250,7 @@ class FreeAutomorphism:
     def inverse(self) -> "FreeAutomorphism":
         if self.inverse_images is None:
             raise ValueError("inverse images were not tracked for this automorphism")
-        return FreeAutomorphism(self.rank, self.inverse_images, self.images,
-                                self.provenance)
+        return FreeAutomorphism(self.rank, self.inverse_images, self.images)
 
     def is_identity(self) -> bool:
         return all(img.letters == (k + 1,) for k, img in enumerate(self.images))
@@ -275,19 +272,17 @@ def compose(phi: FreeAutomorphism, psi: FreeAutomorphism) -> FreeAutomorphism:
     if phi.inverse_images is not None and psi.inverse_images is not None:
         inverse = tuple(_apply_images(psi.inverse_images, img, phi.rank)
                         for img in phi.inverse_images)
-    provenance = "built-in" if phi.provenance == psi.provenance == "built-in" else "user"
-    return FreeAutomorphism(phi.rank, images, inverse, provenance)
+    return FreeAutomorphism(phi.rank, images, inverse)
 
 
 def identity_automorphism(rank: int) -> FreeAutomorphism:
     images = tuple(Word(rank, (k + 1,)) for k in range(rank))
-    return FreeAutomorphism(rank, images, images, "built-in")
+    return FreeAutomorphism(rank, images, images)
 
 
 def automorphism(rank: int,
                  images: Mapping[int, Iterable[int]],
-                 inverse: Mapping[int, Iterable[int]] | None = None,
-                 provenance: str = "built-in") -> FreeAutomorphism:
+                 inverse: Mapping[int, Iterable[int]] | None = None) -> FreeAutomorphism:
     """Build an automorphism from sparse generator images.
 
     Generators absent from ``images`` map to themselves; the same default
@@ -300,8 +295,7 @@ def automorphism(rank: int,
         return tuple(out)
 
     imgs = full(images)
-    return FreeAutomorphism(rank, imgs, None if inverse is None else full(inverse),
-                            provenance)
+    return FreeAutomorphism(rank, imgs, None if inverse is None else full(inverse))
 
 
 def invert_all(rank: int) -> FreeAutomorphism:
@@ -314,7 +308,7 @@ def flip_letters(rank: int, gens: Iterable[int]) -> FreeAutomorphism:
     flip = set(gens)
     images = tuple(Word(rank, (-(k + 1) if (k + 1) in flip else (k + 1),))
                    for k in range(rank))
-    return FreeAutomorphism(rank, images, images, "built-in")
+    return FreeAutomorphism(rank, images, images)
 
 
 def relabel(rank: int, mapping: Mapping[int, int]) -> FreeAutomorphism:
@@ -325,7 +319,7 @@ def relabel(rank: int, mapping: Mapping[int, int]) -> FreeAutomorphism:
     images = tuple(Word(rank, (perm[k + 1],)) for k in range(rank))
     inv_perm = {v: k for k, v in perm.items()}
     inverse = tuple(Word(rank, (inv_perm[k + 1],)) for k in range(rank))
-    return FreeAutomorphism(rank, images, inverse, "built-in")
+    return FreeAutomorphism(rank, images, inverse)
 
 
 def block_automorphism(blocks: Iterable[FreeAutomorphism]) -> FreeAutomorphism:
@@ -345,10 +339,8 @@ def block_automorphism(blocks: Iterable[FreeAutomorphism]) -> FreeAutomorphism:
         else:
             inverses = None
         offset += b.rank
-    provenance = "built-in" if all(b.provenance == "built-in" for b in blocks) else "user"
     return FreeAutomorphism(rank, tuple(images),
-                            tuple(inverses) if inverses is not None else None,
-                            provenance)
+                            tuple(inverses) if inverses is not None else None)
 
 
 def format_word(w: Word) -> str:

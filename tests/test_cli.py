@@ -104,6 +104,27 @@ def test_numeric_flags_are_range_checked(argv, capsys):
     assert "must be at least" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("validate", "--timing"),
+    ("pi1", "--timing"),
+    ("homology", "--timing"),
+    ("homology", "--budget", 5),
+])
+def test_flags_no_verb_reads_are_usage_errors(lens_msd, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "-i", lens_msd)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_crlf_input_file_is_a_parse_error(lens_msd, tmp_path, capsys):
+    # the file is read as written, so the parser sees the carriage returns
+    crlf = tmp_path / "crlf.msd"
+    crlf.write_bytes(lens_msd.read_bytes().replace(b"\n", b"\r\n"))
+    assert run("validate", "-i", crlf, "-o", tmp_path / "r.txt") == 2
+    assert "line 1:" in capsys.readouterr().err
+
+
 def test_failed_self_check_exits_3(lens_msd, monkeypatch, capsys):
     def failing(args):
         raise AssertionError("Smith normal form transforms are not unimodular")

@@ -1,6 +1,7 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import multisect.diagrams
 from multisect.diagrams import (CutSystem, DiagramError, FormatError,
@@ -10,7 +11,8 @@ from multisect.diagrams import (CutSystem, DiagramError, FormatError,
                                 parse_heegaard, pi1_of_diagram,
                                 presentation_of_pair, read_against,
                                 stabilize, standard_alpha_system, validate)
-from multisect.constructions import lens_diagram, sphere_bundle_sum_diagram
+from multisect.constructions import (bisection_from_heegaard, lens_diagram,
+                                     sphere_bundle_sum_diagram)
 from multisect.presentations import AbelianInvariants, abelianization
 from multisect.words import Word, automorphism, identity_automorphism
 
@@ -275,6 +277,71 @@ def test_diagram_errors_name_the_line_at_fault(lens21_bisection, old, new, messa
     if "duplicate" in message:  # reported at the later of the two readings
         line = lines.index("reading 1 3", line) + 1
     assert exc.value.line == line
+
+
+HD_TEXT = format_heegaard(lens_diagram(2, 1))
+MSD_TEXT = format_diagram(bisection_from_heegaard(lens_diagram(2, 1)))
+
+
+def _moved(text: str, start: str, count: int, before: str) -> str:
+    """``text`` with the ``count`` lines from line ``start`` moved to just
+    before line ``before``."""
+    lines = text.splitlines(keepends=True)
+    i = lines.index(start + "\n")
+    block, rest = lines[i:i + count], lines[:i] + lines[i + count:]
+    j = rest.index(before + "\n")
+    return "".join(rest[:j] + block + rest[j:])
+
+
+def _line_of(text: str, line: str) -> int:
+    return text.splitlines().index(line) + 1
+
+
+_UNORDERED = _moved(MSD_TEXT, "reading 1 3", 3, "reading 3 1")
+
+
+@pytest.mark.parametrize("parse, text, line", [
+    (parse_heegaard, HD_TEXT.replace("\n", "\r\n"), 1),
+    (parse_diagram, MSD_TEXT[:-1], MSD_TEXT.count("\n")),
+    (parse_heegaard, HD_TEXT.replace("genus 1", "genus  1"), 2),
+    (parse_heegaard, HD_TEXT.replace("curve", "  curve"), _line_of(HD_TEXT, "curve g2 g2 g1")),
+    (parse_heegaard, HD_TEXT.replace("name lens(2,1)", "name lens(2,1) "), 3),
+    (parse_heegaard, HD_TEXT.replace("params", "\nparams"), 4),
+    (parse_diagram, MSD_TEXT.replace("types 1 1", "types 1\t1"), 4),
+    (parse_diagram, MSD_TEXT + "\n", MSD_TEXT.count("\n") + 1),
+    # a reading block before the systems: the first system after it
+    (parse_diagram, _moved(MSD_TEXT, "reading 1 2", 3, "system alpha"), 8),
+    (parse_diagram, _UNORDERED, _line_of(_UNORDERED, "reading 1 3")),
+], ids=["crlf", "no-final-newline", "double-space", "indented", "trailing-space",
+        "blank-line", "tab", "trailing-blank-line", "reading-first",
+        "readings-unordered"])
+def test_only_the_formatted_layout_parses(parse, text, line):
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    assert exc.value.line == line
+
+
+_FILES = ((HD_TEXT, parse_heegaard, format_heegaard),
+          (MSD_TEXT, parse_diagram, format_diagram))
+_CHARS = st.one_of(
+    st.sampled_from(sorted(set(HD_TEXT + MSD_TEXT + " \t\r\v\x85\xa0\u2028+-_0"))),
+    st.characters())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_FILES), st.sampled_from(("insert", "delete", "substitute")),
+       st.integers(0, 10 ** 4), _CHARS)
+def test_one_character_edits_round_trip_or_name_their_line(file, edit, position, char):
+    text, parse, fmt = file
+    i = position % (len(text) + (edit == "insert"))
+    mutated = (text[:i] + ("" if edit == "delete" else char)
+               + text[i + (edit != "insert"):])
+    try:
+        parsed = parse(mutated)
+    except FormatError as exc:
+        assert exc.line is not None and 1 <= exc.line <= mutated.count("\n") + 1
+        return
+    assert fmt(parsed) == mutated
 
 
 def test_unreadable_pair_error():

@@ -44,13 +44,13 @@ DIGESTS = {
     "b.msd": "bb90ab9fb1b732dca2e4489163c58021b7c8e0859d6315f52b8247cc2a75934c",
     "d.msd": "c713bc24fcc5e84122b16f9c4c2e41e71325269e9c0a9327f1dcc1ef42bcdc86",
     "i.msd": "2478a278307cbe5dba87fabadd8fe8271dbcf55c354cffa684c60bf574ea7f2a",
-    "i.validate": "76b8f02d17ed407951b52237cf69f5197e07064b9b1de7c04b9fdac9e7fea7d5",
+    "i.validate": "a77d065b23e1d426260da9fed4c626078d156ec376c48dc780fe23f850fd6e32",
     "i.pi1": "e06950f631d72c7bd1ef2ed1d63da51ef93b49f1826b8d59c378a6b78aa169d8",
     "i.homology": "ecfd2028c5d11bb60599ba484aa05c79a27b8e1aced7a2bba0dc526ffc951420",
     "i.svg": "3eb1ddb9fbdce169b5b8b8936df33aa040f6f8bf5363f08fb66f903ca94106db",
     "g.msd": "32ade3c39d12b6512919cd7a11d6cd80e8cb6af48adc29246e45df23e6dbc2be",
     "m.msd": "e2e1a49756d2db6b2b5e7e451dbca8db08127f494a7811a04afad4b0d7eba709",
-    "m.validate": "16f3ce01a7cf07036793701463d8998c4ec3147408a722a378baf8d72c94e61c",
+    "m.validate": "4412e6af6141ad6945a7cd1a0a39ee5a66993551a2dd6830499895880821b705",
     "m.pi1": "845f087deec46a769c7fa75f9ea3fa37d60531c2111258e6f9174d255b7637aa",
     "m.homology": "25af42d0f609f092dbf0ed51eb1613742d0ff698cc2245e263ef7e1ad5ddd1c6",
     "flip.cert": "d8ce47f1d79753665b6bdf28649369b940e185dcd8edfa4ac52947055d3d21dc",
@@ -75,7 +75,7 @@ NO_INVERSE_PIPELINE = (
 
 NO_INVERSE_DIGESTS = {
     "nb.msd": "d16cfe228a43efd8021321ea2e262b2329f81a04c6aad12635e1dbebf29b065a",
-    "nb.validate": "5c0e019564ba73098c31d9b954806d8ed6d39f288c35f66b8ecfe31d55d03c3a",
+    "nb.validate": "3a12327815bced4d4ec09ce1dfaa86b60d86a80a632694068bd4bc55181e3b78",
     "nb.homology": "e4bdd8c5c92eb03eefa50d62c4ed2cc8a7f37a78372f4c77ee9f4e8d6ad46bdf",
 }
 
@@ -99,3 +99,15 @@ def test_pipeline_outputs_match_recorded_digests(tmp_path, monkeypatch):
 def test_standardizer_without_inverse_matches_recorded_digests(tmp_path, monkeypatch):
     _run_pipeline(tmp_path, monkeypatch, {"n.hd": NO_INVERSE_HD},
                   NO_INVERSE_PIPELINE, NO_INVERSE_DIGESTS)
+
+
+def test_distinguish_digests_ignore_the_environment(tmp_path, monkeypatch):
+    # the command line alone decides a certificate, not the environment
+    monkeypatch.setenv("MULTISECT_BOUND", "1")
+    pipeline = [(command, code) for command, code in PIPELINE
+                if command.startswith(("construct lens", "construct bisect",
+                                       "distinguish"))]
+    names = ("l52.hd", "b.msd", "flip.cert", "distinct.cert",
+             "inconclusive.cert", "same.cert")
+    _run_pipeline(tmp_path, monkeypatch, {"p.txt": PRESENTATION}, pipeline,
+                  {name: DIGESTS[name] for name in names})

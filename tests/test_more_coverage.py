@@ -11,10 +11,11 @@ from multisect.constructions import (GluePlan, auto_cap, bisection_from_heegaard
                                      cap_off, double_bisection, glue_bisections,
                                      insert_parallel_sectors, lens_diagram,
                                      merge_adjacent_sectors)
-from multisect.diagrams import (MultisectionDiagram, format_diagram,
-                                parse_diagram, pi1_of_diagram, read_against,
+from multisect.diagrams import (CutSystem, MultisectionDiagram, SurfaceModel,
+                                format_diagram, format_heegaard, parse_diagram,
+                                parse_heegaard, pi1_of_diagram, read_against,
                                 validate)
-from multisect.presentations import (GroupPresentation, abelianization,
+from multisect.presentations import (abelianization, parse_presentation,
                                      tietze_simplify)
 from multisect.render import diagram_to_svg
 from multisect.words import Word
@@ -77,22 +78,52 @@ def test_word_power_and_shift():
     assert Word(2, (1, -2)).relabeled({1: 2, 2: 1}, 2).letters == (2, -1)
 
 
-def test_tietze_display_names_follow_elimination():
-    pres = GroupPresentation(2, (Word(2, (1, -2)),), ("x", "y"))
+def test_tietze_trace_names_eliminated_generators_by_original_id():
+    # eliminating g1 renumbers g2 as the first remaining generator; the
+    # trace still calls it g2
+    pres = parse_presentation("gens 3\ng1\ng2^-1 g1^-1 g2 g1^-1 g2^-1\n")
     result = tietze_simplify(pres)
-    assert result.presentation.display_names == ("x",)
-    assert any("eliminate generator y" in step for step in result.trace)
+    eliminations = [step for step in result.trace if step.startswith("eliminate")]
+    assert eliminations == ["eliminate generator g1", "eliminate generator g2"]
+    assert result.surviving_generators == (3,)
+
+
+def _validate_assumptions(tmp_path, d) -> list[str]:
+    src = tmp_path / "d.msd"
+    src.write_text(format_diagram(d))
+    out = tmp_path / "r.txt"
+    assert main(["validate", "-i", str(src), "-o", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    start = lines.index("== assumptions ==")
+    return lines[start + 1:lines.index("== verdicts ==")]
 
 
 def test_validate_report_lists_assumptions(tmp_path):
-    src = tmp_path / "d.msd"
-    src.write_text(format_diagram(bisection_from_heegaard(lens_diagram(2, 1))))
-    out = tmp_path / "r.txt"
-    assert main(["validate", "-i", str(src), "-o", str(out)]) == 0
-    text = out.read_text()
-    assert "== assumptions ==" in text
-    assert "user-asserted" in text  # parsed standardizers are user data
-    assert "realizability" in text
+    d = bisection_from_heegaard(lens_diagram(2, 1))
+    standardizers, realizability = _validate_assumptions(tmp_path, d)
+    assert standardizers == ("standardizers: checked by composition with "
+                             "declared inverse for alpha beta gamma")
+    assert realizability.startswith("realizability: ")
+
+
+def test_validate_report_names_each_standardizer_check(tmp_path):
+    # lens(5,2) without its inverse block: gamma carries that standardizer,
+    # while alpha and beta are built with tracked inverses
+    hd = format_heegaard(lens_diagram(5, 2)).partition("inverse\n")[0]
+    d = bisection_from_heegaard(parse_heegaard(hd))
+    assert _validate_assumptions(tmp_path, d)[0] == (
+        "standardizers: checked by composition with declared inverse for "
+        "alpha beta; checked by abelianized determinant only for gamma")
+
+
+def test_validate_report_without_standardizers(tmp_path):
+    surf = SurfaceModel(1)
+    bare = lambda letters, label: CutSystem(surf, (Word(2, letters),), None, label)
+    systems = (bare((1,), "alpha"), bare((2,), "beta"), bare((1, 2), "gamma"))
+    one = (Word(1, (1,)),)
+    readings = (((1, 2), one), ((2, 3), one), ((3, 1), one), ((1, 3), one))
+    d = MultisectionDiagram(surf, systems, True, (0, 0, 0), readings)
+    assert _validate_assumptions(tmp_path, d)[0] == "standardizers: none"
 
 
 def test_render_marks_parallel_copy_offset(lens21_bisection):

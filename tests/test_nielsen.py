@@ -72,10 +72,10 @@ def test_orbit_enumerate_z5_squared():
     assert sorted(len(m) for _, m in part.orbits) == [240, 240]
 
 
-def test_orbit_enumerate_respects_bound(monkeypatch):
-    monkeypatch.setenv("MULTISECT_BOUND", "100")
-    with pytest.raises(ValueError):
-        orbit_enumerate(FiniteAbelianGroup((5, 5)), 2)
+def test_orbit_enumerate_respects_bound():
+    # 1009^2 tuples exceed the cap of 10^6 before any is built
+    with pytest.raises(ValueError, match="exceeds"):
+        orbit_enumerate(FiniteAbelianGroup((1009,)), 2)
 
 
 def test_orbit_members_all_generate():
