@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                             ("homology", "abelian invariants")):
         p = sub.add_parser(name, help=func_help)
         if name != "homology":
-            p.add_argument("--budget", type=int, default=DEFAULT_TIETZE_BUDGET,
+            p.add_argument("--budget", type=_at_least(1), default=DEFAULT_TIETZE_BUDGET,
                            help="Tietze moves before giving up")
         _add_io(p)
 

@@ -199,39 +199,77 @@ def determinant_invariant(t: GeneratingTuple) -> tuple[int, ...]:
 WordTuple = tuple[Word, ...]
 
 
-def _conjugate(t: WordTuple, c: Word, c_inv: Word) -> WordTuple:
-    return tuple(c * w * c_inv for w in t)
-
-
 def apply_word_move(t: WordTuple, move: str) -> WordTuple:
     """The four elementary moves plus whole-tuple conjugation by a
     generator (`conj g<k>` / `conj g<k>^-1`), which absorbs base point
     changes; all entries stay freely reduced."""
     if move.startswith("conj "):
         c = parse_word(move[len("conj "):], t[0].rank if t else 0)
-        return _conjugate(t, c, c.inverse())
+        c_inv = c.inverse()
+        return tuple(c * w * c_inv for w in t)
     return _move(t, move, Word.__mul__, Word.inverse)
+
+
+def _letters_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Reduced product of two freely reduced letter tuples: letters cancel
+    only at the junction."""
+    k, most = 0, min(len(a), len(b))
+    while k < most and a[-1 - k] == -b[k]:
+        k += 1
+    return a[:len(a) - k] + b[k:]
+
+
+def _letters_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-lt for lt in reversed(a))
+
+
+def _letters_conjugate(a: tuple[int, ...], c: int) -> tuple[int, ...]:
+    """Reduced c a c^-1 for a freely reduced letter tuple and one letter
+    c: at the front drop a leading c^-1 or prepend c, then at the back
+    drop a trailing c or append c^-1."""
+    a = a[1:] if a and a[0] == -c else (c,) + a
+    return a[:-1] if a and a[-1] == c else a + (-c,)
 
 
 def free_tuple_search(t1: WordTuple, t2: WordTuple, rank: int,
                       node_limit: int = DEFAULT_SEARCH_NODES) -> tuple[str, ...] | None:
     """Bounded breadth-first search connecting two word tuples by the
-    moves above, compared as freely reduced words."""
+    moves above, compared as freely reduced words.
+
+    The search runs on tuples of letter tuples and builds no ``Word``.
+    Every entry of every node is freely reduced, so a move cancels
+    letters only where two words meet: at the a_1|a_2 junction for
+    mult12, and at either end of each entry for conjugation by one
+    letter.  Successors longer in total than the longer input plus 4
+    letters are not entered, and no node is expanded once ``node_limit``
+    nodes are known.  Returns the move sequence from ``t1`` to ``t2``,
+    which :func:`apply_word_move` replays, or None."""
     if t1 == t2:
         return ()
-    # the conjugating word and its inverse per move, built once per search
-    conjugators = {f"conj g{k}{tag}": (Word(rank, (s * k,)), Word(rank, (-s * k,)))
-                   for k in range(1, rank + 1) for s, tag in ((1, ""), (-1, "^-1"))}
-    moves = _moves_for(len(t1)) + tuple(conjugators)
-    limit_len = max(sum(len(w) for w in t1), sum(len(w) for w in t2)) + 4
+    if any(w.rank != rank for w in (*t1, *t2)):
+        raise ValueError("tuple entries must have the search rank")
+    start = tuple(w.letters for w in t1)
+    goal = tuple(w.letters for w in t2)
+    limit_len = max(sum(map(len, start)), sum(map(len, goal))) + 4
+    letters = {f"conj g{k}{tag}": s * k
+               for k in range(1, rank + 1) for s, tag in ((1, ""), (-1, "^-1"))}
+    moves = _moves_for(len(t1)) + tuple(letters)
 
-    def step(t: WordTuple, move: str) -> WordTuple | None:
-        nxt = (_conjugate(t, *conjugators[move]) if move in conjugators
-               else apply_word_move(t, move))
-        return nxt if sum(len(w) for w in nxt) <= limit_len else None
+    def step(t, move):
+        c = letters.get(move)
+        if c is None:
+            nxt = _move(t, move, _letters_product, _letters_inverse)
+            return nxt if sum(map(len, nxt)) <= limit_len else None
+        # most conjugates exceed the cap, so count before building: each
+        # nonempty entry loses or gains one letter at either end
+        room = limit_len - sum(map(len, t))
+        for w in t:
+            if w:
+                room -= (-1 if w[0] == -c else 1) + (-1 if w[-1] == c else 1)
+        return None if room < 0 else tuple(_letters_conjugate(w, c) for w in t)
 
-    parents, found = _search(t1, moves, step, goal=t2, node_limit=node_limit)
-    return _path(parents, t2) if found else None
+    parents, found = _search(start, moves, step, goal=goal, node_limit=node_limit)
+    return _path(parents, goal) if found else None
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,15 @@ def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(stack)
 
 
+def _cyclic_core(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The cyclic reduction of a freely reduced letter tuple: strip
+    letters from both ends while the first inverts the last."""
+    start, stop = 0, len(letters)
+    while stop - start >= 2 and letters[start] == -letters[stop - 1]:
+        start, stop = start + 1, stop - 1
+    return letters[start:stop]
+
+
 @dataclass(frozen=True)
 class Word:
     """A freely reduced word in the free group of the given rank."""
@@ -139,10 +148,7 @@ class Word:
         return Word(self.rank, tuple(-lt for lt in self.letters))
 
     def cyclic_reduce(self) -> "Word":
-        letters = list(self.letters)
-        while len(letters) >= 2 and letters[0] == -letters[-1]:
-            letters = letters[1:-1]
-        return Word(self.rank, tuple(letters))
+        return Word(self.rank, _cyclic_core(self.letters))
 
     def exponent_sums(self) -> tuple[int, ...]:
         sums = [0] * self.rank
@@ -178,17 +184,39 @@ def letter_inverse(w: Word) -> Word:
     return w.letter_inverse()
 
 
+def _least_rotation(s: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation of a non-empty tuple in tuple order, by the
+    two-pointer minimal-expression scan in O(len(s)) comparisons.  When
+    the rotations starting at i and j agree on k letters and then
+    differ, neither the one with the larger letter nor any of the k
+    rotations starting just after it is least, so its start skips k + 1."""
+    n, doubled = len(s), s + s
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        elif i > j:
+            i, j = j, i
+        k = 0
+    return doubled[i:i + n]
+
+
 def canonical_cyclic(w: Word) -> Word:
     """Canonical representative of the conjugacy class of ``w`` and its
     inverse: the least rotation of either, in tuple order."""
-    base = w.cyclic_reduce()
-    if base.is_identity():
-        return base
-    candidates = []
-    for word in (base.letters, base.inverse().letters):
-        for i in range(len(word)):
-            candidates.append(word[i:] + word[:i])
-    return Word(w.rank, min(candidates))
+    base = _cyclic_core(w.letters)
+    if base:
+        base = min(_least_rotation(base),
+                   _least_rotation(tuple(-lt for lt in reversed(base))))
+    return Word(w.rank, base)
 
 
 def _apply_images(images: tuple[Word, ...], w: Word, rank: int) -> Word:

@@ -104,6 +104,17 @@ def test_numeric_flags_are_range_checked(argv, capsys):
     assert "must be at least" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["validate", "pi1"])
+@pytest.mark.parametrize("budget", [0, -4])
+def test_budget_is_checked_before_input_is_read(verb, budget, tmp_path, capsys):
+    # a usage error naming the flag, though the input file does not exist
+    with pytest.raises(SystemExit) as exc:
+        run(verb, "--budget", budget, "-i", tmp_path / "missing.msd")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --budget: must be at least 1" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("validate", "--timing"),
     ("pi1", "--timing"),

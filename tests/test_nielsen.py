@@ -2,8 +2,10 @@ import random
 import time
 from dataclasses import replace
 from math import prod
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import multisect.abelian
 import multisect.nielsen
@@ -12,8 +14,8 @@ from multisect.abelian import FiniteAbelianGroup, enumerate_abelian_groups
 from multisect.constructions import bisection_from_heegaard, lens_diagram
 from multisect.diagrams import (CutSystem, DiagramError, MultisectionDiagram,
                                 SurfaceModel)
-from multisect.nielsen import (GeneratingTuple, NielsenCertificate,
-                               apply_word_move, connect_tuples,
+from multisect.nielsen import (GeneratingTuple, NielsenCertificate, _moves_for,
+                               _path, _search, apply_word_move, connect_tuples,
                                determinant_invariant, distinguish, flip_check,
                                format_certificate, free_tuple_search,
                                nielsen_move, orbit_enumerate, spine_tuple)
@@ -164,6 +166,108 @@ def test_free_tuple_moves_and_search():
     unreachable = free_tuple_search((Word(2, (1,)),), (Word(2, (2,)),), 2,
                                     node_limit=500)
     assert unreachable is None
+    with pytest.raises(ValueError):
+        free_tuple_search((Word(2, (1,)),), (Word(3, (1,)),), 2)
+
+
+def _word_level_search(t1, t2, rank, node_limit):
+    """The free-word search on Word values, one Word per entry per node:
+    the oracle for the letter-tuple search.  Returns the path (or None)
+    and the parent map of the search (None when the tuples are equal)."""
+    if t1 == t2:
+        return (), None
+    conjugators = {f"conj g{k}{tag}": (Word(rank, (s * k,)), Word(rank, (-s * k,)))
+                   for k in range(1, rank + 1) for s, tag in ((1, ""), (-1, "^-1"))}
+    moves = _moves_for(len(t1)) + tuple(conjugators)
+    limit_len = max(sum(len(w) for w in t1), sum(len(w) for w in t2)) + 4
+
+    def step(t, move):
+        if move in conjugators:
+            c, c_inv = conjugators[move]
+            nxt = tuple(c * w * c_inv for w in t)
+        else:
+            nxt = apply_word_move(t, move)
+        return nxt if sum(len(w) for w in nxt) <= limit_len else None
+
+    parents, found = _search(t1, moves, step, goal=t2, node_limit=node_limit)
+    return (_path(parents, t2) if found else None), parents
+
+
+@st.composite
+def _search_cases(draw):
+    rank = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 3))
+    word = st.lists(st.integers(-rank, rank).filter(bool), max_size=4).map(
+        lambda letters: Word(rank, tuple(letters)))
+    t1 = tuple(draw(word) for _ in range(width))
+    if draw(st.booleans()):
+        # a tuple in reach: a few moves away from t1
+        moves = _moves_for(width) + tuple(f"conj g{k}{tag}" for k in range(1, rank + 1)
+                                          for tag in ("", "^-1"))
+        t2 = t1
+        for move in draw(st.lists(st.sampled_from(moves), max_size=5)):
+            t2 = apply_word_move(t2, move)
+    else:
+        t2 = tuple(draw(word) for _ in range(width))
+    return t1, t2, rank, draw(st.integers(1, 4000))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_search_cases())
+def test_letter_tuple_search_matches_the_word_level_search(case):
+    t1, t2, rank, node_limit = case
+    expected, oracle_parents = _word_level_search(t1, t2, rank, node_limit)
+    captured = []
+
+    def capture(*args, **kwargs):
+        result = _search(*args, **kwargs)
+        captured.append(result[0])
+        return result
+
+    with patch.object(multisect.nielsen, "_search", capture):
+        path = free_tuple_search(t1, t2, rank, node_limit)
+    assert path == expected
+    if oracle_parents is None:
+        assert captured == []
+        return
+    # the same nodes, entered in the same order from the same parents
+    (parents,) = captured
+
+    def letters(node):
+        return tuple(w.letters for w in node)
+
+    assert list(parents.items()) == [
+        (letters(node), None if entry is None else (letters(entry[0]), entry[1]))
+        for node, entry in oracle_parents.items()]
+    if path is not None:
+        current = t1
+        for move in path:
+            current = apply_word_move(current, move)
+        assert current == t2
+
+
+def test_search_builds_no_word_per_node(monkeypatch):
+    built = []
+    post_init = Word.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    sizes = []
+
+    def sized_search(*args, **kwargs):
+        result = _search(*args, **kwargs)
+        sizes.append(len(result[0]))
+        return result
+
+    t1 = (Word(3, (1,)), Word(3, (2,)), Word(3, (3,)))
+    t2 = (Word(3, (1, 1)), Word(3, (2,)), Word(3, (3,)))  # not a basis: out of reach
+    monkeypatch.setattr(multisect.nielsen, "_search", sized_search)
+    monkeypatch.setattr(Word, "__post_init__", counting)
+    assert free_tuple_search(t1, t2, 3, node_limit=4000) is None
+    assert sizes and sizes[0] >= 4000
+    assert len(built) < 50
 
 
 def test_spine_tuples_lens(lens21_bisection):

@@ -165,6 +165,27 @@ def test_canonical_cyclic():
     assert canonical_cyclic(Word(1, (1, 1))) == canonical_cyclic(Word(1, (-1, -1)))
 
 
+def _least_rotation_by_sorting(w):
+    """Reference: the least of all 2L rotations of the cyclic reduction
+    and of its inverse."""
+    base = w.cyclic_reduce()
+    if base.is_identity():
+        return base
+    candidates = []
+    for word in (base.letters, base.inverse().letters):
+        for i in range(len(word)):
+            candidates.append(word[i:] + word[:i])
+    return Word(w.rank, min(candidates))
+
+
+@given(words(max_rank=3, max_len=16)
+       | st.tuples(words(max_rank=2, max_len=4), st.integers(2, 4)).map(
+           lambda wn: wn[0] ** wn[1]))
+def test_canonical_cyclic_is_the_least_rotation(w):
+    # powers have periodic cyclic reductions, so several rotations tie
+    assert canonical_cyclic(w) == _least_rotation_by_sorting(w)
+
+
 @given(words())
 def test_free_reduce_idempotent_and_scan(w):
     again = free_reduce(w)
