@@ -29,7 +29,8 @@ from .diagrams import DiagramError, MultisectionDiagram, express_against, \
 from .matrices import IntegerMatrix, determinant, smith_normal_form
 from .presentations import (AbelianInvariants, GroupPresentation, Surjection,
                             tietze_simplify)
-from .words import Word, _apply_images, apply, format_word, parse_word
+from .words import (Word, _apply_images, _letters_conjugate, _letters_inverse,
+                    _letters_product, apply, format_word, parse_word)
 
 MOVES = ("swap12", "cycle", "invert1", "mult12")
 DEFAULT_QUOTIENT_BOUND = 100
@@ -210,27 +211,6 @@ def apply_word_move(t: WordTuple, move: str) -> WordTuple:
     return _move(t, move, Word.__mul__, Word.inverse)
 
 
-def _letters_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Reduced product of two freely reduced letter tuples: letters cancel
-    only at the junction."""
-    k, most = 0, min(len(a), len(b))
-    while k < most and a[-1 - k] == -b[k]:
-        k += 1
-    return a[:len(a) - k] + b[k:]
-
-
-def _letters_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-lt for lt in reversed(a))
-
-
-def _letters_conjugate(a: tuple[int, ...], c: int) -> tuple[int, ...]:
-    """Reduced c a c^-1 for a freely reduced letter tuple and one letter
-    c: at the front drop a leading c^-1 or prepend c, then at the back
-    drop a trailing c or append c^-1."""
-    a = a[1:] if a and a[0] == -c else (c,) + a
-    return a[:-1] if a and a[-1] == c else a + (-c,)
-
-
 def free_tuple_search(t1: WordTuple, t2: WordTuple, rank: int,
                       node_limit: int = DEFAULT_SEARCH_NODES) -> tuple[str, ...] | None:
     """Bounded breadth-first search connecting two word tuples by the
@@ -257,16 +237,9 @@ def free_tuple_search(t1: WordTuple, t2: WordTuple, rank: int,
 
     def step(t, move):
         c = letters.get(move)
-        if c is None:
-            nxt = _move(t, move, _letters_product, _letters_inverse)
-            return nxt if sum(map(len, nxt)) <= limit_len else None
-        # most conjugates exceed the cap, so count before building: each
-        # nonempty entry loses or gains one letter at either end
-        room = limit_len - sum(map(len, t))
-        for w in t:
-            if w:
-                room -= (-1 if w[0] == -c else 1) + (-1 if w[-1] == c else 1)
-        return None if room < 0 else tuple(_letters_conjugate(w, c) for w in t)
+        nxt = (_move(t, move, _letters_product, _letters_inverse) if c is None
+               else tuple(_letters_conjugate(w, c) for w in t))
+        return nxt if sum(map(len, nxt)) <= limit_len else None
 
     parents, found = _search(start, moves, step, goal=goal, node_limit=node_limit)
     return _path(parents, goal) if found else None

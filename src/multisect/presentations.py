@@ -21,8 +21,8 @@ from itertools import product as iproduct
 
 from .abelian import ORDER_BOUND, FiniteAbelianGroup
 from .matrices import IntegerMatrix, smith_normal_form
-from .words import (FormatError, Word, _apply_images, canonical_cyclic,
-                    format_word, parse_integer, parse_word)
+from .words import (FormatError, Word, _apply_images, _letters_inverse,
+                    canonical_cyclic, format_word, parse_integer, parse_word)
 
 DEFAULT_TIETZE_BUDGET = 10_000
 
@@ -156,7 +156,7 @@ def _overlap_reduction(relators: list[Word]) -> tuple[int, int, int, Word] | Non
         for j, other in enumerate(relators):
             if i == j or other.is_identity():
                 continue
-            inverse = tuple(-lt for lt in reversed(other.letters))
+            inverse = _letters_inverse(other.letters)
             for sign, s in ((1, other.letters), (-1, inverse)):
                 for shift in range(len(s)):
                     # without cancellation at the junction or at the ends
@@ -422,8 +422,11 @@ def format_presentation(pres: GroupPresentation) -> str:
 
 def parse_presentation(text: str) -> GroupPresentation:
     """Read :func:`format_presentation` text; blank lines are skipped, and
-    every fault is a :class:`FormatError` naming its line."""
-    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    every fault is a :class:`FormatError` naming its line.  Lines are
+    numbered by newline characters alone; the other line breaks that
+    ``str.splitlines`` knows still end a relator but are not counted."""
+    lines = [(n, ln) for n, raw in enumerate(text.split("\n"), 1)
+             for ln in raw.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("presentation text must start with 'gens <n>'", 1)
     number, head = lines[0]

@@ -99,6 +99,28 @@ def _cyclic_core(letters: tuple[int, ...]) -> tuple[int, ...]:
     return letters[start:stop]
 
 
+def _letters_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Reduced product of two freely reduced letter tuples: letters cancel
+    only at the junction."""
+    k, most = 0, min(len(a), len(b))
+    while k < most and a[-1 - k] == -b[k]:
+        k += 1
+    return a[:len(a) - k] + b[k:]
+
+
+def _letters_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse of a letter tuple: reversed, every letter negated."""
+    return tuple(-lt for lt in reversed(a))
+
+
+def _letters_conjugate(a: tuple[int, ...], c: int) -> tuple[int, ...]:
+    """Reduced c a c^-1 for a freely reduced letter tuple and one letter
+    c: at the front drop a leading c^-1 or prepend c, then at the back
+    drop a trailing c or append c^-1."""
+    a = a[1:] if a and a[0] == -c else (c,) + a
+    return a[:-1] if a and a[-1] == c else a + (-c,)
+
+
 @dataclass(frozen=True)
 class Word:
     """A freely reduced word in the free group of the given rank."""
@@ -141,7 +163,7 @@ class Word:
         return not self.letters
 
     def inverse(self) -> "Word":
-        return Word(self.rank, tuple(-lt for lt in reversed(self.letters)))
+        return Word(self.rank, _letters_inverse(self.letters))
 
     def letter_inverse(self) -> "Word":
         """Flip the sign of every letter, keeping the order."""
@@ -215,7 +237,7 @@ def canonical_cyclic(w: Word) -> Word:
     base = _cyclic_core(w.letters)
     if base:
         base = min(_least_rotation(base),
-                   _least_rotation(tuple(-lt for lt in reversed(base))))
+                   _least_rotation(_letters_inverse(base)))
     return Word(w.rank, base)
 
 
@@ -226,7 +248,7 @@ def _apply_images(images: tuple[Word, ...], w: Word, rank: int) -> Word:
         if lt > 0:
             out.extend(images[lt - 1].letters)
         else:
-            out.extend(-x for x in reversed(images[-lt - 1].letters))
+            out.extend(_letters_inverse(images[-lt - 1].letters))
     return Word(rank, tuple(out))
 
 

@@ -2,6 +2,7 @@
 parses or is refused with the documented error, and whatever parses
 formats back to text that parses to the same value."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from multisect.presentations import format_presentation, parse_presentation
@@ -20,7 +21,8 @@ def _check_presentation(text):
     try:
         pres = parse_presentation(text)
     except FormatError as exc:
-        assert exc.line is not None and 1 <= exc.line <= max(1, len(text.splitlines()))
+        # the format's lines are the \n-separated ones
+        assert exc.line is not None and 1 <= exc.line <= text.count("\n") + 1
         return
     formatted = format_presentation(pres)
     assert parse_presentation(formatted) == pres
@@ -31,6 +33,14 @@ def _check_presentation(text):
 @given(st.one_of(_TEXT, _TEXT.map(lambda body: "gens 2\n" + body)))
 def test_presentation_text_parses_or_names_its_line(text):
     _check_presentation(text)
+
+
+def test_error_lines_count_newlines_only():
+    # \x85 and \u2028 are line breaks to str.splitlines but not in the format
+    for text in ("gens 1\n\x85\ng7", "gens 1\n\u2028g1\ng7"):
+        with pytest.raises(FormatError) as info:
+            parse_presentation(text)
+        assert info.value.line == 3
 
 
 @settings(max_examples=400, deadline=None)
