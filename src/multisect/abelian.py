@@ -2,8 +2,9 @@
 
 A group is a product Z/d1 x ... x Z/dr with d1 | d2 | ... | dr, and its
 elements are integer tuples reduced componentwise.  These are the targets
-of the finite-quotient searches; their order is capped at ``ORDER_BOUND``
-so enumeration stays cheap.
+of the finite-quotient searches.  A group of any order can be built; the
+cap ``ORDER_BOUND`` guards enumeration only: a subgroup built element by
+element, the quotient search space and the orbit tuple space.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from itertools import product
 from math import prod
 from typing import Iterable, Iterator
 
-# largest group order, quotient search space and orbit tuple space built
+# largest group order, quotient search space or orbit tuple space enumerated
 ORDER_BOUND = 10 ** 6
 
 Element = tuple[int, ...]
@@ -32,8 +33,6 @@ class FiniteAbelianGroup:
         for x, y in zip(factors, factors[1:]):
             if y % x != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
-        if self.order > ORDER_BOUND:
-            raise ValueError(f"group order {self.order} exceeds {ORDER_BOUND}")
 
     @property
     def order(self) -> int:
@@ -72,6 +71,8 @@ class FiniteAbelianGroup:
     def subgroup_generated(self, vectors: Iterable[Element]) -> frozenset[Element]:
         """H + <g> is the union of the cosets H + m g for m below the
         least m with m g in H, so the subgroup grows a coset at a time."""
+        if self.order > ORDER_BOUND:
+            raise ValueError(f"group order {self.order} exceeds {ORDER_BOUND}")
         seen = {self.zero}
         for g in (self.reduce(v) for v in vectors):
             subgroup = list(seen)

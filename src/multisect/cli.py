@@ -29,7 +29,7 @@ from .nielsen import (DEFAULT_QUOTIENT_BOUND, distinguish, flip_check,
 from .presentations import (DEFAULT_TIETZE_BUDGET, AbelianInvariants, abelianization,
                             format_presentation, parse_presentation, tietze_simplify)
 from .render import diagram_to_svg
-from .words import canonical_cyclic, parse_word
+from .words import _canonical_letters, parse_word
 
 
 def _read_text(path: str) -> tuple[str, str]:
@@ -256,8 +256,8 @@ def _parse_tuple(text: str, rank: int):
 def _presentations_match(p1, p2) -> bool:
     if p1.generator_count != p2.generator_count:
         return False
-    c1 = sorted(canonical_cyclic(r).letters for r in p1.relators)
-    c2 = sorted(canonical_cyclic(r).letters for r in p2.relators)
+    c1 = sorted(_canonical_letters(r.letters) for r in p1.relators)
+    c2 = sorted(_canonical_letters(r.letters) for r in p2.relators)
     return c1 == c2
 
 

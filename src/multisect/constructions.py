@@ -80,11 +80,10 @@ class DoubledSurfaceContext:
         """tau: swap sides and invert every letter.  An involution with
         no fixed letter; on a side-0 word it flips each sign in place."""
         tau = compose(invert_all(self.rank), self.side_swap)
-        for k in range(1, self.rank + 1):
-            image = apply(tau, apply(tau, Word(self.rank, (k,))))
-            if image.letters != (k,):
+        for k, image in enumerate(tau.images, 1):
+            if apply(tau, image).letters != (k,):
                 raise AssertionError("transport map is not an involution")
-            if apply(tau, Word(self.rank, (k,))).letters == (k,):
+            if image.letters == (k,):
                 raise AssertionError("transport map fixes a letter")
         return tau
 
@@ -116,7 +115,7 @@ def lens_diagram(p: int, q: int) -> GeometricHeegaardDiagram:
             steps.append(move_b)
             aa -= bb
     builder = reduce(compose, steps, identity_automorphism(2))
-    curve = apply(builder, Word(2, (2,)))
+    curve = builder.images[1]  # the image of b
     sums = curve.exponent_sums()
     if sums != (q, p):
         raise AssertionError("lens curve has wrong winding numbers")

@@ -26,10 +26,10 @@ from .matrices import IntegerMatrix, smith_normal_form
 from .presentations import (AbelianInvariants, GroupPresentation, SectorVerdict,
                             abelianization, verify_free_of_rank,
                             DEFAULT_TIETZE_BUDGET)
-from .words import (FormatError, FreeAutomorphism, Word, apply,
-                    block_automorphism, canonical_cyclic, compose, flip_letters,
-                    format_word, identity_automorphism, invert_all,
-                    parse_integer, parse_word)
+from .words import (FormatError, FreeAutomorphism, Word, _LineReader,
+                    _canonical_letters, apply, block_automorphism, compose,
+                    flip_letters, format_word, identity_automorphism,
+                    invert_all, parse_integer)
 
 
 class DiagramError(ValueError):
@@ -326,7 +326,7 @@ class MultisectionDiagram:
             if self.systems[i - 1].standardizer is not None:
                 fresh = compute_reading(self, i, j)
                 for cached, again in zip(words, fresh):
-                    if canonical_cyclic(cached) != canonical_cyclic(again):
+                    if _canonical_letters(cached.letters) != _canonical_letters(again.letters):
                         raise DiagramError(
                             f"cached reading {(i, j)} disagrees with recomputation",
                             (i, j))
@@ -463,54 +463,13 @@ def _format_system(system: CutSystem, lines: list[str]) -> None:
                 lines.append(f"image {format_word(img)}")
 
 
-class _LineReader:
-    """The lines of an HD or MSD file, which must be laid out the one way
-    the formatters write them: every line ends in a newline and holds
-    tokens separated by single spaces.  A blank line, a tab, a carriage
-    return, leading, trailing or repeated whitespace and a missing final
-    newline are each a FormatError at their line, so that a file that
-    parses formats back to itself."""
-
-    def __init__(self, text: str):
-        lines = text.split("\n")
-        if lines.pop():
-            raise FormatError("missing final newline", len(lines) + 1)
-        for number, line in enumerate(lines, 1):
-            if not line or " ".join(line.split()) != line:
-                raise FormatError("blank line or whitespace other than single "
-                                  "spaces between tokens", number)
-        self.lines = lines
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
-
-    def take(self) -> str:
-        line = self.peek()
-        if line is None:
-            raise FormatError("unexpected end of file", self.pos + 1)
-        self.pos += 1
-        return line
-
-    @property
-    def line_no(self) -> int:
-        return self.pos
-
-
 def _parse_words(reader: _LineReader, keyword: str, count: int, rank: int) -> tuple[Word, ...]:
     words = []
     for _ in range(count):
         head, _, text = reader.take().partition(" ")
         if head != keyword or not text:
             raise FormatError(f"expected '{keyword} <word>'", reader.line_no)
-        try:
-            word = parse_word(text, rank)
-        except ValueError as exc:
-            raise FormatError(str(exc), reader.line_no) from None
-        # a letter next to its inverse cancels and would not be written back
-        if len(word) != (0 if text == "1" else text.count(" ") + 1):
-            raise FormatError("word is not freely reduced", reader.line_no)
-        words.append(word)
+        words.append(reader.word(text, rank))
     return tuple(words)
 
 

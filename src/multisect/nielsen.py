@@ -30,7 +30,7 @@ from .matrices import IntegerMatrix, determinant, smith_normal_form
 from .presentations import (AbelianInvariants, GroupPresentation, Surjection,
                             tietze_simplify)
 from .words import (Word, _apply_images, _letters_conjugate, _letters_inverse,
-                    _letters_product, apply, format_word, parse_word)
+                    _letters_product, format_word, parse_word)
 
 MOVES = ("swap12", "cycle", "invert1", "mult12")
 DEFAULT_QUOTIENT_BOUND = 100
@@ -177,21 +177,28 @@ def _determinant_class(det: int, m: int) -> tuple[int, ...]:
     return tuple(sorted({det % m, -det % m}))
 
 
-def determinant_invariant(t: GeneratingTuple) -> tuple[int, ...]:
-    """Determinant of the component matrix modulo sign, for n-tuples in
-    (Z/m)^n: constant on move-orbits because every move acts by an
-    elementary matrix of determinant +-1, and complete (see distinguish)."""
-    group = t.group
+def _unit_determinant_class(group: FiniteAbelianGroup,
+                            elements: Tuple_) -> tuple[int, ...] | None:
+    """+-det of the component matrix of an n-tuple in (Z/m)^n, or None if
+    it is not a unit mod m; a unit proves that the tuple generates."""
     factors = group.invariant_factors
     if not factors or any(d != factors[0] for d in factors):
         raise ValueError("determinant invariant needs a group (Z/m)^n")
     m, n = factors[0], group.rank
-    if len(t.elements) != n:
+    if len(elements) != n:
         raise ValueError("tuple length must equal the group rank")
-    det = determinant(IntegerMatrix.from_rows([list(e) for e in t.elements], n))
-    if gcd(det, m) != 1:
+    det = determinant(IntegerMatrix.from_rows([list(e) for e in elements], n))
+    return _determinant_class(det, m) if gcd(det, m) == 1 else None
+
+
+def determinant_invariant(t: GeneratingTuple) -> tuple[int, ...]:
+    """Determinant of the component matrix modulo sign, for n-tuples in
+    (Z/m)^n: constant on move-orbits because every move acts by an
+    elementary matrix of determinant +-1, and complete (see distinguish)."""
+    found = _unit_determinant_class(t.group, t.elements)
+    if found is None:
         raise AssertionError("generating tuple with a non-unit determinant")
-    return _determinant_class(det, m)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +263,10 @@ def _spine_from_side(d: MultisectionDiagram, home: int, other: int) -> WordTuple
     result = tietze_simplify(presentation_of_pair(d, home, other))
     if result.presentation.relators:
         return None
-    inverse = system.standardizer.inverse()
-    out = []
-    for dual in result.surviving_generators:
-        lt = system.surviving_letters[dual - 1]
-        carried = apply(inverse, Word(d.surface.rank, (lt,)))
-        out.append(express_against(carried, d.systems[0]))
-    return tuple(out)
+    # surviving letters are positive, so each is carried to its inverse image
+    inverse, letters = system.standardizer.inverse_images, system.surviving_letters
+    return tuple(express_against(inverse[letters[dual - 1] - 1], d.systems[0])
+                 for dual in result.surviving_generators)
 
 
 def spine_tuple(d: MultisectionDiagram, sector: int) -> WordTuple:
@@ -316,9 +320,10 @@ class NielsenCertificate:
 
     def replay(self) -> bool:
         """Re-verify the certificate from its own data.  For ``distinct``:
-        the surjection kills every relator, its images generate, the
-        images are the tuples' evaluations, and their determinant classes
-        differ, which no move changes (each has determinant +-1)."""
+        the surjection kills every relator, the images are the tuples'
+        evaluations, both have a unit determinant, which proves them (and
+        so the map) onto (Z/m)^n, and their determinant classes differ,
+        which no move changes (each has determinant +-1)."""
         if self.verdict == "same_orbit":
             if self.moves is None:
                 return False
@@ -332,16 +337,17 @@ class NielsenCertificate:
                 return False
             try:
                 q = Surjection(group, tuple(group.reduce(v) for v in self.surjection))
-                return (len(q.images) == self.presentation.generator_count
+                if not (len(q.images) == self.presentation.generator_count
                         and all(q.evaluate(rel) == group.zero
                                 for rel in self.presentation.relators)
-                        and group.generates(q.images)
                         and self.image1 == tuple(map(q.evaluate, self.tuple1))
-                        and self.image2 == tuple(map(q.evaluate, self.tuple2))
-                        and determinant_invariant(GeneratingTuple(group, self.image1))
-                        != determinant_invariant(GeneratingTuple(group, self.image2)))
+                        and self.image2 == tuple(map(q.evaluate, self.tuple2))):
+                    return False
+                class1, class2 = (_unit_determinant_class(group, image)
+                                  for image in (self.image1, self.image2))
             except ValueError:
                 return False
+            return None not in (class1, class2) and class1 != class2
         return True
 
 
@@ -394,10 +400,10 @@ def distinguish(pres: GroupPresentation, t1: WordTuple, t2: WordTuple,
 
     simplified = tietze_simplify(pres)
     target = simplified.presentation
-    images = simplified.generator_images
     rank = target.generator_count
-    r1 = tuple(_apply_images(images, w, rank) for w in t1)
-    r2 = tuple(_apply_images(images, w, rank) for w in t2)
+    images = [img.letters for img in simplified.generator_images]
+    r1, r2 = (tuple(Word(rank, _apply_images(images, w.letters)) for w in t)
+              for t in (t1, t2))
 
     for t in (r1, r2):
         if not _generates_abelianization(target, t):

@@ -15,14 +15,17 @@ presentation, and those of a free one need no computation at all.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
 
 from .abelian import ORDER_BOUND, FiniteAbelianGroup
 from .matrices import IntegerMatrix, smith_normal_form
-from .words import (FormatError, Word, _apply_images, _letters_inverse,
-                    canonical_cyclic, format_word, parse_integer, parse_word)
+from .words import (FormatError, Word, _LineReader, _apply_images,
+                    _canonical_letters, _cyclic_core, _exponent_row,
+                    _letters_inverse, _letters_product, format_word,
+                    parse_integer)
 
 DEFAULT_TIETZE_BUDGET = 10_000
 
@@ -105,72 +108,41 @@ class TietzeResult:
         return abelianization(self.presentation)
 
 
-def _elimination_images(gens: int, gen: int, replacement: Word) -> tuple[Word, ...]:
-    """Generator images that eliminate ``gen`` in favour of
-    ``replacement`` and renumber the generators above it down by one."""
-    images: list[Word | None] = [Word(gens - 1, (k if k < gen else k - 1,))
-                                 if k != gen else None for k in range(1, gens + 1)]
-    # the replacement avoids gen, so renumbering it never reads the hole
-    images[gen - 1] = _apply_images(images, replacement, gens - 1)
-    return tuple(images)
+def _elimination_images(gens: int, gen: int,
+                        replacement: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Generator images, as letter tuples, that eliminate ``gen`` in favour
+    of ``replacement`` and renumber the generators above it down by one."""
+    images = [(k if k < gen else k - 1,) for k in range(1, gens + 1)]
+    # the replacement avoids gen, so renumbering it never reads gen's entry
+    images[gen - 1] = _apply_images(images, replacement)
+    return images
 
 
-def _rotated_product_length(r: tuple[int, ...], s: tuple[int, ...],
-                            shift: int) -> int:
-    """Length of the cyclic reduction of ``r`` times the rotation
-    ``s[shift:] + s[:shift]``, by index arithmetic on the letters.
-
-    ``r`` must be freely reduced and ``s`` cyclically reduced, so that
-    every rotation of ``s`` is freely reduced.  Then the product cancels
-    only at the junction, k letters from each side, and cyclic reduction
-    strips c more pairs from the ends of what is left.
-    """
-    a, b = len(r), len(s)
-    k = 0
-    while k < a and k < b and r[a - 1 - k] == -s[(shift + k) % b]:
-        k += 1
-    n = a + b - 2 * k
-    head = a - k  # the reduced product is r[:head] then the rotation from k on
-
-    def at(i: int) -> int:
-        return r[i] if i < head else s[(shift + k + i - head) % b]
-
-    c = 0
-    while n - 2 * c >= 2 and at(c) == -at(n - 1 - c):
-        c += 1
-    return n - 2 * c
-
-
-def _overlap_reduction(relators: list[Word]) -> tuple[int, int, int, Word] | None:
+def _overlap_reduction(relators: list[tuple[int, ...]]
+                       ) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...]] | None:
     """First relator that shrinks when multiplied by a rotation of
     another relator or its inverse (a conjugate, so the normal closure
-    is unchanged), as ``(index, other index, sign, shorter word)``.
-    Scan order is fixed, so the choice is deterministic.  Lengths are
-    tested on the letter tuples; only the chosen word is built.
-    """
+    is unchanged), as ``(index, other index, sign, rotation, shorter
+    relator)``.  Scan order is fixed, so the choice is deterministic.
+    Relators are cyclically reduced, so every rotation is freely reduced
+    and the product cancels only where the two meet."""
     for i, r in enumerate(relators):
-        letters = r.letters
-        if not letters:
+        if not r:
             continue
-        inv_first, inv_last = -letters[0], -letters[-1]
+        inv_first, inv_last = -r[0], -r[-1]
         for j, other in enumerate(relators):
-            if i == j or other.is_identity():
+            if i == j or not other:
                 continue
-            inverse = _letters_inverse(other.letters)
-            for sign, s in ((1, other.letters), (-1, inverse)):
+            for sign, s in ((1, other), (-1, _letters_inverse(other))):
                 for shift in range(len(s)):
                     # without cancellation at the junction or at the ends
                     # the product keeps every letter and cannot be shorter
                     if s[shift] != inv_last and s[shift - 1] != inv_first:
                         continue
-                    length = _rotated_product_length(letters, s, shift)
-                    if length < len(letters):
-                        rotated = Word(r.rank, s[shift:] + s[:shift])
-                        candidate = (r * rotated).cyclic_reduce()
-                        if len(candidate) != length:
-                            raise AssertionError(
-                                "shrink length disagrees with the reduced product")
-                        return i, j, sign, candidate
+                    rotation = s[shift:] + s[:shift]
+                    shorter = _cyclic_core(_letters_product(r, rotation))
+                    if len(shorter) < len(r):
+                        return i, j, sign, rotation, shorter
     return None
 
 
@@ -185,9 +157,9 @@ def _eliminated_row(row: tuple[int, ...], pivot: tuple[int, ...],
                  if k != g - 1)
 
 
-def _check_row(word: Word, predicted: tuple[int, ...], move: str) -> None:
-    if word.exponent_sums() != predicted:
-        raise AssertionError(f"{move}: relator {format_word(word)} does not have "
+def _check_row(letters: tuple[int, ...], predicted: tuple[int, ...], move: str) -> None:
+    if _exponent_row(letters, len(predicted)) != predicted:
+        raise AssertionError(f"{move}: relator {letters} does not have "
                              f"the predicted exponent row {predicted}")
 
 
@@ -215,18 +187,22 @@ def tietze_simplify(pres: GroupPresentation,
     relator must have its predicted row, so the cokernel never changes
     and the result's ``invariants`` are read off the simplified
     presentation.
+
+    Relators and images are letter tuples throughout.  ``Word``s are
+    built for the result and to check that each shrunk relator is, letter
+    for letter, the cyclically reduced ``Word`` product it claims to be.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
 
     gens = pres.generator_count
-    relators = list(pres.relators)
-    rows = [rel.exponent_sums() for rel in relators]
+    relators = [rel.letters for rel in pres.relators]
+    rows = [rel.exponent_sums() for rel in pres.relators]
     survivors = list(range(1, gens + 1))
-    images = [Word(gens, (k,)) for k in survivors]
+    images = [(k,) for k in survivors]
     trace: list[str] = []
     steps = 0
-    canonical: dict[Word, tuple[int, ...]] = {}  # dedup keys of relators seen
+    canonical: dict[tuple[int, ...], tuple[int, ...]] = {}  # dedup keys seen
 
     progress = True
     while progress and steps < budget:
@@ -234,7 +210,7 @@ def tietze_simplify(pres: GroupPresentation,
 
         kept = []
         for rel, row in zip(relators, rows):
-            if rel.is_identity() and steps < budget:
+            if not rel and steps < budget:
                 if any(row):
                     raise AssertionError("drop empty relator: its exponent row "
                                          f"{row} is not zero")
@@ -249,7 +225,7 @@ def tietze_simplify(pres: GroupPresentation,
         for rel, row in kept:
             key = canonical.get(rel)
             if key is None:
-                key = canonical[rel] = canonical_cyclic(rel).letters
+                key = canonical[rel] = _canonical_letters(rel)
             if key in seen and steps < budget:
                 twin = seen[key]
                 if row != twin and row != tuple(-x for x in twin):
@@ -266,10 +242,7 @@ def tietze_simplify(pres: GroupPresentation,
 
         candidate: tuple[int, int] | None = None  # (generator, relator index)
         for ridx, rel in enumerate(relators):
-            counts: dict[int, int] = {}
-            for lt in rel.letters:
-                counts[abs(lt)] = counts.get(abs(lt), 0) + 1
-            for g, n in counts.items():
+            for g, n in Counter(map(abs, rel)).items():
                 if n == 1 and (candidate is None or g > candidate[0]):
                     candidate = (g, ridx)
         if candidate is not None and steps < budget:
@@ -280,38 +253,42 @@ def tietze_simplify(pres: GroupPresentation,
             if pivot[g - 1] not in (1, -1):
                 raise AssertionError(f"eliminate generator: pivot entry "
                                      f"{pivot[g - 1]} is not +-1")
-            pos = next(i for i, lt in enumerate(rel.letters) if abs(lt) == g)
-            sign = 1 if rel.letters[pos] > 0 else -1
-            u = Word(gens, rel.letters[:pos])
-            v = Word(gens, rel.letters[pos + 1:])
-            replacement = u.inverse() * v.inverse() if sign > 0 else v * u
-            new_gens = gens - 1
+            pos = next(i for i, lt in enumerate(rel) if abs(lt) == g)
+            # rel = u g^+-1 v gives g = (v u)^-1 or v u; v u is part of a
+            # rotation of the cyclically reduced rel, so it is reduced
+            rest = rel[pos + 1:] + rel[:pos]
+            replacement = _letters_inverse(rest) if rel[pos] > 0 else rest
             substitution = _elimination_images(gens, g, replacement)
-            relators = [_apply_images(substitution, r, new_gens).cyclic_reduce()
+            relators = [_cyclic_core(_apply_images(substitution, r))
                         for i, r in enumerate(relators) if i != ridx]
             rows = [_eliminated_row(row, pivot, g)
                     for i, row in enumerate(rows) if i != ridx]
             for r, row in zip(relators, rows):
                 _check_row(r, row, "eliminate generator")
-            images = [_apply_images(substitution, w, new_gens) for w in images]
+            images = [_apply_images(substitution, w) for w in images]
             trace.append(f"eliminate generator g{survivors.pop(g - 1)}")
-            gens = new_gens
+            gens -= 1
             progress = True
             continue
 
         shrink = _overlap_reduction(relators)
         if shrink is not None and steps < budget:
             steps += 1
-            ridx, other, sign, shorter = shrink
+            ridx, other, sign, rotation, shorter = shrink
             predicted = tuple(x + sign * y for x, y in zip(rows[ridx], rows[other]))
             _check_row(shorter, predicted, "shrink relator")
+            product = Word(gens, relators[ridx]) * Word(gens, rotation)
+            if product.cyclic_reduce().letters != shorter:
+                raise AssertionError(f"shrink relator: {shorter} is not the "
+                                     "cyclically reduced product")
             relators[ridx] = shorter
             rows[ridx] = predicted
             trace.append("shrink relator by a conjugate")
             progress = True
 
-    return TietzeResult(GroupPresentation(gens, tuple(relators)), tuple(trace),
-                        steps, tuple(survivors), tuple(images))
+    return TietzeResult(GroupPresentation(gens, tuple(Word(gens, r) for r in relators)),
+                        tuple(trace), steps, tuple(survivors),
+                        tuple(Word(gens, w) for w in images))
 
 
 @dataclass(frozen=True)
@@ -421,28 +398,23 @@ def format_presentation(pres: GroupPresentation) -> str:
 
 
 def parse_presentation(text: str) -> GroupPresentation:
-    """Read :func:`format_presentation` text; blank lines are skipped, and
-    every fault is a :class:`FormatError` naming its line.  Lines are
-    numbered by newline characters alone; the other line breaks that
-    ``str.splitlines`` knows still end a relator but are not counted."""
-    lines = [(n, ln) for n, raw in enumerate(text.split("\n"), 1)
-             for ln in raw.splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError("presentation text must start with 'gens <n>'", 1)
-    number, head = lines[0]
-    parts = head.split()
+    """Read :func:`format_presentation` text, laid out the one way it is
+    written: every fault, a relator that is not freely and cyclically
+    reduced among them, is a :class:`FormatError` naming its line, so
+    that text that parses formats back to itself."""
+    reader = _LineReader(text)
+    parts = reader.take().split(" ")
     if len(parts) != 2 or parts[0] != "gens":
-        raise FormatError("expected 'gens <n>'", number)
+        raise FormatError("expected 'gens <n>'", reader.line_no)
     try:
         gens = parse_integer(parts[1])
         if gens < 0:
             raise ValueError(gens)
     except ValueError:
-        raise FormatError(f"bad generator count {parts[1]!r}", number) from None
+        raise FormatError(f"bad generator count {parts[1]!r}", reader.line_no) from None
     relators = []
-    for number, line in lines[1:]:
-        try:
-            relators.append(parse_word(line, gens))
-        except ValueError as exc:
-            raise FormatError(str(exc), number) from None
+    while reader.peek() is not None:
+        relators.append(reader.word(reader.take(), gens))
+        if relators[-1] != relators[-1].cyclic_reduce():
+            raise FormatError("relator is not cyclically reduced", reader.line_no)
     return GroupPresentation(gens, tuple(relators))

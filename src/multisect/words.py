@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .matrices import IntegerMatrix, determinant
 
@@ -61,6 +61,51 @@ class FormatError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line is not None else message)
+
+
+class _LineReader:
+    """The lines of a text file in one of the formats, which must be laid
+    out the one way the formatters write them: every line ends in a
+    newline and holds tokens separated by single spaces.  A blank line, a
+    tab, a carriage return, leading, trailing or repeated whitespace and a
+    missing final newline are each a FormatError at the first line at
+    fault, so that a file that parses formats back to itself."""
+
+    def __init__(self, text: str):
+        lines = text.split("\n")
+        for number, line in enumerate(lines[:-1], 1):
+            if not line or " ".join(line.split()) != line:
+                raise FormatError("blank line or whitespace other than single "
+                                  "spaces between tokens", number)
+        if lines.pop():
+            raise FormatError("missing final newline", len(lines) + 1)
+        self.lines = lines
+        self.pos = 0
+
+    def peek(self) -> str | None:
+        return self.lines[self.pos] if self.pos < len(self.lines) else None
+
+    def take(self) -> str:
+        line = self.peek()
+        if line is None:
+            raise FormatError("unexpected end of file", self.pos + 1)
+        self.pos += 1
+        return line
+
+    @property
+    def line_no(self) -> int:
+        return self.pos
+
+    def word(self, text: str, rank: int) -> Word:
+        """``text``, from the line just taken, as a word, which must be freely
+        reduced: a letter next to its inverse would not be written back."""
+        try:
+            word = parse_word(text, rank)
+        except ValueError as exc:
+            raise FormatError(str(exc), self.pos) from None
+        if len(word) != (0 if text == "1" else text.count(" ") + 1):
+            raise FormatError("word is not freely reduced", self.pos)
+        return word
 
 
 def letter(index: int, sign: int) -> int:
@@ -121,6 +166,14 @@ def _letters_conjugate(a: tuple[int, ...], c: int) -> tuple[int, ...]:
     return a[:-1] if a and a[-1] == c else a + (-c,)
 
 
+def _exponent_row(letters: tuple[int, ...], rank: int) -> tuple[int, ...]:
+    """Exponent sum of each of the ``rank`` generators in ``letters``."""
+    sums = [0] * rank
+    for lt in letters:
+        sums[abs(lt) - 1] += 1 if lt > 0 else -1
+    return tuple(sums)
+
+
 @dataclass(frozen=True)
 class Word:
     """A freely reduced word in the free group of the given rank."""
@@ -173,10 +226,7 @@ class Word:
         return Word(self.rank, _cyclic_core(self.letters))
 
     def exponent_sums(self) -> tuple[int, ...]:
-        sums = [0] * self.rank
-        for lt in self.letters:
-            sums[abs(lt) - 1] += letter_sign(lt)
-        return tuple(sums)
+        return _exponent_row(self.letters, self.rank)
 
     def shift(self, offset: int, new_rank: int) -> "Word":
         """Re-express the word with all generator indices shifted up."""
@@ -231,25 +281,32 @@ def _least_rotation(s: tuple[int, ...]) -> tuple[int, ...]:
     return doubled[i:i + n]
 
 
-def canonical_cyclic(w: Word) -> Word:
-    """Canonical representative of the conjugacy class of ``w`` and its
-    inverse: the least rotation of either, in tuple order."""
-    base = _cyclic_core(w.letters)
+def _canonical_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation of the cyclic reduction of a freely reduced
+    letter tuple or of its inverse, in tuple order."""
+    base = _cyclic_core(letters)
     if base:
         base = min(_least_rotation(base),
                    _least_rotation(_letters_inverse(base)))
-    return Word(w.rank, base)
+    return base
 
 
-def _apply_images(images: tuple[Word, ...], w: Word, rank: int) -> Word:
-    """Substitute ``images[k - 1]`` for generator k throughout ``w``."""
+def canonical_cyclic(w: Word) -> Word:
+    """Canonical representative of the conjugacy class of ``w`` and its
+    inverse: the least rotation of either, in tuple order."""
+    return Word(w.rank, _canonical_letters(w.letters))
+
+
+def _apply_images(images: Sequence[tuple[int, ...]], letters: tuple[int, ...]) -> tuple[int, ...]:
+    """Substitute the letter tuple ``images[k - 1]`` for generator k
+    throughout ``letters``, freely reduced."""
     out: list[int] = []
-    for lt in w.letters:
+    for lt in letters:
         if lt > 0:
-            out.extend(images[lt - 1].letters)
+            out.extend(images[lt - 1])
         else:
-            out.extend(_letters_inverse(images[-lt - 1].letters))
-    return Word(rank, tuple(out))
+            out.extend(_letters_inverse(images[-lt - 1]))
+    return _reduce(out)
 
 
 @dataclass(frozen=True)
@@ -288,10 +345,11 @@ class FreeAutomorphism:
             return
         if len(self.inverse_images) != self.rank:
             raise ValueError("need one inverse image per generator")
+        images = [img.letters for img in self.images]
         for k, img in enumerate(self.inverse_images):
             if img.rank != self.rank:
                 raise ValueError("inverse image rank mismatch")
-            if _apply_images(self.images, img, self.rank).letters != (k + 1,):
+            if _apply_images(images, img.letters) != (k + 1,):
                 raise ValueError("declared inverse does not invert the automorphism")
 
     def __call__(self, w: Word) -> Word:
@@ -310,17 +368,21 @@ def apply(phi: FreeAutomorphism, w: Word) -> Word:
     """Image of ``w`` under the substitution homomorphism, freely reduced."""
     if phi.rank != w.rank:
         raise ValueError("rank mismatch between automorphism and word")
-    return _apply_images(phi.images, w, phi.rank)
+    return Word(phi.rank, _apply_images([img.letters for img in phi.images],
+                                        w.letters))
 
 
 def compose(phi: FreeAutomorphism, psi: FreeAutomorphism) -> FreeAutomorphism:
     """The automorphism sending w to phi(psi(w))."""
     if phi.rank != psi.rank:
         raise ValueError("rank mismatch in composition")
-    images = tuple(apply(phi, img) for img in psi.images)
+    phi_images = [img.letters for img in phi.images]
+    images = tuple(Word(phi.rank, _apply_images(phi_images, img.letters))
+                   for img in psi.images)
     inverse = None
     if phi.inverse_images is not None and psi.inverse_images is not None:
-        inverse = tuple(_apply_images(psi.inverse_images, img, phi.rank)
+        psi_inverse = [img.letters for img in psi.inverse_images]
+        inverse = tuple(Word(phi.rank, _apply_images(psi_inverse, img.letters))
                         for img in phi.inverse_images)
     return FreeAutomorphism(phi.rank, images, inverse)
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -204,7 +205,7 @@ def test_failed_tietze_row_check_exits_3(lens_msd, monkeypatch, capsys):
 
     def wrong(gens, gen, replacement):
         images = list(original(gens, gen, replacement))
-        images[gen - 1] = images[gen - 1] * images[gen - 1]
+        images[gen - 1] = images[gen - 1] + images[gen - 1]
         return tuple(images)
 
     monkeypatch.setattr(multisect.presentations, "_elimination_images", wrong)
@@ -322,6 +323,23 @@ def test_distinguish_exit_codes(tmp_path, lens_msd):
     assert run("distinguish", "--presentation", pres,
                "--tuple1", "g1, g2", "--tuple2", "g1, g2 g2",
                "--bound", 20, "-o", out) == 20
+
+
+@pytest.mark.parametrize("m, bound", [(997, 10 ** 6), (1009, 2 * 10 ** 6)])
+def test_distinguish_reads_generation_off_determinants(tmp_path, m, bound):
+    # (Z/m)^2 with m^2 close to or past 10^6: neither deciding nor replaying
+    # the certificate builds a subgroup of the quotient
+    pres = tmp_path / "p.txt"
+    pres.write_text("gens 2\ng1 g2 g1^-1 g2^-1\n"
+                    + "".join(" ".join([g] * m) + "\n" for g in ("g1", "g2")))
+    out = tmp_path / "cert.txt"
+    start = time.perf_counter()
+    assert run("distinguish", "--presentation", pres, "--tuple1", "g1, g2",
+               "--tuple2", "g1, g2 g2", "--bound", bound, "-o", out) == 0
+    assert time.perf_counter() - start < 1.0
+    text = out.read_text()
+    assert f"quotient: Z/{m} x Z/{m}\n" in text
+    assert "replay-verified: true\n" in text
 
 
 def test_distinguish_flip_and_diagram_pair(lens_msd, tmp_path):

@@ -164,3 +164,11 @@ def test_genus_zero_sphere_pipeline():
     d4 = double_bisection(b)
     assert validate(d4).ok
     assert abelianization(pi1_of_diagram(d4)).free_rank == 0
+
+
+def test_no_module_reads_the_environment():
+    package = Path(multisect.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        for name in ("environ", "getenv"):
+            assert name not in text, f"{path.name} mentions {name}"

@@ -495,7 +495,9 @@ def test_distinguish_and_replay_enumerate_nothing(monkeypatch):
                          (multisect.nielsen, "enumerate_abelian_groups"),
                          (multisect.nielsen, "enumerate_finite_abelian_quotients"),
                          (multisect.nielsen, "orbit_enumerate"),
-                         (multisect.nielsen, "connect_tuples")):
+                         (multisect.nielsen, "connect_tuples"),
+                         (FiniteAbelianGroup, "generates"),
+                         (FiniteAbelianGroup, "subgroup_generated")):
         monkeypatch.setattr(module, name, forbidden, raising=False)
     p = _abelian_presentation(5, 5)
     for t2, verdict in ((((1,), (2, 2)), "distinct"),

@@ -1,6 +1,7 @@
 """Fuzz gate for the word and presentation parsers: every input either
-parses or is refused with the documented error, and whatever parses
-formats back to text that parses to the same value."""
+parses or is refused with the documented error; presentation text that
+parses formats back to itself, and a word that parses formats back to
+text that parses to the same value."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,9 +25,7 @@ def _check_presentation(text):
         # the format's lines are the \n-separated ones
         assert exc.line is not None and 1 <= exc.line <= text.count("\n") + 1
         return
-    formatted = format_presentation(pres)
-    assert parse_presentation(formatted) == pres
-    assert format_presentation(parse_presentation(formatted)) == formatted
+    assert format_presentation(pres) == text
 
 
 @settings(max_examples=400, deadline=None)
@@ -36,11 +35,12 @@ def test_presentation_text_parses_or_names_its_line(text):
 
 
 def test_error_lines_count_newlines_only():
-    # \x85 and \u2028 are line breaks to str.splitlines but not in the format
+    # \x85 and \u2028 are line breaks to str.splitlines but not in the
+    # format, where they are whitespace other than a single space
     for text in ("gens 1\n\x85\ng7", "gens 1\n\u2028g1\ng7"):
         with pytest.raises(FormatError) as info:
             parse_presentation(text)
-        assert info.value.line == 3
+        assert info.value.line == 2
 
 
 @settings(max_examples=400, deadline=None)

@@ -7,10 +7,12 @@ import multisect.presentations
 from multisect.abelian import FiniteAbelianGroup, invariant_factor_chains
 from multisect.presentations import (AbelianInvariants, GroupPresentation,
                                      SectorVerdict, _overlap_reduction,
-                                     _rotated_product_length, abelianization,
+                                     abelianization,
                                      enumerate_finite_abelian_quotients,
                                      format_presentation, parse_presentation,
                                      tietze_simplify, verify_free_of_rank)
+from multisect.constructions import bisection_from_heegaard, lens_diagram
+from multisect.diagrams import connected_sum, pi1_of_diagram
 from multisect.words import FormatError, Word
 
 
@@ -135,7 +137,11 @@ def test_presentation_text_round_trip():
     ("gens x\n", 1),
     ("gens 2 junk\n", 1),
     ("gens -1\n", 1),
-    ("\ngens 2\n\ng1 g3\n", 4),
+    ("\ngens 2\n\ng1 g3\n", 1),
+    ("gens 2\ng1\ng2\ng1 g3\n", 4),
+    # relators that would not format back to themselves
+    ("gens 1\ng1 g1 g1^-1\n", 2),
+    ("gens 2\ng1\ng2 g1 g2^-1\n", 3),
 ])
 def test_parse_presentation_errors_name_their_line(text, line):
     with pytest.raises(FormatError) as exc:
@@ -182,20 +188,9 @@ def cyclically_reduced(rank, letters):
 letter_lists = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=9)
 
 
-@given(letter_lists, letter_lists)
-def test_rotated_product_length_matches_word_arithmetic(r_letters, s_letters):
-    r = cyclically_reduced(3, r_letters)
-    other = cyclically_reduced(3, s_letters)
-    for base in (other, other.inverse()):
-        s = base.letters
-        for shift in range(len(s)):
-            rotation = Word(3, s[shift:] + s[:shift])
-            assert _rotated_product_length(r.letters, s, shift) == \
-                len((r * rotation).cyclic_reduce())
-
-
 def reference_overlap_reduction(relators):
-    """The shrink scan with a Word for every rotation, in the same order."""
+    """The shrink scan with a Word for every rotation, in the same order,
+    returning letter tuples as the scan does."""
     for i, r in enumerate(relators):
         if r.is_identity():
             continue
@@ -208,14 +203,15 @@ def reference_overlap_reduction(relators):
                     rotated = Word(r.rank, letters[shift:] + letters[:shift])
                     candidate = (r * rotated).cyclic_reduce()
                     if len(candidate) < len(r):
-                        return i, j, sign, candidate
+                        return i, j, sign, rotated.letters, candidate.letters
     return None
 
 
 @given(st.lists(letter_lists, max_size=4))
 def test_overlap_scan_chooses_what_word_arithmetic_chooses(relator_letters):
     relators = [cyclically_reduced(3, letters) for letters in relator_letters]
-    assert _overlap_reduction(relators) == reference_overlap_reduction(relators)
+    assert _overlap_reduction([r.letters for r in relators]) == \
+        reference_overlap_reduction(relators)
 
 
 def test_wrong_elimination_substitution_fails_the_row_check(monkeypatch):
@@ -223,7 +219,7 @@ def test_wrong_elimination_substitution_fails_the_row_check(monkeypatch):
 
     def wrong(gens, gen, replacement):
         images = list(original(gens, gen, replacement))
-        images[gen - 1] = images[gen - 1] * images[gen - 1]
+        images[gen - 1] = images[gen - 1] + images[gen - 1]
         return tuple(images)
 
     monkeypatch.setattr(multisect.presentations, "_elimination_images", wrong)
@@ -239,14 +235,49 @@ def test_wrong_shrink_word_fails_the_row_check(monkeypatch):
         found = original(relators)
         if found is None:
             return None
-        i, j, sign, shorter = found
-        return i, j, sign, shorter * Word(shorter.rank, (1,))
+        i, j, sign, rotation, shorter = found
+        return i, j, sign, rotation, shorter + (1,)
 
     monkeypatch.setattr(multisect.presentations, "_overlap_reduction", wrong)
     # no generator occurs once; x y x^-1 y^-1 x shrinks by the commutator
     p = pres(2, (1, 2, -1, -2), (1, 2, -1, -2, 1, 1, 2, 2))
     with pytest.raises(AssertionError, match="shrink relator"):
         tietze_simplify(p)
+
+
+def test_shrink_must_be_the_product_it_claims(monkeypatch):
+    original = multisect.presentations._overlap_reduction
+
+    def wrong(relators):
+        found = original(relators)
+        if found is None:
+            return None
+        i, j, sign, rotation, shorter = found
+        # another rotation: the exponent row still matches, the letters do not
+        return i, j, sign, rotation[1:] + rotation[:1], shorter
+
+    monkeypatch.setattr(multisect.presentations, "_overlap_reduction", wrong)
+    p = pres(2, (1, 2, -1, -2), (1, 2, -1, -2, 1, 1, 2, 2))
+    with pytest.raises(AssertionError, match="not the cyclically reduced product"):
+        tietze_simplify(p)
+
+
+def test_tietze_builds_words_only_for_its_result(monkeypatch):
+    h = lens_diagram(5, 2)
+    for _ in range(29):
+        h = connected_sum(h, lens_diagram(5, 2))
+    p = pi1_of_diagram(bisection_from_heegaard(h))
+    calls = []
+    original = Word.__post_init__
+
+    def counting(self):
+        calls.append(None)
+        original(self)
+
+    monkeypatch.setattr(Word, "__post_init__", counting)
+    result = tietze_simplify(p)
+    assert (p.generator_count, len(p.relators), result.steps_used) == (60, 120, 90)
+    assert len(calls) <= 1500
 
 
 def test_tietze_invariants_come_without_a_second_snf(monkeypatch):
