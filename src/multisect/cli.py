@@ -248,8 +248,12 @@ def cmd_homology(args) -> int:
     return 0
 
 
-def _parse_tuple(text: str, rank: int):
-    entries = [e.strip() for e in text.split(",") if e.strip()]
+def _parse_tuple(flag: str, text: str, rank: int):
+    # the empty string is the empty tuple; "1" is the identity word
+    entries = [e.strip() for e in text.split(",")] if text else []
+    if "" in entries:
+        raise ValueError(f"{flag}: entry {entries.index('') + 1} is empty; "
+                         "write 1 for the identity word")
     return tuple(parse_word(e, rank) for e in entries)
 
 
@@ -267,8 +271,8 @@ def cmd_distinguish(args) -> int:
         pres = _read_input(report, args.presentation, parse_presentation)
         if args.tuple1 is None or args.tuple2 is None:
             raise FormatError("presentation mode needs --tuple1 and --tuple2")
-        t1 = _parse_tuple(args.tuple1, pres.generator_count)
-        t2 = _parse_tuple(args.tuple2, pres.generator_count)
+        t1 = _parse_tuple("--tuple1", args.tuple1, pres.generator_count)
+        t2 = _parse_tuple("--tuple2", args.tuple2, pres.generator_count)
         cert = distinguish(pres, t1, t2, args.bound)
     elif args.flip:
         if args.diagram is None:
@@ -337,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     verbs = construct.add_subparsers(dest="verb", required=True)
 
     lens = verbs.add_parser("lens", help="lens space Heegaard diagram")
-    lens.add_argument("--p", type=int, required=True)
-    lens.add_argument("--q", type=int, required=True)
+    lens.add_argument("--p", type=_at_least(1), required=True)
+    lens.add_argument("--q", type=_at_least(1), required=True)
     _add_io(lens)
 
     for name, extra in (("sum", [("--copies", _at_least(1), 2, "number of copies")]),
@@ -353,12 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr = verbs.add_parser("trisect-restrict",
                           help="bounded bisection from a closed 3-system diagram")
-    tr.add_argument("--drop", type=int, required=True, help="sector to forget")
+    tr.add_argument("--drop", type=int, choices=(1, 2, 3), required=True,
+                    help="sector to forget")
     _add_io(tr)
 
     ins = verbs.add_parser("insert", help="insert parallel sectors")
-    ins.add_argument("--position", type=int, default=2)
-    ins.add_argument("--count", type=int, required=True)
+    ins.add_argument("--position", type=_at_least(1), default=2)
+    ins.add_argument("--count", type=_at_least(0), required=True)
     _add_io(ins)
 
     glue = verbs.add_parser("glue", help="chain copies of one bisection")
@@ -367,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(glue)
 
     merge = verbs.add_parser("merge", help="merge across one interface")
-    merge.add_argument("--interface", type=int, required=True)
+    merge.add_argument("--interface", type=_at_least(1), required=True)
     _add_io(merge)
 
     for name, func_help in (("validate", "check sector structure"),
@@ -385,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--tuple2", help="comma-separated words")
     dist.add_argument("--diagram", help="diagram file")
     dist.add_argument("--diagram2", help="second diagram file")
-    dist.add_argument("--sector", type=int, default=1)
-    dist.add_argument("--sector2", type=int, default=0)
+    dist.add_argument("--sector", type=_at_least(1), default=1)
+    dist.add_argument("--sector2", type=_at_least(0), default=0, help="0: as --sector")
     dist.add_argument("--flip", action="store_true",
                       help="compare the two sectors of one bounded bisection")
     dist.add_argument("--bound", type=_at_least(1), default=DEFAULT_QUOTIENT_BOUND,

@@ -1,17 +1,17 @@
 """Exact integer matrices and Smith normal form.
 
 Everything here works over the integers with Python's arbitrary-precision
-arithmetic; no value is ever rounded or wrapped.  The Smith normal form is
-returned together with the unimodular transforms that witness it, and the
-identity ``U @ A @ V == D`` is checked on every call.
+arithmetic; no value is ever rounded or wrapped.  The Smith normal form D
+of A is returned with its unimodular column transform V, and every call
+checks D = E @ A @ V for a unimodular E that is never built.
 
-Unimodularity of U and V comes from the elimination's operation log, not
-from a determinant: every row or column swap, addition of a multiple of
-one row or column to another, and row negation is logged, and U and V
-must equal the identity with the logged operations replayed on it by code
-separate from the elimination.  Each logged operation is an elementary
-matrix of determinant +-1, so a transform that matches its replay is a
-product of them and therefore unimodular.
+Unimodularity comes from the elimination's operation log, not from a
+determinant: every row or column swap, addition of a multiple of one row
+or column to another, and row negation is logged.  V must equal the
+identity with the column log replayed on it, and D must equal A @ V with
+the row log replayed on it, both by code separate from the elimination.
+Each logged operation is an elementary matrix of determinant +-1, so V
+and E, the product of the logged row operations, are unimodular.
 """
 
 from __future__ import annotations
@@ -102,15 +102,14 @@ def determinant(a: IntegerMatrix) -> int:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """Diagonalization U @ A @ V = D with unimodular U, V.
+    """Diagonalization D = E @ A @ V with unimodular E, V; E is proved by
+    the row log and not kept, since no caller reads it.
 
     ``invariant_factors`` lists the nonzero, non-unit diagonal entries of D
     in divisibility order; ``rank`` counts all nonzero diagonal entries.
     """
 
-    matrix: IntegerMatrix
     D: IntegerMatrix
-    U: IntegerMatrix
     V: IntegerMatrix
     invariant_factors: tuple[int, ...]
 
@@ -120,15 +119,14 @@ class SmithForm:
 
 
 # Elementary operations of the elimination.  Each one updates the working
-# matrix and its transform, and logs itself as (kind, dst, src, q): row
-# operations in the row log, which replays to U, and column operations in
-# the column log, which replays to V transposed.
+# matrix (and V) and logs itself as (kind, dst, src, q): row operations in
+# the row log, which replays on A @ V to D, and column operations in the
+# column log, which replays on the identity to V transposed.
 _SWAP, _ADD, _NEGATE = "swap", "add", "negate"
 
 
-def _swap_rows(m, u, log, i, j):
+def _swap_rows(m, log, i, j):
     m[i], m[j] = m[j], m[i]
-    u[i], u[j] = u[j], u[i]
     log.append((_SWAP, i, j, 0))
 
 
@@ -140,14 +138,9 @@ def _swap_cols(m, v, log, i, j):
     log.append((_SWAP, i, j, 0))
 
 
-def _add_row(m, u, log, dst, src, q):
+def _add_row(m, log, dst, src, q):
     # row dst += q * row src
-    mr, ms = m[dst], m[src]
-    for j in range(len(mr)):
-        mr[j] += q * ms[j]
-    ur, us = u[dst], u[src]
-    for j in range(len(ur)):
-        ur[j] += q * us[j]
+    m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
     log.append((_ADD, dst, src, q))
 
 
@@ -159,19 +152,18 @@ def _add_col(m, v, log, dst, src, q):
     log.append((_ADD, dst, src, q))
 
 
-def _negate_row(m, u, log, t):
+def _negate_row(m, log, t):
     m[t] = [-x for x in m[t]]
-    u[t] = [-x for x in u[t]]
     log.append((_NEGATE, t, t, 0))
 
 
-def _replay(n: int, log) -> tuple[tuple[int, ...], ...]:
-    """The n x n identity with the logged row operations applied in order.
+def _replay(rows, log) -> tuple[tuple[int, ...], ...]:
+    """``rows`` with the logged row operations applied in order.
 
-    Written apart from the elimination's helpers on purpose: a transform
-    is accepted as unimodular only when this independent replay of its
-    elementary operations reproduces it."""
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    Written apart from the elimination's helpers on purpose: a result is
+    accepted only when this independent replay of the elementary
+    operations reproduces it."""
+    rows = [list(row) for row in rows]
     for kind, dst, src, q in log:
         if kind == _SWAP:
             rows[dst], rows[src] = rows[src], rows[dst]
@@ -189,13 +181,13 @@ def smith_normal_form(a: IntegerMatrix) -> SmithForm:
     ties broken by (row, col).  The rule is fixed, so output is
     deterministic for a given input.
 
-    Checked on every call: ``U @ A @ V == D``, D diagonal with its nonzero
-    entries in a divisibility chain, and U and V equal to the replay of
-    the logged elementary operations (hence unimodular).
+    Checked on every call: V equal to the identity with the logged column
+    operations replayed (hence unimodular), D equal to A @ V with the
+    logged row operations replayed (hence D = E @ A @ V with E unimodular),
+    and D diagonal with its nonzero entries in a divisibility chain.
     """
     r, c = a.rows, a.cols
     m = [list(row) for row in a.entries]
-    u = [list(row) for row in IntegerMatrix.identity(r).entries]
     v = [list(row) for row in IntegerMatrix.identity(c).entries]
     row_log: list = []
     col_log: list = []
@@ -213,7 +205,7 @@ def smith_normal_form(a: IntegerMatrix) -> SmithForm:
         if pivot is None:
             break
         if pivot[0] != t:
-            _swap_rows(m, u, row_log, t, pivot[0])
+            _swap_rows(m, row_log, t, pivot[0])
         if pivot[1] != t:
             _swap_cols(m, v, col_log, t, pivot[1])
 
@@ -221,7 +213,7 @@ def smith_normal_form(a: IntegerMatrix) -> SmithForm:
         for i in range(t + 1, r):
             if m[i][t] != 0:
                 q = m[i][t] // m[t][t]
-                _add_row(m, u, row_log, i, t, -q)
+                _add_row(m, row_log, i, t, -q)
                 if m[i][t] != 0:
                     dirty = True
         for j in range(t + 1, c):
@@ -243,25 +235,23 @@ def smith_normal_form(a: IntegerMatrix) -> SmithForm:
             if offender is not None:
                 break
         if offender is not None:
-            _add_row(m, u, row_log, t, offender, 1)
+            _add_row(m, row_log, t, offender, 1)
             continue
 
         if m[t][t] < 0:
-            _negate_row(m, u, row_log, t)
+            _negate_row(m, row_log, t)
         t += 1
 
     d_mat = IntegerMatrix.from_rows(m, c)
-    u_mat = IntegerMatrix.from_rows(u, r)
     v_mat = IntegerMatrix.from_rows(v, c)
 
     diag = d_mat.diagonal()
     factors = tuple(d for d in diag if d not in (0, 1))
 
-    if (u_mat @ a) @ v_mat != d_mat:
-        raise AssertionError("Smith normal form identity U*A*V = D failed")
-    if (u_mat.entries != _replay(r, row_log)
-            or v_mat.entries != tuple(zip(*_replay(c, col_log)))):
-        raise AssertionError("Smith normal form transforms are not unimodular")
+    if v_mat.entries != tuple(zip(*_replay(IntegerMatrix.identity(c).entries, col_log))):
+        raise AssertionError("Smith normal form V is not the replayed column log: not unimodular")
+    if d_mat.entries != _replay((a @ v_mat).entries, row_log):
+        raise AssertionError("Smith normal form D is not A*V with the row log replayed: not unimodular")
     if not d_mat.is_diagonal():
         raise AssertionError("Smith normal form result is not diagonal")
     nonzero = [d for d in diag if d != 0]
@@ -269,4 +259,4 @@ def smith_normal_form(a: IntegerMatrix) -> SmithForm:
         if y % x != 0:
             raise AssertionError("invariant factors do not form a divisibility chain")
 
-    return SmithForm(a, d_mat, u_mat, v_mat, factors)
+    return SmithForm(d_mat, v_mat, factors)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .matrices import IntegerMatrix, determinant
@@ -345,12 +346,16 @@ class FreeAutomorphism:
             return
         if len(self.inverse_images) != self.rank:
             raise ValueError("need one inverse image per generator")
-        images = [img.letters for img in self.images]
         for k, img in enumerate(self.inverse_images):
             if img.rank != self.rank:
                 raise ValueError("inverse image rank mismatch")
-            if _apply_images(images, img.letters) != (k + 1,):
+            if _apply_images(self.image_letters, img.letters) != (k + 1,):
                 raise ValueError("declared inverse does not invert the automorphism")
+
+    @cached_property
+    def image_letters(self) -> tuple[tuple[int, ...], ...]:
+        """The generator images as letter tuples, listed once, not per call."""
+        return tuple(img.letters for img in self.images)
 
     def __call__(self, w: Word) -> Word:
         return apply(self, w)
@@ -368,16 +373,14 @@ def apply(phi: FreeAutomorphism, w: Word) -> Word:
     """Image of ``w`` under the substitution homomorphism, freely reduced."""
     if phi.rank != w.rank:
         raise ValueError("rank mismatch between automorphism and word")
-    return Word(phi.rank, _apply_images([img.letters for img in phi.images],
-                                        w.letters))
+    return Word(phi.rank, _apply_images(phi.image_letters, w.letters))
 
 
 def compose(phi: FreeAutomorphism, psi: FreeAutomorphism) -> FreeAutomorphism:
     """The automorphism sending w to phi(psi(w))."""
     if phi.rank != psi.rank:
         raise ValueError("rank mismatch in composition")
-    phi_images = [img.letters for img in phi.images]
-    images = tuple(Word(phi.rank, _apply_images(phi_images, img.letters))
+    images = tuple(Word(phi.rank, _apply_images(phi.image_letters, img.letters))
                    for img in psi.images)
     inverse = None
     if phi.inverse_images is not None and psi.inverse_images is not None:

@@ -97,12 +97,26 @@ def test_missing_input_file_is_an_io_error(tmp_path, capsys):
     ("construct", "stabilize", "--times", -3),
     ("render", "--size", -5),
     ("distinguish", "--bound", 0),
+    ("construct", "lens", "--p", 0, "--q", 1),
+    ("construct", "lens", "--p", 2, "--q", -1),
+    ("construct", "insert", "--position", 0, "--count", 1),
+    ("construct", "insert", "--count", -1, "-i", "missing.msd"),
+    ("construct", "merge", "--interface", 0),
+    ("distinguish", "--sector", 0),
+    ("distinguish", "--sector2", -1),
 ])
 def test_numeric_flags_are_range_checked(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         run(*argv)
     assert exc.value.code == 2
     assert "must be at least" in capsys.readouterr().err
+
+
+def test_drop_names_a_sector_of_a_trisection(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("construct", "trisect-restrict", "--drop", 4, "-i", "missing.msd")
+    assert exc.value.code == 2
+    assert "argument --drop: invalid choice: 4" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("verb", ["validate", "pi1"])
@@ -146,6 +160,34 @@ def test_failed_self_check_exits_3(lens_msd, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "error: internal invariant failed: "
         "Smith normal form transforms are not unimodular\n")
+
+
+def _misreported_row_update(m, log, dst, src, q):
+    m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
+    log.append(("add", dst, src, 2 * q))
+
+
+def _doubled_column_update(m, v, log, dst, src, q):
+    for row in m:
+        row[dst] += q * row[src]
+    for row in v:
+        row[dst] += 2 * q * row[src]
+    log.append(("add", dst, src, q))
+
+
+@pytest.mark.parametrize("helper, tampered", [("_add_row", _misreported_row_update),
+                                              ("_add_col", _doubled_column_update)])
+def test_tampered_smith_form_operation_exits_3(helper, tampered, tmp_path,
+                                               monkeypatch, capsys):
+    # an elimination step that does not do what it logs is caught by the
+    # replay of its log, on either side of the matrix
+    path = tmp_path / "lens52.msd"
+    path.write_text(format_diagram(bisection_from_heegaard(lens_diagram(5, 2))))
+    monkeypatch.setattr(multisect.matrices, helper, tampered)
+    assert run("homology", "-i", path, "-o", tmp_path / "r.txt") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal invariant failed: Smith normal form")
+    assert "not unimodular" in err
 
 
 def test_validate_computes_boundary_invariants_once(lens_msd, tmp_path, monkeypatch):
@@ -340,6 +382,39 @@ def test_distinguish_reads_generation_off_determinants(tmp_path, m, bound):
     text = out.read_text()
     assert f"quotient: Z/{m} x Z/{m}\n" in text
     assert "replay-verified: true\n" in text
+
+
+@pytest.mark.parametrize("flag, tuple1, tuple2, entry", [
+    ("--tuple2", "g1, g2", "g1,,g2", 2),
+    ("--tuple1", ",", "g1, g2", 1),
+    ("--tuple2", "g1, g2", "g1, g2,", 3),
+    ("--tuple2", "g1, g2", " ", 1),
+])
+def test_distinguish_refuses_empty_tuple_entries(tmp_path, capsys, flag, tuple1,
+                                                 tuple2, entry):
+    pres = tmp_path / "p.txt"
+    pres.write_text("gens 2\ng1 g2 g1^-1 g2^-1\ng1 g1 g1 g1 g1\n"
+                    "g2 g2 g2 g2 g2\n")
+    assert run("distinguish", "--presentation", pres, "--tuple1", tuple1,
+               "--tuple2", tuple2, "-o", tmp_path / "c.txt") == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {flag}: entry {entry} is empty")
+
+
+def test_distinguish_tuple_spellings(tmp_path):
+    # "1" is the identity word and the empty string the empty tuple;
+    # spaces around entries are optional
+    z5 = tmp_path / "z5.txt"
+    z5.write_text("gens 2\ng1 g1 g1 g1 g1\ng2\n")
+    out = tmp_path / "c.txt"
+    assert run("distinguish", "--presentation", z5, "--tuple1", "g1, 1",
+               "--tuple2", "g1,1", "-o", out) == 10
+    assert "tuple1: g1; 1\n" in out.read_text()
+    trivial = tmp_path / "trivial.txt"
+    trivial.write_text("gens 1\ng1\n")
+    assert run("distinguish", "--presentation", trivial, "--tuple1", "",
+               "--tuple2", "", "-o", out) == 10
+    assert "tuple1: \n" in out.read_text()
 
 
 def test_distinguish_flip_and_diagram_pair(lens_msd, tmp_path):
