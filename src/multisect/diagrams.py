@@ -5,11 +5,12 @@ punctured copy: rank 2G, with the symplectic basis pairing generator
 2i-1 (a-type) with generator 2i (b-type).  A cut system is G curve words
 together with a standardizing automorphism carrying the curves to G
 distinct positive letters; killing those letters leaves a free group on
-the surviving letters, so reading any curve against the system is exact
-letter deletion followed by a fixed renaming.  No planar curve geometry
-appears anywhere: geometric realizability of user-supplied systems is an
-assumption, recorded as such, while constructed systems are realizable by
-construction.
+the surviving letters, so reading any curve against the system is one
+substitution by the system's dual images: the standardizer's images with
+the standard letters deleted and the survivors renamed.  No planar curve
+geometry appears anywhere: geometric realizability of user-supplied
+systems is an assumption, recorded as such, while constructed systems
+are realizable by construction.
 
 Reading direction convention: ``reading (i, j)`` expresses the curves of
 system j against system i.  A bounded diagram stores its boundary pair as
@@ -27,9 +28,9 @@ from .presentations import (AbelianInvariants, GroupPresentation, SectorVerdict,
                             abelianization, verify_free_of_rank,
                             DEFAULT_TIETZE_BUDGET)
 from .words import (FormatError, FreeAutomorphism, Word, _LineReader,
-                    _canonical_letters, apply, block_automorphism, compose,
-                    flip_letters, format_word, identity_automorphism,
-                    invert_all, parse_integer)
+                    _apply_images, _canonical_letters, _cyclic_core, _reduce,
+                    block_automorphism, compose, flip_letters, format_word,
+                    identity_automorphism, invert_all, parse_integer)
 
 
 class DiagramError(ValueError):
@@ -82,7 +83,8 @@ class CutSystem:
     (necessary for any cut system).  When a standardizer is present it
     must carry the curves to pairwise distinct positive single letters,
     the system's standard letters; the complementary letters, in
-    increasing order, name the dual generators 1..G of the free quotient.
+    increasing order, name the dual generators 1..G of the free quotient,
+    onto which a reading is one substitution by ``dual_images``.
 
     With a standardizer, checking the standard letters is the whole
     check: the standardizer's abelianized matrix M is unimodular (its
@@ -107,7 +109,7 @@ class CutSystem:
                 raise DiagramError(f"system {self.label!r}: curve rank mismatch")
             if genus > 0 and c.is_identity():
                 raise DiagramError(f"system {self.label!r}: empty curve word")
-            if c.cyclic_reduce() != c:
+            if _cyclic_core(c.letters) != c.letters:
                 raise DiagramError(
                     f"system {self.label!r}: curve not cyclically reduced")
         if " " in self.label or not self.label:
@@ -129,12 +131,12 @@ class CutSystem:
             raise DiagramError(f"system {self.label!r} has no standardizer")
         letters = []
         for c in self.curves:
-            image = apply(self.standardizer, c)
-            if len(image) != 1 or image.letters[0] < 0:
+            image = _apply_images(self.standardizer.image_letters, c.letters)
+            if len(image) != 1 or image[0] < 0:
                 raise DiagramError(
                     f"system {self.label!r}: standardizer sends {format_word(c)} "
-                    f"to {format_word(image)}, not a positive letter")
-            letters.append(image.letters[0])
+                    f"to {format_word(Word(c.rank, image))}, not a positive letter")
+            letters.append(image[0])
         if len(set(letters)) != len(letters):
             raise DiagramError(f"system {self.label!r}: standard letters collide")
         return tuple(letters)
@@ -145,31 +147,34 @@ class CutSystem:
         return tuple(k for k in range(1, self.surface.rank + 1) if k not in dead)
 
     @cached_property
-    def dual_index(self) -> dict[int, int]:
-        """Surviving letter -> dual generator (1..G), in letter order."""
-        return {lt: n + 1 for n, lt in enumerate(self.surviving_letters)}
+    def dual_images(self) -> tuple[tuple[int, ...], ...]:
+        """The reading homomorphism, as the letters of each generator's
+        image in the dual generators: its standardizer image with the
+        standard letters deleted and the surviving letters renamed 1..G
+        in increasing order, freely reduced."""
+        dual = {}
+        for n, lt in enumerate(self.surviving_letters, 1):
+            dual[lt], dual[-lt] = n, -n
+        return tuple(_reduce(dual[lt] for lt in img if lt in dual)
+                     for img in self.standardizer.image_letters)
 
 
 def express_against(w: Word, system: CutSystem) -> Word:
     """Image of a based word in the free quotient by the system, written
-    in the dual generators (freely but not cyclically reduced)."""
+    in the dual generators (freely but not cyclically reduced): one
+    substitution by the system's dual images."""
     if w.rank != system.surface.rank:
         raise DiagramError("word rank does not match the system's surface")
-    duals = system.dual_index  # raises when the system has no standardizer
-    image = apply(system.standardizer, w)
-    out = []
-    for lt in image.letters:
-        k = abs(lt)
-        if k in duals:  # the standard letters have no dual and drop out
-            out.append(duals[k] if lt > 0 else -duals[k])
-    return Word(system.surface.genus, tuple(out))
+    return Word(system.surface.genus, _apply_images(system.dual_images, w.letters))
 
 
 def read_against(curve: Word, system: CutSystem) -> Word:
-    """Relator word of a curve against a cut system: standardize, delete
-    the system's standard letters, rename survivors to the dual
-    generators, and reduce cyclically."""
-    return express_against(curve, system).cyclic_reduce()
+    """Relator word of a curve against a cut system: its image under the
+    system's dual images, reduced cyclically."""
+    if curve.rank != system.surface.rank:
+        raise DiagramError("word rank does not match the system's surface")
+    return Word(system.surface.genus,
+                _cyclic_core(_apply_images(system.dual_images, curve.letters)))
 
 
 def standard_alpha_system(surface: SurfaceModel, label: str = "alpha") -> CutSystem:
@@ -248,12 +253,7 @@ def stabilize(h: GeometricHeegaardDiagram) -> GeometricHeegaardDiagram:
     letter, so the new dual generator acquires a killing relator."""
     g = h.genus + 1
     surface = SurfaceModel(g)
-    old = h.beta.standardizer
-    images = {k + 1: img.letters for k, img in enumerate(old.images)}
-    inverse = {k + 1: img.letters for k, img in enumerate(old.inverse_images)} \
-        if old.inverse_images is not None else None
-    from .words import automorphism
-    std = automorphism(surface.rank, images, inverse)
+    std = block_automorphism([h.beta.standardizer, identity_automorphism(2)])
     curves = tuple(Word(surface.rank, c.letters) for c in h.beta.curves)
     curves = curves + (Word(surface.rank, (surface.b_letter(g),)),)
     beta = CutSystem(surface, curves, std, "beta")
@@ -324,9 +324,10 @@ class MultisectionDiagram:
                 if w.rank != self.surface.genus:
                     raise DiagramError(f"reading {(i, j)}: dual rank mismatch", (i, j))
             if self.systems[i - 1].standardizer is not None:
-                fresh = compute_reading(self, i, j)
-                for cached, again in zip(words, fresh):
-                    if _canonical_letters(cached.letters) != _canonical_letters(again.letters):
+                images = self.systems[i - 1].dual_images
+                for cached, curve in zip(words, self.systems[j - 1].curves):
+                    if _canonical_letters(cached.letters) != \
+                            _canonical_letters(_apply_images(images, curve.letters)):
                         raise DiagramError(
                             f"cached reading {(i, j)} disagrees with recomputation",
                             (i, j))
@@ -370,11 +371,6 @@ def read_system(system_i: CutSystem, system_j: CutSystem) -> tuple[Word, ...]:
     return tuple(read_against(c, system_i) for c in system_j.curves)
 
 
-def compute_reading(d: MultisectionDiagram, i: int, j: int) -> tuple[Word, ...]:
-    """Curves of system j expressed against system i (fresh computation)."""
-    return read_system(d.systems[i - 1], d.systems[j - 1])
-
-
 def reading_of_pair(d: MultisectionDiagram, i: int, j: int) -> tuple[Word, ...]:
     cached = d.reading_map.get((i, j))
     if cached is not None:
@@ -382,7 +378,7 @@ def reading_of_pair(d: MultisectionDiagram, i: int, j: int) -> tuple[Word, ...]:
     if d.systems[i - 1].standardizer is None:
         raise DiagramError(
             f"pair ({i}, {j}) is unreadable: no cache and no standardizer")
-    return compute_reading(d, i, j)
+    return read_system(d.systems[i - 1], d.systems[j - 1])
 
 
 def presentation_of_pair(d: MultisectionDiagram, i: int, j: int) -> GroupPresentation:

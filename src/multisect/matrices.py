@@ -194,14 +194,16 @@ def smith_normal_form(a: IntegerMatrix) -> SmithForm:
 
     t = 0
     while t < min(r, c):
-        pivot = None
-        best = None
+        pivot = best = None
         for i in range(t, r):
             for j in range(t, c):
                 x = m[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
+                if x and (best is None or abs(x) < best):
+                    pivot, best = (i, j), abs(x)
+                    if best == 1:  # nothing is smaller, and a later tie loses
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         if pivot[0] != t:
@@ -225,15 +227,11 @@ def smith_normal_form(a: IntegerMatrix) -> SmithForm:
         if dirty:
             continue
 
-        # enforce the divisibility chain before moving on
-        offender = None
-        for i in range(t + 1, r):
-            for j in range(t + 1, c):
-                if m[i][j] % m[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        # enforce the divisibility chain before moving on; every integer
+        # is divisible by a unit pivot, so only a larger one needs the scan
+        p = m[t][t]
+        offender = None if abs(p) == 1 else next(
+            (i for i in range(t + 1, r) for j in range(t + 1, c) if m[i][j] % p), None)
         if offender is not None:
             _add_row(m, row_log, t, offender, 1)
             continue

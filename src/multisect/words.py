@@ -404,7 +404,7 @@ def automorphism(rank: int,
     applies to ``inverse`` when given.
     """
     def full(sparse: Mapping[int, Iterable[int]]) -> tuple[Word, ...]:
-        out = list(identity_automorphism(rank).images)
+        out = [Word(rank, (k,)) for k in range(1, rank + 1)]
         for gen, lts in sparse.items():
             out[gen - 1] = Word(rank, tuple(lts))
         return tuple(out)

@@ -11,8 +11,8 @@ from multisect.diagrams import (CutSystem, DiagramError, FormatError,
                                 parse_heegaard, pi1_of_diagram,
                                 presentation_of_pair, read_against,
                                 stabilize, standard_alpha_system, validate)
-from multisect.constructions import (bisection_from_heegaard, lens_diagram,
-                                     sphere_bundle_sum_diagram)
+from multisect.constructions import (bisection_from_heegaard, double_bisection,
+                                     lens_diagram, sphere_bundle_sum_diagram)
 from multisect.presentations import AbelianInvariants, abelianization
 from multisect.words import Word, automorphism, identity_automorphism
 
@@ -34,7 +34,7 @@ def test_cut_system_standard_letters_and_duals():
                        "beta")
     assert system.standard_letters == (1,)
     assert system.surviving_letters == (2,)
-    assert system.dual_index == {2: 1}
+    assert system.dual_images == ((-1, -1), (1,))
 
 
 def test_cut_system_rejects_bad_exponents():
@@ -96,7 +96,7 @@ def test_read_alpha_curve_against_doubled_cocores(lens21_bisection):
     # the side-0 a-curve reads as the dual of the side-1 a-letter
     beta = lens21_bisection.systems[1]
     out = read_against(Word(4, (1,)), beta)
-    assert out.letters == (beta.dual_index[3],)
+    assert out.letters == (beta.surviving_letters.index(3) + 1,)
 
 
 def test_express_against_keeps_based_words(lens21_bisection):
@@ -208,7 +208,7 @@ def test_alpha_system_helper():
     surf = SurfaceModel(2)
     alpha = standard_alpha_system(surf)
     assert [c.letters for c in alpha.curves] == [(1,), (3,)]
-    assert alpha.dual_index == {2: 1, 4: 2}
+    assert alpha.dual_images == ((), (1,), (), (2,))
 
 
 def test_msd_round_trip(lens21_bisection):
@@ -216,6 +216,26 @@ def test_msd_round_trip(lens21_bisection):
     parsed = parse_diagram(text)
     assert parsed == lens21_bisection
     assert format_diagram(parsed) == text
+
+
+def test_parse_builds_one_word_per_word_line(monkeypatch):
+    # the cut-system checks and the cached-reading check run on letter
+    # tuples, so the only words built are the ones read from the text
+    h = connected_sum(lens_diagram(5, 2), lens_diagram(3, 1))
+    text = format_diagram(double_bisection(bisection_from_heegaard(h)))
+    word_lines = sum(1 for line in text.splitlines()
+                     if line.split(" ")[0] in ("curve", "image", "word"))
+    built = []
+    original = Word.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Word, "__post_init__", counting)
+    d = parse_diagram(text)
+    assert len(built) == word_lines
+    assert format_diagram(d) == text
 
 
 def test_hd_round_trip(lens21):

@@ -158,6 +158,34 @@ def test_snf_of_a_tall_matrix_builds_no_rows_by_rows_matrix(monkeypatch):
     assert shapes and all(cols <= 8 for _, cols in shapes)
 
 
+# (A, D, V) recorded from the full-scan pivot search; in each A the first
+# unit in row-major order follows a larger entry, and in the first two
+# other units tie with it
+_UNIT_PIVOT_CASES = (
+    ([[3, 1, 1], [1, 2, 5]],
+     [[1, 0, 0], [0, 1, 0]],
+     [[0, 1, -3], [1, -5, 14], [0, 2, -5]]),
+    ([[2, 5, -1], [1, 4, 7], [-1, 0, 3]],
+     [[1, 0, 0], [0, 1, 0], [0, 0, 30]],
+     [[0, 2, -9], [0, -1, 5], [1, -1, 7]]),
+    ([[4, 6], [6, 1], [1, 9]],
+     [[1, 0], [0, 1], [0, 0]],
+     [[0, 1], [1, -6]]),
+    ([[2, 4, 6], [6, -1, 8], [4, 1, 2]],
+     [[1, 0, 0], [0, 2, 0], [0, 0, 60]],
+     [[0, 1, -13], [1, 6, -70], [0, 0, 1]]),
+)
+
+
+@pytest.mark.parametrize("a,d,v", _UNIT_PIVOT_CASES)
+def test_snf_unit_pivot_is_the_first_least_entry(a, d, v):
+    # the pivot scan stops at the first unit, which the rule (least
+    # absolute value, ties by row then column) picks anyway
+    snf = smith_normal_form(IntegerMatrix.from_rows(a, len(a[0])))
+    assert snf.D == IntegerMatrix.from_rows(d, len(a[0]))
+    assert snf.V == IntegerMatrix.from_rows(v, len(a[0]))
+
+
 def _naive_product(a, b):
     return tuple(tuple(sum(a.entries[i][k] * b.entries[k][j] for k in range(a.cols))
                        for j in range(b.cols))

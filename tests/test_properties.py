@@ -4,12 +4,14 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multisect.constructions import (bisection_from_heegaard, double_bisection,
                                      lens_diagram)
 from multisect.diagrams import (CutSystem, GeometricHeegaardDiagram,
                                 SurfaceModel, format_diagram, parse_diagram,
-                                pi1_of_diagram, validate)
+                                express_against, pi1_of_diagram, read_against,
+                                read_system, validate)
 from multisect.presentations import abelianization
 from multisect.words import (Word, apply, automorphism, compose, flip_letters,
                              identity_automorphism, relabel)
@@ -61,12 +63,11 @@ def test_random_heegaard_bisections_always_verify(seed):
 def pi1_from_any_system(d, home):
     """Group of the diagram presented on the duals of an arbitrary
     system: relators are every other system read against it."""
-    from multisect.diagrams import compute_reading
     from multisect.presentations import GroupPresentation
     relators = []
     for j in range(1, len(d.systems) + 1):
         if j != home:
-            relators.extend(compute_reading(d, home, j))
+            relators.extend(read_system(d.systems[home - 1], d.systems[j - 1]))
     return GroupPresentation(d.surface.genus, tuple(relators))
 
 
@@ -90,6 +91,34 @@ def test_pair_orientations_present_the_same_group(seed):
         forward = abelianization(presentation_of_pair(d, i, j))
         backward = abelianization(presentation_of_pair(d, j, i))
         assert forward == backward
+
+
+def deletion_reading(w, system):
+    """A based word read against a system by standardize, delete, rename:
+    apply the standardizer, delete the standard letters and rename each
+    surviving letter to its place among the survivors, counting from 1."""
+    dual = {lt: n for n, lt in enumerate(system.surviving_letters, 1)}
+    image = apply(system.standardizer, w)
+    return Word(system.surface.genus,
+                tuple(dual[abs(lt)] if lt > 0 else -dual[abs(lt)]
+                      for lt in image.letters if abs(lt) in dual))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.data())
+def test_reading_is_one_substitution_by_the_dual_images(seed, data):
+    rng = random.Random(seed)
+    b = bisection_from_heegaard(random_heegaard(rng, rng.randint(1, 2)))
+    rank = b.surface.rank
+    letter = st.integers(-rank, rank).filter(bool)
+    words = [Word(rank, tuple(letters)) for letters in
+             data.draw(st.lists(st.lists(letter, max_size=12), min_size=1, max_size=4))]
+    for d in (b, double_bisection(b)):
+        for system in d.systems:
+            for w in words:
+                expected = deletion_reading(w, system)
+                assert express_against(w, system) == expected
+                assert read_against(w, system) == expected.cyclic_reduce()
 
 
 @pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 8)
