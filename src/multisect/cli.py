@@ -26,8 +26,8 @@ from .diagrams import (FormatError, GeometricHeegaardDiagram,
                        parse_heegaard, pi1_of_diagram, stabilize, validate)
 from .nielsen import (DEFAULT_QUOTIENT_BOUND, distinguish, flip_check,
                       format_certificate, spine_tuple)
-from .presentations import (DEFAULT_TIETZE_BUDGET, AbelianInvariants, abelianization,
-                            format_presentation, parse_presentation, tietze_simplify)
+from .presentations import (DEFAULT_TIETZE_BUDGET, AbelianInvariants, format_presentation,
+                            parse_presentation, tietze_simplify)
 from .render import diagram_to_svg
 from .words import _canonical_letters, parse_word
 
@@ -240,7 +240,7 @@ def cmd_pi1(args) -> int:
 def cmd_homology(args) -> int:
     d, report = _diagram_report(args)
     report.section("pi1-invariants")
-    _invariant_fields(report, abelianization(pi1_of_diagram(d)))
+    _invariant_fields(report, tietze_simplify(pi1_of_diagram(d)).invariants)
     if not d.closed:
         report.section("boundary-invariants")
         _invariant_fields(report, cons.boundary_invariants(d))
@@ -424,8 +424,8 @@ def main(argv=None) -> int:
         # a reader that closed early shows up here, not at interpreter exit
         sys.stdout.flush()
         return code
-    except (ValueError, OSError) as exc:
-        # parse, usage and I/O errors; exit 1 is reserved for validation
+    except (ValueError, OverflowError, OSError) as exc:
+        # parse, usage, size and I/O errors; exit 1 is reserved for validation
         if isinstance(exc, BrokenPipeError):
             # the report is undeliverable; point stdout at the null device
             # so that the flush at exit does not fail again

@@ -429,7 +429,7 @@ def distinguish(pres: GroupPresentation, t1: WordTuple, t2: WordTuple,
         det1, det2 = (determinant(IntegerMatrix.from_rows(
             [w.exponent_sums() for w in t], rank) @ basis) for t in (r1, r2))
         tried = 0
-        for m in takewhile(lambda m: m ** n <= bound, range(2, (d1 or bound) + 1)):
+        for m in takewhile(lambda m: m ** n <= bound, range(2, d1 + 1)):
             if d1 % m:
                 continue
             tried += 1
@@ -442,7 +442,8 @@ def distinguish(pres: GroupPresentation, t1: WordTuple, t2: WordTuple,
                     tuple(map(q.evaluate, r1)), tuple(map(q.evaluate, r2)),
                     class1, class2, searched=f"{h1}; +-det differs mod {m}, the "
                     f"least such m | {d1} with m^{n} <= {bound}")
-        searched = (f"{h1}; +-det equal mod every m | {d1} with m^{n} <= "
+        searched = (f"{h1}; +-det not compared: H1 is free, so both are +-1" if not d1 else
+                    f"{h1}; +-det equal mod every m | {d1} with m^{n} <= "
                     f"{bound} ({tried} tried)" if tried else
                     f"{h1}; +-det not compared: no m | {d1} with m^{n} <= {bound}")
     moves = free_tuple_search(r1, r2, rank)

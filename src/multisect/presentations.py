@@ -10,7 +10,9 @@ payoff is a three-valued freeness check that never overclaims.
 Simplification checks every move on the relators' exponent rows instead
 of comparing Smith normal forms at both ends (see :func:`tietze_simplify`),
 so the input's abelian invariants are those of the small simplified
-presentation, and those of a free one need no computation at all.
+presentation, and those of a free one need no computation at all.  Rows
+keep an eliminated generator's column, so an elimination touches only the
+relators that hold it, and the one renumbering at the end is checked too.
 """
 
 from __future__ import annotations
@@ -108,14 +110,13 @@ class TietzeResult:
         return abelianization(self.presentation)
 
 
-def _elimination_images(gens: int, gen: int,
-                        replacement: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Generator images, as letter tuples, that eliminate ``gen`` in favour
-    of ``replacement`` and renumber the generators above it down by one."""
-    images = [(k if k < gen else k - 1,) for k in range(1, gens + 1)]
-    # the replacement avoids gen, so renumbering it never reads gen's entry
-    images[gen - 1] = _apply_images(images, replacement)
-    return images
+def _solve_for(g: int, rel: tuple[int, ...]) -> tuple[int, ...]:
+    """The word that generator ``g`` equals modulo a cyclically reduced
+    relator holding it once: rel = u g^+-1 v gives g = (v u)^-1 or v u,
+    and v u is part of a rotation of rel, so it is reduced."""
+    pos = next(i for i, lt in enumerate(rel) if abs(lt) == g)
+    rest = rel[pos + 1:] + rel[:pos]
+    return _letters_inverse(rest) if rel[pos] > 0 else rest
 
 
 def _overlap_reduction(relators: list[tuple[int, ...]]
@@ -146,21 +147,18 @@ def _overlap_reduction(relators: list[tuple[int, ...]]
     return None
 
 
-def _eliminated_row(row: tuple[int, ...], pivot: tuple[int, ...],
-                    g: int) -> tuple[int, ...]:
-    """``row - (row[g] / pivot[g]) * pivot`` without column g, for a
-    pivot entry of +-1 (so the quotient is the product)."""
-    factor = row[g - 1] * pivot[g - 1]
-    if not factor:  # most rows avoid g
-        return row[:g - 1] + row[g:]
-    return tuple(x - factor * p for k, (x, p) in enumerate(zip(row, pivot))
-                 if k != g - 1)
-
-
 def _check_row(letters: tuple[int, ...], predicted: tuple[int, ...], move: str) -> None:
     if _exponent_row(letters, len(predicted)) != predicted:
         raise AssertionError(f"{move}: relator {letters} does not have "
                              f"the predicted exponent row {predicted}")
+
+
+def _renumbered(letters: tuple[int, ...], number: dict[int, int], what: str) -> tuple[int, ...]:
+    """``letters`` renamed by ``number``, which omits eliminated generators."""
+    out = tuple(number.get(lt, 0) if lt > 0 else -number.get(-lt, 0) for lt in letters)
+    if 0 in out:
+        raise AssertionError(f"renumber generators: {what} {letters} holds an eliminated generator")
+    return out
 
 
 def tietze_simplify(pres: GroupPresentation,
@@ -176,21 +174,20 @@ def tietze_simplify(pres: GroupPresentation,
     candidate is the highest-index eliminable generator, in the
     lowest-index relator exhibiting it; shrinking picks the first
     reduction in a fixed scan.  Exhausting the budget returns the best
-    presentation reached.
+    presentation reached.  Relators and images are letter tuples, and
+    generators keep their input ids until the survivors are renumbered
+    1..k once at the end, which is monotone and so changes no choice.
 
     Every move is checked on the exponent rows of the relators, which
     are carried along: a dropped empty relator has a zero row, a dropped
     duplicate's row is +- the row it duplicates, a shrunk relator's row
-    is its old row +- the other relator's, and an elimination has a +-1
-    pivot and turns every other row into ``row - (row[g] / pivot[g]) *
-    pivot`` with the pivot's row and column g deleted.  Each rewritten
-    relator must have its predicted row, so the cokernel never changes
-    and the result's ``invariants`` are read off the simplified
-    presentation.
-
-    Relators and images are letter tuples throughout.  ``Word``s are
-    built for the result and to check that each shrunk relator is, letter
-    for letter, the cyclically reduced ``Word`` product it claims to be.
+    is its old row +- the other relator's (and its letters are those of
+    the cyclically reduced ``Word`` product), and eliminating g has a +-1
+    pivot, whose row goes, and rewrites only the relators and images that
+    hold g, each row to ``row - (row[g] / pivot[g]) * pivot`` (column g
+    stays, now zero).  Each rewritten relator must have its predicted row,
+    and each final one its row on the surviving columns, so the result's
+    ``invariants`` are read off the simplified presentation.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -198,8 +195,7 @@ def tietze_simplify(pres: GroupPresentation,
     gens = pres.generator_count
     relators = [rel.letters for rel in pres.relators]
     rows = [rel.exponent_sums() for rel in pres.relators]
-    survivors = list(range(1, gens + 1))
-    images = [(k,) for k in survivors]
+    images = [(k,) for k in range(1, gens + 1)]
     trace: list[str] = []
     steps = 0
     canonical: dict[tuple[int, ...], tuple[int, ...]] = {}  # dedup keys seen
@@ -248,26 +244,21 @@ def tietze_simplify(pres: GroupPresentation,
         if candidate is not None and steps < budget:
             steps += 1
             g, ridx = candidate
-            rel = relators[ridx]
-            pivot = rows[ridx]
+            rel = relators.pop(ridx)
+            pivot = rows.pop(ridx)
             if pivot[g - 1] not in (1, -1):
-                raise AssertionError(f"eliminate generator: pivot entry "
-                                     f"{pivot[g - 1]} is not +-1")
-            pos = next(i for i, lt in enumerate(rel) if abs(lt) == g)
-            # rel = u g^+-1 v gives g = (v u)^-1 or v u; v u is part of a
-            # rotation of the cyclically reduced rel, so it is reduced
-            rest = rel[pos + 1:] + rel[:pos]
-            replacement = _letters_inverse(rest) if rel[pos] > 0 else rest
-            substitution = _elimination_images(gens, g, replacement)
-            relators = [_cyclic_core(_apply_images(substitution, r))
-                        for i, r in enumerate(relators) if i != ridx]
-            rows = [_eliminated_row(row, pivot, g)
-                    for i, row in enumerate(rows) if i != ridx]
-            for r, row in zip(relators, rows):
-                _check_row(r, row, "eliminate generator")
-            images = [_apply_images(substitution, w) for w in images]
-            trace.append(f"eliminate generator g{survivors.pop(g - 1)}")
-            gens -= 1
+                raise AssertionError(f"eliminate generator: pivot entry {pivot[g - 1]} is not +-1")
+            # a surviving k has the image (k,) and no relator holds an
+            # eliminated one, so the images substitute for g alone
+            images[g - 1] = _solve_for(g, rel)
+            for i, r in enumerate(relators):
+                if g in r or -g in r:
+                    relators[i] = _cyclic_core(_apply_images(images, r))
+                    factor = rows[i][g - 1] * pivot[g - 1]
+                    rows[i] = tuple(x - factor * y for x, y in zip(rows[i], pivot))
+                    _check_row(relators[i], rows[i], "eliminate generator")
+            images = [_apply_images(images, w) if g in w or -g in w else w for w in images]
+            trace.append(f"eliminate generator g{g}")
             progress = True
             continue
 
@@ -286,9 +277,16 @@ def tietze_simplify(pres: GroupPresentation,
             trace.append("shrink relator by a conjugate")
             progress = True
 
-    return TietzeResult(GroupPresentation(gens, tuple(Word(gens, r) for r in relators)),
-                        tuple(trace), steps, tuple(survivors),
-                        tuple(Word(gens, w) for w in images))
+    # an eliminated generator's image avoids it
+    survivors = tuple(k for k, w in enumerate(images, 1) if w == (k,))
+    number = {old: new for new, old in enumerate(survivors, 1)}
+    relators = [_renumbered(r, number, "relator") for r in relators]
+    for r, row in zip(relators, rows):
+        _check_row(r, tuple(row[k - 1] for k in survivors), "renumber generators")
+    rank = len(survivors)
+    return TietzeResult(GroupPresentation(rank, tuple(Word(rank, r) for r in relators)),
+                        tuple(trace), steps, survivors,
+                        tuple(Word(rank, _renumbered(w, number, "image")) for w in images))
 
 
 @dataclass(frozen=True)

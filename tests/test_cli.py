@@ -14,8 +14,8 @@ import multisect.presentations
 from multisect.cli import main
 from multisect.constructions import (bisection_from_heegaard, double_bisection,
                                      lens_diagram)
-from multisect.diagrams import format_diagram, format_heegaard, parse_diagram, \
-    validate
+from multisect.diagrams import connected_sum, format_diagram, format_heegaard, \
+    parse_diagram, validate
 
 
 @pytest.fixture
@@ -181,8 +181,11 @@ def test_tampered_smith_form_operation_exits_3(helper, tampered, tmp_path,
                                                monkeypatch, capsys):
     # an elimination step that does not do what it logs is caught by the
     # replay of its log, on either side of the matrix
-    path = tmp_path / "lens52.msd"
-    path.write_text(format_diagram(bisection_from_heegaard(lens_diagram(5, 2))))
+    # homology reads the simplified pi1, here with the residue diag(2, 3),
+    # whose Smith form needs adds on both sides
+    path = tmp_path / "lens21_lens31.msd"
+    path.write_text(format_diagram(bisection_from_heegaard(
+        connected_sum(lens_diagram(2, 1), lens_diagram(3, 1)))))
     monkeypatch.setattr(multisect.matrices, helper, tampered)
     assert run("homology", "-i", path, "-o", tmp_path / "r.txt") == 3
     err = capsys.readouterr().err
@@ -242,18 +245,62 @@ def test_validate_and_pi1_take_no_redundant_smith_forms(p, q, validate_snfs,
     assert calls == [(1, 1)]
 
 
+def test_homology_shares_the_simplification_of_pi1(tmp_path, monkeypatch):
+    # homology reads H1 off the simplified pi1, as pi1 does: its one Smith
+    # normal form is of the 1 x 1 residue, never of the raw 6 x 2 matrix
+    path = tmp_path / "double.msd"
+    path.write_text(format_diagram(double_bisection(
+        bisection_from_heegaard(lens_diagram(5, 2)))))
+    calls = []
+    original = multisect.matrices.smith_normal_form
+
+    def counting(matrix):
+        calls.append((matrix.rows, matrix.cols))
+        return original(matrix)
+
+    monkeypatch.setattr(multisect.presentations, "smith_normal_form", counting)
+    out = tmp_path / "report.txt"
+    assert run("homology", "-i", path, "-o", out) == 0
+    assert "group: Z/5\n" in out.read_text()
+    assert calls == [(1, 1)]
+
+
 def test_failed_tietze_row_check_exits_3(lens_msd, monkeypatch, capsys):
-    original = multisect.presentations._elimination_images
+    original = multisect.presentations._solve_for
 
-    def wrong(gens, gen, replacement):
-        images = list(original(gens, gen, replacement))
-        images[gen - 1] = images[gen - 1] + images[gen - 1]
-        return tuple(images)
+    def wrong(g, rel):
+        image = original(g, rel)
+        return image + image
 
-    monkeypatch.setattr(multisect.presentations, "_elimination_images", wrong)
+    monkeypatch.setattr(multisect.presentations, "_solve_for", wrong)
     assert run("pi1", "-i", lens_msd) == 3
     assert capsys.readouterr().err.startswith(
         "error: internal invariant failed: eliminate generator")
+
+
+def test_overflowing_sizes_are_input_errors(tmp_path, capsys):
+    # a size too large for a float or an index is the input's fault: one
+    # error line and exit 2, never a traceback with exit 1
+    msd = tmp_path / "l52.msd"
+    msd.write_text(format_diagram(bisection_from_heegaard(lens_diagram(5, 2))))
+    assert run("render", "-i", msd, "--svg", tmp_path / "o.svg",
+               "--size", "1" + "0" * 400) == 2
+    err = capsys.readouterr().err
+    assert err == "error: integer division result too large for a float\n"
+    pres = tmp_path / "p.txt"
+    pres.write_text("gens 99999999999999999999\ng1\n")
+    assert run("distinguish", "--presentation", pres, "--tuple1", "g2",
+               "--tuple2", "g3") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(multisect.cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "multisect", "distinguish", "--presentation", str(pres),
+         "--tuple1", "g2", "--tuple2", "g3"], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    text = proc.stderr.decode()
+    assert text.startswith("error: ") and text.count("\n") == 1, text
 
 
 @pytest.mark.parametrize("buffering", [[], ["-u"]])
@@ -381,6 +428,31 @@ def test_distinguish_reads_generation_off_determinants(tmp_path, m, bound):
     assert time.perf_counter() - start < 1.0
     text = out.read_text()
     assert f"quotient: Z/{m} x Z/{m}\n" in text
+    assert "replay-verified: true\n" in text
+
+
+@pytest.mark.parametrize("gens, tuple1, tuple2", [(1, "g1", "g1^-1"),
+                                                  (2, "g1, g2", "g2, g1")])
+def test_distinguish_over_free_h1_compares_no_determinants(tmp_path, monkeypatch,
+                                                           gens, tuple1, tuple2):
+    # H1 = Z^n: both tuples generate it, so both determinants are +-1 and
+    # no (Z/m)^n separates them, whatever --bound allows
+    calls = []
+    original = multisect.nielsen._determinant_class
+
+    def counting(det, m):
+        calls.append(m)
+        return original(det, m)
+
+    monkeypatch.setattr(multisect.nielsen, "_determinant_class", counting)
+    pres = tmp_path / "p.txt"
+    pres.write_text(f"gens {gens}\n")
+    out = tmp_path / "cert.txt"
+    assert run("distinguish", "--presentation", pres, "--tuple1", tuple1,
+               "--tuple2", tuple2, "--bound", 10 ** 6, "-o", out) == 10
+    assert calls == []
+    text = out.read_text()
+    assert f"searched: H1 = {' + '.join(['Z'] * gens)}; +-det not compared: H1 is free" in text
     assert "replay-verified: true\n" in text
 
 

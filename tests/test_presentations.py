@@ -1,19 +1,23 @@
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import multisect.presentations
 from multisect.abelian import FiniteAbelianGroup, invariant_factor_chains
-from multisect.presentations import (AbelianInvariants, GroupPresentation,
-                                     SectorVerdict, _overlap_reduction,
-                                     abelianization,
+from multisect.presentations import (DEFAULT_TIETZE_BUDGET, AbelianInvariants,
+                                     GroupPresentation, SectorVerdict, TietzeResult,
+                                     _overlap_reduction, abelianization,
                                      enumerate_finite_abelian_quotients,
                                      format_presentation, parse_presentation,
                                      tietze_simplify, verify_free_of_rank)
-from multisect.constructions import bisection_from_heegaard, lens_diagram
-from multisect.diagrams import connected_sum, pi1_of_diagram
-from multisect.words import FormatError, Word
+from multisect.constructions import (bisection_from_heegaard, double_bisection,
+                                     lens_diagram)
+from multisect.diagrams import (connected_sum, pi1_of_diagram, presentation_of_pair,
+                                validate)
+from multisect.words import (FormatError, Word, _apply_images, _canonical_letters,
+                             _cyclic_core, _letters_inverse)
 
 
 def pres(gens, *relators):
@@ -215,17 +219,45 @@ def test_overlap_scan_chooses_what_word_arithmetic_chooses(relator_letters):
 
 
 def test_wrong_elimination_substitution_fails_the_row_check(monkeypatch):
-    original = multisect.presentations._elimination_images
+    original = multisect.presentations._solve_for
 
-    def wrong(gens, gen, replacement):
-        images = list(original(gens, gen, replacement))
-        images[gen - 1] = images[gen - 1] + images[gen - 1]
-        return tuple(images)
+    def wrong(g, rel):
+        image = original(g, rel)
+        return image + image
 
-    monkeypatch.setattr(multisect.presentations, "_elimination_images", wrong)
+    monkeypatch.setattr(multisect.presentations, "_solve_for", wrong)
     # eliminating y through x y^-1 must substitute x for y in x^2 y^2
     with pytest.raises(AssertionError, match="eliminate generator"):
         tietze_simplify(pres(2, (1, -2), (1, 1, 2, 2)))
+
+
+def test_eliminated_letter_left_behind_fails_the_renumbering(monkeypatch):
+    original = multisect.presentations._solve_for
+
+    def wrong(g, rel):
+        # y -> y x y^-1 has the right exponent row, so only the final
+        # renumbering can see the y it leaves behind
+        return (g,) + original(g, rel) + (-g,)
+
+    monkeypatch.setattr(multisect.presentations, "_solve_for", wrong)
+    with pytest.raises(AssertionError, match="renumber generators: relator"):
+        tietze_simplify(pres(2, (1, -2), (1, 1, 2, 2)))
+    # with no relator left to hold it, the generator images still do
+    with pytest.raises(AssertionError, match="renumber generators: image"):
+        tietze_simplify(pres(2, (1, -2)))
+
+
+def test_wrong_renumbering_fails_the_row_check(monkeypatch):
+    original = multisect.presentations._renumbered
+
+    def swapped(letters, number, what):
+        # the survivors renamed in reverse order
+        return original(letters, {k: len(number) + 1 - v for k, v in number.items()}, what)
+
+    monkeypatch.setattr(multisect.presentations, "_renumbered", swapped)
+    # nothing to eliminate or shrink; x^2 y^3 has a row that tells x from y
+    with pytest.raises(AssertionError, match="renumber generators: relator"):
+        tietze_simplify(pres(2, (1, 1, 2, 2, 2)))
 
 
 def test_wrong_shrink_word_fails_the_row_check(monkeypatch):
@@ -296,3 +328,140 @@ def test_tietze_invariants_come_without_a_second_snf(monkeypatch):
     cyclic = tietze_simplify(pres(2, (1, -2), (1, 1, 1), (2, 2, 2)))
     assert cyclic.invariants == AbelianInvariants(0, (3,))
     assert len(calls) == 1  # of the simplified one-relator matrix
+
+
+def _reference_elimination_images(gens, gen, replacement):
+    images = [(k if k < gen else k - 1,) for k in range(1, gens + 1)]
+    images[gen - 1] = _apply_images(images, replacement)
+    return images
+
+
+def _reference_eliminated_row(row, pivot, g):
+    factor = row[g - 1] * pivot[g - 1]
+    if not factor:
+        return row[:g - 1] + row[g:]
+    return tuple(x - factor * p for k, (x, p) in enumerate(zip(row, pivot))
+                 if k != g - 1)
+
+
+def reference_tietze_simplify(p, budget=DEFAULT_TIETZE_BUDGET):
+    """Tietze simplification that renumbers the generators and rewrites
+    every relator after each elimination, as an independent oracle."""
+    gens = p.generator_count
+    relators = [rel.letters for rel in p.relators]
+    rows = [rel.exponent_sums() for rel in p.relators]
+    survivors = list(range(1, gens + 1))
+    images = [(k,) for k in survivors]
+    trace = []
+    steps = 0
+    progress = True
+    while progress and steps < budget:
+        progress = False
+        kept = []
+        for rel, row in zip(relators, rows):
+            if not rel and steps < budget:
+                steps += 1
+                trace.append("drop empty relator")
+                progress = True
+            else:
+                kept.append((rel, row))
+        seen = set()
+        deduped = []
+        for rel, row in kept:
+            key = _canonical_letters(rel)
+            if key in seen and steps < budget:
+                steps += 1
+                trace.append("drop duplicate relator")
+                progress = True
+            else:
+                seen.add(key)
+                deduped.append((rel, row))
+        relators = [rel for rel, _ in deduped]
+        rows = [row for _, row in deduped]
+        candidate = None
+        for ridx, rel in enumerate(relators):
+            for g, n in Counter(map(abs, rel)).items():
+                if n == 1 and (candidate is None or g > candidate[0]):
+                    candidate = (g, ridx)
+        if candidate is not None and steps < budget:
+            steps += 1
+            g, ridx = candidate
+            rel = relators[ridx]
+            pivot = rows[ridx]
+            pos = next(i for i, lt in enumerate(rel) if abs(lt) == g)
+            rest = rel[pos + 1:] + rel[:pos]
+            replacement = _letters_inverse(rest) if rel[pos] > 0 else rest
+            substitution = _reference_elimination_images(gens, g, replacement)
+            relators = [_cyclic_core(_apply_images(substitution, r))
+                        for i, r in enumerate(relators) if i != ridx]
+            rows = [_reference_eliminated_row(row, pivot, g)
+                    for i, row in enumerate(rows) if i != ridx]
+            for r, row in zip(relators, rows):
+                assert Word(gens - 1, r).exponent_sums() == row
+            images = [_apply_images(substitution, w) for w in images]
+            trace.append(f"eliminate generator g{survivors.pop(g - 1)}")
+            gens -= 1
+            progress = True
+            continue
+        shrink = _overlap_reduction(relators)
+        if shrink is not None and steps < budget:
+            steps += 1
+            ridx, other, sign, _, shorter = shrink
+            relators[ridx] = shorter
+            rows[ridx] = tuple(x + sign * y for x, y in zip(rows[ridx], rows[other]))
+            trace.append("shrink relator by a conjugate")
+            progress = True
+    return TietzeResult(GroupPresentation(gens, tuple(Word(gens, r) for r in relators)),
+                        tuple(trace), steps, tuple(survivors),
+                        tuple(Word(gens, w) for w in images))
+
+
+@st.composite
+def small_presentations(draw):
+    gens = draw(st.integers(0, 5))
+    letters = st.sampled_from([k for g in range(1, gens + 1) for k in (g, -g)]) \
+        if gens else st.nothing()
+    relators = draw(st.lists(st.lists(letters, max_size=8), max_size=5 if gens else 0))
+    return GroupPresentation(gens, tuple(cyclically_reduced(gens, r) for r in relators))
+
+
+@settings(max_examples=600, deadline=None)
+@given(small_presentations(), st.sampled_from([1, 2, 3, 5, DEFAULT_TIETZE_BUDGET]))
+def test_tietze_agrees_with_the_renumber_every_step_oracle(p, budget):
+    assert tietze_simplify(p, budget) == reference_tietze_simplify(p, budget)
+
+
+def test_tietze_agrees_with_the_oracle_on_sector_pairs():
+    h = lens_diagram(5, 2)
+    for q in (1, 3, 4, 2, 1):
+        h = connected_sum(h, lens_diagram(5, q))
+    d = double_bisection(bisection_from_heegaard(h))
+    for p in (pi1_of_diagram(d), presentation_of_pair(d, 1, 2),
+              presentation_of_pair(d, 2, 3)):
+        assert tietze_simplify(p) == reference_tietze_simplify(p)
+
+
+def test_tietze_work_in_validate_grows_about_linearly(monkeypatch):
+    # an elimination rewrites and re-checks only the relators that hold
+    # the eliminated generator, so doubling the genus about doubles the
+    # rewrites and row checks (renumbering every relator per step made
+    # both grow fourfold)
+    counts = Counter()
+    for name in ("_apply_images", "_check_row"):
+        def counting(*args, _name=name, _original=getattr(multisect.presentations, name)):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(multisect.presentations, name, counting)
+    work = []
+    for summands in (60, 120):  # central genus 120 and 240
+        h = lens_diagram(5, 2)
+        for _ in range(summands - 1):
+            h = connected_sum(h, lens_diagram(5, 2))
+        d = double_bisection(bisection_from_heegaard(h))
+        counts.clear()
+        assert validate(d).ok
+        work.append(dict(counts))
+    small, large = work
+    for name in ("_apply_images", "_check_row"):
+        assert 0 < large[name] <= 2.2 * small[name], work
