@@ -21,8 +21,8 @@ from .diagrams import (CutSystem, DiagramError, FormatError,
                        format_diagram, format_heegaard, mirror, parse_diagram,
                        parse_heegaard, pi1_of_diagram, presentation_of_pair,
                        read_against, stabilize, validate)
-from .constructions import (DoubledSurfaceContext, GluePlan, GlueMismatchError,
-                            MergeRefusedError, auto_cap, bisection_from_heegaard,
+from .constructions import (GluePlan, GlueMismatchError, MergeRefusedError,
+                            auto_cap, bisection_from_heegaard,
                             bisection_from_trisection, boundary_invariants,
                             cap_off, double_bisection, genus_bound_report,
                             glue_bisections, insert_parallel_sectors,

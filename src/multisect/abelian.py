@@ -65,9 +65,6 @@ class FiniteAbelianGroup:
     def neg(self, x: Element) -> Element:
         return tuple((-a) % d for a, d in zip(x, self.invariant_factors))
 
-    def scale(self, n: int, x: Element) -> Element:
-        return tuple((n * a) % d for a, d in zip(x, self.invariant_factors))
-
     def subgroup_generated(self, vectors: Iterable[Element]) -> frozenset[Element]:
         """H + <g> is the union of the cosets H + m g for m below the
         least m with m g in H, so the subgroup grows a coset at a time."""

@@ -2,26 +2,26 @@
 diagrams, restriction of trisections, doubling, parallel sector
 insertion, gluing along boundary handlebodies, capping, and merging.
 
-The central device is the doubled surface.  For an input of genus g the
-central surface has genus 2g; its basis splits into side-0 letters
-(indices 1..2g, matching the input surface) and side-1 letters (indices
-2g+1..4g).  The transport map tau relabels sides and inverts every
-letter, which is how a curve travels to the mirror copy.
+The central device is the product bisection of a genus-g Heegaard
+diagram h.  Its central surface is the genus-2g surface of h # -h, with
+three systems: alpha is the standard a-type basis, beta is the cocores
+a_i a_{g+i}^-1 and b_i b_{g+i}^-1, and gamma is the beta system of
+h # -h, so the boundary pair (gamma, alpha) is the double of h's manifold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import reduce
 from math import gcd
 
 from .diagrams import (CutSystem, DiagramError, GeometricHeegaardDiagram,
                        MultisectionDiagram, SurfaceModel, adjacent_pairs,
-                       boundary_invariants, pi1_of_diagram, read_system)
+                       boundary_invariants, connected_sum, mirror,
+                       pi1_of_diagram, read_system, standard_alpha_system)
 from .presentations import GroupPresentation, abelianization, tietze_simplify
-from .words import (FreeAutomorphism, Word, apply, automorphism,
-                    block_automorphism, compose, flip_letters, format_word,
-                    identity_automorphism, invert_all, relabel)
+from .words import (Word, automorphism, compose, format_word,
+                    identity_automorphism)
 
 
 class MergeRefusedError(DiagramError):
@@ -35,65 +35,6 @@ class GlueMismatchError(DiagramError):
         self.left = left
         self.right = right
         super().__init__(message)
-
-
-@dataclass(frozen=True)
-class DoubledSurfaceContext:
-    """Bookkeeping for the genus-2g central surface of a product
-    bisection: side split, transport map, and the standard letter runs."""
-
-    input_genus: int
-
-    def __post_init__(self):
-        if self.input_genus < 0:
-            raise ValueError("genus must be non-negative")
-
-    @property
-    def surface(self) -> SurfaceModel:
-        return SurfaceModel(2 * self.input_genus)
-
-    @property
-    def rank(self) -> int:
-        return 4 * self.input_genus
-
-    def side0_a(self, i: int) -> int:
-        return 2 * i - 1
-
-    def side0_b(self, i: int) -> int:
-        return 2 * i
-
-    def side1_a(self, i: int) -> int:
-        return 2 * self.input_genus + 2 * i - 1
-
-    def side1_b(self, i: int) -> int:
-        return 2 * self.input_genus + 2 * i
-
-    @cached_property
-    def side_swap(self) -> FreeAutomorphism:
-        half = 2 * self.input_genus
-        mapping = {k: k + half for k in range(1, half + 1)}
-        mapping.update({k + half: k for k in range(1, half + 1)})
-        return relabel(self.rank, mapping)
-
-    @cached_property
-    def transport(self) -> FreeAutomorphism:
-        """tau: swap sides and invert every letter.  An involution with
-        no fixed letter; on a side-0 word it flips each sign in place."""
-        tau = compose(invert_all(self.rank), self.side_swap)
-        for k, image in enumerate(tau.images, 1):
-            if apply(tau, image).letters != (k,):
-                raise AssertionError("transport map is not an involution")
-            if image.letters == (k,):
-                raise AssertionError("transport map fixes a letter")
-        return tau
-
-    def embed_side0(self, w: Word) -> Word:
-        if w.rank != 2 * self.input_genus:
-            raise ValueError("word does not live on the input surface")
-        return Word(self.rank, w.letters)
-
-    def embed_side1(self, w: Word) -> Word:
-        return apply(self.transport, self.embed_side0(w))
 
 
 def lens_diagram(p: int, q: int) -> GeometricHeegaardDiagram:
@@ -127,37 +68,23 @@ def lens_diagram(p: int, q: int) -> GeometricHeegaardDiagram:
 def sphere_bundle_sum_diagram(g: int) -> GeometricHeegaardDiagram:
     """Heegaard diagram of the connected sum of g copies of S1 x S2:
     every curve is parallel to the matching a-type letter."""
-    surface = SurfaceModel(g)
-    curves = tuple(Word(surface.rank, (surface.a_letter(i),))
-                   for i in range(1, g + 1))
-    beta = CutSystem(surface, curves, identity_automorphism(surface.rank), "beta")
+    beta = standard_alpha_system(SurfaceModel(g), "beta")
     return GeometricHeegaardDiagram(g, beta, f"#_{g}(S1xS2)", None)
 
 
-def _alpha_curves(ctx: DoubledSurfaceContext) -> tuple[Word, ...]:
-    g = ctx.input_genus
-    return tuple(Word(ctx.rank, (ctx.side0_a(i),)) for i in range(1, g + 1)) + \
-        tuple(Word(ctx.rank, (ctx.side1_a(i),)) for i in range(1, g + 1))
+def _cocore_pairs(surface: SurfaceModel) -> list[tuple[int, int]]:
+    """Letter pairs (a_i, a_{g+i}), then (b_i, b_{g+i}), of the genus-2g
+    surface; the pair (x, y) gives the doubled cocore x y^-1."""
+    if surface.genus % 2 != 0:
+        raise DiagramError("central genus is odd; not a doubled surface")
+    g = surface.genus // 2
+    return [(letter(i), letter(g + i))
+            for letter in (surface.a_letter, surface.b_letter)
+            for i in range(1, g + 1)]
 
 
-def _cocore_curves(ctx: DoubledSurfaceContext) -> tuple[Word, ...]:
-    g = ctx.input_genus
-    return tuple(Word(ctx.rank, (ctx.side0_a(i), -ctx.side1_a(i)))
-                 for i in range(1, g + 1)) + \
-        tuple(Word(ctx.rank, (ctx.side0_b(i), -ctx.side1_b(i)))
-              for i in range(1, g + 1))
-
-
-def _cocore_standardizer(ctx: DoubledSurfaceContext) -> FreeAutomorphism:
-    g = ctx.input_genus
-    images = {}
-    inverse = {}
-    for i in range(1, g + 1):
-        images[ctx.side0_a(i)] = (ctx.side0_a(i), ctx.side1_a(i))
-        inverse[ctx.side0_a(i)] = (ctx.side0_a(i), -ctx.side1_a(i))
-        images[ctx.side0_b(i)] = (ctx.side0_b(i), ctx.side1_b(i))
-        inverse[ctx.side0_b(i)] = (ctx.side0_b(i), -ctx.side1_b(i))
-    return automorphism(ctx.rank, images, inverse)
+def _cocore_curves(surface: SurfaceModel) -> tuple[Word, ...]:
+    return tuple(Word(surface.rank, (x, -y)) for x, y in _cocore_pairs(surface))
 
 
 def _standard_readings(systems: tuple[CutSystem, ...], closed: bool):
@@ -171,31 +98,22 @@ def _standard_readings(systems: tuple[CutSystem, ...], closed: bool):
 
 def bisection_from_heegaard(h: GeometricHeegaardDiagram) -> MultisectionDiagram:
     """The bisection of (punctured 3-manifold) x I, as a bounded diagram
-    with three systems on the doubled surface.
+    with three systems on the genus-2g surface of h # -h.
 
-    System 1 (alpha) is the a-type basis of both sides; system 2 (beta)
-    consists of the doubled cocores a0 a1^-1 and b0 b1^-1; system 3
-    (gamma) carries the input curves on side 0 and their transported
-    mirrors on side 1.  Claimed sector ranks are (g, g) at central genus
-    2g, and the boundary pair presents the double of the input manifold.
+    System 1 (alpha) is the standard a-type basis; system 2 (beta) is the
+    cocores a_i a_{g+i}^-1 and b_i b_{g+i}^-1; system 3 (gamma) is the
+    beta system of h # -h, so the boundary pair (3, 1) is the Heegaard
+    diagram of the double of the input manifold.  Claimed sector ranks
+    are (g, g).
     """
     g = h.genus
-    ctx = DoubledSurfaceContext(g)
-    surface = ctx.surface
-
-    alpha = CutSystem(surface, _alpha_curves(ctx),
-                      identity_automorphism(ctx.rank), "alpha")
-    beta = CutSystem(surface, _cocore_curves(ctx), _cocore_standardizer(ctx), "beta")
-
-    gamma_curves = tuple(ctx.embed_side0(c) for c in h.beta.curves) + \
-        tuple(ctx.embed_side1(c) for c in h.beta.curves)
-    sigma0 = block_automorphism([h.beta.standardizer,
-                                 identity_automorphism(2 * g)])
-    psi = compose(ctx.transport, compose(sigma0, ctx.transport))
-    mirrored_std = {s + 2 * g for s in h.beta.standard_letters}
-    gamma_std = compose(flip_letters(ctx.rank, mirrored_std),
-                        compose(psi, sigma0))
-    gamma = CutSystem(surface, gamma_curves, gamma_std, "gamma")
+    surface = SurfaceModel(2 * g)
+    alpha = standard_alpha_system(surface)
+    pairs = _cocore_pairs(surface)
+    cocore_std = automorphism(surface.rank, {x: (x, y) for x, y in pairs},
+                              {x: (x, -y) for x, y in pairs})
+    beta = CutSystem(surface, _cocore_curves(surface), cocore_std, "beta")
+    gamma = replace(connected_sum(h, mirror(h)).beta, label="gamma")
 
     systems = (alpha, beta, gamma)
     readings = _standard_readings(systems, closed=False)
@@ -239,25 +157,19 @@ def bisection_from_trisection(t: MultisectionDiagram,
                                readings)
 
 
-def _doubled_context(d: MultisectionDiagram) -> DoubledSurfaceContext:
-    if d.surface.genus % 2 != 0:
-        raise DiagramError("central genus is odd; not a doubled surface")
-    return DoubledSurfaceContext(d.surface.genus // 2)
-
-
-def _is_doubled_cocores(system: CutSystem, ctx: DoubledSurfaceContext) -> bool:
-    return system.curves == _cocore_curves(ctx)
+def _is_doubled_cocores(system: CutSystem, surface: SurfaceModel) -> bool:
+    return system.curves == _cocore_curves(surface)
 
 
 def _product_bisection_genus(d: MultisectionDiagram) -> int:
     """Input genus g of a diagram shaped like bisection_from_heegaard
     output (possibly doubled/extended); raises when the shape is absent."""
-    ctx = _doubled_context(d)
-    if d.systems[0].curves != _alpha_curves(ctx):
+    cocores = _cocore_curves(d.surface)  # refuses an odd genus first
+    if d.systems[0].curves != standard_alpha_system(d.surface).curves:
         raise DiagramError("system 1 is not the doubled a-type basis")
-    if not _is_doubled_cocores(d.systems[1], ctx):
+    if d.systems[1].curves != cocores:
         raise DiagramError("system 2 is not the doubled cocore system")
-    return ctx.input_genus
+    return d.surface.genus // 2
 
 
 def _check_invariants(before: MultisectionDiagram, after: MultisectionDiagram,
@@ -312,7 +224,7 @@ def insert_parallel_sectors(d: MultisectionDiagram, position: int,
     if count == 0:
         return d
     base = d.systems[position - 1]
-    if not _is_doubled_cocores(base, _doubled_context(d)):
+    if not _is_doubled_cocores(base, d.surface):
         raise DiagramError(
             f"system {position} is not product-compatible (doubled cocores)")
 
@@ -343,10 +255,6 @@ class GluePlan:
             raise ValueError("need at least one copy")
         if self.cap not in (None, "auto"):
             raise ValueError("cap must be None or 'auto'")
-
-    @property
-    def interface_labels(self) -> tuple[str, ...]:
-        return tuple("H1" if i % 2 == 0 else "H3" for i in range(self.copies - 1))
 
 
 def glue_bisections(plan: GluePlan) -> MultisectionDiagram:

@@ -67,12 +67,6 @@ class SurfaceModel:
             raise ValueError("handle index out of range")
         return 2 * i
 
-    def partner(self, lt: int) -> int:
-        k = abs(lt)
-        if not 1 <= k <= self.rank:
-            raise ValueError("letter out of range")
-        return k + 1 if k % 2 == 1 else k - 1
-
 
 @dataclass(frozen=True)
 class CutSystem:

@@ -57,19 +57,15 @@ class GeneratingTuple:
 def _move(t: tuple, move: str, mul, inv) -> tuple:
     """One elementary move on a tuple over a group given by its product
     ``mul`` and inverse ``inv``."""
-    if move == "swap12":
-        if len(t) < 2:
-            raise ValueError("swap12 needs at least two entries")
+    if move == "swap12" and len(t) >= 2:
         return (t[1], t[0]) + t[2:]
-    if move == "cycle":
+    if move == "cycle" and t:
         return t[1:] + (t[0],)
-    if move == "invert1":
+    if move == "invert1" and t:
         return (inv(t[0]),) + t[1:]
-    if move == "mult12":
-        if len(t) < 2:
-            raise ValueError("mult12 needs at least two entries")
+    if move == "mult12" and len(t) >= 2:
         return (mul(t[0], t[1]),) + t[1:]
-    raise ValueError(f"unknown move {move!r}")
+    raise ValueError(f"move {move!r} does not apply to a tuple of width {len(t)}")
 
 
 def _moves_for(width: int) -> tuple[str, ...]:
@@ -323,13 +319,17 @@ class NielsenCertificate:
         the surjection kills every relator, the images are the tuples'
         evaluations, both have a unit determinant, which proves them (and
         so the map) onto (Z/m)^n, and their determinant classes differ,
-        which no move changes (each has determinant +-1)."""
+        which no move changes (each has determinant +-1).  Malformed data,
+        such as an unknown move or verdict, replays False."""
         if self.verdict == "same_orbit":
             if self.moves is None:
                 return False
             current = self.tuple1
-            for move in self.moves:
-                current = apply_word_move(current, move)
+            try:
+                for move in self.moves:
+                    current = apply_word_move(current, move)
+            except ValueError:
+                return False
             return current == self.tuple2
         if self.verdict == "distinct":
             group = self.quotient
@@ -348,7 +348,7 @@ class NielsenCertificate:
             except ValueError:
                 return False
             return None not in (class1, class2) and class1 != class2
-        return True
+        return self.verdict == "inconclusive"
 
 
 def format_certificate(cert: NielsenCertificate) -> str:
@@ -397,6 +397,10 @@ def distinguish(pres: GroupPresentation, t1: WordTuple, t2: WordTuple,
     for w in (*t1, *t2):
         if w.rank != pres.generator_count:
             raise ValueError("tuple entries must live in the presented group")
+    if pres.generator_count - len(pres.relators) > n:
+        # H1 has free rank above n, so no n-tuple generates it; refused
+        # before simplifying, which allocates per generator
+        raise ValueError("tuple does not generate the abelianization")
 
     simplified = tietze_simplify(pres)
     target = simplified.presentation

@@ -205,14 +205,6 @@ class Word:
             raise ValueError("rank mismatch in word product")
         return Word(self.rank, self.letters + other.letters)
 
-    def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Word(self.rank)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def is_identity(self) -> bool:
         return not self.letters
 
@@ -232,10 +224,6 @@ class Word:
     def shift(self, offset: int, new_rank: int) -> "Word":
         """Re-express the word with all generator indices shifted up."""
         return Word(new_rank, tuple(lt + offset if lt > 0 else lt - offset
-                                    for lt in self.letters))
-
-    def relabeled(self, mapping: Mapping[int, int], new_rank: int) -> "Word":
-        return Word(new_rank, tuple(letter_sign(lt) * mapping[abs(lt)]
                                     for lt in self.letters))
 
 

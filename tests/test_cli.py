@@ -303,6 +303,23 @@ def test_overflowing_sizes_are_input_errors(tmp_path, capsys):
     assert text.startswith("error: ") and text.count("\n") == 1, text
 
 
+def test_distinguish_refuses_free_rank_above_the_width_before_simplifying(
+        tmp_path, monkeypatch, capsys):
+    # H1 = Z^(10^10) has no generating 1-tuple; that is read off the
+    # generator and relator counts, before simplifying would allocate
+    # one image per generator
+    def refuse(pres, *args, **kwargs):
+        raise AssertionError("simplified a presentation of free rank above n")
+
+    monkeypatch.setattr(multisect.nielsen, "tietze_simplify", refuse)
+    pres = tmp_path / "p.txt"
+    pres.write_text("gens 10000000000\n")
+    assert run("distinguish", "--presentation", pres, "--tuple1", "g1",
+               "--tuple2", "g2") == 2
+    assert capsys.readouterr().err == \
+        "error: tuple does not generate the abelianization\n"
+
+
 @pytest.mark.parametrize("buffering", [[], ["-u"]])
 def test_reader_closing_early_exits_2_without_traceback(lens_msd, buffering):
     # the reader is gone before the report is written; the write or the

@@ -1,7 +1,11 @@
+import functools
+import random
+from math import gcd
+
 import pytest
 
 import multisect.constructions
-from multisect.constructions import (DoubledSurfaceContext, GluePlan,
+from multisect.constructions import (GluePlan,
                                      GlueMismatchError, MergeRefusedError,
                                      auto_cap, bisection_from_heegaard,
                                      bisection_from_trisection,
@@ -10,12 +14,16 @@ from multisect.constructions import (DoubledSurfaceContext, GluePlan,
                                      glue_bisections, insert_parallel_sectors,
                                      lens_diagram, merge_adjacent_sectors,
                                      sphere_bundle_sum_diagram)
-from multisect.diagrams import (CutSystem, DiagramError, MultisectionDiagram,
-                                SurfaceModel, connected_sum, pi1_of_diagram,
+from multisect.diagrams import (CutSystem, DiagramError,
+                                GeometricHeegaardDiagram, MultisectionDiagram,
+                                SurfaceModel, connected_sum, mirror,
+                                pi1_of_diagram, stabilize,
                                 standard_alpha_system, validate)
 from multisect.presentations import AbelianInvariants, GroupPresentation, \
     abelianization, verify_free_of_rank
-from multisect.words import Word, apply, automorphism
+from multisect.words import (FreeAutomorphism, Word, apply, automorphism,
+                             block_automorphism, compose, flip_letters,
+                             identity_automorphism, invert_all, relabel)
 
 
 def nsum(h, n):
@@ -74,15 +82,81 @@ def test_sphere_bundle_diagram():
 
 
 # ---------------------------------------------------------------------------
-# doubled surface context
+# the product bisection against a transport-map reference
 
 
-def test_doubled_context_transport():
-    ctx = DoubledSurfaceContext(2)
-    tau = ctx.transport
-    w = Word(8, (2, 2, 1))
-    assert apply(tau, w).letters == (-6, -6, -5)
-    assert apply(tau, apply(tau, w)) == w
+def _transport_alpha_and_gamma(h):
+    """Reference construction of alpha and gamma on the genus-2g surface,
+    independent of mirror and connected_sum.  Side 0 holds letters 1..2g
+    and side 1 holds 2g+1..4g; the transport map tau swaps the sides and
+    inverts every letter.  Gamma carries h's curves on side 0 and their
+    transports on side 1, standardized by sigma0 = (h's standardizer on
+    side 0), then tau sigma0 tau, then a sign fix of the side-1 standard
+    letters."""
+    g, half = h.genus, 2 * h.genus
+    rank = 2 * half
+    surface = SurfaceModel(half)
+    swap = {k: k + half for k in range(1, half + 1)}
+    swap.update({k + half: k for k in range(1, half + 1)})
+    tau = compose(invert_all(rank), relabel(rank, swap))
+    assert all(apply(tau, img) == Word(rank, (k,))
+               for k, img in enumerate(tau.images, 1))
+    alpha_curves = tuple(Word(rank, (2 * i - 1,)) for i in range(1, g + 1)) + \
+        tuple(Word(rank, (half + 2 * i - 1,)) for i in range(1, g + 1))
+    alpha = CutSystem(surface, alpha_curves, identity_automorphism(rank), "alpha")
+    side0 = tuple(Word(rank, c.letters) for c in h.beta.curves)
+    sigma0 = block_automorphism([h.beta.standardizer, identity_automorphism(half)])
+    psi = compose(tau, compose(sigma0, tau))
+    flip = flip_letters(rank, {s + half for s in h.beta.standard_letters})
+    gamma = CutSystem(surface, side0 + tuple(apply(tau, c) for c in side0),
+                      compose(flip, compose(psi, sigma0)), "gamma")
+    return alpha, gamma
+
+
+def _reference_inputs():
+    """lens(p, q) for coprime p, q <= 13; random sums of one to four lens
+    spaces, some mirrored or stabilized; sums of S1 x S2 from genus 0;
+    and diagrams whose standardizer has no tracked inverse."""
+    lenses = {(p, q): lens_diagram(p, q) for p in range(1, 14)
+              for q in range(1, 14) if gcd(p, q) == 1}
+    inputs = list(lenses.values())
+    rng = random.Random(13)
+    for _ in range(60):
+        summands = []
+        for _ in range(rng.randint(1, 4)):
+            h = lenses[rng.choice(sorted(lenses))]
+            if rng.random() < 0.3:
+                h = mirror(h)
+            if rng.random() < 0.2:
+                h = stabilize(h)
+            summands.append(h)
+        inputs.append(functools.reduce(connected_sum, summands))
+    inputs += [sphere_bundle_sum_diagram(g) for g in range(5)]
+    for h in (lenses[(5, 2)], connected_sum(lenses[(7, 3)], lenses[(2, 1)])):
+        untracked = FreeAutomorphism(h.surface.rank, h.beta.standardizer.images)
+        inputs.append(GeometricHeegaardDiagram(
+            h.genus, CutSystem(h.surface, h.beta.curves, untracked, "beta")))
+    return inputs
+
+
+def test_bisection_matches_transport_reference():
+    inputs = _reference_inputs()
+    assert len(inputs) == 182
+    for h in inputs:
+        alpha, gamma = _transport_alpha_and_gamma(h)
+        d = bisection_from_heegaard(h)
+        # dataclass equality: curves, standardizer images and inverse
+        # images, letter for letter
+        assert d.systems[0] == alpha and d.systems[2] == gamma, h.name
+        tracked = h.beta.standardizer.inverse_images is not None
+        assert (d.systems[2].standardizer.inverse_images is not None) == tracked
+
+
+def test_bisection_gamma_side1_is_the_letterwise_inverse_shifted():
+    h = connected_sum(lens_diagram(2, 1), lens_diagram(3, 1))
+    gamma = bisection_from_heegaard(h).systems[2]
+    assert gamma.curves[0].letters == (2, 2, 1)
+    assert gamma.curves[2].letters == (-6, -6, -5)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +202,6 @@ def test_bisection_sphere_bundle():
 def test_bisection_requires_standardizer():
     surf = SurfaceModel(1)
     bare = CutSystem(surf, (Word(2, (2, 2, 1)),), None, "beta")
-    from multisect.diagrams import GeometricHeegaardDiagram
     with pytest.raises(DiagramError):
         GeometricHeegaardDiagram(1, bare)
 
@@ -277,6 +350,31 @@ def test_insert_rejects_non_product_system(lens21_bisection):
         insert_parallel_sectors(d4, 3, 1)
 
 
+def test_product_shape_errors_name_the_fault(lens21_bisection):
+    def bounded(surface, *systems):
+        return MultisectionDiagram(surface, systems, False, (1, 1))
+
+    surf = SurfaceModel(1)
+    odd = bounded(surf, standard_alpha_system(surf), lens_diagram(2, 1).beta,
+                  standard_alpha_system(surf, "gamma"))
+    for build in (double_bisection, lambda d: insert_parallel_sectors(d, 2, 1)):
+        with pytest.raises(DiagramError,
+                           match="^central genus is odd; not a doubled surface$"):
+            build(odd)
+    alpha, beta, gamma = lens21_bisection.systems
+    surface = lens21_bisection.surface
+    with pytest.raises(DiagramError,
+                       match="^system 1 is not the doubled a-type basis$"):
+        double_bisection(bounded(surface, beta, alpha, gamma))
+    shuffled = bounded(surface, alpha, gamma, beta)
+    with pytest.raises(DiagramError,
+                       match="^system 2 is not the doubled cocore system$"):
+        double_bisection(shuffled)
+    with pytest.raises(DiagramError, match=r"^system 2 is not product-compatible "
+                                           r"\(doubled cocores\)$"):
+        insert_parallel_sectors(shuffled, 2, 1)
+
+
 def test_insert_then_merge_recovers(lens21_bisection):
     d4 = double_bisection(lens21_bisection)
     d5 = insert_parallel_sectors(d4, 2, 1)
@@ -305,7 +403,6 @@ def test_glue_chain_odd():
     assert chain.claimed_types == (1,) * 6
     assert validate(chain).ok
     assert boundary_invariants(chain) == AbelianInvariants(0, (2, 2))
-    assert plan.interface_labels == ("H1", "H3")
 
 
 def test_cap_off_even_chain():

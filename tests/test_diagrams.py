@@ -22,7 +22,6 @@ def test_surface_model():
     assert surf.rank == 4
     assert surf.a_letter(1) == 1 and surf.b_letter(1) == 2
     assert surf.a_letter(2) == 3 and surf.b_letter(2) == 4
-    assert surf.partner(1) == 2 and surf.partner(4) == 3
     with pytest.raises(ValueError):
         SurfaceModel(-1)
 

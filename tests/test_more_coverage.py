@@ -69,13 +69,9 @@ def test_round_trips_for_every_pipeline_stage(lens21_bisection):
         assert format_diagram(parse_diagram(text)) == text
 
 
-def test_word_power_and_shift():
+def test_word_shift():
     w = Word(2, (1, 2))
-    assert (w ** 3).letters == (1, 2, 1, 2, 1, 2)
-    assert (w ** 0).is_identity()
-    assert (w ** -2) == (w.inverse()) ** 2
     assert w.shift(2, 4).letters == (3, 4)
-    assert Word(2, (1, -2)).relabeled({1: 2, 2: 1}, 2).letters == (2, -1)
 
 
 def test_tietze_trace_names_eliminated_generators_by_original_id():

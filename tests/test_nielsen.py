@@ -392,6 +392,37 @@ def test_certificate_replay_rejects_tampering():
     assert not tampered.replay()
 
 
+def _free_pair():
+    return GroupPresentation(2, ()), (Word(2, (1,)), Word(2, (2,)))
+
+
+@pytest.mark.parametrize("move", ["bogus", "conj", "conj g9"])
+def test_same_orbit_replay_of_a_malformed_move_is_false(move):
+    p, t = _free_pair()
+    assert not NielsenCertificate("same_orbit", p, t, t, moves=(move,)).replay()
+
+
+def test_same_orbit_replay_of_a_move_too_wide_for_the_tuple_is_false():
+    p, t = _free_pair()
+    assert not NielsenCertificate("same_orbit", p, t[:1], t[:1],
+                                  moves=("swap12",)).replay()
+    assert not NielsenCertificate("same_orbit", p, (), (), moves=("cycle",)).replay()
+
+
+def test_replay_of_an_unknown_verdict_is_false():
+    p, t = _free_pair()
+    assert not NielsenCertificate("bogus", p, t, t).replay()
+    assert NielsenCertificate("inconclusive", p, t, t).replay()
+
+
+def test_distinguish_refuses_free_rank_above_the_tuple_width():
+    # three generators, no relators: H1 = Z^3 has no generating pair
+    p = GroupPresentation(3, ())
+    t = (Word(3, (1,)), Word(3, (2,)))
+    with pytest.raises(ValueError, match="tuple does not generate the abelianization"):
+        distinguish(p, t, t)
+
+
 def test_randomized_certificate_soundness():
     rng = random.Random(99)
     groups = [FiniteAbelianGroup((5,)), FiniteAbelianGroup((7,)),
