@@ -13,17 +13,15 @@ from .presentations import (AbelianInvariants, GroupPresentation, SectorVerdict,
                             enumerate_finite_abelian_quotients, format_presentation,
                             parse_presentation, tietze_simplify, verify_free_of_rank)
 from .words import (FreeAutomorphism, Word, apply, canonical_cyclic, compose,
-                    cyclic_reduce, format_word, free_reduce, identity_automorphism,
-                    invert, letter_inverse, parse_word)
+                    format_word, identity_automorphism, parse_word)
 from .diagrams import (CutSystem, DiagramError, FormatError,
                        GeometricHeegaardDiagram, MultisectionDiagram, SurfaceModel,
                        ValidationReport, connected_sum, express_against,
                        format_diagram, format_heegaard, mirror, parse_diagram,
                        parse_heegaard, pi1_of_diagram, presentation_of_pair,
                        read_against, stabilize, validate)
-from .constructions import (GluePlan, GlueMismatchError, MergeRefusedError,
-                            auto_cap, bisection_from_heegaard,
-                            bisection_from_trisection, boundary_invariants,
+from .constructions import (GlueMismatchError, MergeRefusedError, auto_cap,
+                            bisection_from_heegaard, bisection_from_trisection,
                             cap_off, double_bisection, genus_bound_report,
                             glue_bisections, insert_parallel_sectors,
                             lens_diagram, merge_adjacent_sectors,

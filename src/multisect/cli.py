@@ -156,11 +156,10 @@ def cmd_construct(args) -> int:
         return _emit_diagram(
             args, cons.insert_parallel_sectors(d, args.position, args.count))
     if verb == "glue":
-        plan = cons.GluePlan(_load_heegaard(args), args.copies,
-                             None if args.cap == "none" else args.cap)
-        chain = cons.glue_bisections(plan)
-        if plan.cap == "auto":
-            chain = cons.cap_off(chain, cons.auto_cap(plan))
+        h = _load_heegaard(args)
+        chain = cons.glue_bisections(h, args.copies)
+        if args.cap == "auto":
+            chain = cons.cap_off(chain, cons.auto_cap(h, args.copies))
         return _emit_diagram(args, chain)
     if verb == "merge":
         d = _load_diagram(args)
@@ -243,7 +242,7 @@ def cmd_homology(args) -> int:
     _invariant_fields(report, tietze_simplify(pi1_of_diagram(d)).invariants)
     if not d.closed:
         report.section("boundary-invariants")
-        _invariant_fields(report, cons.boundary_invariants(d))
+        _invariant_fields(report, d.boundary_invariants)
     _write_text(args.output, report.render())
     return 0
 

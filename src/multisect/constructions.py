@@ -11,14 +11,14 @@ h # -h, so the boundary pair (gamma, alpha) is the double of h's manifold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import reduce
 from math import gcd
 
 from .diagrams import (CutSystem, DiagramError, GeometricHeegaardDiagram,
                        MultisectionDiagram, SurfaceModel, adjacent_pairs,
-                       boundary_invariants, connected_sum, mirror,
-                       pi1_of_diagram, read_system, standard_alpha_system)
+                       connected_sum, mirror, pi1_of_diagram, read_system,
+                       standard_alpha_system)
 from .presentations import GroupPresentation, abelianization, tietze_simplify
 from .words import (Word, automorphism, compose, format_word,
                     identity_automorphism)
@@ -241,38 +241,26 @@ def insert_parallel_sectors(d: MultisectionDiagram, position: int,
     return out
 
 
-@dataclass(frozen=True)
-class GluePlan:
-    """m copies of one product bisection, glued end to end along
-    alternating boundary handlebodies, starting with the a-type side."""
-
-    base: GeometricHeegaardDiagram
-    copies: int
-    cap: str | None = None  # None for a bounded result, "auto" to cap off
-
-    def __post_init__(self):
-        if self.copies < 1:
-            raise ValueError("need at least one copy")
-        if self.cap not in (None, "auto"):
-            raise ValueError("cap must be None or 'auto'")
-
-
-def glue_bisections(plan: GluePlan) -> MultisectionDiagram:
-    """Bounded diagram of the chain of plan.copies product bisections.
+def glue_bisections(base: GeometricHeegaardDiagram,
+                    copies: int) -> MultisectionDiagram:
+    """Bounded diagram of the chain of ``copies`` product bisections of
+    ``base``, glued end to end along alternating boundary handlebodies,
+    starting with the a-type side.
 
     Consecutive copies share their a-type interface, then their mirror
     interface, alternating; the shared system appears once.  The result
-    has 2m sectors of rank g on the same genus-2g surface.
+    has 2 * copies sectors of rank g on the same genus-2g surface.
     """
-    b = bisection_from_heegaard(plan.base)
-    g = plan.base.genus
+    if copies < 1:
+        raise ValueError("need at least one copy")
+    b = bisection_from_heegaard(base)
+    g = base.genus
     alpha, beta, gamma = b.systems
-    m = plan.copies
 
     systems = [replace(gamma, label="gamma_1"), replace(beta, label="beta_1"),
                replace(alpha, label="alpha_1")]
     gamma_count, alpha_count = 1, 1
-    for i in range(2, m + 1):
+    for i in range(2, copies + 1):
         systems.append(replace(beta, label=f"beta_{i}"))
         if i % 2 == 0:
             gamma_count += 1
@@ -281,7 +269,7 @@ def glue_bisections(plan: GluePlan) -> MultisectionDiagram:
             alpha_count += 1
             systems.append(replace(alpha, label=f"alpha_{alpha_count}"))
     systems = tuple(systems)
-    types = (g,) * (2 * m)
+    types = (g,) * (2 * copies)
     readings = _standard_readings(systems, closed=False)
     out = MultisectionDiagram(b.surface, systems, False, types, readings)
     # system 1 is gamma here, not alpha, so the pi1 relators are read
@@ -290,12 +278,13 @@ def glue_bisections(plan: GluePlan) -> MultisectionDiagram:
     return out
 
 
-def auto_cap(plan: GluePlan) -> MultisectionDiagram:
-    """The capping bisection for a glued chain: another copy for an odd
-    chain, the trivial-bundle bisection for an even one."""
-    if plan.copies % 2 == 1:
-        return bisection_from_heegaard(plan.base)
-    return bisection_from_heegaard(sphere_bundle_sum_diagram(plan.base.genus))
+def auto_cap(base: GeometricHeegaardDiagram, copies: int) -> MultisectionDiagram:
+    """The capping bisection for a glued chain of ``copies`` bisections of
+    ``base``: another copy for an odd chain, the trivial-bundle bisection
+    for an even one."""
+    if copies % 2 == 1:
+        return bisection_from_heegaard(base)
+    return bisection_from_heegaard(sphere_bundle_sum_diagram(base.genus))
 
 
 def cap_off(d1: MultisectionDiagram, d2: MultisectionDiagram) -> MultisectionDiagram:
@@ -309,8 +298,8 @@ def cap_off(d1: MultisectionDiagram, d2: MultisectionDiagram) -> MultisectionDia
         raise DiagramError("the cap must have exactly three systems")
     if d1.surface != d2.surface:
         raise DiagramError("central surfaces differ")
-    left = boundary_invariants(d1)
-    right = boundary_invariants(d2)
+    left = d1.boundary_invariants
+    right = d2.boundary_invariants
     if left != right:
         raise GlueMismatchError(
             f"boundary mismatch: {left.describe()} vs {right.describe()}",
@@ -387,7 +376,7 @@ def genus_bound_report(d: MultisectionDiagram) -> dict[str, object]:
     4-manifold with the same boundary: the boundary's first homology
     needs at least as many generators as the central genus provides.
     This is a bound, not a Heegaard-genus computation."""
-    inv = boundary_invariants(d)
+    inv = d.boundary_invariants
     bound = inv.minimal_generators
     return {
         "boundary_h1_rank": bound,

@@ -20,7 +20,7 @@ system j against system i.  A bounded diagram stores its boundary pair as
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .matrices import IntegerMatrix, smith_normal_form
@@ -243,15 +243,12 @@ def mirror(h: GeometricHeegaardDiagram) -> GeometricHeegaardDiagram:
 
 
 def stabilize(h: GeometricHeegaardDiagram) -> GeometricHeegaardDiagram:
-    """Add a trivial handle: one new curve parallel to the new b-type
-    letter, so the new dual generator acquires a killing relator."""
-    g = h.genus + 1
-    surface = SurfaceModel(g)
-    std = block_automorphism([h.beta.standardizer, identity_automorphism(2)])
-    curves = tuple(Word(surface.rank, c.letters) for c in h.beta.curves)
-    curves = curves + (Word(surface.rank, (surface.b_letter(g),)),)
-    beta = CutSystem(surface, curves, std, "beta")
-    return GeometricHeegaardDiagram(g, beta, h.name, h.params)
+    """Add a trivial handle: the connected sum with the genus-1 diagram
+    of S3 whose curve is the b-type letter, so the new dual generator
+    acquires a killing relator.  Name and parameters are kept."""
+    beta = CutSystem(SurfaceModel(1), (Word(2, (2,)),), identity_automorphism(2), "beta")
+    sphere = GeometricHeegaardDiagram(1, beta)
+    return replace(connected_sum(h, sphere), params=h.params)
 
 
 Pair = tuple[int, int]
@@ -424,15 +421,8 @@ def validate(d: MultisectionDiagram,
         verdict = _pair_verdict(d, pair[0], pair[1], claimed, budget)
         entries.append((pair, claimed, verdict))
     pair = d.boundary_pair()
-    boundary = None if pair is None else (pair, boundary_invariants(d))
+    boundary = None if pair is None else (pair, d.boundary_invariants)
     return ValidationReport(tuple(entries), boundary)
-
-
-def boundary_invariants(d: MultisectionDiagram) -> AbelianInvariants:
-    """Abelian invariants of the boundary pair presentation of a bounded
-    diagram (``MultisectionDiagram.boundary_invariants``, shared by every
-    caller on the same diagram)."""
-    return d.boundary_invariants
 
 
 # ---------------------------------------------------------------------------

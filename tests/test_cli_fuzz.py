@@ -2,9 +2,12 @@
 presentation files, run through every verb that reads them, exit 0, 1,
 2, 10 or 20.  Exit 3 is kept for a failed internal self-check, a defect
 of this program that no input may bring about, and no exception escapes
-``main``."""
+``main``.  Random command lines may also end in argparse's own exits,
+``SystemExit`` 2 for a usage error and 0 for ``--help``."""
 
 import shlex
+import sys
+from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 
@@ -97,3 +100,104 @@ def test_edited_inputs_exit_with_a_documented_code(tmp_path_factory, edited):
     for verb in verbs:
         argv = [arg.format(**paths) for arg in shlex.split(verb)]
         assert main(argv) in (0, 1, 2, 10, 20), (verb, text)
+
+
+# ---------------------------------------------------------------------------
+# random argv: a verb, flags mostly of that verb, and values that it
+# accepts or refuses, including integers too large for any index and
+# files that are not UTF-8 or not files.  Every file named exists under a
+# fresh directory; '-' is never an input and every verb that reads -i
+# gets one, so nothing reads stdin.  The flags that size the work (--p,
+# --q, --copies, --times, --count, --budget) take small values only: a
+# value of 10**30 there asks for that much work, by design.
+
+# each verb's own flags, the required ones first
+_VERBS = {
+    "construct lens": (2, "--p", "--q", "-o"),
+    "construct sum": (0, "--copies", "-o"),
+    "construct mirror": (0, "-o"),
+    "construct stabilize": (0, "--times", "-o"),
+    "construct bisect": (0, "-o"),
+    "construct trisect-restrict": (1, "--drop", "-o"),
+    "construct double": (0, "-o"),
+    "construct insert": (1, "--count", "--position", "-o"),
+    "construct glue": (1, "--copies", "--cap", "-o"),
+    "construct merge": (1, "--interface", "-o"),
+    "validate": (0, "--budget", "-o"),
+    "pi1": (0, "--budget", "-o"),
+    "homology": (0, "-o"),
+    "distinguish": (0, "--presentation", "--tuple1", "--tuple2", "--diagram",
+                    "--diagram2", "--sector", "--sector2", "--flip", "--bound", "-o"),
+    "render": (0, "--svg", "--size"),
+    "construct": (0,), "frobnicate": (0,), "": (0,),
+}
+_READS_INPUT = {verb for verb in _VERBS if verb.startswith("construct ")
+                and verb != "construct lens"} | {"validate", "pi1", "homology", "render"}
+_FILES = ("hd", "msd", "presentation", "latin1", "directory")
+# (values a verb accepts, values it refuses); a value is drawn from the
+# first half of the time, so that many argvs get past argparse
+_SMALL = (("1", "2", "3"), ("-1", "0", "x", "1.5", "", "0x10"))
+_LARGE = (_SMALL[0], _SMALL[1] + (str(2 ** 64 + 1), str(10 ** 30), "9" * 5000))
+_INPUT = (("hd", "msd", "presentation"), ("latin1", "directory"))
+_TUPLES = (("g1, g2", "g1, g2 g2", "g1, g1 g2 g1^-1"),
+           ("g1", "", "1, 1", "g3", "g1,,g2", "g1^-1 g1, g2"))
+_FLAGS = {
+    **{flag: _SMALL for flag in ("--p", "--q", "--copies", "--times", "--count",
+                                 "--budget")},
+    **{flag: _LARGE for flag in ("--drop", "--position", "--interface", "--sector",
+                                 "--sector2", "--bound", "--size")},
+    **{flag: _INPUT for flag in ("-i", "--input", "--presentation", "--diagram",
+                                 "--diagram2")},
+    **{flag: (("out", "-"), ("directory",)) for flag in ("-o", "--output", "--svg")},
+    "--cap": (("auto", "none"), ("x",)), "--tuple1": _TUPLES, "--tuple2": _TUPLES,
+    "--flip": None, "--help": None,
+}
+
+
+@st.composite
+def _value(draw, values):
+    accepted, refused = values
+    return draw(st.sampled_from(accepted) | st.sampled_from(accepted + refused))
+
+
+@st.composite
+def _argv(draw):
+    """A verb with its required flags, some of its own flags and, one
+    time in four, a flag of any verb, each with a drawn value, then -i
+    and a file for a verb that reads its input."""
+    verb = draw(st.sampled_from(sorted(_VERBS)))
+    required, *own = _VERBS[verb]
+    flags = own[:required] + draw(st.lists(st.sampled_from(own), max_size=4)) \
+        if own else []
+    if draw(st.sampled_from((False, False, False, True))):
+        flags.append(draw(st.sampled_from(sorted(_FLAGS))))
+    argv = verb.split()
+    for flag in flags:
+        argv.append(flag)
+        if _FLAGS[flag] is not None:
+            argv.append(draw(_value(_FLAGS[flag])))
+    if verb in _READS_INPUT:
+        # argparse keeps the last -i, so the input is always a file
+        argv += ["-i", draw(_value(_INPUT))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_random_argv_exits_with_a_documented_code(tmp_path_factory, argv):
+    work = tmp_path_factory.mktemp("cli-argv")
+    paths = {name: str(work / name) for name in (*_FILES, "out")}
+    (work / "hd").write_text(_HD)
+    (work / "msd").write_text(_MSDS[0])
+    (work / "presentation").write_text(PRESENTATION)
+    (work / "latin1").write_bytes("gens 1\ng1 \xe9\n".encode("latin-1"))
+    (work / "directory").mkdir()
+    argv = [paths.get(arg, arg) for arg in argv]
+    try:
+        # no stdin: a verb that read it would raise AttributeError here
+        with patch.object(sys, "stdin", None):
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code in (0, 2), argv
+    else:
+        assert code in (0, 1, 2, 10, 20), argv

@@ -5,19 +5,17 @@ from math import gcd
 import pytest
 
 import multisect.constructions
-from multisect.constructions import (GluePlan,
-                                     GlueMismatchError, MergeRefusedError,
+from multisect.constructions import (GlueMismatchError, MergeRefusedError,
                                      auto_cap, bisection_from_heegaard,
-                                     bisection_from_trisection,
-                                     boundary_invariants, cap_off,
+                                     bisection_from_trisection, cap_off,
                                      double_bisection, genus_bound_report,
                                      glue_bisections, insert_parallel_sectors,
                                      lens_diagram, merge_adjacent_sectors,
                                      sphere_bundle_sum_diagram)
 from multisect.diagrams import (CutSystem, DiagramError,
                                 GeometricHeegaardDiagram, MultisectionDiagram,
-                                SurfaceModel, connected_sum, mirror,
-                                pi1_of_diagram, stabilize,
+                                SurfaceModel, connected_sum, format_heegaard,
+                                mirror, pi1_of_diagram, stabilize,
                                 standard_alpha_system, validate)
 from multisect.presentations import AbelianInvariants, GroupPresentation, \
     abelianization, verify_free_of_rank
@@ -159,6 +157,40 @@ def test_bisection_gamma_side1_is_the_letterwise_inverse_shifted():
     assert gamma.curves[2].letters == (-6, -6, -5)
 
 
+def _block_stabilize(h):
+    """Reference stabilization, independent of connected_sum: h's
+    standardizer and the identity on the new handle as blocks, h's curves
+    kept and the new b-type letter b_{g+1} added as a curve."""
+    g = h.genus + 1
+    surface = SurfaceModel(g)
+    std = block_automorphism([h.beta.standardizer, identity_automorphism(2)])
+    curves = tuple(Word(surface.rank, c.letters) for c in h.beta.curves)
+    curves += (Word(surface.rank, (surface.b_letter(g),)),)
+    beta = CutSystem(surface, curves, std, "beta")
+    return GeometricHeegaardDiagram(g, beta, h.name, h.params)
+
+
+def test_stabilize_matches_block_reference():
+    lenses = {(p, q): lens_diagram(p, q) for p in range(1, 14)
+              for q in range(1, 14) if gcd(p, q) == 1}
+    inputs = list(lenses.values())
+    inputs += [mirror(lenses[(5, 2)]),
+               connected_sum(lenses[(7, 3)], mirror(lenses[(2, 1)])),
+               _block_stabilize(lenses[(3, 2)])]
+    inputs += [sphere_bundle_sum_diagram(g) for g in range(4)]
+    h = lenses[(5, 2)]
+    untracked = FreeAutomorphism(h.surface.rank, h.beta.standardizer.images)
+    inputs.append(GeometricHeegaardDiagram(
+        h.genus, CutSystem(h.surface, h.beta.curves, untracked, "beta"), h.name, h.params))
+    assert len(inputs) == 123
+    for h in inputs:
+        ours, reference = stabilize(h), _block_stabilize(h)
+        assert ours == reference, h.name
+        assert format_heegaard(ours) == format_heegaard(reference), h.name
+    assert stabilize(inputs[-1]).beta.standardizer.inverse_images is None
+    assert _block_stabilize(inputs[-1]).beta.standardizer.inverse_images is None
+
+
 # ---------------------------------------------------------------------------
 # product bisections
 
@@ -227,7 +259,7 @@ def test_trisection_restriction():
     assert [s.label for s in restricted.systems] == ["alpha", "beta", "gamma"]
     assert restricted.claimed_types == (0, 0)
     assert validate(restricted).ok
-    assert boundary_invariants(restricted) == AbelianInvariants(0, ())
+    assert restricted.boundary_invariants == AbelianInvariants(0, ())
 
     drop1 = bisection_from_trisection(tri, 1)
     assert [s.label for s in drop1.systems] == ["beta", "gamma", "alpha"]
@@ -387,28 +419,33 @@ def test_insert_then_merge_recovers(lens21_bisection):
 
 
 def test_glue_chain_even():
-    plan = GluePlan(lens_diagram(2, 1), 2)
-    chain = glue_bisections(plan)
+    h = lens_diagram(2, 1)
+    chain = glue_bisections(h, 2)
     assert len(chain.systems) == 5
     assert chain.claimed_types == (1, 1, 1, 1)
     assert validate(chain).ok
-    assert boundary_invariants(chain) == AbelianInvariants(2, ())
+    assert chain.boundary_invariants == AbelianInvariants(2, ())
     assert pi1_invariants(chain) == AbelianInvariants(0, (2,))
 
 
 def test_glue_chain_odd():
-    plan = GluePlan(lens_diagram(2, 1), 3)
-    chain = glue_bisections(plan)
+    h = lens_diagram(2, 1)
+    chain = glue_bisections(h, 3)
     assert len(chain.systems) == 7
     assert chain.claimed_types == (1,) * 6
     assert validate(chain).ok
-    assert boundary_invariants(chain) == AbelianInvariants(0, (2, 2))
+    assert chain.boundary_invariants == AbelianInvariants(0, (2, 2))
+
+
+def test_glue_needs_a_copy():
+    with pytest.raises(ValueError, match="need at least one copy"):
+        glue_bisections(lens_diagram(2, 1), 0)
 
 
 def test_cap_off_even_chain():
-    plan = GluePlan(lens_diagram(2, 1), 2)
-    chain = glue_bisections(plan)
-    closed = cap_off(chain, auto_cap(plan))
+    h = lens_diagram(2, 1)
+    chain = glue_bisections(h, 2)
+    closed = cap_off(chain, auto_cap(h, 2))
     assert closed.closed
     assert len(closed.systems) == 6
     assert closed.claimed_types == (1,) * 6
@@ -417,9 +454,9 @@ def test_cap_off_even_chain():
 
 
 def test_cap_off_single_copy_matches_double(lens21_bisection):
-    plan = GluePlan(lens_diagram(2, 1), 1)
-    chain = glue_bisections(plan)
-    closed = cap_off(chain, auto_cap(plan))
+    h = lens_diagram(2, 1)
+    chain = glue_bisections(h, 1)
+    closed = cap_off(chain, auto_cap(h, 1))
     d4 = double_bisection(lens21_bisection)
     seq = [tuple(c.letters for c in s.curves) for s in closed.systems]
     target = [tuple(c.letters for c in s.curves) for s in d4.systems]
@@ -428,8 +465,8 @@ def test_cap_off_single_copy_matches_double(lens21_bisection):
 
 
 def test_cap_off_mismatch_refused():
-    plan = GluePlan(lens_diagram(2, 1), 1)
-    chain = glue_bisections(plan)
+    h = lens_diagram(2, 1)
+    chain = glue_bisections(h, 1)
     wrong_cap = bisection_from_heegaard(lens_diagram(3, 1))
     with pytest.raises(GlueMismatchError) as exc:
         cap_off(chain, wrong_cap)
@@ -438,8 +475,8 @@ def test_cap_off_mismatch_refused():
 
 
 def test_merge_capped_chain_to_odd_sector_count():
-    plan = GluePlan(lens_diagram(2, 1), 2)
-    closed = cap_off(glue_bisections(plan), auto_cap(plan))
+    h = lens_diagram(2, 1)
+    closed = cap_off(glue_bisections(h, 2), auto_cap(h, 2))
     merged = merge_adjacent_sectors(closed, 3)
     assert len(merged.systems) == 5
     assert merged.claimed_types == (1, 2, 1, 1, 1)
@@ -447,8 +484,8 @@ def test_merge_capped_chain_to_odd_sector_count():
 
 
 def test_merge_refuses_non_parallel_interface(lens21_bisection):
-    plan = GluePlan(lens_diagram(2, 1), 2)
-    closed = cap_off(glue_bisections(plan), auto_cap(plan))
+    h = lens_diagram(2, 1)
+    closed = cap_off(glue_bisections(h, 2), auto_cap(h, 2))
     for interface in (1, 2, 4, 5, 6):
         with pytest.raises(MergeRefusedError):
             merge_adjacent_sectors(closed, interface)
@@ -479,10 +516,9 @@ def test_genus_bookkeeping(p, q):
     d5 = insert_parallel_sectors(d4, 2, 1)
     assert len(d5.systems) == 5
     for m in (1, 2):
-        plan = GluePlan(h, m)
-        chain = glue_bisections(plan)
+        chain = glue_bisections(h, m)
         assert chain.sector_count == 2 * m
-        closed = cap_off(chain, auto_cap(plan))
+        closed = cap_off(chain, auto_cap(h, m))
         assert closed.sector_count == 2 * m + 2
         assert merge_adjacent_sectors(closed, 3).sector_count == 2 * m + 1
 
@@ -496,10 +532,9 @@ def test_pi1_preserved_along_pipeline():
         d4 = double_bisection(b)
         assert pi1_invariants(d4) == expected
         assert pi1_invariants(insert_parallel_sectors(d4, 2, 2)) == expected
-        plan = GluePlan(h, 2)
-        chain = glue_bisections(plan)
+        chain = glue_bisections(h, 2)
         assert pi1_invariants(chain) == expected
-        assert pi1_invariants(cap_off(chain, auto_cap(plan))) == expected
+        assert pi1_invariants(cap_off(chain, auto_cap(h, 2))) == expected
 
 
 def test_simplified_presentations_match_along_pipeline():
@@ -518,7 +553,6 @@ def test_simplified_presentations_match_along_pipeline():
     d4 = double_bisection(b)
     assert simplified_shape(d4) == shape
     assert simplified_shape(insert_parallel_sectors(d4, 2, 1)) == shape
-    plan = GluePlan(h, 2)
-    chain = glue_bisections(plan)
+    chain = glue_bisections(h, 2)
     assert simplified_shape(chain) == shape
-    assert simplified_shape(cap_off(chain, auto_cap(plan))) == shape
+    assert simplified_shape(cap_off(chain, auto_cap(h, 2))) == shape

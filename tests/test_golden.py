@@ -94,6 +94,10 @@ def _run_pipeline(tmp_path, monkeypatch, inputs, pipeline, expected):
 
 def test_pipeline_outputs_match_recorded_digests(tmp_path, monkeypatch):
     _run_pipeline(tmp_path, monkeypatch, {"p.txt": PRESENTATION}, PIPELINE, DIGESTS)
+    # every same_orbit certificate's moves replay under the strict move parser
+    certs = [(tmp_path / name).read_text() for name in DIGESTS if name.endswith(".cert")]
+    same = [text for text in certs if "\nverdict: same_orbit\n" in text]
+    assert same and all("\nreplay-verified: true\n" in text for text in same)
 
 
 def test_standardizer_without_inverse_matches_recorded_digests(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import multisect
 from multisect.cli import main
-from multisect.constructions import (GluePlan, auto_cap, bisection_from_heegaard,
+from multisect.constructions import (auto_cap, bisection_from_heegaard,
                                      cap_off, double_bisection, glue_bisections,
                                      insert_parallel_sectors, lens_diagram,
                                      merge_adjacent_sectors)
@@ -28,8 +28,8 @@ def test_reading_own_curves_vanishes_for_all_systems(lens21_bisection):
 
 
 def test_merge_at_cyclic_edge_index(lens21_bisection):
-    plan = GluePlan(lens_diagram(2, 1), 1)
-    closed = cap_off(glue_bisections(plan), auto_cap(plan))
+    h = lens_diagram(2, 1)
+    closed = cap_off(glue_bisections(h, 1), auto_cap(h, 1))
     # rotate by hand so the removable interface sits at position 1
     systems = closed.systems[2:] + closed.systems[:2]
     types = closed.claimed_types[2:] + closed.claimed_types[:2]
@@ -52,9 +52,9 @@ def test_insert_into_bounded_bisection(lens21_bisection):
 
 
 def test_round_trips_for_every_pipeline_stage(lens21_bisection):
-    plan = GluePlan(lens_diagram(2, 1), 2)
-    chain = glue_bisections(plan)
-    closed = cap_off(chain, auto_cap(plan))
+    h = lens_diagram(2, 1)
+    chain = glue_bisections(h, 2)
+    closed = cap_off(chain, auto_cap(h, 2))
     stages = [
         lens21_bisection,
         double_bisection(lens21_bisection),

@@ -21,7 +21,7 @@ from multisect.nielsen import (GeneratingTuple, NielsenCertificate, _moves_for,
                                nielsen_move, orbit_enumerate, spine_tuple)
 from multisect.presentations import (GroupPresentation, abelianization,
                                      enumerate_finite_abelian_quotients)
-from multisect.words import Word, identity_automorphism
+from multisect.words import Word, identity_automorphism, parse_word
 
 
 def z(n, *factors):
@@ -161,6 +161,7 @@ def test_free_tuple_moves_and_search():
     t = (Word(2, (1,)), Word(2, (2,)))
     assert apply_word_move(t, "mult12")[0].letters == (1, 2)
     assert apply_word_move(t, "conj g1")[1].letters == (1, 2, -1)
+    assert apply_word_move(t, "conj g2^-1")[0].letters == (-2, 1, 2)
     path = free_tuple_search(t, (Word(2, (2,)), Word(2, (1,))), 2)
     assert path == ("swap12",) or path == ("cycle",)
     unreachable = free_tuple_search((Word(2, (1,)),), (Word(2, (2,)),), 2,
@@ -400,6 +401,17 @@ def _free_pair():
 def test_same_orbit_replay_of_a_malformed_move_is_false(move):
     p, t = _free_pair()
     assert not NielsenCertificate("same_orbit", p, t, t, moves=(move,)).replay()
+
+
+@pytest.mark.parametrize("move", ["conj g1 g2", "conj 1", "conj  g1", "conj g1^-1 g1"])
+def test_conjugation_by_anything_but_one_letter_is_refused(move):
+    p, t = _free_pair()
+    with pytest.raises(ValueError, match="not conjugation by one generator letter"):
+        apply_word_move(t, move)
+    # the tuple that conjugating by the whole word would give
+    c = parse_word(move[len("conj "):], 2)
+    conjugated = tuple(c * w * c.inverse() for w in t)
+    assert not NielsenCertificate("same_orbit", p, t, conjugated, moves=(move,)).replay()
 
 
 def test_same_orbit_replay_of_a_move_too_wide_for_the_tuple_is_false():

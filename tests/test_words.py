@@ -6,10 +6,8 @@ from hypothesis import given, strategies as st
 import multisect.words
 from multisect.words import (FreeAutomorphism, Word, apply, automorphism,
                              block_automorphism, canonical_cyclic, compose,
-                             cyclic_reduce, flip_letters, format_word,
-                             free_reduce, identity_automorphism, invert,
-                             invert_all, letter, letter_index, letter_inverse,
-                             letter_sign, parse_word, relabel)
+                             flip_letters, format_word, identity_automorphism,
+                             invert_all, parse_word, relabel)
 
 
 def words(max_rank=4, max_len=12):
@@ -22,16 +20,6 @@ def words(max_rank=4, max_len=12):
 def test_module_doctests():
     failures, _ = doctest.testmod(multisect.words)
     assert failures == 0
-
-
-def test_letter_helpers():
-    assert letter(3, -1) == -3
-    assert letter_index(-3) == 3
-    assert letter_sign(-3) == -1
-    with pytest.raises(ValueError):
-        letter(0, 1)
-    with pytest.raises(ValueError):
-        letter(1, 2)
 
 
 def test_free_reduce_examples():
@@ -47,14 +35,14 @@ def test_cyclic_reduce_examples():
 
 
 def test_invert_examples():
-    assert invert(Word(2, (1, 2))).letters == (-2, -1)
-    assert invert(Word(2, ())).letters == ()
-    assert invert(Word(1, (1, 1))).letters == (-1, -1)
+    assert Word(2, (1, 2)).inverse().letters == (-2, -1)
+    assert Word(2, ()).inverse().letters == ()
+    assert Word(1, (1, 1)).inverse().letters == (-1, -1)
 
 
 def test_letter_inverse_examples():
-    assert letter_inverse(Word(2, (2, 2, 1))).letters == (-2, -2, -1)
-    assert letter_inverse(Word(2, ())).letters == ()
+    assert Word(2, (2, 2, 1)).letter_inverse().letters == (-2, -2, -1)
+    assert Word(2, ()).letter_inverse().letters == ()
 
 
 def test_word_rejects_bad_letters():
@@ -188,7 +176,7 @@ def test_canonical_cyclic_is_the_least_rotation(w):
 
 @given(words())
 def test_free_reduce_idempotent_and_scan(w):
-    again = free_reduce(w)
+    again = Word(w.rank, w.letters)
     assert again == w
     for x, y in zip(w.letters, w.letters[1:]):
         assert x != -y
@@ -196,21 +184,21 @@ def test_free_reduce_idempotent_and_scan(w):
 
 @given(words())
 def test_invert_is_involution(w):
-    assert invert(invert(w)) == w
-    assert (w * invert(w)).is_identity()
+    assert w.inverse().inverse() == w
+    assert (w * w.inverse()).is_identity()
 
 
 @given(words())
 def test_letter_inverse_is_involution(w):
-    assert letter_inverse(letter_inverse(w)) == w
+    assert w.letter_inverse().letter_inverse() == w
     # letter inverse = reversal of the inverse, as reduced words
-    reversed_inverse = Word(w.rank, tuple(reversed(invert(w).letters)))
-    assert letter_inverse(w) == reversed_inverse
+    reversed_inverse = Word(w.rank, tuple(reversed(w.inverse().letters)))
+    assert w.letter_inverse() == reversed_inverse
 
 
 @given(words())
 def test_cyclic_reduce_conjugacy(w):
-    c = cyclic_reduce(w)
+    c = w.cyclic_reduce()
     assert len(c) <= len(w)
     if not c.is_identity():
         assert c.letters[0] != -c.letters[-1]
