@@ -378,6 +378,16 @@ def _generates_abelianization(pres: GroupPresentation, t: WordTuple) -> bool:
     return snf.rank == pres.generator_count and snf.invariant_factors == ()
 
 
+def _free_smith_diagonal(t: WordTuple, rank: int) -> tuple[int, ...]:
+    """Diagonal of the Smith form of the tuple's exponent-sum matrix over
+    Z^rank, its image in the free abelianization.  Every move multiplies
+    the matrix on the left by a matrix in GL_n(Z) and conjugation leaves
+    it fixed, so tuples whose diagonals differ are in different classes
+    of the free group."""
+    rows = [w.exponent_sums() for w in t]
+    return smith_normal_form(IntegerMatrix.from_rows(rows, rank)).D.diagonal()
+
+
 def distinguish(pres: GroupPresentation, t1: WordTuple, t2: WordTuple,
                 bound: int = DEFAULT_QUOTIENT_BOUND) -> NielsenCertificate:
     """Compare two generating tuples of a presented group up to Nielsen
@@ -392,7 +402,11 @@ def distinguish(pres: GroupPresentation, t1: WordTuple, t2: WordTuple,
     at which the tuples' H1 determinants differ up to sign, witnessed by
     (Z/m)^n and the surjection read off V.  ``same_orbit`` only when a
     bounded free-word move search connects the tuples outright;
-    ``inconclusive`` otherwise.  Certificates are stated in the
+    ``inconclusive`` otherwise.  The search runs only when the tuples'
+    exponent-sum matrices over Z^rank, their images in the free
+    abelianization, have the same Smith form: no move sequence in the
+    free group connects tuples whose forms differ, so there the search
+    could not succeed at any node limit.  Certificates are stated in the
     Tietze-simplified presentation, with the tuples rewritten through it.
     """
     if len(t1) != len(t2):
@@ -454,6 +468,11 @@ def distinguish(pres: GroupPresentation, t1: WordTuple, t2: WordTuple,
                     f"{h1}; +-det equal mod every m | {d1} with m^{n} <= "
                     f"{bound} ({tried} tried)" if tried else
                     f"{h1}; +-det not compared: no m | {d1} with m^{n} <= {bound}")
+    diag1, diag2 = (_free_smith_diagonal(t, rank) for t in (r1, r2))
+    if diag1 != diag2:
+        forms = " and ".join(f"diag({', '.join(map(str, d))})" for d in (diag1, diag2))
+        return NielsenCertificate("inconclusive", target, r1, r2, searched=f"{searched}; "
+                                  f"free search not run: exponent-sum Smith forms {forms} differ")
     moves = free_tuple_search(r1, r2, rank)
     return NielsenCertificate("inconclusive" if moves is None else "same_orbit",
                               target, r1, r2, moves=moves, searched=f"{searched}; "

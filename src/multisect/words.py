@@ -75,6 +75,7 @@ class _LineReader:
             raise FormatError("missing final newline", len(lines) + 1)
         self.lines = lines
         self.pos = 0
+        self._letters: dict[int, dict[str, int]] = {}  # rank -> token -> letter
 
     def peek(self) -> str | None:
         return self.lines[self.pos] if self.pos < len(self.lines) else None
@@ -92,12 +93,22 @@ class _LineReader:
 
     def word(self, text: str, rank: int) -> Word:
         """``text``, from the line just taken, as a word, which must be freely
-        reduced: a letter next to its inverse would not be written back."""
+        reduced: a letter next to its inverse would not be written back.
+        Each distinct token is parsed once per rank and reader."""
+        if text == "1":
+            return Word(rank)
+        memo = self._letters.setdefault(rank, {})
+        letters = []
         try:
-            word = parse_word(text, rank)
+            for token in text.split(" "):
+                letter = memo.get(token)
+                if letter is None:
+                    letter = memo[token] = _parse_token(token, rank)
+                letters.append(letter)
         except ValueError as exc:
             raise FormatError(str(exc), self.pos) from None
-        if len(word) != (0 if text == "1" else text.count(" ") + 1):
+        word = Word(rank, tuple(letters))
+        if len(word) != len(letters):
             raise FormatError("word is not freely reduced", self.pos)
         return word
 
@@ -422,13 +433,15 @@ def parse_word(text: str, rank: int) -> Word:
     text = text.strip()
     if text == "1" or text == "":
         return Word(rank)
-    letters = []
-    for token in text.split():
-        match = _TOKEN_RE.fullmatch(token)
-        if match is None:
-            raise ValueError(f"bad word token {token!r}")
-        idx = int(match[1])
-        if not 1 <= idx <= rank:
-            raise ValueError(f"generator g{idx} out of range for rank {rank}")
-        letters.append(-idx if match[2] else idx)
-    return Word(rank, tuple(letters))
+    return Word(rank, tuple(_parse_token(token, rank) for token in text.split()))
+
+
+def _parse_token(token: str, rank: int) -> int:
+    """One ``g<k>`` or ``g<k>^-1`` token of the word grammar as a letter."""
+    match = _TOKEN_RE.fullmatch(token)
+    if match is None:
+        raise ValueError(f"bad word token {token!r}")
+    idx = int(match[1])
+    if not 1 <= idx <= rank:
+        raise ValueError(f"generator g{idx} out of range for rank {rank}")
+    return -idx if match[2] else idx

@@ -473,6 +473,21 @@ def test_distinguish_over_free_h1_compares_no_determinants(tmp_path, monkeypatch
     assert "replay-verified: true\n" in text
 
 
+def test_distinguish_skips_the_free_search_when_free_smith_forms_differ(tmp_path):
+    # (g1, g2, g3) against (g1, g2, g3^2) in (Z/3)^3: +-det is 1 against 2,
+    # equal mod 3, and the exponent sums have Smith forms 1, 1, 1 and 1, 1, 2
+    pres = tmp_path / "z3.txt"
+    pres.write_text("gens 3\ng1 g2 g1^-1 g2^-1\ng1 g3 g1^-1 g3^-1\ng2 g3 g2^-1 g3^-1\n"
+                    + "".join(f"g{k} g{k} g{k}\n" for k in (1, 2, 3)))
+    out = tmp_path / "cert.txt"
+    assert run("distinguish", "--presentation", pres, "--tuple1", "g1, g2, g3",
+               "--tuple2", "g1, g2, g3 g3", "--bound", 30, "-o", out) == 20
+    text = out.read_text()
+    assert ("; free search not run: exponent-sum Smith forms diag(1, 1, 1) and "
+            "diag(1, 1, 2) differ\nreplay-verified: true\n") in text
+    assert "exit-code: 20\n" in text
+
+
 @pytest.mark.parametrize("flag, tuple1, tuple2, entry", [
     ("--tuple2", "g1, g2", "g1,,g2", 2),
     ("--tuple1", ",", "g1, g2", 1),

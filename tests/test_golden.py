@@ -55,7 +55,7 @@ DIGESTS = {
     "m.homology": "25af42d0f609f092dbf0ed51eb1613742d0ff698cc2245e263ef7e1ad5ddd1c6",
     "flip.cert": "d8ce47f1d79753665b6bdf28649369b940e185dcd8edfa4ac52947055d3d21dc",
     "distinct.cert": "2cecfa576834153a929f886d7f356f938927daa45e63ffc1d8303323c65b6047",
-    "inconclusive.cert": "5629f12e0e5e9fd5b9f12b5377398be30bdd9e9788c023deea3af3415992fec4",
+    "inconclusive.cert": "a84563b8548fd66d68772326b20bd87270e12568136d532bec00e8a2c4751194",
     "same.cert": "264a78766d925d969845af14ae64c33dc66d9232936c4b809a85819badb7ff5c",
 }
 

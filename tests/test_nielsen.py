@@ -5,7 +5,7 @@ from math import prod
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import multisect.abelian
 import multisect.nielsen
@@ -13,8 +13,9 @@ import multisect.presentations
 from multisect.abelian import FiniteAbelianGroup, enumerate_abelian_groups
 from multisect.constructions import bisection_from_heegaard, lens_diagram
 from multisect.diagrams import (CutSystem, DiagramError, MultisectionDiagram,
-                                SurfaceModel)
-from multisect.nielsen import (GeneratingTuple, NielsenCertificate, _moves_for,
+                                SurfaceModel, connected_sum)
+from multisect.nielsen import (DEFAULT_SEARCH_NODES, GeneratingTuple,
+                               NielsenCertificate, _free_smith_diagonal, _moves_for,
                                _path, _search, apply_word_move, connect_tuples,
                                determinant_invariant, distinguish, flip_check,
                                format_certificate, free_tuple_search,
@@ -548,6 +549,44 @@ def test_distinguish_and_replay_enumerate_nothing(monkeypatch):
         cert = distinguish(p, _words(2, (1,), (2,)), _words(2, *t2))
         assert cert.verdict == verdict
         assert cert.replay()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_search_cases())
+def test_free_search_never_connects_tuples_of_different_free_smith_forms(case):
+    # a search that reaches the goal within fewer nodes reaches it within
+    # more, so None at the default limit is None at every limit below it
+    t1, t2, rank, _ = case
+    assume(_free_smith_diagonal(t1, rank) != _free_smith_diagonal(t2, rank))
+    assert free_tuple_search(t1, t2, rank, DEFAULT_SEARCH_NODES) is None
+
+
+def test_free_abelianization_skips_the_search_on_unreachable_pairs(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return _search(*args, **kwargs)
+
+    monkeypatch.setattr(multisect.nielsen, "_search", counting)
+    z3, z5 = _abelian_presentation(3, 3, 3), _abelian_presentation(5, 5)
+    flip = bisection_from_heegaard(connected_sum(lens_diagram(7, 2), lens_diagram(7, 3)))
+    certs = [
+        distinguish(z3, _words(3, (1,), (2,), (3,)), _words(3, (1,), (2,), (3, 3)), 30),
+        distinguish(z5, _words(2, (1,), (2,)), _words(2, (1,), (2,) * 4)),
+        flip_check(flip),
+    ]
+    assert calls == []
+    for cert in certs:
+        assert cert.verdict == "inconclusive" and cert.moves is None
+        assert cert.replay()
+        assert "free search not run: exponent-sum Smith forms" in cert.searched
+    assert certs[1].searched.endswith("diag(1, 1) and diag(1, 4) differ")
+    # equal forms still search: the golden same_orbit pair
+    cert = distinguish(z5, _words(2, (1,), (2,)), _words(2, (1,), (1, 2, -1)))
+    assert len(calls) == 1
+    assert cert.verdict == "same_orbit" and cert.moves == ("conj g1",)
+    assert cert.searched.endswith(f"free search up to {DEFAULT_SEARCH_NODES} nodes")
 
 
 @pytest.mark.parametrize("m", [4, 6, 8, 9])
