@@ -27,8 +27,8 @@ from .constructions import (GlueMismatchError, MergeRefusedError, auto_cap,
                             lens_diagram, merge_adjacent_sectors,
                             sphere_bundle_sum_diagram)
 from .nielsen import (GeneratingTuple, NielsenCertificate, OrbitPartition,
-                      connect_tuples, determinant_invariant, distinguish,
-                      flip_check, format_certificate, nielsen_move,
+                      compare_sectors, connect_tuples, determinant_invariant,
+                      distinguish, flip_check, format_certificate, nielsen_move,
                       orbit_enumerate, spine_tuple)
 
 __version__ = "0.1.0"

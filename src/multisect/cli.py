@@ -24,12 +24,12 @@ from .diagrams import (FormatError, GeometricHeegaardDiagram,
                        MultisectionDiagram, connected_sum, content_digest,
                        format_diagram, format_heegaard, mirror, parse_diagram,
                        parse_heegaard, pi1_of_diagram, stabilize, validate)
-from .nielsen import (DEFAULT_QUOTIENT_BOUND, distinguish, flip_check,
-                      format_certificate, spine_tuple)
+from .nielsen import (DEFAULT_QUOTIENT_BOUND, compare_sectors, distinguish,
+                      flip_check, format_certificate)
 from .presentations import (DEFAULT_TIETZE_BUDGET, AbelianInvariants, format_presentation,
                             parse_presentation, tietze_simplify)
 from .render import diagram_to_svg
-from .words import _canonical_letters, parse_word
+from .words import parse_word
 
 
 def _read_text(path: str) -> tuple[str, str]:
@@ -256,14 +256,6 @@ def _parse_tuple(flag: str, text: str, rank: int):
     return tuple(parse_word(e, rank) for e in entries)
 
 
-def _presentations_match(p1, p2) -> bool:
-    if p1.generator_count != p2.generator_count:
-        return False
-    c1 = sorted(_canonical_letters(r.letters) for r in p1.relators)
-    c2 = sorted(_canonical_letters(r.letters) for r in p2.relators)
-    return c1 == c2
-
-
 def cmd_distinguish(args) -> int:
     report = Report("distinguish")
     if args.presentation is not None:
@@ -283,14 +275,8 @@ def cmd_distinguish(args) -> int:
                 "diagram mode needs --diagram and --diagram2 (or --flip)")
         d1 = _read_input(report, args.diagram, parse_diagram)
         d2 = _read_input(report, args.diagram2, parse_diagram)
-        p1 = pi1_of_diagram(d1)
-        p2 = pi1_of_diagram(d2)
-        if not _presentations_match(p1, p2):
-            raise FormatError("the diagrams present different groups; spine "
-                              "tuples are not comparable")
-        t1 = spine_tuple(d1, args.sector)
-        t2 = spine_tuple(d2, args.sector2 if args.sector2 else args.sector)
-        cert = distinguish(p1, t1, t2, args.bound)
+        cert = compare_sectors(d1, args.sector, d2, args.sector2 or args.sector,
+                               args.bound)
     report.section("certificate")
     report.raw(format_certificate(cert))
     report.field("replay-verified", "true" if cert.replay() else "false")

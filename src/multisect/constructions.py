@@ -19,7 +19,8 @@ from .diagrams import (CutSystem, DiagramError, GeometricHeegaardDiagram,
                        MultisectionDiagram, SurfaceModel, adjacent_pairs,
                        connected_sum, mirror, pi1_of_diagram, read_system,
                        standard_alpha_system)
-from .presentations import GroupPresentation, abelianization, tietze_simplify
+from .presentations import (GroupPresentation, abelianization, same_relators,
+                            tietze_simplify)
 from .words import (Word, automorphism, compose, format_word,
                     identity_automorphism)
 
@@ -87,13 +88,15 @@ def _cocore_curves(surface: SurfaceModel) -> tuple[Word, ...]:
     return tuple(Word(surface.rank, (x, -y)) for x, y in _cocore_pairs(surface))
 
 
-def _standard_readings(systems: tuple[CutSystem, ...], closed: bool):
-    """Readings cached on every constructed diagram: all sector pairs,
+def _assemble(surface: SurfaceModel, systems: tuple[CutSystem, ...], closed: bool,
+              types: tuple[int, ...]) -> MultisectionDiagram:
+    """A constructed diagram, with readings cached for all sector pairs,
     the boundary pair, and every pair (1, j) feeding pi1."""
     s = len(systems)
     pairs = set(adjacent_pairs(s, True)) | {(1, j) for j in range(2, s + 1)}
-    return tuple(((i, j), read_system(systems[i - 1], systems[j - 1]))
-                 for i, j in sorted(pairs))
+    readings = tuple(((i, j), read_system(systems[i - 1], systems[j - 1]))
+                     for i, j in sorted(pairs))
+    return MultisectionDiagram(surface, systems, closed, types, readings)
 
 
 def bisection_from_heegaard(h: GeometricHeegaardDiagram) -> MultisectionDiagram:
@@ -115,9 +118,7 @@ def bisection_from_heegaard(h: GeometricHeegaardDiagram) -> MultisectionDiagram:
     beta = CutSystem(surface, _cocore_curves(surface), cocore_std, "beta")
     gamma = replace(connected_sum(h, mirror(h)).beta, label="gamma")
 
-    systems = (alpha, beta, gamma)
-    readings = _standard_readings(systems, closed=False)
-    diagram = MultisectionDiagram(surface, systems, False, (g, g), readings)
+    diagram = _assemble(surface, (alpha, beta, gamma), False, (g, g))
 
     pair12 = diagram.reading_map[(1, 2)]
     for i in range(g):
@@ -145,20 +146,15 @@ def bisection_from_trisection(t: MultisectionDiagram,
         raise DiagramError("input must be a closed diagram with three systems")
     if drop not in (1, 2, 3):
         raise DiagramError("sector index must be 1, 2, or 3")
-    order = [((i - drop - 1) % 3) for i in (1, 2, 3)]  # new position - 1 per old
-    new_systems = [None, None, None]
-    for old, new_idx in zip((1, 2, 3), order):
-        new_systems[new_idx] = t.systems[old - 1]
+
+    def position(old: int) -> int:
+        return (old - drop - 1) % 3 + 1
+
     types = (t.claimed_types[drop % 3], t.claimed_types[(drop + 1) % 3])
-    position = {old: new_idx + 1 for old, new_idx in zip((1, 2, 3), order)}
-    readings = tuple(((position[i], position[j]), words)
+    readings = tuple(((position(i), position(j)), words)
                      for (i, j), words in t.readings)
-    return MultisectionDiagram(t.surface, tuple(new_systems), False, types,
-                               readings)
-
-
-def _is_doubled_cocores(system: CutSystem, surface: SurfaceModel) -> bool:
-    return system.curves == _cocore_curves(surface)
+    return MultisectionDiagram(t.surface, t.systems[drop:] + t.systems[:drop],
+                               False, types, readings)
 
 
 def _product_bisection_genus(d: MultisectionDiagram) -> int:
@@ -183,14 +179,11 @@ def _check_invariants(before: MultisectionDiagram, after: MultisectionDiagram,
 def _check_same_relators(before: MultisectionDiagram, after: MultisectionDiagram,
                          step: str) -> None:
     """Self-check of a construction that keeps system 1 and only adds
-    relabelled copies of existing systems: the nontrivial pi1 relators
-    form the same set before and after.  Equal relator sets present the
-    same group, which is stronger than equal abelian invariants and
-    needs no Smith normal form."""
-    def relator_set(d: MultisectionDiagram) -> set[Word]:
-        return {r for r in pi1_of_diagram(d).relators if not r.is_identity()}
-
-    if relator_set(after) != relator_set(before):
+    relabelled copies of existing systems: the pi1 presentations pass
+    :func:`same_relators`, so they present the same group, which is
+    stronger than equal abelian invariants and needs no Smith normal
+    form."""
+    if not same_relators(pi1_of_diagram(before), pi1_of_diagram(after)):
         raise AssertionError(f"{step} changed the pi1 relators")
 
 
@@ -202,8 +195,7 @@ def double_bisection(b: MultisectionDiagram) -> MultisectionDiagram:
         raise DiagramError("input must be a bounded three-system diagram")
     g = _product_bisection_genus(b)
     systems = b.systems + (replace(b.systems[1], label="delta"),)
-    readings = _standard_readings(systems, closed=True)
-    diagram = MultisectionDiagram(b.surface, systems, True, (g, g, g, g), readings)
+    diagram = _assemble(b.surface, systems, True, (g, g, g, g))
     if diagram.reading_map[(1, 4)] != diagram.reading_map[(1, 2)]:
         raise AssertionError("parallel copy must read identically to its source")
     _check_same_relators(b, diagram, "doubling")
@@ -224,7 +216,7 @@ def insert_parallel_sectors(d: MultisectionDiagram, position: int,
     if count == 0:
         return d
     base = d.systems[position - 1]
-    if not _is_doubled_cocores(base, d.surface):
+    if base.curves != _cocore_curves(d.surface):
         raise DiagramError(
             f"system {position} is not product-compatible (doubled cocores)")
 
@@ -235,8 +227,7 @@ def insert_parallel_sectors(d: MultisectionDiagram, position: int,
     old_k = d.claimed_types[position - 1]
     types = d.claimed_types[:position - 1] + (g2,) * count + (old_k,) + \
         d.claimed_types[position:]
-    readings = _standard_readings(systems, d.closed)
-    out = MultisectionDiagram(d.surface, systems, d.closed, types, readings)
+    out = _assemble(d.surface, systems, d.closed, types)
     _check_same_relators(d, out, "sector insertion")
     return out
 
@@ -268,10 +259,7 @@ def glue_bisections(base: GeometricHeegaardDiagram,
         else:
             alpha_count += 1
             systems.append(replace(alpha, label=f"alpha_{alpha_count}"))
-    systems = tuple(systems)
-    types = (g,) * (2 * copies)
-    readings = _standard_readings(systems, closed=False)
-    out = MultisectionDiagram(b.surface, systems, False, types, readings)
+    out = _assemble(b.surface, tuple(systems), False, (g,) * (2 * copies))
     # system 1 is gamma here, not alpha, so the pi1 relators are read
     # against another base and only the abelian invariants can compare
     _check_invariants(b, out, "gluing")
@@ -309,8 +297,7 @@ def cap_off(d1: MultisectionDiagram, d2: MultisectionDiagram) -> MultisectionDia
     label = cap_mid.label if cap_mid.label not in labels else "beta_cap"
     systems = d1.systems + (replace(cap_mid, label=label),)
     types = d1.claimed_types + (d2.claimed_types[1], d2.claimed_types[0])
-    readings = _standard_readings(systems, closed=True)
-    out = MultisectionDiagram(d1.surface, systems, True, types, readings)
+    out = _assemble(d1.surface, systems, True, types)
     # the spliced system is the cap's, not a copy of one of d1's, so it
     # adds relators of its own; compare the abelian invariants
     _check_invariants(d1, out, "capping")
@@ -367,8 +354,7 @@ def merge_adjacent_sectors(d: MultisectionDiagram, interface: int) -> Multisecti
     old_types = dict(zip(d.sector_pairs(), d.claimed_types))
     new_types = tuple(old_types.get((keep[i - 1], keep[j - 1]), merged_k)
                       for i, j in adjacent_pairs(len(keep), d.closed))
-    readings = _standard_readings(systems, d.closed)
-    return MultisectionDiagram(d.surface, systems, d.closed, new_types, readings)
+    return _assemble(d.surface, systems, d.closed, new_types)
 
 
 def genus_bound_report(d: MultisectionDiagram) -> dict[str, object]:

@@ -28,7 +28,7 @@ from .diagrams import DiagramError, MultisectionDiagram, express_against, \
     presentation_of_pair, pi1_of_diagram
 from .matrices import IntegerMatrix, determinant, smith_normal_form
 from .presentations import (AbelianInvariants, GroupPresentation, Surjection,
-                            tietze_simplify)
+                            same_relators, tietze_simplify)
 from .words import (Word, _apply_images, _letters_conjugate, _letters_inverse,
                     _letters_product, format_word, parse_word)
 
@@ -479,6 +479,19 @@ def distinguish(pres: GroupPresentation, t1: WordTuple, t2: WordTuple,
                               f"free search up to {DEFAULT_SEARCH_NODES} nodes")
 
 
+def compare_sectors(d1: MultisectionDiagram, s1: int, d2: MultisectionDiagram,
+                    s2: int, bound: int = DEFAULT_QUOTIENT_BOUND) -> NielsenCertificate:
+    """Compare the spine tuple of sector ``s1`` of ``d1`` with that of
+    sector ``s2`` of ``d2`` in pi1 of ``d1``.  Two distinct diagrams must
+    present one group by :func:`same_relators`; a ``distinct`` verdict
+    obstructs any isotopy carrying the one sector to the other."""
+    pres = pi1_of_diagram(d1)
+    if d2 is not d1 and not same_relators(pres, pi1_of_diagram(d2)):
+        raise DiagramError("the diagrams present different groups; spine "
+                           "tuples are not comparable")
+    return distinguish(pres, spine_tuple(d1, s1), spine_tuple(d2, s2), bound)
+
+
 def flip_check(d: MultisectionDiagram,
                bound: int = DEFAULT_QUOTIENT_BOUND) -> NielsenCertificate:
     """Compare the spine tuples of the two sectors of a bounded
@@ -486,6 +499,4 @@ def flip_check(d: MultisectionDiagram,
     exchanging the sectors."""
     if d.closed or len(d.systems) != 3:
         raise DiagramError("flip check expects a bounded three-system diagram")
-    t1 = spine_tuple(d, 1)
-    t2 = spine_tuple(d, 2)
-    return distinguish(pi1_of_diagram(d), t1, t2, bound)
+    return compare_sectors(d, 1, d, 2, bound)

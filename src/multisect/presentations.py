@@ -89,6 +89,17 @@ def abelianization(pres: GroupPresentation) -> AbelianInvariants:
     return AbelianInvariants(pres.generator_count - snf.rank, snf.invariant_factors)
 
 
+def same_relators(p: GroupPresentation, q: GroupPresentation) -> bool:
+    """Whether ``p`` and ``q`` have the same generator count and the same
+    set of non-trivial relators, each up to rotation and inversion.  A
+    rotation is a conjugate and an inverse has the same normal closure,
+    so both present one group."""
+    def classes(pres: GroupPresentation) -> set[tuple[int, ...]]:
+        return {_canonical_letters(r.letters) for r in pres.relators} - {()}
+
+    return p.generator_count == q.generator_count and classes(p) == classes(q)
+
+
 @dataclass(frozen=True)
 class TietzeResult:
     presentation: GroupPresentation

@@ -535,6 +535,38 @@ def test_distinguish_mismatched_diagrams(lens_msd, tmp_path, capsys):
     other.write_text(format_diagram(bisection_from_heegaard(lens_diagram(3, 1))))
     assert run("distinguish", "--diagram", lens_msd, "--diagram2", other,
                "-o", tmp_path / "c.txt") == 2
+    assert capsys.readouterr().err == ("error: the diagrams present different "
+                                       "groups; spine tuples are not comparable\n")
+
+
+def _certificate_section(path) -> str:
+    text = path.read_text()
+    return text[text.index("== certificate =="):text.index("== summary ==")]
+
+
+def test_distinguish_compares_a_bisection_with_its_double_and_insert(tmp_path):
+    # double and insert add only relabelled copies of existing systems, so
+    # their pi1 relator sets equal the bisection's and the spines compare
+    b = tmp_path / "b.msd"
+    b.write_text(format_diagram(bisection_from_heegaard(lens_diagram(5, 2))))
+    d, i = tmp_path / "d.msd", tmp_path / "i.msd"
+    assert run("construct", "double", "-i", b, "-o", d) == 0
+    assert run("construct", "insert", "-i", d, "--count", 2, "-o", i) == 0
+    flip, pair = tmp_path / "flip.txt", tmp_path / "pair.txt"
+    assert run("distinguish", "--flip", "--diagram", b, "-o", flip) == 0
+    assert run("distinguish", "--diagram", b, "--diagram2", b, "--sector", 1,
+               "--sector2", 2, "-o", pair) == 0
+    assert _certificate_section(flip) == _certificate_section(pair)
+
+    out = tmp_path / "cert.txt"
+    assert run("distinguish", "--diagram", b, "--diagram2", d, "--sector", 1,
+               "--sector2", 2, "-o", out) == 0
+    assert "verdict: distinct\n" in out.read_text()
+    assert "replay-verified: true\n" in out.read_text()
+    assert run("distinguish", "--diagram", d, "--diagram2", i, "--sector", 1,
+               "--sector2", 1, "-o", out) == 10
+    assert "verdict: same_orbit\n" in out.read_text()
+    assert "replay-verified: true\n" in out.read_text()
 
 
 def test_distinguish_reports_are_byte_stable(tmp_path):

@@ -11,14 +11,15 @@ import multisect.abelian
 import multisect.nielsen
 import multisect.presentations
 from multisect.abelian import FiniteAbelianGroup, enumerate_abelian_groups
-from multisect.constructions import bisection_from_heegaard, lens_diagram
+from multisect.constructions import (bisection_from_heegaard, double_bisection,
+                                     lens_diagram)
 from multisect.diagrams import (CutSystem, DiagramError, MultisectionDiagram,
                                 SurfaceModel, connected_sum)
 from multisect.nielsen import (DEFAULT_SEARCH_NODES, GeneratingTuple,
                                NielsenCertificate, _free_smith_diagonal, _moves_for,
-                               _path, _search, apply_word_move, connect_tuples,
-                               determinant_invariant, distinguish, flip_check,
-                               format_certificate, free_tuple_search,
+                               _path, _search, apply_word_move, compare_sectors,
+                               connect_tuples, determinant_invariant, distinguish,
+                               flip_check, format_certificate, free_tuple_search,
                                nielsen_move, orbit_enumerate, spine_tuple)
 from multisect.presentations import (GroupPresentation, abelianization,
                                      enumerate_finite_abelian_quotients)
@@ -195,12 +196,17 @@ def _word_level_search(t1, t2, rank, node_limit):
     return (_path(parents, t2) if found else None), parents
 
 
+def _word_strategy(rank):
+    letters = [k for k in range(-rank, rank + 1) if k]
+    return st.lists(st.sampled_from(letters), max_size=4).map(
+        lambda letters: Word(rank, tuple(letters)))
+
+
 @st.composite
 def _search_cases(draw):
     rank = draw(st.integers(1, 4))
     width = draw(st.integers(1, 3))
-    word = st.lists(st.integers(-rank, rank).filter(bool), max_size=4).map(
-        lambda letters: Word(rank, tuple(letters)))
+    word = _word_strategy(rank)
     t1 = tuple(draw(word) for _ in range(width))
     if draw(st.booleans()):
         # a tuple in reach: a few moves away from t1
@@ -365,6 +371,25 @@ def test_flip_check_detects_non_flippable_bisections(p, q, expected):
     cert = flip_check(bisection_from_heegaard(lens_diagram(p, q)))
     assert cert.verdict == expected
     assert cert.replay()
+
+
+def test_compare_sectors_applies_the_same_group_rule_to_two_diagrams(monkeypatch):
+    b = bisection_from_heegaard(lens_diagram(5, 2))
+    rule = []
+
+    def counting(p, q):
+        rule.append((p, q))
+        return multisect.presentations.same_relators(p, q)
+
+    monkeypatch.setattr(multisect.nielsen, "same_relators", counting)
+    # one diagram needs no same-group rule: flip_check is its n = 2 case
+    assert flip_check(b) == compare_sectors(b, 1, b, 2)
+    assert rule == []
+    assert compare_sectors(b, 1, double_bisection(b), 2) == flip_check(b)
+    assert len(rule) == 1
+    other = bisection_from_heegaard(lens_diagram(3, 1))
+    with pytest.raises(DiagramError, match="^the diagrams present different groups"):
+        compare_sectors(b, 1, other, 1)
 
 
 def test_flip_check_equal_sectors():
@@ -551,12 +576,22 @@ def test_distinguish_and_replay_enumerate_nothing(monkeypatch):
         assert cert.replay()
 
 
+@st.composite
+def _independent_pairs(draw):
+    """Two tuples of one rank and width, drawn independently, so that
+    their free Smith forms differ often enough for the filter below."""
+    rank = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 3))
+    pair = st.lists(_word_strategy(rank), min_size=width, max_size=width).map(tuple)
+    return draw(pair), draw(pair), rank
+
+
 @settings(max_examples=60, deadline=None)
-@given(_search_cases())
+@given(_independent_pairs())
 def test_free_search_never_connects_tuples_of_different_free_smith_forms(case):
     # a search that reaches the goal within fewer nodes reaches it within
     # more, so None at the default limit is None at every limit below it
-    t1, t2, rank, _ = case
+    t1, t2, rank = case
     assume(_free_smith_diagonal(t1, rank) != _free_smith_diagonal(t2, rank))
     assert free_tuple_search(t1, t2, rank, DEFAULT_SEARCH_NODES) is None
 

@@ -11,7 +11,8 @@ from multisect.presentations import (DEFAULT_TIETZE_BUDGET, AbelianInvariants,
                                      _overlap_reduction, abelianization,
                                      enumerate_finite_abelian_quotients,
                                      format_presentation, parse_presentation,
-                                     tietze_simplify, verify_free_of_rank)
+                                     same_relators, tietze_simplify,
+                                     verify_free_of_rank)
 from multisect.constructions import (bisection_from_heegaard, double_bisection,
                                      lens_diagram)
 from multisect.diagrams import (connected_sum, pi1_of_diagram, presentation_of_pair,
@@ -22,6 +23,36 @@ from multisect.words import (FormatError, Word, _apply_images, _canonical_letter
 
 def pres(gens, *relators):
     return GroupPresentation(gens, tuple(Word(gens, r) for r in relators))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda gens: st.tuples(
+    st.just(gens),
+    st.lists(st.lists(st.sampled_from([k for k in range(-gens, gens + 1) if k]),
+                      max_size=5), max_size=4),
+    st.randoms(use_true_random=False))))
+def test_same_relators_ignores_order_repeats_identities_rotation_and_inversion(case):
+    gens, relators, rng = case
+    p = pres(gens, *relators)
+    variants = [()]
+    for r in p.relators:
+        k = rng.randrange(len(r) or 1)
+        rotated = r.letters[k:] + r.letters[:k]
+        variant = _letters_inverse(rotated) if rng.random() < 0.5 else rotated
+        variants += [variant] * rng.randint(1, 2)
+    rng.shuffle(variants)
+    q = pres(gens, *variants)
+    assert same_relators(p, q) and same_relators(q, p)
+
+
+def test_same_relators_refuses_a_changed_relator():
+    # a conjugate and an inverse of one relator, repeated, beside the identity
+    p = pres(2, (1, 2, -1, -2), (1, 1))
+    assert same_relators(p, pres(2, (-2, 1, 2, -1), (-1, -1), (1, 1), ()))
+    assert not same_relators(p, pres(2, (1, 2, -1, -2), (1, 1, 1)))
+    assert not same_relators(p, pres(2, (1, 2, -1, -2)))
+    assert not same_relators(p, pres(3, (1, 2, -1, -2), (1, 1)))
+    assert same_relators(pres(2), pres(2, (), ()))
 
 
 def test_abelianization_examples():
