@@ -18,6 +18,7 @@ from math import gcd
 from .diagrams import (CutSystem, DiagramError, GeometricHeegaardDiagram,
                        MultisectionDiagram, SurfaceModel, adjacent_pairs,
                        connected_sum, mirror, pi1_of_diagram, read_system,
+                       presentation_of_pair, readable_sides, reading_of_pair,
                        standard_alpha_system)
 from .presentations import (GroupPresentation, abelianization, same_relators,
                             tietze_simplify)
@@ -89,13 +90,14 @@ def _cocore_curves(surface: SurfaceModel) -> tuple[Word, ...]:
 
 
 def _assemble(surface: SurfaceModel, systems: tuple[CutSystem, ...], closed: bool,
-              types: tuple[int, ...]) -> MultisectionDiagram:
+              types: tuple[int, ...], read=None) -> MultisectionDiagram:
     """A constructed diagram, with readings cached for all sector pairs,
-    the boundary pair, and every pair (1, j) feeding pi1."""
+    the boundary pair, and every pair (1, j) feeding pi1.  ``read(i, j)``
+    gives a pair's words; by default system j is read against system i."""
     s = len(systems)
     pairs = set(adjacent_pairs(s, True)) | {(1, j) for j in range(2, s + 1)}
-    readings = tuple(((i, j), read_system(systems[i - 1], systems[j - 1]))
-                     for i, j in sorted(pairs))
+    read = read or (lambda i, j: read_system(systems[i - 1], systems[j - 1]))
+    readings = tuple(((i, j), read(i, j)) for i, j in sorted(pairs))
     return MultisectionDiagram(surface, systems, closed, types, readings)
 
 
@@ -168,22 +170,13 @@ def _product_bisection_genus(d: MultisectionDiagram) -> int:
     return d.surface.genus // 2
 
 
-def _check_invariants(before: MultisectionDiagram, after: MultisectionDiagram,
-                      step: str) -> None:
-    """Self-check of a construction that changes the base system: the
-    abelian invariants of pi1 must not change."""
-    if abelianization(pi1_of_diagram(after)) != abelianization(pi1_of_diagram(before)):
-        raise AssertionError(f"{step} changed the group invariants")
-
-
-def _check_same_relators(before: MultisectionDiagram, after: MultisectionDiagram,
+def _check_same_relators(before: GroupPresentation, after: MultisectionDiagram,
                          step: str) -> None:
-    """Self-check of a construction that keeps system 1 and only adds
-    relabelled copies of existing systems: the pi1 presentations pass
-    :func:`same_relators`, so they present the same group, which is
-    stronger than equal abelian invariants and needs no Smith normal
-    form."""
-    if not same_relators(pi1_of_diagram(before), pi1_of_diagram(after)):
+    """Self-check of a construction that only adds relabelled copies of
+    existing systems: the input's relators read against the result's
+    system 1 and pi1 of the result pass :func:`same_relators`, so they
+    present the same group, which needs no Smith normal form."""
+    if not same_relators(before, pi1_of_diagram(after)):
         raise AssertionError(f"{step} changed the pi1 relators")
 
 
@@ -198,7 +191,7 @@ def double_bisection(b: MultisectionDiagram) -> MultisectionDiagram:
     diagram = _assemble(b.surface, systems, True, (g, g, g, g))
     if diagram.reading_map[(1, 4)] != diagram.reading_map[(1, 2)]:
         raise AssertionError("parallel copy must read identically to its source")
-    _check_same_relators(b, diagram, "doubling")
+    _check_same_relators(pi1_of_diagram(b), diagram, "doubling")
     return diagram
 
 
@@ -221,14 +214,17 @@ def insert_parallel_sectors(d: MultisectionDiagram, position: int,
             f"system {position} is not product-compatible (doubled cocores)")
 
     g2 = d.surface.genus
-    copies = tuple(replace(base, label=f"{base.label}_ins{k + 1}")
-                   for k in range(count))
+    # unused labels only, so a second insert at one position repeats none
+    taken = {system.label for system in d.systems}
+    labels = [label for k in range(1, count + len(taken) + 1)
+              if (label := f"{base.label}_ins{k}") not in taken][:count]
+    copies = tuple(replace(base, label=label) for label in labels)
     systems = d.systems[:position] + copies + d.systems[position:]
     old_k = d.claimed_types[position - 1]
     types = d.claimed_types[:position - 1] + (g2,) * count + (old_k,) + \
         d.claimed_types[position:]
     out = _assemble(d.surface, systems, d.closed, types)
-    _check_same_relators(d, out, "sector insertion")
+    _check_same_relators(pi1_of_diagram(d), out, "sector insertion")
     return out
 
 
@@ -260,9 +256,9 @@ def glue_bisections(base: GeometricHeegaardDiagram,
             alpha_count += 1
             systems.append(replace(alpha, label=f"alpha_{alpha_count}"))
     out = _assemble(b.surface, tuple(systems), False, (g,) * (2 * copies))
-    # system 1 is gamma here, not alpha, so the pi1 relators are read
-    # against another base and only the abelian invariants can compare
-    _check_invariants(b, out, "gluing")
+    # system 1 is gamma here, so compare with b's relators read from gamma
+    base_relators = reading_of_pair(b, 3, 2) + reading_of_pair(b, 3, 1)
+    _check_same_relators(GroupPresentation(b.surface.genus, base_relators), out, "gluing")
     return out
 
 
@@ -300,7 +296,8 @@ def cap_off(d1: MultisectionDiagram, d2: MultisectionDiagram) -> MultisectionDia
     out = _assemble(d1.surface, systems, True, types)
     # the spliced system is the cap's, not a copy of one of d1's, so it
     # adds relators of its own; compare the abelian invariants
-    _check_invariants(d1, out, "capping")
+    if abelianization(pi1_of_diagram(out)) != abelianization(pi1_of_diagram(d1)):
+        raise AssertionError("capping changed the group invariants")
     return out
 
 
@@ -310,8 +307,8 @@ def merge_adjacent_sectors(d: MultisectionDiagram, interface: int) -> Multisecti
     The merge is certified, never silent: the removed system's curves
     must read as empty words or single dual letters against at least one
     neighbour (the parallel-curve condition), and the merged pair must
-    simplify to a free presentation, whose rank becomes the merged
-    sector's type.
+    simplify to a free presentation from either side, whose rank becomes
+    the merged sector's type.  Every reading honours the input's cache.
 
     The group of the diagram is preserved when the removed system is
     parallel to a neighbour (empty readings).  In the single-letter case
@@ -330,8 +327,7 @@ def merge_adjacent_sectors(d: MultisectionDiagram, interface: int) -> Multisecti
             raise DiagramError("only interior systems of a bounded diagram merge")
         prev, nxt = interface - 1, interface + 1
 
-    families = {side: read_system(d.systems[side - 1], d.systems[interface - 1])
-                for side in (prev, nxt)}
+    families = {side: reading_of_pair(d, side, interface) for side in (prev, nxt)}
     if not any(all(len(w) <= 1 for w in fam) for fam in families.values()):
         shown = {side: [format_word(w) for w in fam]
                  for side, fam in families.items()}
@@ -339,10 +335,11 @@ def merge_adjacent_sectors(d: MultisectionDiagram, interface: int) -> Multisecti
             f"interface {interface} is not parallel into either neighbour: {shown}",
             families)
 
-    merged_pres = GroupPresentation(d.surface.genus,
-                                    read_system(d.systems[prev - 1], d.systems[nxt - 1]))
-    simplified = tietze_simplify(merged_pres).presentation
-    if simplified.relators:
+    for home, other in readable_sides(d, prev, nxt):
+        simplified = tietze_simplify(presentation_of_pair(d, home, other)).presentation
+        if not simplified.relators:
+            break
+    else:
         raise MergeRefusedError(
             "merged sector does not certify as a handlebody", families)
     merged_k = simplified.generator_count
@@ -354,7 +351,8 @@ def merge_adjacent_sectors(d: MultisectionDiagram, interface: int) -> Multisecti
     old_types = dict(zip(d.sector_pairs(), d.claimed_types))
     new_types = tuple(old_types.get((keep[i - 1], keep[j - 1]), merged_k)
                       for i, j in adjacent_pairs(len(keep), d.closed))
-    return _assemble(d.surface, systems, d.closed, new_types)
+    return _assemble(d.surface, systems, d.closed, new_types,
+                     lambda i, j: reading_of_pair(d, keep[i - 1], keep[j - 1]))
 
 
 def genus_bound_report(d: MultisectionDiagram) -> dict[str, object]:

@@ -345,24 +345,30 @@ class MultisectionDiagram:
     @cached_property
     def boundary_invariants(self) -> AbelianInvariants:
         """Abelian invariants of the boundary pair presentation of a
-        bounded diagram, computed once per diagram."""
+        bounded diagram, computed once per diagram.  The pair is stored as
+        (s, 1) but read from system 1's side first."""
         if self.closed:
             raise DiagramError("closed diagrams have no boundary")
-        # the boundary pair is stored as (s, 1) but preferably read with
-        # the roles reversed, presenting the boundary from the system-1
-        # side; both orientations carry the same invariants, so fall back
-        # when only one direction is readable
-        s = len(self.systems)
-        try:
-            pres = presentation_of_pair(self, 1, s)
-        except DiagramError:
-            pres = presentation_of_pair(self, s, 1)
-        return abelianization(pres)
+        home, other = readable_sides(self, 1, len(self.systems))[0]
+        return abelianization(presentation_of_pair(self, home, other))
 
 
 def read_system(system_i: CutSystem, system_j: CutSystem) -> tuple[Word, ...]:
     """Curves of system j read against system i."""
     return tuple(read_against(c, system_i) for c in system_j.curves)
+
+
+def readable_sides(d: MultisectionDiagram, i: int, j: int) -> tuple[Pair, ...]:
+    """The sides from which the pair {i, j} can be read, (i, j) before
+    (j, i): those whose reading is cached or whose home system has a
+    standardizer.  Both present one group; callers try the second side
+    only when the first does not settle their question."""
+    sides = tuple((h, o) for h, o in ((i, j), (j, i))
+                  if (h, o) in d.reading_map or d.systems[h - 1].standardizer is not None)
+    if not sides:
+        raise DiagramError(
+            f"pair ({i}, {j}) is unreadable: no cache and no standardizer")
+    return sides
 
 
 def reading_of_pair(d: MultisectionDiagram, i: int, j: int) -> tuple[Word, ...]:
@@ -401,17 +407,15 @@ class ValidationReport:
 
 def _pair_verdict(d: MultisectionDiagram, i: int, j: int, claimed: int,
                   budget: int) -> SectorVerdict:
-    verdict = verify_free_of_rank(presentation_of_pair(d, i, j), claimed, budget)
-    if verdict.status != "unknown":
-        return verdict
-    # the same splitting read from the other handlebody presents an
-    # isomorphic group and is often easier to certify
-    try:
-        reverse = presentation_of_pair(d, j, i)
-    except DiagramError:
-        return verdict
-    second = verify_free_of_rank(reverse, claimed, budget)
-    return second if second.status != "unknown" else verdict
+    """The first verdict of a readable side that is not Unknown, else
+    the first side's Unknown."""
+    verdicts = []
+    for home, other in readable_sides(d, i, j):
+        verdicts.append(verify_free_of_rank(presentation_of_pair(d, home, other),
+                                            claimed, budget))
+        if verdicts[-1].status != "unknown":
+            return verdicts[-1]
+    return verdicts[0]
 
 
 def validate(d: MultisectionDiagram,

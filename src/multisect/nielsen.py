@@ -25,7 +25,7 @@ from math import gcd
 
 from .abelian import ORDER_BOUND, Element, FiniteAbelianGroup
 from .diagrams import DiagramError, MultisectionDiagram, express_against, \
-    presentation_of_pair, pi1_of_diagram
+    presentation_of_pair, pi1_of_diagram, readable_sides
 from .matrices import IntegerMatrix, determinant, smith_normal_form
 from .presentations import (AbelianInvariants, GroupPresentation, Surjection,
                             same_relators, tietze_simplify)
@@ -256,42 +256,34 @@ def free_tuple_search(t1: WordTuple, t2: WordTuple, rank: int,
 # spine tuples and certificates
 
 
-def _spine_from_side(d: MultisectionDiagram, home: int, other: int) -> WordTuple | None:
-    system = d.systems[home - 1]
-    if system.standardizer is None or system.standardizer.inverse_images is None:
-        return None
-    result = tietze_simplify(presentation_of_pair(d, home, other))
-    if result.presentation.relators:
-        return None
-    # surviving letters are positive, so each is carried to its inverse image
-    inverse, letters = system.standardizer.inverse_images, system.surviving_letters
-    return tuple(express_against(inverse[letters[dual - 1] - 1], d.systems[0])
-                 for dual in result.surviving_generators)
-
-
 def spine_tuple(d: MultisectionDiagram, sector: int) -> WordTuple:
     """Generating tuple of the diagram's group carried by the spine of
     one sector, written in the duals of system 1.
 
-    The sector pair must simplify to a free presentation; the surviving
-    dual generators are pulled back through the inverse standardizer and
-    re-expressed against system 1.  Either interface of the sector may
-    serve as the home handlebody: any two free bases of the sector group
-    are Nielsen equivalent, so the class of the resulting tuple does not
-    depend on the side.
+    The sector pair is read from its readable sides in order, skipping a
+    side whose home system has no tracked inverse, until one simplifies
+    to a free presentation; the surviving dual generators are pulled back
+    through the inverse standardizer and re-expressed against system 1.
+    Any two free bases of the sector group are Nielsen equivalent, so the
+    class of the resulting tuple does not depend on the side.
     """
     pairs = d.sector_pairs()
     if not 1 <= sector <= len(pairs):
         raise DiagramError("sector index out of range")
-    i, j = pairs[sector - 1]
-    tuple_ = _spine_from_side(d, i, j)
-    if tuple_ is None:
-        tuple_ = _spine_from_side(d, j, i)
-    if tuple_ is None:
-        raise DiagramError(
-            f"sector {sector} is not expressible: no side gives a tracked "
-            "standardizer and a free simplification")
-    return tuple_
+    for home, other in readable_sides(d, *pairs[sector - 1]):
+        system = d.systems[home - 1]
+        if system.standardizer is None or system.standardizer.inverse_images is None:
+            continue
+        result = tietze_simplify(presentation_of_pair(d, home, other))
+        if result.presentation.relators:
+            continue
+        # surviving letters are positive, so each is carried to its inverse image
+        inverse, letters = system.standardizer.inverse_images, system.surviving_letters
+        return tuple(express_against(inverse[letters[dual - 1] - 1], d.systems[0])
+                     for dual in result.surviving_generators)
+    raise DiagramError(
+        f"sector {sector} is not expressible: no side gives a tracked "
+        "standardizer and a free simplification")
 
 
 @dataclass(frozen=True)
@@ -322,9 +314,10 @@ class NielsenCertificate:
         """Re-verify the certificate from its own data.  For ``distinct``:
         the surjection kills every relator, the images are the tuples'
         evaluations, both have a unit determinant, which proves them (and
-        so the map) onto (Z/m)^n, and their determinant classes differ,
-        which no move changes (each has determinant +-1).  Malformed data,
-        such as an unknown move or verdict, replays False."""
+        so the map) onto (Z/m)^n, and their determinant classes are the
+        recorded ones and differ, which no move changes (each has
+        determinant +-1).  Malformed data, such as an unknown move or
+        verdict, replays False."""
         if self.verdict == "same_orbit":
             if self.moves is None:
                 return False
@@ -351,7 +344,8 @@ class NielsenCertificate:
                                   for image in (self.image1, self.image2))
             except ValueError:
                 return False
-            return None not in (class1, class2) and class1 != class2
+            return (class1, class2) == (self.orbit_id1, self.orbit_id2) \
+                and None not in (class1, class2) and class1 != class2
         return self.verdict == "inconclusive"
 
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import multisect.nielsen
 import multisect.presentations
 from multisect.cli import main
 from multisect.constructions import (bisection_from_heegaard, double_bisection,
-                                     lens_diagram)
+                                     insert_parallel_sectors, lens_diagram)
 from multisect.diagrams import connected_sum, format_diagram, format_heegaard, \
     parse_diagram, validate
 
@@ -364,6 +365,41 @@ def test_double_insert_merge_pipeline(lens_msd, tmp_path):
     back = tmp_path / "back.msd"
     assert run("construct", "merge", "-i", d5, "--interface", 3, "-o", back) == 0
     assert parse_diagram(back.read_text()) == parse_diagram(d4.read_text())
+
+
+def _bare_alpha(d, drop=()):
+    """``d`` as a user might write it: alpha's standardizer block removed,
+    and the readings of the pairs in ``drop``."""
+    alpha = replace(d.systems[0], standardizer=None)
+    return format_diagram(replace(d, systems=(alpha,) + d.systems[1:], readings=tuple(
+        (pair, words) for pair, words in d.readings if pair not in drop)))
+
+
+def test_validate_reads_a_pair_from_its_readable_side(tmp_path):
+    src, out = tmp_path / "b.msd", tmp_path / "report.txt"
+    src.write_text(_bare_alpha(bisection_from_heegaard(lens_diagram(5, 2)), {(1, 2)}))
+    assert run("validate", "-i", src, "-o", out) == 0
+    assert "pair 1 2: Verified(1) claimed 1" in out.read_text()
+
+
+def test_merge_reads_cached_pairs_of_a_bare_system(tmp_path):
+    d4 = double_bisection(bisection_from_heegaard(lens_diagram(5, 2)))
+    src, out = tmp_path / "d5.msd", tmp_path / "m.msd"
+    src.write_text(_bare_alpha(insert_parallel_sectors(d4, 2, 1)))
+    assert run("construct", "merge", "--interface", 2, "-i", src, "-o", out) == 0
+    merged = parse_diagram(out.read_text())
+    assert merged.systems[0].standardizer is None and validate(merged).ok
+
+
+def test_merge_from_the_second_side_writes_the_double(tmp_path):
+    hd, b, d4, d5, back = (tmp_path / name for name in
+                           ("l.hd", "b.msd", "d4.msd", "d5.msd", "back.msd"))
+    assert run("construct", "lens", "--p", 5, "--q", 2, "-o", hd) == 0
+    assert run("construct", "bisect", "-i", hd, "-o", b) == 0
+    assert run("construct", "double", "-i", b, "-o", d4) == 0
+    assert run("construct", "insert", "-i", d4, "--count", 1, "-o", d5) == 0
+    assert run("construct", "merge", "-i", d5, "--interface", 3, "-o", back) == 0
+    assert back.read_bytes() == d4.read_bytes()
 
 
 def test_glue_cap_pipeline(lens_hd, tmp_path):

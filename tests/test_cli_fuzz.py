@@ -7,6 +7,7 @@ of this program that no input may bring about, and no exception escapes
 
 import shlex
 import sys
+from dataclasses import replace
 from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
@@ -33,8 +34,13 @@ def _trisection():
 _LENS = lens_diagram(2, 1)
 _BISECTION = bisection_from_heegaard(_LENS)
 _HD = format_heegaard(_LENS)
-_MSDS = (format_diagram(_BISECTION), format_diagram(double_bisection(_BISECTION)),
-         format_diagram(_trisection()))
+_DOUBLE = double_bisection(_BISECTION)
+# the double with alpha's standardizer block removed: pairs read from
+# alpha's side come from the cache or from the other side
+_BARE_ALPHA = replace(_DOUBLE, systems=(replace(_DOUBLE.systems[0], standardizer=None),
+                                        *_DOUBLE.systems[1:]))
+_MSDS = (format_diagram(_BISECTION), format_diagram(_DOUBLE),
+         format_diagram(_trisection()), format_diagram(_BARE_ALPHA))
 
 # every verb that reads the file: {src} is the edited file, {dst} the
 # output and {base} the unedited bisection

@@ -414,6 +414,24 @@ def test_insert_then_merge_recovers(lens21_bisection):
     assert back == d4
 
 
+@pytest.mark.parametrize("p,q", [(5, 2), (7, 2), (7, 3), (8, 3)])
+def test_merge_certifies_from_the_second_side(p, q):
+    # the merged pair (2, 4) is Unknown from beta's side and verifies
+    # from gamma's
+    d4 = double_bisection(bisection_from_heegaard(lens_diagram(p, q)))
+    d5 = insert_parallel_sectors(d4, 2, 1)
+    assert validate(d5).ok
+    assert merge_adjacent_sectors(d5, 3) == d4
+
+
+def test_second_insert_at_one_position_takes_unused_labels(lens21_bisection):
+    d4 = double_bisection(lens21_bisection)
+    twice = insert_parallel_sectors(insert_parallel_sectors(d4, 2, 1), 2, 1)
+    assert [s.label for s in twice.systems] == \
+        ["alpha", "beta", "beta_ins2", "beta_ins1", "gamma", "delta"]
+    assert validate(twice).ok
+
+
 # ---------------------------------------------------------------------------
 # gluing, capping, merging
 

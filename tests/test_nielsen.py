@@ -671,6 +671,9 @@ def test_distinct_replay_checks_each_claim():
         replace(cert, surjection=((1, 0),)),
         # 4: tuple2 = (x, y^4) evaluates into the class of tuple1
         replace(cert, tuple2=_words(2, (1,), (2,) * 4), image2=((1, 0), (0, 4))),
+        # 4: determinant classes other than the recorded ones
+        replace(cert, orbit_id1=(0,)),
+        replace(cert, orbit_id2=(7, 7)),
         # no data at all
         replace(cert, quotient=None),
     ]
