@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import reduce
+from itertools import chain, count as icount, islice
 from math import gcd
 
 from .diagrams import (CutSystem, DiagramError, GeometricHeegaardDiagram,
                        MultisectionDiagram, SurfaceModel, adjacent_pairs,
-                       connected_sum, mirror, pi1_of_diagram, read_system,
-                       presentation_of_pair, readable_sides, reading_of_pair,
-                       standard_alpha_system)
+                       connected_sum, mirror, pi1_of_diagram, presentation_of_pair,
+                       readable_sides, reading_of_pair, standard_alpha_system)
 from .presentations import (GroupPresentation, abelianization, same_relators,
                             tietze_simplify)
 from .words import (Word, automorphism, compose, format_word,
@@ -27,9 +27,8 @@ from .words import (Word, automorphism, compose, format_word,
 
 
 class MergeRefusedError(DiagramError):
-    def __init__(self, message: str, families):
-        self.families = families
-        super().__init__(message)
+    """A merge refused: the interface is not parallel, or the merged
+    sector does not certify as a handlebody."""
 
 
 class GlueMismatchError(DiagramError):
@@ -89,16 +88,25 @@ def _cocore_curves(surface: SurfaceModel) -> tuple[Word, ...]:
     return tuple(Word(surface.rank, (x, -y)) for x, y in _cocore_pairs(surface))
 
 
-def _assemble(surface: SurfaceModel, systems: tuple[CutSystem, ...], closed: bool,
-              types: tuple[int, ...], read=None) -> MultisectionDiagram:
-    """A constructed diagram, with readings cached for all sector pairs,
-    the boundary pair, and every pair (1, j) feeding pi1.  ``read(i, j)``
-    gives a pair's words; by default system j is read against system i."""
+def _assemble(source: MultisectionDiagram, picks, closed: bool, types: tuple[int, ...],
+              systems: tuple[CutSystem, ...] = ()) -> MultisectionDiagram:
+    """A diagram whose system k copies system ``picks[k - 1]`` of
+    ``source`` (relabelled as in ``systems`` if given), with readings
+    cached for all sector pairs, the boundary pair and every pair (1, j)
+    feeding pi1.  A copy reads as its source: pair (i, j) caches
+    ``reading_of_pair(source, picks[i - 1], picks[j - 1])``."""
+    systems = systems or tuple(source.systems[k - 1] for k in picks)
     s = len(systems)
     pairs = set(adjacent_pairs(s, True)) | {(1, j) for j in range(2, s + 1)}
-    read = read or (lambda i, j: read_system(systems[i - 1], systems[j - 1]))
-    readings = tuple(((i, j), read(i, j)) for i, j in sorted(pairs))
-    return MultisectionDiagram(surface, systems, closed, types, readings)
+    readings = tuple(((i, j), reading_of_pair(source, picks[i - 1], picks[j - 1]))
+                     for i, j in sorted(pairs))
+    return MultisectionDiagram(source.surface, systems, closed, types, readings)
+
+
+def _unused_labels(d: MultisectionDiagram, candidates, n: int) -> list[str]:
+    """The first ``n`` of ``candidates`` that label no system of ``d``."""
+    taken = {system.label for system in d.systems}
+    return list(islice((label for label in candidates if label not in taken), n))
 
 
 def bisection_from_heegaard(h: GeometricHeegaardDiagram) -> MultisectionDiagram:
@@ -119,8 +127,8 @@ def bisection_from_heegaard(h: GeometricHeegaardDiagram) -> MultisectionDiagram:
                               {x: (x, -y) for x, y in pairs})
     beta = CutSystem(surface, _cocore_curves(surface), cocore_std, "beta")
     gamma = replace(connected_sum(h, mirror(h)).beta, label="gamma")
-
-    diagram = _assemble(surface, (alpha, beta, gamma), False, (g, g))
+    fresh = MultisectionDiagram(surface, (alpha, beta, gamma), False, (g, g))
+    diagram = _assemble(fresh, (1, 2, 3), False, (g, g))
 
     pair12 = diagram.reading_map[(1, 2)]
     for i in range(g):
@@ -188,7 +196,7 @@ def double_bisection(b: MultisectionDiagram) -> MultisectionDiagram:
         raise DiagramError("input must be a bounded three-system diagram")
     g = _product_bisection_genus(b)
     systems = b.systems + (replace(b.systems[1], label="delta"),)
-    diagram = _assemble(b.surface, systems, True, (g, g, g, g))
+    diagram = _assemble(b, (1, 2, 3, 2), True, (g, g, g, g), systems)
     if diagram.reading_map[(1, 4)] != diagram.reading_map[(1, 2)]:
         raise AssertionError("parallel copy must read identically to its source")
     _check_same_relators(pi1_of_diagram(b), diagram, "doubling")
@@ -213,17 +221,14 @@ def insert_parallel_sectors(d: MultisectionDiagram, position: int,
         raise DiagramError(
             f"system {position} is not product-compatible (doubled cocores)")
 
-    g2 = d.surface.genus
     # unused labels only, so a second insert at one position repeats none
-    taken = {system.label for system in d.systems}
-    labels = [label for k in range(1, count + len(taken) + 1)
-              if (label := f"{base.label}_ins{k}") not in taken][:count]
+    labels = _unused_labels(d, (f"{base.label}_ins{k}" for k in icount(1)), count)
     copies = tuple(replace(base, label=label) for label in labels)
     systems = d.systems[:position] + copies + d.systems[position:]
-    old_k = d.claimed_types[position - 1]
-    types = d.claimed_types[:position - 1] + (g2,) * count + (old_k,) + \
-        d.claimed_types[position:]
-    out = _assemble(d.surface, systems, d.closed, types)
+    types = d.claimed_types[:position - 1] + (d.surface.genus,) * count + \
+        d.claimed_types[position - 1:]
+    picks = sorted([*range(1, s + 1)] + [position] * count)
+    out = _assemble(d, picks, d.closed, types, systems)
     _check_same_relators(pi1_of_diagram(d), out, "sector insertion")
     return out
 
@@ -242,20 +247,11 @@ def glue_bisections(base: GeometricHeegaardDiagram,
         raise ValueError("need at least one copy")
     b = bisection_from_heegaard(base)
     g = base.genus
-    alpha, beta, gamma = b.systems
-
-    systems = [replace(gamma, label="gamma_1"), replace(beta, label="beta_1"),
-               replace(alpha, label="alpha_1")]
-    gamma_count, alpha_count = 1, 1
-    for i in range(2, copies + 1):
-        systems.append(replace(beta, label=f"beta_{i}"))
-        if i % 2 == 0:
-            gamma_count += 1
-            systems.append(replace(gamma, label=f"gamma_{gamma_count}"))
-        else:
-            alpha_count += 1
-            systems.append(replace(alpha, label=f"alpha_{alpha_count}"))
-    out = _assemble(b.surface, tuple(systems), False, (g,) * (2 * copies))
+    # gamma, beta, alpha, then beta and gamma or alpha alternately
+    picks = [3, 2, 1] + [k for i in range(2, copies + 1) for k in (2, 1 if i % 2 else 3)]
+    systems = tuple(replace(b.systems[k - 1], label=f"{b.systems[k - 1].label}_"
+                            f"{picks[:n + 1].count(k)}") for n, k in enumerate(picks))
+    out = _assemble(b, picks, False, (g,) * (2 * copies), systems)
     # system 1 is gamma here, so compare with b's relators read from gamma
     base_relators = reading_of_pair(b, 3, 2) + reading_of_pair(b, 3, 1)
     _check_same_relators(GroupPresentation(b.surface.genus, base_relators), out, "gluing")
@@ -289,11 +285,13 @@ def cap_off(d1: MultisectionDiagram, d2: MultisectionDiagram) -> MultisectionDia
             f"boundary mismatch: {left.describe()} vs {right.describe()}",
             left, right)
     cap_mid = d2.systems[1]
-    labels = {sys.label for sys in d1.systems}
-    label = cap_mid.label if cap_mid.label not in labels else "beta_cap"
+    label, = _unused_labels(d1, chain((cap_mid.label, "beta_cap"),
+                                      (f"beta_cap{k}" for k in icount(2))), 1)
     systems = d1.systems + (replace(cap_mid, label=label),)
     types = d1.claimed_types + (d2.claimed_types[1], d2.claimed_types[0])
-    out = _assemble(d1.surface, systems, True, types)
+    # d1's readings, and the spliced system's pairs read from standardizers
+    source = MultisectionDiagram(d1.surface, systems, True, types, d1.readings)
+    out = _assemble(source, range(1, len(systems) + 1), True, types)
     # the spliced system is the cap's, not a copy of one of d1's, so it
     # adds relators of its own; compare the abelian invariants
     if abelianization(pi1_of_diagram(out)) != abelianization(pi1_of_diagram(d1)):
@@ -308,7 +306,8 @@ def merge_adjacent_sectors(d: MultisectionDiagram, interface: int) -> Multisecti
     must read as empty words or single dual letters against at least one
     neighbour (the parallel-curve condition), and the merged pair must
     simplify to a free presentation from either side, whose rank becomes
-    the merged sector's type.  Every reading honours the input's cache.
+    the merged sector's type.  Every reading honours the input's cache:
+    each kept system is a copy, and its pairs read as the input's pairs.
 
     The group of the diagram is preserved when the removed system is
     parallel to a neighbour (empty readings).  In the single-letter case
@@ -332,27 +331,23 @@ def merge_adjacent_sectors(d: MultisectionDiagram, interface: int) -> Multisecti
         shown = {side: [format_word(w) for w in fam]
                  for side, fam in families.items()}
         raise MergeRefusedError(
-            f"interface {interface} is not parallel into either neighbour: {shown}",
-            families)
+            f"interface {interface} is not parallel into either neighbour: {shown}")
 
     for home, other in readable_sides(d, prev, nxt):
         simplified = tietze_simplify(presentation_of_pair(d, home, other)).presentation
         if not simplified.relators:
             break
     else:
-        raise MergeRefusedError(
-            "merged sector does not certify as a handlebody", families)
+        raise MergeRefusedError("merged sector does not certify as a handlebody")
     merged_k = simplified.generator_count
 
     keep = [i for i in range(1, s + 1) if i != interface]
-    systems = tuple(d.systems[i - 1] for i in keep)
 
     # a surviving sector keeps its type; the merged one gets merged_k
     old_types = dict(zip(d.sector_pairs(), d.claimed_types))
     new_types = tuple(old_types.get((keep[i - 1], keep[j - 1]), merged_k)
                       for i, j in adjacent_pairs(len(keep), d.closed))
-    return _assemble(d.surface, systems, d.closed, new_types,
-                     lambda i, j: reading_of_pair(d, keep[i - 1], keep[j - 1]))
+    return _assemble(d, keep, d.closed, new_types)
 
 
 def genus_bound_report(d: MultisectionDiagram) -> dict[str, object]:

@@ -372,6 +372,10 @@ def readable_sides(d: MultisectionDiagram, i: int, j: int) -> tuple[Pair, ...]:
 
 
 def reading_of_pair(d: MultisectionDiagram, i: int, j: int) -> tuple[Word, ...]:
+    """System j read against system i, cached or by substitution; a
+    system reads trivially against itself, its curves bounding disks."""
+    if i == j:
+        return (Word(d.surface.genus, ()),) * d.surface.genus
     cached = d.reading_map.get((i, j))
     if cached is not None:
         return cached

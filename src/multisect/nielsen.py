@@ -477,13 +477,17 @@ def compare_sectors(d1: MultisectionDiagram, s1: int, d2: MultisectionDiagram,
                     s2: int, bound: int = DEFAULT_QUOTIENT_BOUND) -> NielsenCertificate:
     """Compare the spine tuple of sector ``s1`` of ``d1`` with that of
     sector ``s2`` of ``d2`` in pi1 of ``d1``.  Two distinct diagrams must
-    present one group by :func:`same_relators`; a ``distinct`` verdict
-    obstructs any isotopy carrying the one sector to the other."""
+    present one group by :func:`same_relators`, and the sectors one rank;
+    a ``distinct`` verdict obstructs any isotopy between the sectors."""
     pres = pi1_of_diagram(d1)
     if d2 is not d1 and not same_relators(pres, pi1_of_diagram(d2)):
         raise DiagramError("the diagrams present different groups; spine "
                            "tuples are not comparable")
-    return distinguish(pres, spine_tuple(d1, s1), spine_tuple(d2, s2), bound)
+    t1, t2 = spine_tuple(d1, s1), spine_tuple(d2, s2)
+    if len(t1) != len(t2):
+        raise DiagramError(f"sector {s1} has rank {len(t1)} and sector {s2} rank "
+                           f"{len(t2)}; spine tuples of different ranks are not comparable")
+    return distinguish(pres, t1, t2, bound)
 
 
 def flip_check(d: MultisectionDiagram,

@@ -382,6 +382,28 @@ def test_validate_reads_a_pair_from_its_readable_side(tmp_path):
     assert "pair 1 2: Verified(1) claimed 1" in out.read_text()
 
 
+def test_double_and_insert_read_cached_pairs_of_a_bare_system(tmp_path):
+    src = tmp_path / "b.msd"
+    src.write_text(_bare_alpha(bisection_from_heegaard(lens_diagram(5, 2))))
+    for verb, *flags in (("double",), ("insert", "--count", 1)):
+        out, report = tmp_path / f"{verb}.msd", tmp_path / f"{verb}.txt"
+        assert run("construct", verb, *flags, "-i", src, "-o", out) == 0
+        assert run("validate", "-i", out, "-o", report) == 0
+        assert "all-verified: true" in report.read_text()
+
+
+def test_distinguish_refuses_sectors_of_different_ranks(lens_hd, tmp_path, capsys):
+    glued, merged, b = (tmp_path / name for name in ("g.msd", "m.msd", "b.msd"))
+    assert run("construct", "glue", "--copies", 1, "--cap", "auto", "-i", lens_hd,
+               "-o", glued) == 0
+    assert run("construct", "merge", "--interface", 3, "-i", glued, "-o", merged) == 0
+    assert run("construct", "trisect-restrict", "--drop", 1, "-i", merged, "-o", b) == 0
+    capsys.readouterr()
+    assert run("distinguish", "--flip", "--diagram", b) == 2
+    assert capsys.readouterr().err == ("error: sector 1 has rank 2 and sector 2 rank 1; "
+                                       "spine tuples of different ranks are not comparable\n")
+
+
 def test_merge_reads_cached_pairs_of_a_bare_system(tmp_path):
     d4 = double_bisection(bisection_from_heegaard(lens_diagram(5, 2)))
     src, out = tmp_path / "d5.msd", tmp_path / "m.msd"

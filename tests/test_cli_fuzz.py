@@ -39,8 +39,12 @@ _DOUBLE = double_bisection(_BISECTION)
 # alpha's side come from the cache or from the other side
 _BARE_ALPHA = replace(_DOUBLE, systems=(replace(_DOUBLE.systems[0], standardizer=None),
                                         *_DOUBLE.systems[1:]))
+# the bisection so edited: double and insert read its pairs from the cache
+_BARE_BISECTION = replace(_BISECTION, systems=(
+    replace(_BISECTION.systems[0], standardizer=None), *_BISECTION.systems[1:]))
 _MSDS = (format_diagram(_BISECTION), format_diagram(_DOUBLE),
-         format_diagram(_trisection()), format_diagram(_BARE_ALPHA))
+         format_diagram(_trisection()), format_diagram(_BARE_ALPHA),
+         format_diagram(_BARE_BISECTION))
 
 # every verb that reads the file: {src} is the edited file, {dst} the
 # output and {base} the unedited bisection

@@ -1,5 +1,6 @@
 import functools
 import random
+from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -15,7 +16,7 @@ from multisect.constructions import (GlueMismatchError, MergeRefusedError,
 from multisect.diagrams import (CutSystem, DiagramError,
                                 GeometricHeegaardDiagram, MultisectionDiagram,
                                 SurfaceModel, connected_sum, format_heegaard,
-                                mirror, pi1_of_diagram, stabilize,
+                                mirror, pi1_of_diagram, read_system, stabilize,
                                 standard_alpha_system, validate)
 from multisect.presentations import AbelianInvariants, GroupPresentation, \
     abelianization, verify_free_of_rank
@@ -33,6 +34,13 @@ def nsum(h, n):
 
 def pi1_invariants(d):
     return abelianization(pi1_of_diagram(d))
+
+
+def bare(d, k):
+    """``d`` with system k's standardizer removed, as a user might write it."""
+    systems = list(d.systems)
+    systems[k - 1] = replace(systems[k - 1], standardizer=None)
+    return replace(d, systems=tuple(systems))
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +440,40 @@ def test_second_insert_at_one_position_takes_unused_labels(lens21_bisection):
     assert validate(twice).ok
 
 
+def test_insert_reads_cached_pairs_of_a_bare_system():
+    d4 = bare(double_bisection(bisection_from_heegaard(lens_diagram(5, 2))), 2)
+    out = insert_parallel_sectors(d4, 2, 1)
+    assert out.systems[1].standardizer is None and validate(out).ok
+
+
+def test_an_uncached_pair_of_a_bare_copy_is_unreadable():
+    # the double's pair (4, 1) copies the bisection's (2, 1), which is
+    # not cached and whose home system has no standardizer
+    b = bare(bisection_from_heegaard(lens_diagram(5, 2)), 2)
+    with pytest.raises(DiagramError, match=r"^pair \(2, 1\) is unreadable: "
+                                           "no cache and no standardizer$"):
+        double_bisection(b)
+
+
+@pytest.mark.parametrize("p,q", [(2, 1), (5, 2), (7, 3), (8, 3)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_cached_reading_is_what_its_pair_reads(p, q, n):
+    # a copy reads as its source, so each construction caches exactly
+    # what its own systems read
+    h = nsum(lens_diagram(p, q), n)
+    b = bisection_from_heegaard(h)
+    d4 = double_bisection(b)
+    d5 = insert_parallel_sectors(d4, 2, 1)
+    built = [b, d4, d5, insert_parallel_sectors(d4, 2, 2), merge_adjacent_sectors(d5, 3)]
+    for copies in (1, 2, 3, 4):
+        chain = glue_bisections(h, copies)
+        closed = cap_off(chain, auto_cap(h, copies))
+        built += [chain, closed, merge_adjacent_sectors(closed, 3)]
+    for d in built:
+        for (i, j), words in d.readings:
+            assert words == read_system(d.systems[i - 1], d.systems[j - 1]), (i, j)
+
+
 # ---------------------------------------------------------------------------
 # gluing, capping, merging
 
@@ -480,6 +522,20 @@ def test_cap_off_single_copy_matches_double(lens21_bisection):
     target = [tuple(c.letters for c in s.curves) for s in d4.systems]
     assert any(seq[k:] + seq[:k] == target for k in range(len(seq)))
     assert closed.claimed_types == d4.claimed_types
+
+
+def test_cap_off_reads_cached_pairs_of_a_bare_system():
+    h = lens_diagram(5, 2)
+    closed = cap_off(bare(glue_bisections(h, 1), 2), auto_cap(h, 1))
+    assert closed.systems[1].standardizer is None and validate(closed).ok
+
+
+def test_cap_off_takes_an_unused_label(lens21_bisection):
+    alpha, beta, gamma = lens21_bisection.systems
+    chain = replace(lens21_bisection, systems=(alpha, beta, replace(gamma, label="beta_cap")))
+    closed = cap_off(chain, lens21_bisection)
+    assert [s.label for s in closed.systems] == ["alpha", "beta", "beta_cap", "beta_cap2"]
+    assert validate(closed).ok
 
 
 def test_cap_off_mismatch_refused():

@@ -9,7 +9,7 @@ from multisect.diagrams import (CutSystem, DiagramError, FormatError,
                                 connected_sum, express_against, format_diagram,
                                 format_heegaard, mirror, parse_diagram,
                                 parse_heegaard, pi1_of_diagram,
-                                presentation_of_pair, read_against,
+                                presentation_of_pair, read_against, reading_of_pair,
                                 stabilize, standard_alpha_system, validate)
 from multisect.constructions import (bisection_from_heegaard, double_bisection,
                                      lens_diagram, sphere_bundle_sum_diagram)
@@ -371,6 +371,8 @@ def test_unreadable_pair_error():
     d = MultisectionDiagram(surf, (nothing, other, third), False, (0, 0))
     with pytest.raises(DiagramError):
         presentation_of_pair(d, 1, 2)
+    # a system reads trivially against itself, standardizer or not
+    assert reading_of_pair(d, 2, 2) == (Word(1, ()),)
 
 
 def test_cache_only_diagram_validates_without_standardizers():

@@ -392,6 +392,18 @@ def test_compare_sectors_applies_the_same_group_rule_to_two_diagrams(monkeypatch
         compare_sectors(b, 1, other, 1)
 
 
+def test_compare_sectors_refuses_sectors_of_different_ranks():
+    from multisect.constructions import (auto_cap, bisection_from_trisection, cap_off,
+                                         glue_bisections, merge_adjacent_sectors)
+    h = lens_diagram(2, 1)
+    merged = merge_adjacent_sectors(cap_off(glue_bisections(h, 1), auto_cap(h, 1)), 3)
+    b = bisection_from_trisection(merged, 1)
+    assert b.claimed_types == (2, 1)
+    with pytest.raises(DiagramError, match=r"^sector 1 has rank 2 and sector 2 rank 1; "
+                                           "spine tuples of different ranks"):
+        flip_check(b)
+
+
 def test_flip_check_equal_sectors():
     surf = SurfaceModel(1)
     mk = lambda label: CutSystem(surf, (Word(2, (1,)),),
