@@ -258,14 +258,21 @@ def _parse_tuple(flag: str, text: str, rank: int):
 
 def cmd_distinguish(args) -> int:
     report = Report("distinguish")
-    if args.presentation is not None:
+    mode = ("presentation" if args.presentation is not None
+            else "flip" if args.flip else "diagram")
+    used = {"presentation": ("tuple1", "tuple2"), "flip": ("diagram",),
+            "diagram": ("diagram", "sector", "sector2")}[mode]
+    for flag in ("tuple1", "tuple2", "diagram", "sector", "sector2"):
+        if getattr(args, flag) is not None and flag not in used:
+            raise ValueError(f"--{flag} does not apply to {mode} mode")
+    if mode == "presentation":
         pres = _read_input(report, args.presentation, parse_presentation)
         if args.tuple1 is None or args.tuple2 is None:
             raise FormatError("presentation mode needs --tuple1 and --tuple2")
         t1 = _parse_tuple("--tuple1", args.tuple1, pres.generator_count)
         t2 = _parse_tuple("--tuple2", args.tuple2, pres.generator_count)
         cert = distinguish(pres, t1, t2, args.bound)
-    elif args.flip:
+    elif mode == "flip":
         if args.diagram is None:
             raise FormatError("--flip needs --diagram")
         cert = flip_check(_read_input(report, args.diagram, parse_diagram), args.bound)
@@ -275,7 +282,7 @@ def cmd_distinguish(args) -> int:
                 "diagram mode needs --diagram and --diagram2 (or --flip)")
         d1 = _read_input(report, args.diagram, parse_diagram)
         d2 = _read_input(report, args.diagram2, parse_diagram)
-        cert = compare_sectors(d1, args.sector, d2, args.sector2 or args.sector,
+        cert = compare_sectors(d1, args.sector or 1, d2, args.sector2 or args.sector or 1,
                                args.bound)
     report.section("certificate")
     report.raw(format_certificate(cert))
@@ -370,15 +377,16 @@ def build_parser() -> argparse.ArgumentParser:
         _add_io(p)
 
     dist = sub.add_parser("distinguish", help="Nielsen-class comparison")
-    dist.add_argument("--presentation", help="presentation text file")
+    mode = dist.add_mutually_exclusive_group()
+    mode.add_argument("--presentation", help="presentation text file")
+    mode.add_argument("--flip", action="store_true",
+                      help="compare the two sectors of one bounded bisection")
+    mode.add_argument("--diagram2", help="second diagram file")
     dist.add_argument("--tuple1", help="comma-separated words")
     dist.add_argument("--tuple2", help="comma-separated words")
     dist.add_argument("--diagram", help="diagram file")
-    dist.add_argument("--diagram2", help="second diagram file")
-    dist.add_argument("--sector", type=_at_least(1), default=1)
-    dist.add_argument("--sector2", type=_at_least(0), default=0, help="0: as --sector")
-    dist.add_argument("--flip", action="store_true",
-                      help="compare the two sectors of one bounded bisection")
+    dist.add_argument("--sector", type=_at_least(1), help="default 1")
+    dist.add_argument("--sector2", type=_at_least(0), help="0 or unset: as --sector")
     dist.add_argument("--bound", type=_at_least(1), default=DEFAULT_QUOTIENT_BOUND,
                       help="largest witness quotient order m^n")
     dist.add_argument("-o", "--output", default="-")

@@ -18,10 +18,9 @@ from math import gcd
 
 from .diagrams import (CutSystem, DiagramError, GeometricHeegaardDiagram,
                        MultisectionDiagram, SurfaceModel, adjacent_pairs,
-                       connected_sum, mirror, pi1_of_diagram, presentation_of_pair,
-                       readable_sides, reading_of_pair, standard_alpha_system)
-from .presentations import (GroupPresentation, abelianization, same_relators,
-                            tietze_simplify)
+                       connected_sum, mirror, pi1_of_diagram, readable_sides,
+                       reading_of_pair, settle_pair, standard_alpha_system)
+from .presentations import GroupPresentation, abelianization, same_relators
 from .words import (Word, automorphism, compose, format_word,
                     identity_automorphism)
 
@@ -94,12 +93,13 @@ def _assemble(source: MultisectionDiagram, picks, closed: bool, types: tuple[int
     ``source`` (relabelled as in ``systems`` if given), with readings
     cached for all sector pairs, the boundary pair and every pair (1, j)
     feeding pi1.  A copy reads as its source: pair (i, j) caches
-    ``reading_of_pair(source, picks[i - 1], picks[j - 1])``."""
+    ``reading_of_pair(source, picks[i - 1], picks[j - 1])``, read once per call."""
     systems = systems or tuple(source.systems[k - 1] for k in picks)
     s = len(systems)
     pairs = set(adjacent_pairs(s, True)) | {(1, j) for j in range(2, s + 1)}
-    readings = tuple(((i, j), reading_of_pair(source, picks[i - 1], picks[j - 1]))
-                     for i, j in sorted(pairs))
+    sources = {(i, j): (picks[i - 1], picks[j - 1]) for i, j in sorted(pairs)}
+    read = {pair: reading_of_pair(source, *pair) for pair in dict.fromkeys(sources.values())}
+    readings = tuple((pair, read[src]) for pair, src in sources.items())
     return MultisectionDiagram(source.surface, systems, closed, types, readings)
 
 
@@ -333,13 +333,10 @@ def merge_adjacent_sectors(d: MultisectionDiagram, interface: int) -> Multisecti
         raise MergeRefusedError(
             f"interface {interface} is not parallel into either neighbour: {shown}")
 
-    for home, other in readable_sides(d, prev, nxt):
-        simplified = tietze_simplify(presentation_of_pair(d, home, other)).presentation
-        if not simplified.relators:
-            break
-    else:
+    _, result = settle_pair(d, readable_sides(d, prev, nxt))
+    if result.presentation.relators:
         raise MergeRefusedError("merged sector does not certify as a handlebody")
-    merged_k = simplified.generator_count
+    merged_k = result.presentation.generator_count
 
     keep = [i for i in range(1, s + 1) if i != interface]
 

@@ -25,7 +25,7 @@ from functools import cached_property
 
 from .matrices import IntegerMatrix, smith_normal_form
 from .presentations import (AbelianInvariants, GroupPresentation, SectorVerdict,
-                            abelianization, verify_free_of_rank,
+                            TietzeResult, abelianization, tietze_simplify,
                             DEFAULT_TIETZE_BUDGET)
 from .words import (FormatError, FreeAutomorphism, Word, _LineReader,
                     _apply_images, _canonical_letters, _cyclic_core, _reduce,
@@ -361,8 +361,8 @@ def read_system(system_i: CutSystem, system_j: CutSystem) -> tuple[Word, ...]:
 def readable_sides(d: MultisectionDiagram, i: int, j: int) -> tuple[Pair, ...]:
     """The sides from which the pair {i, j} can be read, (i, j) before
     (j, i): those whose reading is cached or whose home system has a
-    standardizer.  Both present one group; callers try the second side
-    only when the first does not settle their question."""
+    standardizer.  Both present one group; :func:`settle_pair` reads the
+    second side only when the first does not simplify to a free one."""
     sides = tuple((h, o) for h, o in ((i, j), (j, i))
                   if (h, o) in d.reading_map or d.systems[h - 1].standardizer is not None)
     if not sides:
@@ -409,17 +409,19 @@ class ValidationReport:
         return all(verdict.is_verified for _, _, verdict in self.entries)
 
 
-def _pair_verdict(d: MultisectionDiagram, i: int, j: int, claimed: int,
-                  budget: int) -> SectorVerdict:
-    """The first verdict of a readable side that is not Unknown, else
-    the first side's Unknown."""
-    verdicts = []
-    for home, other in readable_sides(d, i, j):
-        verdicts.append(verify_free_of_rank(presentation_of_pair(d, home, other),
-                                            claimed, budget))
-        if verdicts[-1].status != "unknown":
-            return verdicts[-1]
-    return verdicts[0]
+def settle_pair(d: MultisectionDiagram, sides,
+                budget: int = DEFAULT_TIETZE_BUDGET) -> tuple[Pair, TietzeResult] | None:
+    """Tietze-simplify the pair presentation of each of ``sides`` in
+    order, and return the first side that simplifies to a free
+    presentation with its result; when none does, the first side and its
+    result, or None for no sides."""
+    first = None
+    for side in sides:
+        result = tietze_simplify(presentation_of_pair(d, *side), budget)
+        if not result.presentation.relators:
+            return side, result
+        first = first or (side, result)
+    return first
 
 
 def validate(d: MultisectionDiagram,
@@ -427,10 +429,9 @@ def validate(d: MultisectionDiagram,
     """Check every sector interface against its claimed handlebody rank,
     and report boundary homology for bounded diagrams."""
     entries = []
-    for idx, pair in enumerate(d.sector_pairs()):
-        claimed = d.claimed_types[idx]
-        verdict = _pair_verdict(d, pair[0], pair[1], claimed, budget)
-        entries.append((pair, claimed, verdict))
+    for (i, j), claimed in zip(d.sector_pairs(), d.claimed_types):
+        _, result = settle_pair(d, readable_sides(d, i, j), budget)
+        entries.append(((i, j), claimed, SectorVerdict.of(result, claimed)))
     pair = d.boundary_pair()
     boundary = None if pair is None else (pair, d.boundary_invariants)
     return ValidationReport(tuple(entries), boundary)

@@ -25,7 +25,7 @@ from math import gcd
 
 from .abelian import ORDER_BOUND, Element, FiniteAbelianGroup
 from .diagrams import DiagramError, MultisectionDiagram, express_against, \
-    presentation_of_pair, pi1_of_diagram, readable_sides
+    pi1_of_diagram, readable_sides, settle_pair
 from .matrices import IntegerMatrix, determinant, smith_normal_form
 from .presentations import (AbelianInvariants, GroupPresentation, Surjection,
                             same_relators, tietze_simplify)
@@ -86,7 +86,6 @@ def nielsen_move(t: GeneratingTuple, move: str) -> GeneratingTuple:
 @dataclass(frozen=True)
 class OrbitPartition:
     group: FiniteAbelianGroup
-    width: int
     orbits: tuple[tuple[Tuple_, tuple[Tuple_, ...]], ...]
     """Pairs (orbit id, sorted members); the id is the least member."""
 
@@ -122,7 +121,7 @@ def orbit_enumerate(group: FiniteAbelianGroup, n: int) -> OrbitPartition:
             raise AssertionError("move left the generating set")
         seen.update(members)
         orbits.append((seed, tuple(sorted(members))))
-    return OrbitPartition(group, n, tuple(orbits))
+    return OrbitPartition(group, tuple(orbits))
 
 
 def connect_tuples(group: FiniteAbelianGroup, start: Tuple_,
@@ -260,30 +259,29 @@ def spine_tuple(d: MultisectionDiagram, sector: int) -> WordTuple:
     """Generating tuple of the diagram's group carried by the spine of
     one sector, written in the duals of system 1.
 
-    The sector pair is read from its readable sides in order, skipping a
-    side whose home system has no tracked inverse, until one simplifies
-    to a free presentation; the surviving dual generators are pulled back
-    through the inverse standardizer and re-expressed against system 1.
+    The sector pair is settled (:func:`settle_pair`) on its readable
+    sides whose home system has a tracked inverse; the surviving dual
+    generators of the free side are pulled back through the inverse
+    standardizer and re-expressed against system 1.
     Any two free bases of the sector group are Nielsen equivalent, so the
     class of the resulting tuple does not depend on the side.
     """
     pairs = d.sector_pairs()
     if not 1 <= sector <= len(pairs):
         raise DiagramError("sector index out of range")
-    for home, other in readable_sides(d, *pairs[sector - 1]):
-        system = d.systems[home - 1]
-        if system.standardizer is None or system.standardizer.inverse_images is None:
-            continue
-        result = tietze_simplify(presentation_of_pair(d, home, other))
-        if result.presentation.relators:
-            continue
-        # surviving letters are positive, so each is carried to its inverse image
-        inverse, letters = system.standardizer.inverse_images, system.surviving_letters
-        return tuple(express_against(inverse[letters[dual - 1] - 1], d.systems[0])
-                     for dual in result.surviving_generators)
-    raise DiagramError(
-        f"sector {sector} is not expressible: no side gives a tracked "
-        "standardizer and a free simplification")
+    settled = settle_pair(d, [
+        (home, other) for home, other in readable_sides(d, *pairs[sector - 1])
+        if getattr(d.systems[home - 1].standardizer, "inverse_images", None) is not None])
+    if settled is None or settled[1].presentation.relators:
+        raise DiagramError(
+            f"sector {sector} is not expressible: no side gives a tracked "
+            "standardizer and a free simplification")
+    (home, _), result = settled
+    system = d.systems[home - 1]
+    # surviving letters are positive, so each is carried to its inverse image
+    inverse, letters = system.standardizer.inverse_images, system.surviving_letters
+    return tuple(express_against(inverse[letters[dual - 1] - 1], d.systems[0])
+                 for dual in result.surviving_generators)
 
 
 @dataclass(frozen=True)

@@ -311,23 +311,24 @@ class SectorVerdict:
 
     status: str  # "verified" | "refuted_by_homology" | "unknown"
     rank: int | None
-    trace: tuple[str, ...] = ()
 
     @classmethod
-    def verified(cls, rank: int, invariants: AbelianInvariants,
-                 trace: tuple[str, ...] = ()) -> "SectorVerdict":
+    def verified(cls, rank: int, invariants: AbelianInvariants) -> "SectorVerdict":
         if invariants != AbelianInvariants(rank, ()):
             raise ValueError(
                 f"verified({rank}) contradicts abelian invariants {invariants.describe()}")
-        return cls("verified", rank, trace)
+        return cls("verified", rank)
 
     @classmethod
-    def refuted(cls, rank: int, trace: tuple[str, ...] = ()) -> "SectorVerdict":
-        return cls("refuted_by_homology", rank, trace)
-
-    @classmethod
-    def unknown(cls, rank: int, trace: tuple[str, ...] = ()) -> "SectorVerdict":
-        return cls("unknown", rank, trace)
+    def of(cls, result: TietzeResult, rank: int) -> "SectorVerdict":
+        """The verdict a simplification supports: verified when it ends
+        free on ``rank`` generators, refuted when the input's abelian
+        invariants are not Z^rank, else unknown."""
+        if not result.presentation.relators and result.presentation.generator_count == rank:
+            return cls.verified(rank, result.invariants)
+        if result.invariants != AbelianInvariants(rank, ()):
+            return cls("refuted_by_homology", rank)
+        return cls("unknown", rank)
 
     @property
     def is_verified(self) -> bool:
@@ -343,14 +344,7 @@ def verify_free_of_rank(pres: GroupPresentation, rank: int,
                         budget: int = DEFAULT_TIETZE_BUDGET) -> SectorVerdict:
     """Certify, refute, or give up on the claim that the presented group
     is free of the given rank."""
-    result = tietze_simplify(pres, budget)
-    invariants = result.invariants
-    simplified = result.presentation
-    if not simplified.relators and simplified.generator_count == rank:
-        return SectorVerdict.verified(rank, invariants, result.trace)
-    if invariants != AbelianInvariants(rank, ()):
-        return SectorVerdict.refuted(rank, result.trace)
-    return SectorVerdict.unknown(rank, result.trace)
+    return SectorVerdict.of(tietze_simplify(pres, budget), rank)
 
 
 @dataclass(frozen=True)

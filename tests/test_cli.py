@@ -214,9 +214,9 @@ def test_validate_computes_boundary_invariants_once(lens_msd, tmp_path, monkeypa
 @pytest.mark.parametrize("p, q, validate_snfs", [
     (2, 1, []),
     # sector (2, 3) read from system 2 keeps one relator on two
-    # generators; telling Unknown from RefutedByHomology there takes the
-    # invariants of that 1 x 2 matrix, and the reverse reading verifies
-    (5, 2, [(1, 2)]),
+    # generators; the reverse reading verifies, so the stuck side's
+    # invariants are never needed
+    (5, 2, []),
 ])
 def test_validate_and_pi1_take_no_redundant_smith_forms(p, q, validate_snfs,
                                                         tmp_path, monkeypatch):
@@ -586,6 +586,28 @@ def test_distinguish_flip_and_diagram_pair(lens_msd, tmp_path):
                "--sector", 1, "-o", out) == 10
     assert run("distinguish", "--diagram", lens_msd, "--diagram2", lens_msd,
                "--sector", 1, "--sector2", 2, "-o", out) == 10
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--presentation", "p.txt", "--tuple1", "g1, g2", "--tuple2", "g1, g2 g2",
+      "--flip", "--diagram", "b.msd"), "--flip"),
+    (("--flip", "--diagram", "b.msd", "--sector", "2"), "--sector"),
+    (("--diagram", "b.msd", "--diagram2", "b.msd", "--tuple1", "g1", "--tuple2", "g2"),
+     "--tuple1"),
+])
+def test_distinguish_refuses_the_flags_of_another_mode(argv, flag, tmp_path, capsys,
+                                                       monkeypatch):
+    (tmp_path / "p.txt").write_text("gens 2\ng1 g1 g1 g1 g1\ng2 g2 g2 g2 g2\n")
+    (tmp_path / "b.msd").write_text(
+        format_diagram(bisection_from_heegaard(lens_diagram(5, 2))))
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = run("distinguish", *argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert code == 2
+    assert len(errors) == 1 and flag in errors[0], errors
 
 
 def test_distinguish_mismatched_diagrams(lens_msd, tmp_path, capsys):

@@ -42,9 +42,16 @@ _BARE_ALPHA = replace(_DOUBLE, systems=(replace(_DOUBLE.systems[0], standardizer
 # the bisection so edited: double and insert read its pairs from the cache
 _BARE_BISECTION = replace(_BISECTION, systems=(
     replace(_BISECTION.systems[0], standardizer=None), *_BISECTION.systems[1:]))
+# the lens(5,2) bisection with alpha's inverse block removed: spine
+# tuples skip alpha's side
+_L52 = bisection_from_heegaard(lens_diagram(5, 2))
+_UNTRACKED_ALPHA = replace(_L52, systems=(
+    replace(_L52.systems[0], standardizer=replace(_L52.systems[0].standardizer,
+                                                  inverse_images=None)),
+    *_L52.systems[1:]))
 _MSDS = (format_diagram(_BISECTION), format_diagram(_DOUBLE),
          format_diagram(_trisection()), format_diagram(_BARE_ALPHA),
-         format_diagram(_BARE_BISECTION))
+         format_diagram(_BARE_BISECTION), format_diagram(_UNTRACKED_ALPHA))
 
 # every verb that reads the file: {src} is the edited file, {dst} the
 # output and {base} the unedited bisection

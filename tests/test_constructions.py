@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 import multisect.constructions
+import multisect.diagrams
 from multisect.constructions import (GlueMismatchError, MergeRefusedError,
                                      auto_cap, bisection_from_heegaard,
                                      bisection_from_trisection, cap_off,
@@ -15,11 +16,14 @@ from multisect.constructions import (GlueMismatchError, MergeRefusedError,
                                      sphere_bundle_sum_diagram)
 from multisect.diagrams import (CutSystem, DiagramError,
                                 GeometricHeegaardDiagram, MultisectionDiagram,
-                                SurfaceModel, connected_sum, format_heegaard,
-                                mirror, pi1_of_diagram, read_system, stabilize,
+                                SurfaceModel, adjacent_pairs, connected_sum,
+                                express_against, format_diagram, format_heegaard,
+                                mirror, pi1_of_diagram, presentation_of_pair,
+                                read_system, readable_sides, stabilize,
                                 standard_alpha_system, validate)
+from multisect.nielsen import spine_tuple
 from multisect.presentations import AbelianInvariants, GroupPresentation, \
-    abelianization, verify_free_of_rank
+    abelianization, tietze_simplify, verify_free_of_rank
 from multisect.words import (FreeAutomorphism, Word, apply, automorphism,
                              block_automorphism, compose, flip_letters,
                              identity_automorphism, invert_all, relabel)
@@ -40,6 +44,14 @@ def bare(d, k):
     """``d`` with system k's standardizer removed, as a user might write it."""
     systems = list(d.systems)
     systems[k - 1] = replace(systems[k - 1], standardizer=None)
+    return replace(d, systems=tuple(systems))
+
+
+def untracked(d, k):
+    """``d`` with the ``inverse`` block of system k's standardizer removed."""
+    systems = list(d.systems)
+    std = systems[k - 1].standardizer
+    systems[k - 1] = replace(systems[k - 1], standardizer=replace(std, inverse_images=None))
     return replace(d, systems=tuple(systems))
 
 
@@ -472,6 +484,119 @@ def test_every_cached_reading_is_what_its_pair_reads(p, q, n):
     for d in built:
         for (i, j), words in d.readings:
             assert words == read_system(d.systems[i - 1], d.systems[j - 1]), (i, j)
+
+
+def test_assemble_reads_each_source_pair_once(monkeypatch):
+    # the 12-copy chain caches 48 pairs that copy few source pairs: bisect
+    # reads its four pairs and the input's relators, glue the two uncached
+    # pairs (2, 1) and (3, 2), and its self-check (3, 2) once more
+    base = functools.reduce(connected_sum, (lens_diagram(5, q) for q in range(1, 5)))
+    calls = []
+    original = multisect.diagrams.read_system
+
+    def counting(system_i, system_j):
+        calls.append((system_i.label, system_j.label))
+        return original(system_i, system_j)
+
+    monkeypatch.setattr(multisect.diagrams, "read_system", counting)
+    glue_bisections(base, 12)
+    assert len(calls) == 8
+
+
+# ---------------------------------------------------------------------------
+# the three side walks as written before ``diagrams.settle_pair``, kept as
+# oracles: validate took the first side whose verdict is not Unknown, merge
+# and spine_tuple the first side that simplifies to a free presentation,
+# spine_tuple only among homes with a tracked inverse
+
+
+def reference_pair_verdict(d, i, j, claimed):
+    verdicts = []
+    for home, other in readable_sides(d, i, j):
+        verdicts.append(verify_free_of_rank(presentation_of_pair(d, home, other), claimed))
+        if verdicts[-1].status != "unknown":
+            return verdicts[-1]
+    return verdicts[0]
+
+
+def reference_merge(d, interface):
+    s = len(d.systems)
+    if d.closed:
+        if not 1 <= interface <= s:
+            raise DiagramError("interface index out of range")
+        prev = interface - 1 if interface > 1 else s
+        nxt = interface + 1 if interface < s else 1
+    else:
+        if not 2 <= interface <= s - 1:
+            raise DiagramError("only interior systems of a bounded diagram merge")
+        prev, nxt = interface - 1, interface + 1
+    families = {side: multisect.diagrams.reading_of_pair(d, side, interface)
+                for side in (prev, nxt)}
+    if not any(all(len(w) <= 1 for w in fam) for fam in families.values()):
+        raise MergeRefusedError("not parallel")
+    for home, other in readable_sides(d, prev, nxt):
+        simplified = tietze_simplify(presentation_of_pair(d, home, other)).presentation
+        if not simplified.relators:
+            break
+    else:
+        raise MergeRefusedError("merged sector does not certify as a handlebody")
+    keep = [i for i in range(1, s + 1) if i != interface]
+    old_types = dict(zip(d.sector_pairs(), d.claimed_types))
+    new_types = tuple(old_types.get((keep[i - 1], keep[j - 1]), simplified.generator_count)
+                      for i, j in adjacent_pairs(len(keep), d.closed))
+    return multisect.constructions._assemble(d, keep, d.closed, new_types)
+
+
+def reference_spine_tuple(d, sector):
+    for home, other in readable_sides(d, *d.sector_pairs()[sector - 1]):
+        system = d.systems[home - 1]
+        if system.standardizer is None or system.standardizer.inverse_images is None:
+            continue
+        result = tietze_simplify(presentation_of_pair(d, home, other))
+        if result.presentation.relators:
+            continue
+        inverse, letters = system.standardizer.inverse_images, system.surviving_letters
+        return tuple(express_against(inverse[letters[dual - 1] - 1], d.systems[0])
+                     for dual in result.surviving_generators)
+    raise DiagramError(
+        f"sector {sector} is not expressible: no side gives a tracked "
+        "standardizer and a free simplification")
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` returns, or the type and message of what it raises;
+    a merge refusal counts by its type alone, since the reference does not
+    spell out the non-parallel readings."""
+    try:
+        return f(*args)
+    except MergeRefusedError as exc:
+        return MergeRefusedError, "certify" in str(exc)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("p,q", [(2, 1), (5, 2), (7, 3), (8, 3)])
+def test_settle_pair_walks_as_the_three_reference_walks(p, q):
+    h = lens_diagram(p, q)
+    b = bisection_from_heegaard(h)
+    d4 = double_bisection(b)
+    d5 = insert_parallel_sectors(d4, 2, 1)
+    closed = cap_off(glue_bisections(h, 2), auto_cap(h, 2))
+    built = [b, d4, d5, closed, merge_adjacent_sectors(d5, 3),
+             merge_adjacent_sectors(closed, 3)]
+    for d in built + [bare(d, 1) for d in built] + [untracked(d, 1) for d in built]:
+        assert outcome(lambda: validate(d).entries) == outcome(lambda: tuple(
+            (pair, k, reference_pair_verdict(d, *pair, k))
+            for pair, k in zip(d.sector_pairs(), d.claimed_types)))
+        for sector in range(1, d.sector_count + 1):
+            assert outcome(spine_tuple, d, sector) == \
+                outcome(reference_spine_tuple, d, sector), sector
+        for interface in range(1, len(d.systems) + 1):
+            merged = outcome(merge_adjacent_sectors, d, interface)
+            expected = outcome(reference_merge, d, interface)
+            if isinstance(merged, MultisectionDiagram):
+                merged, expected = format_diagram(merged), format_diagram(expected)
+            assert merged == expected, interface
 
 
 # ---------------------------------------------------------------------------

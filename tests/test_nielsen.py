@@ -23,7 +23,8 @@ from multisect.nielsen import (DEFAULT_SEARCH_NODES, GeneratingTuple,
                                nielsen_move, orbit_enumerate, spine_tuple)
 from multisect.presentations import (GroupPresentation, abelianization,
                                      enumerate_finite_abelian_quotients)
-from multisect.words import Word, identity_automorphism, parse_word
+from multisect.words import Word, format_word, identity_automorphism, parse_word
+from test_constructions import untracked
 
 
 def z(n, *factors):
@@ -299,6 +300,16 @@ def test_spine_tuple_needs_tracked_inverse():
     d = MultisectionDiagram(surf, (system, other, third), False, (1, 1))
     with pytest.raises(DiagramError):
         spine_tuple(d, 1)
+
+
+@pytest.mark.parametrize("p,q", [(5, 2), (7, 3), (8, 3)])
+def test_spine_tuple_reads_the_second_side_without_a_tracked_inverse(p, q):
+    # alpha without its inverse block: sector (1, 2) is read from side
+    # (2, 1), whose free basis is another one of the same Nielsen class
+    b = bisection_from_heegaard(lens_diagram(p, q))
+    assert [format_word(w) for w in spine_tuple(b, 1)] == ["g1"]
+    assert [format_word(w) for w in spine_tuple(untracked(b, 1), 1)] == ["g2"]
+    assert flip_check(untracked(b, 1)).verdict == flip_check(b).verdict == "distinct"
 
 
 def test_distinguish_synthetic_pair():
