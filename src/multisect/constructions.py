@@ -252,8 +252,9 @@ def glue_bisections(base: GeometricHeegaardDiagram,
     systems = tuple(replace(b.systems[k - 1], label=f"{b.systems[k - 1].label}_"
                             f"{picks[:n + 1].count(k)}") for n, k in enumerate(picks))
     out = _assemble(b, picks, False, (g,) * (2 * copies), systems)
-    # system 1 is gamma here, so compare with b's relators read from gamma
-    base_relators = reading_of_pair(b, 3, 2) + reading_of_pair(b, 3, 1)
+    # system 1 is gamma here, so b's relators read from gamma are the
+    # readings of pairs (1, 2) and (1, 3), which copy (3, 2) and (3, 1)
+    base_relators = out.reading_map[(1, 2)] + out.reading_map[(1, 3)]
     _check_same_relators(GroupPresentation(b.surface.genus, base_relators), out, "gluing")
     return out
 

@@ -125,35 +125,88 @@ class SmithForm:
 _SWAP, _ADD, _NEGATE = "swap", "add", "negate"
 
 
+class _SparseMatrix:
+    """The working matrix of the elimination: ``rows[i]`` maps each
+    column to the nonzero entry of row i there, and ``cols[j]`` is the
+    set of rows with a nonzero entry in column j."""
+
+    __slots__ = ("rows", "cols")
+
+    def __init__(self, a: IntegerMatrix):
+        self.rows: list[dict[int, int]] = []
+        self.cols: list[set[int]] = [set() for _ in range(a.cols)]
+        for i, entries in enumerate(a.entries):
+            row = {}
+            for j, x in enumerate(entries):
+                if x:
+                    row[j] = x
+                    self.cols[j].add(i)
+            self.rows.append(row)
+
+
 def _swap_rows(m, log, i, j):
-    m[i], m[j] = m[j], m[i]
+    for k in m.rows[i]:
+        m.cols[k].discard(i)
+    for k in m.rows[j]:
+        m.cols[k].discard(j)
+    m.rows[i], m.rows[j] = m.rows[j], m.rows[i]
+    for k in m.rows[i]:
+        m.cols[k].add(i)
+    for k in m.rows[j]:
+        m.cols[k].add(j)
     log.append((_SWAP, i, j, 0))
 
 
 def _swap_cols(m, v, log, i, j):
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-    for row in v:
-        row[i], row[j] = row[j], row[i]
+    for k in m.cols[i] | m.cols[j]:
+        row = m.rows[k]
+        x, y = row.pop(i, 0), row.pop(j, 0)
+        if y:
+            row[i] = y
+        if x:
+            row[j] = x
+    m.cols[i], m.cols[j] = m.cols[j], m.cols[i]
+    v[i], v[j] = v[j], v[i]
     log.append((_SWAP, i, j, 0))
 
 
 def _add_row(m, log, dst, src, q):
     # row dst += q * row src
-    m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
+    row, cols = m.rows[dst], m.cols
+    for k, y in m.rows[src].items():
+        x = row.get(k, 0) + q * y
+        if x:
+            if k not in row:
+                cols[k].add(dst)
+            row[k] = x
+        elif row.pop(k, 0):
+            cols[k].discard(dst)
     log.append((_ADD, dst, src, q))
 
 
 def _add_col(m, v, log, dst, src, q):
-    for row in m:
-        row[dst] += q * row[src]
-    for row in v:
-        row[dst] += q * row[src]
+    # column dst += q * column src, in the working matrix and in V
+    for k in m.cols[src]:
+        row = m.rows[k]
+        x = row.get(dst, 0) + q * row[src]
+        if x:
+            if dst not in row:
+                m.cols[dst].add(k)
+            row[dst] = x
+        elif row.pop(dst, 0):
+            m.cols[dst].discard(k)
+    column = v[dst]
+    for k, y in v[src].items():
+        x = column.get(k, 0) + q * y
+        if x:
+            column[k] = x
+        else:
+            column.pop(k, 0)
     log.append((_ADD, dst, src, q))
 
 
 def _negate_row(m, log, t):
-    m[t] = [-x for x in m[t]]
+    m.rows[t] = {k: -x for k, x in m.rows[t].items()}
     log.append((_NEGATE, t, t, 0))
 
 
@@ -181,28 +234,34 @@ def smith_normal_form(a: IntegerMatrix) -> SmithForm:
     ties broken by (row, col).  The rule is fixed, so output is
     deterministic for a given input.
 
+    The working matrix is sparse (see :class:`_SparseMatrix`), and V is
+    kept as its sparse columns, so the pivot and divisibility scans
+    touch only the nonzero entries of the trailing block, and a row or
+    column operation only the entries it changes.  Rows and columns
+    before the step's index t hold nothing but their diagonal entry,
+    so every entry of a row from t on lies in the trailing block.
+
     Checked on every call: V equal to the identity with the logged column
     operations replayed (hence unimodular), D equal to A @ V with the
     logged row operations replayed (hence D = E @ A @ V with E unimodular),
     and D diagonal with its nonzero entries in a divisibility chain.
     """
     r, c = a.rows, a.cols
-    m = [list(row) for row in a.entries]
-    v = [list(row) for row in IntegerMatrix.identity(c).entries]
+    m = _SparseMatrix(a)
+    rows = m.rows  # swaps exchange entries of this list, never the list
+    v: list[dict[int, int]] = [{j: 1} for j in range(c)]  # columns of V
     row_log: list = []
     col_log: list = []
 
     t = 0
     while t < min(r, c):
-        pivot = best = None
+        pivot, best = None, 0
         for i in range(t, r):
-            for j in range(t, c):
-                x = m[i][j]
-                if x and (best is None or abs(x) < best):
+            for j, x in rows[i].items():  # in no column order, so a tie
+                if not best or abs(x) < best or (abs(x) == best and i == pivot[0]
+                                                 and j < pivot[1]):  # goes left
                     pivot, best = (i, j), abs(x)
-                    if best == 1:  # nothing is smaller, and a later tie loses
-                        break
-            if best == 1:
+            if best == 1:  # nothing is smaller, and a later row loses a tie
                 break
         if pivot is None:
             break
@@ -211,37 +270,43 @@ def smith_normal_form(a: IntegerMatrix) -> SmithForm:
         if pivot[1] != t:
             _swap_cols(m, v, col_log, t, pivot[1])
 
+        p = rows[t][t]
         dirty = False
-        for i in range(t + 1, r):
-            if m[i][t] != 0:
-                q = m[i][t] // m[t][t]
-                _add_row(m, row_log, i, t, -q)
-                if m[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, c):
-            if m[t][j] != 0:
-                q = m[t][j] // m[t][t]
-                _add_col(m, v, col_log, j, t, -q)
-                if m[t][j] != 0:
-                    dirty = True
+        for i in sorted(m.cols[t]):
+            if i > t:
+                _add_row(m, row_log, i, t, -(rows[i][t] // p))
+                dirty = dirty or t in rows[i]
+        for j in sorted(rows[t]):
+            if j > t:
+                _add_col(m, v, col_log, j, t, -(rows[t][j] // p))
+                dirty = dirty or j in rows[t]
         if dirty:
             continue
 
         # enforce the divisibility chain before moving on; every integer
         # is divisible by a unit pivot, so only a larger one needs the scan
-        p = m[t][t]
         offender = None if abs(p) == 1 else next(
-            (i for i in range(t + 1, r) for j in range(t + 1, c) if m[i][j] % p), None)
+            (i for i in range(t + 1, r) if any(x % p for x in rows[i].values())), None)
         if offender is not None:
             _add_row(m, row_log, t, offender, 1)
             continue
 
-        if m[t][t] < 0:
+        if p < 0:
             _negate_row(m, row_log, t)
         t += 1
 
-    d_mat = IntegerMatrix.from_rows(m, c)
-    v_mat = IntegerMatrix.from_rows(v, c)
+    d_rows = []
+    for row in rows:
+        dense = [0] * c
+        for j, x in row.items():
+            dense[j] = x
+        d_rows.append(tuple(dense))
+    v_rows = [[0] * c for _ in range(c)]
+    for j, column in enumerate(v):
+        for i, x in column.items():
+            v_rows[i][j] = x
+    d_mat = IntegerMatrix(r, c, tuple(d_rows))
+    v_mat = IntegerMatrix(c, c, tuple(map(tuple, v_rows)))
 
     diag = d_mat.diagonal()
     factors = tuple(d for d in diag if d not in (0, 1))

@@ -17,9 +17,9 @@ relators that hold it, and the one renumbering at the end is checked too.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from itertools import product as iproduct
 
 from .abelian import ORDER_BOUND, FiniteAbelianGroup
@@ -130,31 +130,110 @@ def _solve_for(g: int, rel: tuple[int, ...]) -> tuple[int, ...]:
     return _letters_inverse(rest) if rel[pos] > 0 else rest
 
 
-def _overlap_reduction(relators: list[tuple[int, ...]]
+class _RelatorIndex:
+    """Per-generator indexes over the relators of one simplification, so
+    that a move visits only what it changes (the bookkeeping of Havas,
+    Kenne, Richardson and Robertson's Tietze program).  ``relators`` is
+    the simplification's list, None where a relator was dropped, and
+    :func:`_reindex` and :meth:`mark_rewritten` update the indexes for
+    each relator a move rewrites or drops.
+
+    - ``holds[g]``: the relators holding generator g, which are the ones
+      an elimination of g rewrites and the only shrink partners of a
+      relator that begins or ends with g;
+    - ``once[g]``: the relators holding g exactly once, with ``peaks`` a
+      heap of -g over them, so the highest eliminable generator is at
+      hand;
+    - ``due``: a heap of the relators to scan for a shrink, at first all
+      of them, then those rewritten or given a new partner since their
+      last scan found none (``due_set`` holds the same ids); no other
+      relator shrinks.
+    """
+
+    def __init__(self, relators: list[tuple[int, ...] | None]):
+        self.relators = relators
+        self.holds: dict[int, set[int]] = {}
+        self.once: dict[int, set[int]] = {}
+        self.peaks: list[int] = []
+        self.due = [rid for rid, rel in enumerate(relators) if rel]  # sorted, so a heap
+        self.due_set = set(self.due)
+        for rid in self.due:
+            _reindex(self, rid, (), relators[rid])
+
+    def mark_rewritten(self, rid: int) -> None:
+        """Make every relator whose first or last letter is a generator
+        that the rewritten relator ``rid`` holds due for a shrink scan,
+        since it may now shrink by this one; ``rid`` is among them."""
+        for g in {abs(lt) for lt in self.relators[rid]}:
+            for other in self.holds[g]:
+                rel = self.relators[other]
+                if (abs(rel[0]) == g or abs(rel[-1]) == g) and other not in self.due_set:
+                    self.due_set.add(other)
+                    heappush(self.due, other)
+
+    def candidate(self) -> tuple[int, int] | None:
+        """The highest generator that some relator holds once, and the
+        lowest-index relator that does."""
+        while self.peaks:
+            holders = self.once.get(-self.peaks[0])
+            if holders:
+                return -self.peaks[0], min(holders)
+            heappop(self.peaks)
+        return None
+
+
+def _reindex(index: _RelatorIndex, rid: int, old: tuple[int, ...],
+             new: tuple[int, ...]) -> None:
+    """Move relator ``rid`` from the ``holds`` and ``once`` entries of its
+    letters ``old`` to those of ``new``."""
+    for lt in old:
+        index.holds[abs(lt)].discard(rid)
+        index.once[abs(lt)].discard(rid)
+    counts: dict[int, int] = {}
+    for lt in new:
+        counts[abs(lt)] = counts.get(abs(lt), 0) + 1
+    for g, n in counts.items():
+        index.holds.setdefault(g, set()).add(rid)
+        once = index.once.setdefault(g, set())
+        if n == 1:
+            if not once:
+                heappush(index.peaks, -g)
+            once.add(rid)
+
+
+def _overlap_reduction(index: _RelatorIndex
                        ) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...]] | None:
     """First relator that shrinks when multiplied by a rotation of
     another relator or its inverse (a conjugate, so the normal closure
     is unchanged), as ``(index, other index, sign, rotation, shorter
-    relator)``.  Scan order is fixed, so the choice is deterministic.
-    Relators are cyclically reduced, so every rotation is freely reduced
-    and the product cancels only where the two meet."""
-    for i, r in enumerate(relators):
-        if not r:
-            continue
-        inv_first, inv_last = -r[0], -r[-1]
-        for j, other in enumerate(relators):
-            if i == j or not other:
-                continue
-            for sign, s in ((1, other), (-1, _letters_inverse(other))):
-                for shift in range(len(s)):
-                    # without cancellation at the junction or at the ends
-                    # the product keeps every letter and cannot be shorter
-                    if s[shift] != inv_last and s[shift - 1] != inv_first:
-                        continue
-                    rotation = s[shift:] + s[:shift]
-                    shorter = _cyclic_core(_letters_product(r, rotation))
-                    if len(shorter) < len(r):
-                        return i, j, sign, rotation, shorter
+    relator)``.  Scan order is fixed (relator, other relator, sign,
+    rotation), so the choice is deterministic.  Relators are cyclically
+    reduced, so every rotation is freely reduced and the product cancels
+    only where the two meet: the other relator must hold the generator
+    of the first or the last letter.  A relator that is not due is known
+    not to shrink, so the scan starts at the lowest due one."""
+    relators, holds = index.relators, index.holds
+    while index.due:
+        i = index.due[0]
+        r = relators[i]
+        if r:
+            inv_first, inv_last = -r[0], -r[-1]
+            for j in sorted(holds[abs(inv_first)] | holds[abs(inv_last)]):
+                if j == i:
+                    continue
+                other = relators[j]
+                for sign, s in ((1, other), (-1, _letters_inverse(other))):
+                    for shift in range(len(s)):
+                        # without cancellation at the junction or at the ends
+                        # the product keeps every letter and cannot be shorter
+                        if s[shift] != inv_last and s[shift - 1] != inv_first:
+                            continue
+                        rotation = s[shift:] + s[:shift]
+                        shorter = _cyclic_core(_letters_product(r, rotation))
+                        if len(shorter) < len(r):
+                            return i, j, sign, rotation, shorter
+        heappop(index.due)
+        index.due_set.discard(i)
     return None
 
 
@@ -184,10 +263,21 @@ def tietze_simplify(pres: GroupPresentation,
     relator that stays in the set.  Deterministic: the elimination
     candidate is the highest-index eliminable generator, in the
     lowest-index relator exhibiting it; shrinking picks the first
-    reduction in a fixed scan.  Exhausting the budget returns the best
-    presentation reached.  Relators and images are letter tuples, and
-    generators keep their input ids until the survivors are renumbered
-    1..k once at the end, which is monotone and so changes no choice.
+    reduction in a fixed scan.  Drops happen in relator order, so a
+    budget cut always lands on the same move, and exhausting the budget
+    returns the best presentation reached.  Relators and images are
+    letter tuples, and generators keep their input ids until the
+    survivors are renumbered 1..k once at the end, which is monotone and
+    so changes no choice.
+
+    Relators keep their input positions (None once dropped), and each
+    move visits only the relators it changes: the first round checks
+    every relator for being empty or a duplicate, later rounds only the
+    ones rewritten since, against a map from dedup key to relator.  A
+    :class:`_RelatorIndex`, built after the first round, finds the
+    candidate, the relators holding it and the shrink partners, and a
+    map from each generator to the images holding it finds the images
+    an elimination rewrites.
 
     Every move is checked on the exponent rows of the relators, which
     are carried along: a dropped empty relator has a zero row, a dropped
@@ -204,77 +294,109 @@ def tietze_simplify(pres: GroupPresentation,
         raise ValueError("budget must be positive")
 
     gens = pres.generator_count
-    relators = [rel.letters for rel in pres.relators]
-    rows = [rel.exponent_sums() for rel in pres.relators]
+    relators: list[tuple[int, ...] | None] = [rel.letters for rel in pres.relators]
+    rows: list[tuple[int, ...] | None] = [rel.exponent_sums() for rel in pres.relators]
     images = [(k,) for k in range(1, gens + 1)]
+    in_images: dict[int, set[int]] = {}  # g -> eliminated generators whose image holds g
     trace: list[str] = []
     steps = 0
-    canonical: dict[tuple[int, ...], tuple[int, ...]] = {}  # dedup keys seen
+    canonical: dict[tuple[int, ...], tuple[int, ...]] = {}  # dedup key of each tuple seen
+    owner: dict[tuple[int, ...], int] = {}  # dedup key -> the relator that has it
+    changed = list(range(len(relators)))  # to check for being empty or a duplicate
+    index: _RelatorIndex | None = None
+
+    def replace(rid: int, new: tuple[int, ...] | None, row: tuple[int, ...] | None) -> None:
+        """Rewrite relator ``rid`` to ``new``, or drop it for None."""
+        old = relators[rid]
+        if owner.get(canonical.get(old)) == rid:
+            del owner[canonical[old]]
+        relators[rid], rows[rid] = new, row
+        if index is not None:
+            _reindex(index, rid, old, new or ())
+            if new:
+                index.mark_rewritten(rid)
+        if new is not None:
+            changed.append(rid)
 
     progress = True
     while progress and steps < budget:
         progress = False
+        recheck = sorted({rid for rid in changed if relators[rid] is not None})
+        changed = []
 
-        kept = []
-        for rel, row in zip(relators, rows):
-            if not rel and steps < budget:
-                if any(row):
+        for rid in recheck:
+            if not relators[rid] and steps < budget:
+                if any(rows[rid]):
                     raise AssertionError("drop empty relator: its exponent row "
-                                         f"{row} is not zero")
+                                         f"{rows[rid]} is not zero")
                 steps += 1
                 trace.append("drop empty relator")
                 progress = True
-            else:
-                kept.append((rel, row))
+                replace(rid, None, None)
 
-        seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-        deduped = []
-        for rel, row in kept:
+        # the lowest relator with a key keeps it; the others go in order
+        duplicates = []
+        for rid in recheck:
+            rel = relators[rid]
+            if rel is None:
+                continue
             key = canonical.get(rel)
             if key is None:
                 key = canonical[rel] = _canonical_letters(rel)
-            if key in seen and steps < budget:
-                twin = seen[key]
-                if row != twin and row != tuple(-x for x in twin):
-                    raise AssertionError(f"drop duplicate relator: row {row} is "
-                                         f"not +- the row {twin} it duplicates")
-                steps += 1
-                trace.append("drop duplicate relator")
-                progress = True
-            else:
-                seen.setdefault(key, row)
-                deduped.append((rel, row))
-        relators = [rel for rel, _ in deduped]
-        rows = [row for _, row in deduped]
+            first = owner.setdefault(key, rid)
+            if first < rid:
+                duplicates.append((rid, first))
+            elif first > rid:
+                owner[key] = rid
+                duplicates.append((first, rid))
+        for rid, twin in sorted(duplicates):
+            if steps >= budget:
+                break
+            row, twin_row = rows[rid], rows[twin]
+            if row != twin_row and row != tuple(-x for x in twin_row):
+                raise AssertionError(f"drop duplicate relator: row {row} is "
+                                     f"not +- the row {twin_row} it duplicates")
+            steps += 1
+            trace.append("drop duplicate relator")
+            progress = True
+            replace(rid, None, None)
+        if steps >= budget:
+            break
 
-        candidate: tuple[int, int] | None = None  # (generator, relator index)
-        for ridx, rel in enumerate(relators):
-            for g, n in Counter(map(abs, rel)).items():
-                if n == 1 and (candidate is None or g > candidate[0]):
-                    candidate = (g, ridx)
-        if candidate is not None and steps < budget:
+        if index is None:
+            index = _RelatorIndex(relators)
+        candidate = index.candidate()  # (generator, relator index)
+        if candidate is not None:
             steps += 1
             g, ridx = candidate
-            rel = relators.pop(ridx)
-            pivot = rows.pop(ridx)
+            rel, pivot = relators[ridx], rows[ridx]
+            replace(ridx, None, None)
             if pivot[g - 1] not in (1, -1):
                 raise AssertionError(f"eliminate generator: pivot entry {pivot[g - 1]} is not +-1")
             # a surviving k has the image (k,) and no relator holds an
             # eliminated one, so the images substitute for g alone
             images[g - 1] = _solve_for(g, rel)
-            for i, r in enumerate(relators):
-                if g in r or -g in r:
-                    relators[i] = _cyclic_core(_apply_images(images, r))
-                    factor = rows[i][g - 1] * pivot[g - 1]
-                    rows[i] = tuple(x - factor * y for x, y in zip(rows[i], pivot))
-                    _check_row(relators[i], rows[i], "eliminate generator")
-            images = [_apply_images(images, w) if g in w or -g in w else w for w in images]
+            for i in sorted(index.holds[g]):
+                factor = rows[i][g - 1] * pivot[g - 1]
+                row = tuple(x - factor * y for x, y in zip(rows[i], pivot))
+                new = _cyclic_core(_apply_images(images, relators[i]))
+                _check_row(new, row, "eliminate generator")
+                replace(i, new, row)
+            for k in in_images.pop(g, ()):
+                for lt in images[k - 1]:
+                    if abs(lt) != g:
+                        in_images[abs(lt)].discard(k)
+                images[k - 1] = _apply_images(images, images[k - 1])
+                for lt in images[k - 1]:
+                    in_images.setdefault(abs(lt), set()).add(k)
+            for lt in images[g - 1]:
+                in_images.setdefault(abs(lt), set()).add(g)
             trace.append(f"eliminate generator g{g}")
             progress = True
             continue
 
-        shrink = _overlap_reduction(relators)
-        if shrink is not None and steps < budget:
+        shrink = _overlap_reduction(index)
+        if shrink is not None:
             steps += 1
             ridx, other, sign, rotation, shorter = shrink
             predicted = tuple(x + sign * y for x, y in zip(rows[ridx], rows[other]))
@@ -283,19 +405,19 @@ def tietze_simplify(pres: GroupPresentation,
             if product.cyclic_reduce().letters != shorter:
                 raise AssertionError(f"shrink relator: {shorter} is not the "
                                      "cyclically reduced product")
-            relators[ridx] = shorter
-            rows[ridx] = predicted
+            replace(ridx, shorter, predicted)
             trace.append("shrink relator by a conjugate")
             progress = True
 
     # an eliminated generator's image avoids it
     survivors = tuple(k for k, w in enumerate(images, 1) if w == (k,))
     number = {old: new for new, old in enumerate(survivors, 1)}
-    relators = [_renumbered(r, number, "relator") for r in relators]
-    for r, row in zip(relators, rows):
+    kept = [(_renumbered(r, number, "relator"), row)
+            for r, row in zip(relators, rows) if r is not None]
+    for r, row in kept:
         _check_row(r, tuple(row[k - 1] for k in survivors), "renumber generators")
     rank = len(survivors)
-    return TietzeResult(GroupPresentation(rank, tuple(Word(rank, r) for r in relators)),
+    return TietzeResult(GroupPresentation(rank, tuple(Word(rank, r) for r, _ in kept)),
                         tuple(trace), steps, survivors,
                         tuple(Word(rank, _renumbered(w, number, "image")) for w in images))
 

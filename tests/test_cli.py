@@ -163,17 +163,18 @@ def test_failed_self_check_exits_3(lens_msd, monkeypatch, capsys):
         "Smith normal form transforms are not unimodular\n")
 
 
+_ADD_ROW, _ADD_COL = multisect.matrices._add_row, multisect.matrices._add_col
+
+
 def _misreported_row_update(m, log, dst, src, q):
-    m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
+    _ADD_ROW(m, [], dst, src, q)
     log.append(("add", dst, src, 2 * q))
 
 
 def _doubled_column_update(m, v, log, dst, src, q):
-    for row in m:
-        row[dst] += q * row[src]
-    for row in v:
-        row[dst] += 2 * q * row[src]
-    log.append(("add", dst, src, q))
+    _ADD_COL(m, v, log, dst, src, q)
+    for k, y in v[src].items():  # V's column dst gains q * column src again
+        v[dst][k] = v[dst].get(k, 0) + q * y
 
 
 @pytest.mark.parametrize("helper, tampered", [("_add_row", _misreported_row_update),

@@ -2,23 +2,25 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import multisect.presentations
 from multisect.abelian import FiniteAbelianGroup, invariant_factor_chains
 from multisect.presentations import (DEFAULT_TIETZE_BUDGET, AbelianInvariants,
                                      GroupPresentation, SectorVerdict, TietzeResult,
-                                     _overlap_reduction, abelianization,
+                                     _overlap_reduction, _RelatorIndex, abelianization,
                                      enumerate_finite_abelian_quotients,
                                      format_presentation, parse_presentation,
                                      same_relators, tietze_simplify,
                                      verify_free_of_rank)
-from multisect.constructions import (bisection_from_heegaard, double_bisection,
-                                     lens_diagram)
+from multisect.constructions import (auto_cap, bisection_from_heegaard, cap_off,
+                                     double_bisection, glue_bisections,
+                                     insert_parallel_sectors, lens_diagram,
+                                     merge_adjacent_sectors)
 from multisect.diagrams import (connected_sum, pi1_of_diagram, presentation_of_pair,
                                 validate)
 from multisect.words import (FormatError, Word, _apply_images, _canonical_letters,
-                             _cyclic_core, _letters_inverse)
+                             _cyclic_core, _letters_inverse, _letters_product)
 
 
 def pres(gens, *relators):
@@ -242,11 +244,35 @@ def reference_overlap_reduction(relators):
     return None
 
 
-@given(st.lists(letter_lists, max_size=4))
+def reference_overlap_scan(relators):
+    """The shrink scan over every ordered pair of relators and every
+    rotation, on letter tuples: the simplification's scan before it
+    kept per-generator indexes."""
+    for i, r in enumerate(relators):
+        if not r:
+            continue
+        inv_first, inv_last = -r[0], -r[-1]
+        for j, other in enumerate(relators):
+            if i == j or not other:
+                continue
+            for sign, s in ((1, other), (-1, _letters_inverse(other))):
+                for shift in range(len(s)):
+                    if s[shift] != inv_last and s[shift - 1] != inv_first:
+                        continue
+                    rotation = s[shift:] + s[:shift]
+                    shorter = _cyclic_core(_letters_product(r, rotation))
+                    if len(shorter) < len(r):
+                        return i, j, sign, rotation, shorter
+    return None
+
+
+@given(st.lists(letter_lists, max_size=6))
 def test_overlap_scan_chooses_what_word_arithmetic_chooses(relator_letters):
     relators = [cyclically_reduced(3, letters) for letters in relator_letters]
-    assert _overlap_reduction([r.letters for r in relators]) == \
-        reference_overlap_reduction(relators)
+    letters = [r.letters for r in relators]
+    expected = reference_overlap_reduction(relators)
+    assert reference_overlap_scan(letters) == expected
+    assert _overlap_reduction(_RelatorIndex(letters)) == expected
 
 
 def test_wrong_elimination_substitution_fails_the_row_check(monkeypatch):
@@ -294,8 +320,8 @@ def test_wrong_renumbering_fails_the_row_check(monkeypatch):
 def test_wrong_shrink_word_fails_the_row_check(monkeypatch):
     original = multisect.presentations._overlap_reduction
 
-    def wrong(relators):
-        found = original(relators)
+    def wrong(index):
+        found = original(index)
         if found is None:
             return None
         i, j, sign, rotation, shorter = found
@@ -311,8 +337,8 @@ def test_wrong_shrink_word_fails_the_row_check(monkeypatch):
 def test_shrink_must_be_the_product_it_claims(monkeypatch):
     original = multisect.presentations._overlap_reduction
 
-    def wrong(relators):
-        found = original(relators)
+    def wrong(index):
+        found = original(index)
         if found is None:
             return None
         i, j, sign, rotation, shorter = found
@@ -434,7 +460,7 @@ def reference_tietze_simplify(p, budget=DEFAULT_TIETZE_BUDGET):
             gens -= 1
             progress = True
             continue
-        shrink = _overlap_reduction(relators)
+        shrink = reference_overlap_scan(relators)
         if shrink is not None and steps < budget:
             steps += 1
             ridx, other, sign, _, shorter = shrink
@@ -449,15 +475,33 @@ def reference_tietze_simplify(p, budget=DEFAULT_TIETZE_BUDGET):
 
 @st.composite
 def small_presentations(draw):
-    gens = draw(st.integers(0, 5))
-    letters = st.sampled_from([k for g in range(1, gens + 1) for k in (g, -g)]) \
-        if gens else st.nothing()
-    relators = draw(st.lists(st.lists(letters, max_size=8), max_size=5 if gens else 0))
-    return GroupPresentation(gens, tuple(cyclically_reduced(gens, r) for r in relators))
+    """Up to 8 generators and 12 relators, each over a window of at most
+    four consecutive generators, so that relators share generators, with
+    rotated or inverted copies of some relators among them, so that
+    duplicates turn up before and after moves."""
+    gens = draw(st.integers(0, 8))
+    relators = []
+    for _ in range(draw(st.integers(0, 12 if gens else 0))):
+        low = draw(st.integers(1, gens))
+        window = [k for g in range(low, min(low + 3, gens) + 1) for k in (g, -g)]
+        letters = draw(st.lists(st.sampled_from(window), max_size=8))
+        relators.append(cyclically_reduced(gens, letters).letters)
+    for source, shift, invert in draw(st.lists(st.tuples(
+            st.integers(0, 11), st.integers(0, 7), st.booleans()), max_size=4)):
+        if source < len(relators) and len(relators) < 12:
+            r = relators[source]
+            r = r[shift % len(r):] + r[:shift % len(r)] if r else r
+            relators.insert(draw(st.integers(0, len(relators))),
+                            _letters_inverse(r) if invert else r)
+    return GroupPresentation(gens, tuple(Word(gens, r) for r in relators))
 
 
 @settings(max_examples=600, deadline=None)
 @given(small_presentations(), st.sampled_from([1, 2, 3, 5, DEFAULT_TIETZE_BUDGET]))
+# after two eliminations g2 g3 g2 g3 g2 does not shrink, but it does by
+# the other relator left once two shrinks have rewritten that one: a
+# rewrite must make every relator that may now shrink by it due again
+@example(pres(4, (2, -4, -4), (1, 1), (-2, -3, -4), (1, 2, -4, -3)), DEFAULT_TIETZE_BUDGET)
 def test_tietze_agrees_with_the_renumber_every_step_oracle(p, budget):
     assert tietze_simplify(p, budget) == reference_tietze_simplify(p, budget)
 
@@ -467,18 +511,38 @@ def test_tietze_agrees_with_the_oracle_on_sector_pairs():
     for q in (1, 3, 4, 2, 1):
         h = connected_sum(h, lens_diagram(5, q))
     d = double_bisection(bisection_from_heegaard(h))
-    for p in (pi1_of_diagram(d), presentation_of_pair(d, 1, 2),
-              presentation_of_pair(d, 2, 3)):
+    presentations = [pi1_of_diagram(d), presentation_of_pair(d, 1, 2),
+                     presentation_of_pair(d, 2, 3)]
+    # the benchmark's genus-4 base lens(5, 1) # ... # lens(5, 4), then the
+    # central genus 40 product diagram: double, then two sectors inserted
+    base = lens_diagram(5, 1)
+    for q in (2, 3, 4):
+        base = connected_sum(base, lens_diagram(5, q))
+    h = base
+    for _ in range(4):
+        h = connected_sum(h, base)
+    d = insert_parallel_sectors(double_bisection(bisection_from_heegaard(h)), 2, 2)
+    presentations.append(pi1_of_diagram(d))
+    presentations += [presentation_of_pair(d, i, j) for i, j in d.sector_pairs()]
+    # the capped 12-copy glue chain: many relators, mostly empty or duplicate
+    chain = cap_off(glue_bisections(base, 12), auto_cap(base, 12))
+    presentations += [pi1_of_diagram(chain), pi1_of_diagram(merge_adjacent_sectors(chain, 3))]
+    assert len(presentations[-1].relators) == 192
+    for p in presentations:
         assert tietze_simplify(p) == reference_tietze_simplify(p)
 
 
+TIETZE_WORK = ("_apply_images", "_check_row", "_reindex", "_letters_product")
+
+
 def test_tietze_work_in_validate_grows_about_linearly(monkeypatch):
-    # an elimination rewrites and re-checks only the relators that hold
-    # the eliminated generator, so doubling the genus about doubles the
-    # rewrites and row checks (renumbering every relator per step made
-    # both grow fourfold)
+    # an elimination rewrites, re-checks and re-indexes only the relators
+    # that hold the eliminated generator, and a shrink scan tries only
+    # the rotations of relators due for one, so doubling the genus about
+    # doubles each count (renumbering every relator per step made the
+    # rewrites and row checks grow fourfold)
     counts = Counter()
-    for name in ("_apply_images", "_check_row"):
+    for name in TIETZE_WORK:
         def counting(*args, _name=name, _original=getattr(multisect.presentations, name)):
             counts[_name] += 1
             return _original(*args)
@@ -494,5 +558,5 @@ def test_tietze_work_in_validate_grows_about_linearly(monkeypatch):
         assert validate(d).ok
         work.append(dict(counts))
     small, large = work
-    for name in ("_apply_images", "_check_row"):
+    for name in TIETZE_WORK:
         assert 0 < large[name] <= 2.2 * small[name], work
