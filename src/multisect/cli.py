@@ -1,10 +1,11 @@
 """Command-line surface.
 
 Every verb is a thin adapter over the library: files are parsed, one
-library call runs, and the result is serialized or reported.  Reports
-are byte-stable for fixed inputs and flags.  Diagram and presentation
-formats are the ones defined next to their types; stdin/stdout piping
-uses '-' (the default).
+library call runs, and the result is serialized or reported.  Each verb
+is declared once, in :func:`build_parser`, with its flags, its input
+reader and its library call.  Reports are byte-stable for fixed inputs
+and flags.  Diagram and presentation formats are the ones defined next
+to their types; stdin/stdout piping uses '-' (the default).
 
 Exit codes: 0 success (for ``validate``: all sectors verified; for
 ``distinguish``: verdict distinct), 1 failed validation, 2 bad usage,
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import reduce
 
 from . import constructions as cons
 from .diagrams import (FormatError, GeometricHeegaardDiagram,
@@ -103,68 +105,33 @@ def _echo(msg: str) -> None:
 # construct
 
 
-def _load_heegaard(args) -> GeometricHeegaardDiagram:
-    text, _ = _read_text(args.input)
-    return parse_heegaard(text)
-
-
-def _load_diagram(args) -> MultisectionDiagram:
-    text, _ = _read_text(args.input)
-    return parse_diagram(text)
-
-
-def _emit_heegaard(args, h: GeometricHeegaardDiagram) -> int:
-    _write_text(args.output, format_heegaard(h))
-    _echo(f"heegaard genus {h.genus} name {h.name or '(unnamed)'}")
-    return 0
-
-
-def _emit_diagram(args, d: MultisectionDiagram) -> int:
-    _write_text(args.output, format_diagram(d))
-    shape = "closed" if d.closed else "bounded"
-    types = " ".join(str(k) for k in d.claimed_types)
-    _echo(f"{shape} diagram genus {d.surface.genus} types {types}")
-    return 0
-
-
 def cmd_construct(args) -> int:
-    verb = args.verb
-    if verb == "lens":
-        return _emit_heegaard(args, cons.lens_diagram(args.p, args.q))
-    if verb == "sum":
-        h = _load_heegaard(args)
-        out = h
-        for _ in range(args.copies - 1):
-            out = connected_sum(out, h)
-        return _emit_heegaard(args, out)
-    if verb == "mirror":
-        return _emit_heegaard(args, mirror(_load_heegaard(args)))
-    if verb == "stabilize":
-        h = _load_heegaard(args)
-        for _ in range(args.times):
-            h = stabilize(h)
-        return _emit_heegaard(args, h)
-    if verb == "bisect":
-        return _emit_diagram(args, cons.bisection_from_heegaard(_load_heegaard(args)))
-    if verb == "trisect-restrict":
-        d = _load_diagram(args)
-        return _emit_diagram(args, cons.bisection_from_trisection(d, args.drop))
-    if verb == "double":
-        return _emit_diagram(args, cons.double_bisection(_load_diagram(args)))
-    if verb == "insert":
-        d = _load_diagram(args)
-        return _emit_diagram(
-            args, cons.insert_parallel_sectors(d, args.position, args.count))
-    if verb == "glue":
-        h = _load_heegaard(args)
-        chain = cons.glue_bisections(h, args.copies)
-        if args.cap == "auto":
-            chain = cons.cap_off(chain, cons.auto_cap(h, args.copies))
-        return _emit_diagram(args, chain)
-    if verb == "merge":
-        d = _load_diagram(args)
-        return _emit_diagram(args, cons.merge_adjacent_sectors(d, args.interface))
-    raise AssertionError(f"unhandled construct verb {verb}")
+    """Parse the input with the verb's reader, if it has one, run its
+    construction, write the result and echo its shape."""
+    source = args.read(_read_text(args.input)[0]) if args.read else None
+    out = args.build(source, args)
+    if isinstance(out, GeometricHeegaardDiagram):
+        _write_text(args.output, format_heegaard(out))
+        _echo(f"heegaard genus {out.genus} name {out.name or '(unnamed)'}")
+    else:
+        _write_text(args.output, format_diagram(out))
+        shape = "closed" if out.closed else "bounded"
+        types = " ".join(str(k) for k in out.claimed_types)
+        _echo(f"{shape} diagram genus {out.surface.genus} types {types}")
+    return 0
+
+
+def _stabilized(h: GeometricHeegaardDiagram, args) -> GeometricHeegaardDiagram:
+    for _ in range(args.times):
+        h = stabilize(h)
+    return h
+
+
+def _glued(h: GeometricHeegaardDiagram, args) -> MultisectionDiagram:
+    chain = cons.glue_bisections(h, args.copies)
+    if args.cap == "auto":
+        chain = cons.cap_off(chain, cons.auto_cap(h, args.copies))
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +262,8 @@ def cmd_distinguish(args) -> int:
 
 
 def cmd_render(args) -> int:
-    _write_text(args.svg, diagram_to_svg(_load_diagram(args), args.size))
+    text, _ = _read_text(args.input)
+    _write_text(args.svg, diagram_to_svg(parse_diagram(text), args.size))
     return 0
 
 
@@ -314,15 +282,12 @@ def _at_least(minimum: int):
     return parse
 
 
-def _add_io(parser, output=True):
-    parser.add_argument("-i", "--input", default="-",
-                        help="input file ('-' for stdin)")
-    if output:
-        parser.add_argument("-o", "--output", default="-",
-                            help="output file ('-' for stdout)")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The command line.  Each verb is declared here once: its flags, its
+    handler ``run``, and for a construct verb its input reader ``read``
+    and its construction ``build(input, args)``.  Readers and handlers
+    are looked up on every call, so a rebinding of the module globals
+    (a test double, the benchmark's tracer) takes effect."""
     parser = argparse.ArgumentParser(
         prog="multisect",
         description="Construct, validate, and distinguish multisection "
@@ -330,51 +295,53 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     construct = sub.add_parser("construct", help="build diagrams")
+    construct.set_defaults(run=cmd_construct)
     verbs = construct.add_subparsers(dest="verb", required=True)
 
-    lens = verbs.add_parser("lens", help="lens space Heegaard diagram")
-    lens.add_argument("--p", type=_at_least(1), required=True)
-    lens.add_argument("--q", type=_at_least(1), required=True)
-    _add_io(lens)
+    def verb(group, name, *flags, help=None, **defaults):
+        """Declare one verb: its flags, each (name, add_argument options),
+        then -i and -o, and the defaults that bind its handler ``run``, or
+        a construct verb's reader ``read`` (None: it reads no input) and
+        construction ``build(input, args)``."""
+        p = group.add_parser(name, **({"help": help} if help else {}))
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.add_argument("-i", "--input", default="-", help="input file ('-' for stdin)")
+        p.add_argument("-o", "--output", default="-", help="output file ('-' for stdout)")
+        p.set_defaults(**defaults)
 
-    for name, extra in (("sum", [("--copies", _at_least(1), 2, "number of copies")]),
-                        ("mirror", []),
-                        ("stabilize", [("--times", _at_least(0), 1, "stabilizations")]),
-                        ("bisect", []),
-                        ("double", [])):
-        p = verbs.add_parser(name)
-        for flag, typ, default, help_text in extra:
-            p.add_argument(flag, type=typ, default=default, help=help_text)
-        _add_io(p)
+    verb(verbs, "lens", ("--p", dict(type=_at_least(1), required=True)),
+         ("--q", dict(type=_at_least(1), required=True)),
+         help="lens space Heegaard diagram",
+         read=None, build=lambda _, a: cons.lens_diagram(a.p, a.q))
+    verb(verbs, "sum", ("--copies", dict(type=_at_least(1), default=2, help="number of copies")),
+         read=parse_heegaard, build=lambda h, a: reduce(connected_sum, [h] * a.copies))
+    verb(verbs, "mirror", read=parse_heegaard, build=lambda h, _: mirror(h))
+    verb(verbs, "stabilize", ("--times", dict(type=_at_least(0), default=1, help="stabilizations")),
+         read=parse_heegaard, build=_stabilized)
+    verb(verbs, "bisect", read=parse_heegaard,
+         build=lambda h, _: cons.bisection_from_heegaard(h))
+    verb(verbs, "double", read=parse_diagram, build=lambda d, _: cons.double_bisection(d))
+    verb(verbs, "trisect-restrict",
+         ("--drop", dict(type=int, choices=(1, 2, 3), required=True, help="sector to forget")),
+         help="bounded bisection from a closed 3-system diagram",
+         read=parse_diagram, build=lambda d, a: cons.bisection_from_trisection(d, a.drop))
+    verb(verbs, "insert", ("--position", dict(type=_at_least(1), default=2)),
+         ("--count", dict(type=_at_least(0), required=True)),
+         help="insert parallel sectors", read=parse_diagram,
+         build=lambda d, a: cons.insert_parallel_sectors(d, a.position, a.count))
+    verb(verbs, "glue", ("--copies", dict(type=_at_least(1), required=True)),
+         ("--cap", dict(choices=["auto", "none"], default="none")),
+         help="chain copies of one bisection", read=parse_heegaard, build=_glued)
+    verb(verbs, "merge", ("--interface", dict(type=_at_least(1), required=True)),
+         help="merge across one interface", read=parse_diagram,
+         build=lambda d, a: cons.merge_adjacent_sectors(d, a.interface))
 
-    tr = verbs.add_parser("trisect-restrict",
-                          help="bounded bisection from a closed 3-system diagram")
-    tr.add_argument("--drop", type=int, choices=(1, 2, 3), required=True,
-                    help="sector to forget")
-    _add_io(tr)
-
-    ins = verbs.add_parser("insert", help="insert parallel sectors")
-    ins.add_argument("--position", type=_at_least(1), default=2)
-    ins.add_argument("--count", type=_at_least(0), required=True)
-    _add_io(ins)
-
-    glue = verbs.add_parser("glue", help="chain copies of one bisection")
-    glue.add_argument("--copies", type=_at_least(1), required=True)
-    glue.add_argument("--cap", choices=["auto", "none"], default="none")
-    _add_io(glue)
-
-    merge = verbs.add_parser("merge", help="merge across one interface")
-    merge.add_argument("--interface", type=_at_least(1), required=True)
-    _add_io(merge)
-
-    for name, func_help in (("validate", "check sector structure"),
-                            ("pi1", "fundamental group of the diagram"),
-                            ("homology", "abelian invariants")):
-        p = sub.add_parser(name, help=func_help)
-        if name != "homology":
-            p.add_argument("--budget", type=_at_least(1), default=DEFAULT_TIETZE_BUDGET,
-                           help="Tietze moves before giving up")
-        _add_io(p)
+    budget = ("--budget", dict(type=_at_least(1), default=DEFAULT_TIETZE_BUDGET,
+                               help="Tietze moves before giving up"))
+    verb(sub, "validate", budget, help="check sector structure", run=cmd_validate)
+    verb(sub, "pi1", budget, help="fundamental group of the diagram", run=cmd_pi1)
+    verb(sub, "homology", help="abelian invariants", run=cmd_homology)
 
     dist = sub.add_parser("distinguish", help="Nielsen-class comparison")
     mode = dist.add_mutually_exclusive_group()
@@ -390,30 +357,21 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--bound", type=_at_least(1), default=DEFAULT_QUOTIENT_BOUND,
                       help="largest witness quotient order m^n")
     dist.add_argument("-o", "--output", default="-")
+    dist.set_defaults(run=cmd_distinguish)
 
     render = sub.add_parser("render", help="schematic SVG chord diagram")
     render.add_argument("--svg", default="-", help="output file ('-' for stdout)")
     render.add_argument("--size", type=_at_least(1), default=640)
-    _add_io(render, output=False)
+    render.add_argument("-i", "--input", default="-", help="input file ('-' for stdin)")
+    render.set_defaults(run=cmd_render)
 
     return parser
 
 
-HANDLERS = {
-    "construct": cmd_construct,
-    "validate": cmd_validate,
-    "pi1": cmd_pi1,
-    "homology": cmd_homology,
-    "distinguish": cmd_distinguish,
-    "render": cmd_render,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = HANDLERS[args.command](args)
+        code = args.run(args)
         # a reader that closed early shows up here, not at interpreter exit
         sys.stdout.flush()
         return code

@@ -275,17 +275,18 @@ def tietze_simplify(pres: GroupPresentation,
     every relator for being empty or a duplicate, later rounds only the
     ones rewritten since, against a map from dedup key to relator.  A
     :class:`_RelatorIndex`, built after the first round, finds the
-    candidate, the relators holding it and the shrink partners, and a
-    map from each generator to the images holding it finds the images
-    an elimination rewrites.
+    candidate, the relators holding it and the shrink partners.  An
+    eliminated generator's image is its solution in the generators alive
+    when it went; the images are resolved once, at the end, the latest
+    eliminated first.
 
     Every move is checked on the exponent rows of the relators, which
     are carried along: a dropped empty relator has a zero row, a dropped
     duplicate's row is +- the row it duplicates, a shrunk relator's row
     is its old row +- the other relator's (and its letters are those of
     the cyclically reduced ``Word`` product), and eliminating g has a +-1
-    pivot, whose row goes, and rewrites only the relators and images that
-    hold g, each row to ``row - (row[g] / pivot[g]) * pivot`` (column g
+    pivot, whose row goes, and rewrites only the relators that hold g,
+    each row to ``row - (row[g] / pivot[g]) * pivot`` (column g
     stays, now zero).  Each rewritten relator must have its predicted row,
     and each final one its row on the surviving columns, so the result's
     ``invariants`` are read off the simplified presentation.
@@ -297,7 +298,7 @@ def tietze_simplify(pres: GroupPresentation,
     relators: list[tuple[int, ...] | None] = [rel.letters for rel in pres.relators]
     rows: list[tuple[int, ...] | None] = [rel.exponent_sums() for rel in pres.relators]
     images = [(k,) for k in range(1, gens + 1)]
-    in_images: dict[int, set[int]] = {}  # g -> eliminated generators whose image holds g
+    eliminated: list[int] = []
     trace: list[str] = []
     steps = 0
     canonical: dict[tuple[int, ...], tuple[int, ...]] = {}  # dedup key of each tuple seen
@@ -382,15 +383,7 @@ def tietze_simplify(pres: GroupPresentation,
                 new = _cyclic_core(_apply_images(images, relators[i]))
                 _check_row(new, row, "eliminate generator")
                 replace(i, new, row)
-            for k in in_images.pop(g, ()):
-                for lt in images[k - 1]:
-                    if abs(lt) != g:
-                        in_images[abs(lt)].discard(k)
-                images[k - 1] = _apply_images(images, images[k - 1])
-                for lt in images[k - 1]:
-                    in_images.setdefault(abs(lt), set()).add(k)
-            for lt in images[g - 1]:
-                in_images.setdefault(abs(lt), set()).add(g)
+            eliminated.append(g)
             trace.append(f"eliminate generator g{g}")
             progress = True
             continue
@@ -409,6 +402,10 @@ def tietze_simplify(pres: GroupPresentation,
             trace.append("shrink relator by a conjugate")
             progress = True
 
+    # an image holds only generators alive when its generator went, so
+    # resolving the latest eliminated first leaves each in the survivors
+    for g in reversed(eliminated):
+        images[g - 1] = _apply_images(images, images[g - 1])
     # an eliminated generator's image avoids it
     survivors = tuple(k for k, w in enumerate(images, 1) if w == (k,))
     number = {old: new for new, old in enumerate(survivors, 1)}

@@ -156,7 +156,8 @@ def test_failed_self_check_exits_3(lens_msd, monkeypatch, capsys):
     def failing(args):
         raise AssertionError("Smith normal form transforms are not unimodular")
 
-    monkeypatch.setitem(multisect.cli.HANDLERS, "validate", failing)
+    # the parser binds each verb's handler when it is built, on every call
+    monkeypatch.setattr(multisect.cli, "cmd_validate", failing)
     assert run("validate", "-i", lens_msd) == 3
     assert capsys.readouterr().err == (
         "error: internal invariant failed: "

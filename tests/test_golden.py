@@ -80,6 +80,35 @@ NO_INVERSE_DIGESTS = {
 }
 
 
+# every construct verb once, with the line it echoes on stderr
+CONSTRUCT_PIPELINE = (
+    ("construct lens --p 5 --q 2 -o l52.hd", "heegaard genus 1 name lens(5,2)"),
+    ("construct sum -i l52.hd --copies 3 -o s.hd",
+     "heegaard genus 3 name lens(5,2)#lens(5,2)#lens(5,2)"),
+    ("construct mirror -i l52.hd -o mi.hd", "heegaard genus 1 name -lens(5,2)"),
+    ("construct stabilize -i l52.hd --times 2 -o st.hd", "heegaard genus 3 name lens(5,2)"),
+    ("construct bisect -i l52.hd -o b.msd", "bounded diagram genus 2 types 1 1"),
+    ("construct double -i b.msd -o d.msd", "closed diagram genus 2 types 1 1 1 1"),
+    ("construct insert -i d.msd --count 2 -o i.msd",
+     "closed diagram genus 2 types 1 2 2 1 1 1"),
+    ("construct glue -i l52.hd --copies 1 --cap auto -o g1.msd",
+     "closed diagram genus 2 types 1 1 1 1"),
+    ("construct merge -i g1.msd --interface 3 -o m1.msd", "closed diagram genus 2 types 1 2 1"),
+    ("construct trisect-restrict -i m1.msd --drop 1 -o t.msd",
+     "bounded diagram genus 2 types 2 1"),
+)
+
+CONSTRUCT_DIGESTS = {
+    **{name: DIGESTS[name] for name in ("l52.hd", "b.msd", "d.msd", "i.msd")},
+    "s.hd": "fdfbbc57a300b8ba446f1a6a3ceffe928e50f02ac18b234c2e47f8663dfc169e",
+    "mi.hd": "f8e0110dbd2cb5582a14ab996c73dac3033ab35e60e91816ab97a24d4b9a1c82",
+    "st.hd": "cac90dd8473a64ddffbc95d240c78d2797012c1a029a03f4a364ba8c518fb46a",
+    "g1.msd": "6fad8ccfa2c611fd7c1bbd0a347e7499df2a3daef40c537a89fa5a22d91ab554",
+    "m1.msd": "02cf3bf9ae7369783e8b651d414692e25b61ef3eeff0466e51663ac20e702c42",
+    "t.msd": "11655c446176a4ce005e0e2f730b05f8174a9888c6bc48551c5ac4c01a561775",
+}
+
+
 def _run_pipeline(tmp_path, monkeypatch, inputs, pipeline, expected):
     monkeypatch.chdir(tmp_path)
     for name, text in inputs.items():
@@ -115,3 +144,10 @@ def test_distinguish_digests_ignore_the_environment(tmp_path, monkeypatch):
              "inconclusive.cert", "same.cert")
     _run_pipeline(tmp_path, monkeypatch, {"p.txt": PRESENTATION}, pipeline,
                   {name: DIGESTS[name] for name in names})
+
+
+def test_every_construct_verb_matches_recorded_digests_and_echo(tmp_path, monkeypatch,
+                                                                capsys):
+    pipeline = [(command, 0) for command, _ in CONSTRUCT_PIPELINE]
+    _run_pipeline(tmp_path, monkeypatch, {}, pipeline, CONSTRUCT_DIGESTS)
+    assert capsys.readouterr().err.splitlines() == [echo for _, echo in CONSTRUCT_PIPELINE]

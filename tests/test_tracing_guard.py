@@ -65,3 +65,51 @@ def test_trace_installs_on_every_traced_name_and_uninstalls():
         tracer.uninstall()
     for owner, attr, value in originals:
         assert getattr(owner, attr) is value, f"{owner.__name__}.{attr}"
+
+
+def _traced_functions(tracing):
+    """The function objects that ``TRACED`` names (not constructors)."""
+    found = []
+    for module_name, path in tracing.TRACED:
+        value = importlib.import_module(f"multisect.{module_name}")
+        for attr in path.split("."):
+            value = getattr(value, attr)
+        if isinstance(value, types.FunctionType):
+            found.append(value)
+    return found
+
+
+def _held_in_containers(modules, functions) -> list[str]:
+    """Module globals that are a dict, list, tuple or set holding one of
+    ``functions``, directly or in a container one level down: rebinding
+    the module global cannot reach such a reference."""
+    ids = {id(fn) for fn in functions}
+
+    def items(value):
+        if isinstance(value, dict):
+            return [*value.keys(), *value.values()]
+        return list(value) if isinstance(value, (list, tuple, set, frozenset)) else []
+
+    held = []
+    for m in modules:
+        for attr, value in vars(m).items():
+            inner = items(value)
+            if any(id(v) in ids for v in inner + [w for v in inner for w in items(v)]):
+                held.append(f"{m.__name__}.{attr}")
+    return held
+
+
+def test_the_container_check_finds_a_held_traced_function():
+    tracing = _load_tracing()
+    functions = _traced_functions(tracing)
+    assert matrices.smith_normal_form in functions
+    fake = types.ModuleType("fake")
+    fake.TABLE = {"snf": (matrices.smith_normal_form, 1)}
+    fake.NAMES = ("smith_normal_form",)
+    assert _held_in_containers([fake], functions) == ["fake.TABLE"]
+
+
+def test_no_module_level_container_holds_a_traced_function():
+    tracing = _load_tracing()
+    modules = tracing.package_modules(multisect)
+    assert _held_in_containers(modules, _traced_functions(tracing)) == []
