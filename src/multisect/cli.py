@@ -300,13 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def verb(group, name, *flags, help=None, **defaults):
         """Declare one verb: its flags, each (name, add_argument options),
-        then -i and -o, and the defaults that bind its handler ``run``, or
-        a construct verb's reader ``read`` (None: it reads no input) and
-        construction ``build(input, args)``."""
+        then -i (unless ``read`` is None) and -o, and the defaults that
+        bind its handler ``run``, or a construct verb's reader ``read``
+        (None: it reads no input) and construction ``build(input, args)``."""
         p = group.add_parser(name, **({"help": help} if help else {}))
         for flag, options in flags:
             p.add_argument(flag, **options)
-        p.add_argument("-i", "--input", default="-", help="input file ('-' for stdin)")
+        if defaults.get("read", True):
+            p.add_argument("-i", "--input", default="-", help="input file ('-' for stdin)")
         p.add_argument("-o", "--output", default="-", help="output file ('-' for stdout)")
         p.set_defaults(**defaults)
 

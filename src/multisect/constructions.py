@@ -11,7 +11,6 @@ h # -h, so the boundary pair (gamma, alpha) is the double of h's manifold.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import reduce
 from itertools import chain, count as icount, islice
 from math import gcd
@@ -126,7 +125,7 @@ def bisection_from_heegaard(h: GeometricHeegaardDiagram) -> MultisectionDiagram:
     cocore_std = automorphism(surface.rank, {x: (x, y) for x, y in pairs},
                               {x: (x, -y) for x, y in pairs})
     beta = CutSystem(surface, _cocore_curves(surface), cocore_std, "beta")
-    gamma = replace(connected_sum(h, mirror(h)).beta, label="gamma")
+    gamma = connected_sum(h, mirror(h)).beta.relabelled("gamma")
     fresh = MultisectionDiagram(surface, (alpha, beta, gamma), False, (g, g))
     diagram = _assemble(fresh, (1, 2, 3), False, (g, g))
 
@@ -195,7 +194,7 @@ def double_bisection(b: MultisectionDiagram) -> MultisectionDiagram:
     if b.closed or len(b.systems) != 3:
         raise DiagramError("input must be a bounded three-system diagram")
     g = _product_bisection_genus(b)
-    systems = b.systems + (replace(b.systems[1], label="delta"),)
+    systems = b.systems + (b.systems[1].relabelled("delta"),)
     diagram = _assemble(b, (1, 2, 3, 2), True, (g, g, g, g), systems)
     if diagram.reading_map[(1, 4)] != diagram.reading_map[(1, 2)]:
         raise AssertionError("parallel copy must read identically to its source")
@@ -223,7 +222,7 @@ def insert_parallel_sectors(d: MultisectionDiagram, position: int,
 
     # unused labels only, so a second insert at one position repeats none
     labels = _unused_labels(d, (f"{base.label}_ins{k}" for k in icount(1)), count)
-    copies = tuple(replace(base, label=label) for label in labels)
+    copies = tuple(base.relabelled(label) for label in labels)
     systems = d.systems[:position] + copies + d.systems[position:]
     types = d.claimed_types[:position - 1] + (d.surface.genus,) * count + \
         d.claimed_types[position - 1:]
@@ -249,8 +248,9 @@ def glue_bisections(base: GeometricHeegaardDiagram,
     g = base.genus
     # gamma, beta, alpha, then beta and gamma or alpha alternately
     picks = [3, 2, 1] + [k for i in range(2, copies + 1) for k in (2, 1 if i % 2 else 3)]
-    systems = tuple(replace(b.systems[k - 1], label=f"{b.systems[k - 1].label}_"
-                            f"{picks[:n + 1].count(k)}") for n, k in enumerate(picks))
+    systems = tuple(b.systems[k - 1].relabelled(f"{b.systems[k - 1].label}_"
+                                                f"{picks[:n + 1].count(k)}")
+                    for n, k in enumerate(picks))
     out = _assemble(b, picks, False, (g,) * (2 * copies), systems)
     # system 1 is gamma here, so b's relators read from gamma are the
     # readings of pairs (1, 2) and (1, 3), which copy (3, 2) and (3, 1)
@@ -288,7 +288,7 @@ def cap_off(d1: MultisectionDiagram, d2: MultisectionDiagram) -> MultisectionDia
     cap_mid = d2.systems[1]
     label, = _unused_labels(d1, chain((cap_mid.label, "beta_cap"),
                                       (f"beta_cap{k}" for k in icount(2))), 1)
-    systems = d1.systems + (replace(cap_mid, label=label),)
+    systems = d1.systems + (cap_mid.relabelled(label),)
     types = d1.claimed_types + (d2.claimed_types[1], d2.claimed_types[0])
     # d1's readings, and the spliced system's pairs read from standardizers
     source = MultisectionDiagram(d1.surface, systems, True, types, d1.readings)

@@ -19,6 +19,7 @@ system j against system i.  A bounded diagram stores its boundary pair as
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -86,7 +87,8 @@ class CutSystem:
     rows of M^-1 at the distinct standard letters, so they are part of a
     basis.  Only a system without a standardizer pays for a Smith normal
     form of its exponent matrix, which must have rank G and all
-    invariant factors 1.
+    invariant factors 1.  A checked system takes another label through
+    :meth:`relabelled`, which checks only the label.
     """
 
     surface: SurfaceModel
@@ -106,8 +108,7 @@ class CutSystem:
             if _cyclic_core(c.letters) != c.letters:
                 raise DiagramError(
                     f"system {self.label!r}: curve not cyclically reduced")
-        if " " in self.label or not self.label:
-            raise DiagramError("system labels must be nonempty and space-free")
+        _check_label(self.label)
         if self.standardizer is None:
             rows = [c.exponent_sums() for c in self.curves]
             snf = smith_normal_form(IntegerMatrix.from_rows(rows, self.surface.rank))
@@ -118,6 +119,17 @@ class CutSystem:
         if self.standardizer.rank != self.surface.rank:
             raise DiagramError(f"system {self.label!r}: standardizer rank mismatch")
         _ = self.standard_letters  # force validation
+
+    def relabelled(self, label: str) -> "CutSystem":
+        """This system under another label.  Its curves and standardizer
+        passed this system's checks, so only the label is checked, and the
+        copy shares the standard letters and dual images."""
+        _check_label(label)
+        if self.standardizer is not None:
+            _ = self.dual_images  # derived once for every copy
+        clone = copy.copy(self)
+        object.__setattr__(clone, "label", label)
+        return clone
 
     @cached_property
     def standard_letters(self) -> tuple[int, ...]:
@@ -151,6 +163,11 @@ class CutSystem:
             dual[lt], dual[-lt] = n, -n
         return tuple(_reduce(dual[lt] for lt in img if lt in dual)
                      for img in self.standardizer.image_letters)
+
+
+def _check_label(label: str) -> None:
+    if " " in label or not label:
+        raise DiagramError("system labels must be nonempty and space-free")
 
 
 def express_against(w: Word, system: CutSystem) -> Word:
@@ -270,8 +287,9 @@ class MultisectionDiagram:
     interfaces; for bounded diagrams the pair (s, 1) is the boundary
     Heegaard diagram rather than a sector.  ``claimed_types`` lists one
     handlebody rank per sector.  Cached readings are re-derived from the
-    standardizers at construction time and must agree up to rotation and
-    inversion of each word.
+    standardizers at construction time, once per distinct pair of home
+    dual images and other curves, and every cached word must agree with
+    its re-derivation up to rotation and inversion.
     """
 
     surface: SurfaceModel
@@ -305,6 +323,7 @@ class MultisectionDiagram:
         for (pair, _), (following, _) in zip(readings, readings[1:]):
             if pair == following:
                 raise DiagramError(f"duplicate reading pair {pair}", pair)
+        derived = {}  # (dual images, curves) -> cyclic cores of the readings
         for (i, j), words in readings:
             if not (1 <= i <= s and 1 <= j <= s and i != j):
                 raise DiagramError(f"reading pair {(i, j)} out of range", (i, j))
@@ -315,13 +334,15 @@ class MultisectionDiagram:
                 if w.rank != self.surface.genus:
                     raise DiagramError(f"reading {(i, j)}: dual rank mismatch", (i, j))
             if self.systems[i - 1].standardizer is not None:
-                images = self.systems[i - 1].dual_images
-                for cached, curve in zip(words, self.systems[j - 1].curves):
-                    read = _apply_images(images, curve.letters)
+                key = (self.systems[i - 1].dual_images, self.systems[j - 1].curves)
+                if key not in derived:
+                    derived[key] = tuple(_cyclic_core(_apply_images(key[0], c.letters))
+                                         for c in key[1])
+                for cached, core in zip(words, derived[key]):
                     # the cyclic core is what readings cache; compare
                     # conjugacy classes only when the cached word differs
-                    if cached.letters != _cyclic_core(read) and \
-                            _canonical_letters(cached.letters) != _canonical_letters(read):
+                    if cached.letters != core and \
+                            _canonical_letters(cached.letters) != _canonical_letters(core):
                         raise DiagramError(
                             f"cached reading {(i, j)} disagrees with recomputation",
                             (i, j))
@@ -465,25 +486,31 @@ def _parse_words(reader: _LineReader, keyword: str, count: int, rank: int) -> tu
     return tuple(words)
 
 
-def _parse_system(reader: _LineReader, surface: SurfaceModel) -> CutSystem:
+def _parse_system(reader: _LineReader, surface: SurfaceModel,
+                  seen: dict[tuple[str, ...], CutSystem]) -> CutSystem:
+    """One system block.  A block whose lines after the label repeat
+    those of a block in ``seen`` has the same curve, image and inverse
+    words, so it is that system relabelled: the words passed every check
+    but the label's already."""
     keyword, _, label = reader.take().partition(" ")
     if keyword != "system" or not label:
         raise FormatError("expected 'system <label>'", reader.line_no)
+    start = reader.line_no
     curves = _parse_words(reader, "curve", surface.genus, surface.rank)
-    std = None
+    images = inverse = None
     if reader.peek() == "standardizer":
         reader.take()
         images = _parse_words(reader, "image", surface.rank, surface.rank)
-        inverse = None
         if reader.peek() == "inverse":
             reader.take()
             inverse = _parse_words(reader, "image", surface.rank, surface.rank)
-        try:
-            std = FreeAutomorphism(surface.rank, images, inverse)
-        except ValueError as exc:
-            raise FormatError(str(exc), reader.line_no) from None
+    key = tuple(reader.lines[start:reader.line_no])
     try:
-        return CutSystem(surface, curves, std, label)
+        if key in seen:
+            return seen[key].relabelled(label)
+        std = None if images is None else FreeAutomorphism(surface.rank, images, inverse)
+        seen[key] = system = CutSystem(surface, curves, std, label)
+        return system
     except ValueError as exc:
         raise FormatError(str(exc), reader.line_no) from None
 
@@ -534,9 +561,9 @@ def parse_diagram(text: str) -> MultisectionDiagram:
         raise FormatError("bad types line", reader.line_no) from None
     line_of = {"types": reader.line_no}  # DiagramError.where -> line number
 
-    systems = []
+    systems, seen = [], {}
     while (line := reader.peek()) is not None and not line.startswith("reading "):
-        systems.append(_parse_system(reader, surface))
+        systems.append(_parse_system(reader, surface, seen))
     readings = []
     unordered = None  # first reading line whose pair precedes the one before
     while reader.peek() is not None:
@@ -591,7 +618,7 @@ def parse_heegaard(text: str) -> GeometricHeegaardDiagram:
             params = (parse_integer(p), parse_integer(q))
         except ValueError:
             raise FormatError("expected 'params <p> <q>'", reader.line_no) from None
-    beta = _parse_system(reader, SurfaceModel(genus))
+    beta = _parse_system(reader, SurfaceModel(genus), {})
     if reader.peek() is not None:
         raise FormatError("unexpected line after the beta system", reader.line_no + 1)
     try:

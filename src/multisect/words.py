@@ -76,6 +76,7 @@ class _LineReader:
         self.lines = lines
         self.pos = 0
         self._letters: dict[int, dict[str, int]] = {}  # rank -> token -> letter
+        self._words: dict[tuple[int, str], Word] = {}  # (rank, line text) -> word
 
     def peek(self) -> str | None:
         return self.lines[self.pos] if self.pos < len(self.lines) else None
@@ -94,7 +95,17 @@ class _LineReader:
     def word(self, text: str, rank: int) -> Word:
         """``text``, from the line just taken, as a word, which must be freely
         reduced: a letter next to its inverse would not be written back.
-        Each distinct token is parsed once per rank and reader."""
+        Each distinct text is parsed once per rank and reader, and its
+        copies share the one frozen Word; a text that raises is not kept,
+        so each copy of it raises at its own line."""
+        word = self._words.get((rank, text))
+        if word is None:
+            word = self._words[rank, text] = self._parse(text, rank)
+        return word
+
+    def _parse(self, text: str, rank: int) -> Word:
+        """:meth:`word` without the memo; each distinct token is parsed
+        once per rank and reader."""
         if text == "1":
             return Word(rank)
         memo = self._letters.setdefault(rank, {})

@@ -47,6 +47,14 @@ def test_construct_lens_then_bisect(tmp_path):
     assert d.claimed_types == (1, 1)
 
 
+def test_construct_lens_takes_no_input(tmp_path, capsys):
+    # lens reads nothing, so an -i there is a mistyped pipeline
+    with pytest.raises(SystemExit) as exc:
+        run("construct", "lens", "--p", 5, "--q", 2, "-i", tmp_path / "missing.hd")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: -i" in capsys.readouterr().err
+
+
 def test_validate_exit_codes(lens_msd, tmp_path, capsys):
     out = tmp_path / "report.txt"
     assert run("validate", "-i", lens_msd, "-o", out) == 0

@@ -1,3 +1,4 @@
+import functools
 import re
 
 import pytest
@@ -11,10 +12,12 @@ from multisect.diagrams import (CutSystem, DiagramError, FormatError,
                                 parse_heegaard, pi1_of_diagram,
                                 presentation_of_pair, read_against, reading_of_pair,
                                 stabilize, standard_alpha_system, validate)
-from multisect.constructions import (bisection_from_heegaard, double_bisection,
-                                     lens_diagram, sphere_bundle_sum_diagram)
+from multisect.constructions import (auto_cap, bisection_from_heegaard, cap_off,
+                                     double_bisection, glue_bisections, lens_diagram,
+                                     sphere_bundle_sum_diagram)
 from multisect.presentations import AbelianInvariants, abelianization
-from multisect.words import Word, automorphism, identity_automorphism
+from multisect.words import (FreeAutomorphism, Word, automorphism,
+                            identity_automorphism)
 
 
 def test_surface_model():
@@ -219,11 +222,14 @@ def test_msd_round_trip(lens21_bisection):
 
 def test_parse_builds_one_word_per_word_line(monkeypatch):
     # the cut-system checks and the cached-reading check run on letter
-    # tuples, so the only words built are the ones read from the text
+    # tuples, and a repeated word line shares the word of its first copy,
+    # so the only words built are one per distinct (rank, text) line
     h = connected_sum(lens_diagram(5, 2), lens_diagram(3, 1))
     text = format_diagram(double_bisection(bisection_from_heegaard(h)))
-    word_lines = sum(1 for line in text.splitlines()
-                     if line.split(" ")[0] in ("curve", "image", "word"))
+    word_lines = [(keyword == "word", rest) for keyword, _, rest in
+                  (line.partition(" ") for line in text.splitlines())
+                  if keyword in ("curve", "image", "word")]
+    assert len(set(word_lines)) < len(word_lines)  # delta repeats beta's block
     built = []
     original = Word.__post_init__
 
@@ -233,8 +239,48 @@ def test_parse_builds_one_word_per_word_line(monkeypatch):
 
     monkeypatch.setattr(Word, "__post_init__", counting)
     d = parse_diagram(text)
-    assert len(built) == word_lines
+    assert len(built) == len(set(word_lines))
     assert format_diagram(d) == text
+
+
+def test_parse_checks_each_standardizer_block_once(monkeypatch):
+    # the capped 12-copy chain has 26 systems, copies of alpha, beta and
+    # gamma; a repeated block is its first copy relabelled
+    base = functools.reduce(connected_sum, (lens_diagram(5, q) for q in range(1, 5)))
+    text = format_diagram(cap_off(glue_bisections(base, 12), auto_cap(base, 12)))
+    built = []
+    original = FreeAutomorphism.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(FreeAutomorphism, "__post_init__", counting)
+    d = parse_diagram(text)
+    assert len(d.systems) == 26 and len(built) == 3
+    assert format_diagram(d) == text
+
+
+_DOUBLE_TEXT = format_diagram(double_bisection(bisection_from_heegaard(lens_diagram(2, 1))))
+
+
+@pytest.mark.parametrize("old, new, message, at", [
+    # delta repeats beta's block; each edit is reported as for any block
+    ("image g3\nimage g4\nreading", "image g3 g1\nimage g4\nreading",
+     "declared inverse does not invert the automorphism", "image g4\nreading"),
+    ("system delta", "system del ta",
+     "system labels must be nonempty and space-free", "image g4\nreading"),
+    # readings (1, 2) and (1, 4) read beta's curves against alpha
+    ("reading 1 4\nword 1", "reading 1 4\nword g1",
+     "cached reading (1, 4) disagrees with recomputation", "reading 1 4"),
+], ids=["image-of-a-copy", "label-of-a-copy", "reading-of-a-copy"])
+def test_faults_in_repeated_blocks_name_their_line(old, new, message, at):
+    assert _DOUBLE_TEXT.count(old) == 1
+    text = _DOUBLE_TEXT.replace(old, new)
+    line = text[:text.index(at)].count("\n") + 1  # the line that ``at`` starts
+    with pytest.raises(FormatError, match=re.escape(message)) as exc:
+        parse_diagram(text)
+    assert exc.value.line == line
 
 
 def test_hd_round_trip(lens21):

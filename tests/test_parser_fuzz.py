@@ -1,13 +1,21 @@
-"""Fuzz gate for the word and presentation parsers: every input either
-parses or is refused with the documented error; presentation text that
-parses formats back to itself, and a word that parses formats back to
-text that parses to the same value."""
+"""Fuzz gate for the word, presentation and diagram parsers: every input
+either parses or is refused with the documented error; presentation text
+that parses formats back to itself, and a word that parses formats back
+to text that parses to the same value.  A diagram file full of repeated
+blocks parses as it would with every block and word line read afresh."""
+
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import multisect.diagrams
+from multisect.constructions import (auto_cap, bisection_from_heegaard, cap_off,
+                                     double_bisection, glue_bisections, lens_diagram)
+from multisect.diagrams import format_diagram, parse_diagram
 from multisect.presentations import format_presentation, parse_presentation
-from multisect.words import FormatError, format_word, parse_word
+from multisect.words import FormatError, _LineReader, format_word, parse_word
+from test_cli_fuzz import _one_token_edit
 from test_golden import PRESENTATION
 
 # the grammar's own characters, the whitespace and line ends that str
@@ -64,3 +72,39 @@ def test_word_text_parses_or_is_a_value_error(text, rank):
         return
     assert word.rank == rank
     assert parse_word(format_word(word), rank) == word
+
+
+# files whose systems are mostly relabelled copies: the double repeats
+# beta as delta, and the capped 3-copy chain of lens(2,1) holds eight
+# systems copied from three
+_LENS = lens_diagram(2, 1)
+_REPEATING_MSDS = (format_diagram(double_bisection(bisection_from_heegaard(_LENS))),
+                   format_diagram(cap_off(glue_bisections(_LENS, 3), auto_cap(_LENS, 3))))
+
+
+def _diagram_outcome(text):
+    try:
+        return format_diagram(parse_diagram(text))
+    except FormatError as exc:
+        return str(exc), exc.line
+
+
+def _fresh_outcome(text):
+    """The outcome with no memo: each word line is parsed and each
+    system block checked as if it were the first."""
+    parse_system = multisect.diagrams._parse_system
+    with patch.object(_LineReader, "word", _LineReader._parse), \
+            patch.object(multisect.diagrams, "_parse_system",
+                         lambda reader, surface, seen: parse_system(reader, surface, {})):
+        return _diagram_outcome(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_REPEATING_MSDS).flatmap(_one_token_edit))
+def test_one_token_edits_of_repeated_blocks_parse_as_if_read_afresh(text):
+    outcome = _diagram_outcome(text)
+    assert outcome == _fresh_outcome(text)
+    if isinstance(outcome, str):
+        assert outcome == text
+    else:
+        assert outcome[1] is not None and 1 <= outcome[1] <= text.count("\n") + 1
