@@ -17,8 +17,9 @@ from math import gcd
 
 from .diagrams import (CutSystem, DiagramError, GeometricHeegaardDiagram,
                        MultisectionDiagram, SurfaceModel, adjacent_pairs,
-                       connected_sum, mirror, pi1_of_diagram, readable_sides,
-                       reading_of_pair, settle_pair, standard_alpha_system)
+                       connected_sum, mirror, pi1_of_diagram, read_pair,
+                       readable_sides, reading_of_pair, settle_pair,
+                       standard_alpha_system)
 from .presentations import GroupPresentation, abelianization, same_relators
 from .words import (Word, automorphism, compose, format_word,
                     identity_automorphism)
@@ -86,20 +87,23 @@ def _cocore_curves(surface: SurfaceModel) -> tuple[Word, ...]:
     return tuple(Word(surface.rank, (x, -y)) for x, y in _cocore_pairs(surface))
 
 
-def _assemble(source: MultisectionDiagram, picks, closed: bool, types: tuple[int, ...],
-              systems: tuple[CutSystem, ...] = ()) -> MultisectionDiagram:
-    """A diagram whose system k copies system ``picks[k - 1]`` of
-    ``source`` (relabelled as in ``systems`` if given), with readings
-    cached for all sector pairs, the boundary pair and every pair (1, j)
-    feeding pi1.  A copy reads as its source: pair (i, j) caches
-    ``reading_of_pair(source, picks[i - 1], picks[j - 1])``, read once per call."""
-    systems = systems or tuple(source.systems[k - 1] for k in picks)
+def _assemble(source: tuple[CutSystem, ...], cache, picks, closed: bool,
+              types: tuple[int, ...], systems: tuple[CutSystem, ...] = ()
+              ) -> MultisectionDiagram:
+    """A diagram whose system k copies system ``picks[k - 1]`` of the
+    ``source`` systems (relabelled as in ``systems`` if given), with
+    readings cached for all sector pairs, the boundary pair and every
+    pair (1, j) feeding pi1.  A copy reads as its source: pair (i, j)
+    caches ``read_pair(source, cache, picks[i - 1], picks[j - 1])``, read
+    once per call; ``cache`` holds readings of ``source`` pairs, which
+    need not form a diagram, since only the output is checked."""
+    systems = systems or tuple(source[k - 1] for k in picks)
     s = len(systems)
     pairs = set(adjacent_pairs(s, True)) | {(1, j) for j in range(2, s + 1)}
     sources = {(i, j): (picks[i - 1], picks[j - 1]) for i, j in sorted(pairs)}
-    read = {pair: reading_of_pair(source, *pair) for pair in dict.fromkeys(sources.values())}
+    read = {pair: read_pair(source, cache, *pair) for pair in dict.fromkeys(sources.values())}
     readings = tuple((pair, read[src]) for pair, src in sources.items())
-    return MultisectionDiagram(source.surface, systems, closed, types, readings)
+    return MultisectionDiagram(source[0].surface, systems, closed, types, readings)
 
 
 def _unused_labels(d: MultisectionDiagram, candidates, n: int) -> list[str]:
@@ -126,8 +130,7 @@ def bisection_from_heegaard(h: GeometricHeegaardDiagram) -> MultisectionDiagram:
                               {x: (x, -y) for x, y in pairs})
     beta = CutSystem(surface, _cocore_curves(surface), cocore_std, "beta")
     gamma = connected_sum(h, mirror(h)).beta.relabelled("gamma")
-    fresh = MultisectionDiagram(surface, (alpha, beta, gamma), False, (g, g))
-    diagram = _assemble(fresh, (1, 2, 3), False, (g, g))
+    diagram = _assemble((alpha, beta, gamma), {}, (1, 2, 3), False, (g, g))
 
     pair12 = diagram.reading_map[(1, 2)]
     for i in range(g):
@@ -195,7 +198,8 @@ def double_bisection(b: MultisectionDiagram) -> MultisectionDiagram:
         raise DiagramError("input must be a bounded three-system diagram")
     g = _product_bisection_genus(b)
     systems = b.systems + (b.systems[1].relabelled("delta"),)
-    diagram = _assemble(b, (1, 2, 3, 2), True, (g, g, g, g), systems)
+    diagram = _assemble(b.systems, b.reading_map, (1, 2, 3, 2), True, (g, g, g, g),
+                        systems)
     if diagram.reading_map[(1, 4)] != diagram.reading_map[(1, 2)]:
         raise AssertionError("parallel copy must read identically to its source")
     _check_same_relators(pi1_of_diagram(b), diagram, "doubling")
@@ -227,7 +231,7 @@ def insert_parallel_sectors(d: MultisectionDiagram, position: int,
     types = d.claimed_types[:position - 1] + (d.surface.genus,) * count + \
         d.claimed_types[position - 1:]
     picks = sorted([*range(1, s + 1)] + [position] * count)
-    out = _assemble(d, picks, d.closed, types, systems)
+    out = _assemble(d.systems, d.reading_map, picks, d.closed, types, systems)
     _check_same_relators(pi1_of_diagram(d), out, "sector insertion")
     return out
 
@@ -251,7 +255,7 @@ def glue_bisections(base: GeometricHeegaardDiagram,
     systems = tuple(b.systems[k - 1].relabelled(f"{b.systems[k - 1].label}_"
                                                 f"{picks[:n + 1].count(k)}")
                     for n, k in enumerate(picks))
-    out = _assemble(b, picks, False, (g,) * (2 * copies), systems)
+    out = _assemble(b.systems, b.reading_map, picks, False, (g,) * (2 * copies), systems)
     # system 1 is gamma here, so b's relators read from gamma are the
     # readings of pairs (1, 2) and (1, 3), which copy (3, 2) and (3, 1)
     base_relators = out.reading_map[(1, 2)] + out.reading_map[(1, 3)]
@@ -291,8 +295,7 @@ def cap_off(d1: MultisectionDiagram, d2: MultisectionDiagram) -> MultisectionDia
     systems = d1.systems + (cap_mid.relabelled(label),)
     types = d1.claimed_types + (d2.claimed_types[1], d2.claimed_types[0])
     # d1's readings, and the spliced system's pairs read from standardizers
-    source = MultisectionDiagram(d1.surface, systems, True, types, d1.readings)
-    out = _assemble(source, range(1, len(systems) + 1), True, types)
+    out = _assemble(systems, d1.reading_map, range(1, len(systems) + 1), True, types)
     # the spliced system is the cap's, not a copy of one of d1's, so it
     # adds relators of its own; compare the abelian invariants
     if abelianization(pi1_of_diagram(out)) != abelianization(pi1_of_diagram(d1)):
@@ -345,7 +348,7 @@ def merge_adjacent_sectors(d: MultisectionDiagram, interface: int) -> Multisecti
     old_types = dict(zip(d.sector_pairs(), d.claimed_types))
     new_types = tuple(old_types.get((keep[i - 1], keep[j - 1]), merged_k)
                       for i, j in adjacent_pairs(len(keep), d.closed))
-    return _assemble(d, keep, d.closed, new_types)
+    return _assemble(d.systems, d.reading_map, keep, d.closed, new_types)
 
 
 def genus_bound_report(d: MultisectionDiagram) -> dict[str, object]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import copy
 import hashlib
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 from .matrices import IntegerMatrix, smith_normal_form
 from .presentations import (AbelianInvariants, GroupPresentation, SectorVerdict,
@@ -395,15 +395,23 @@ def readable_sides(d: MultisectionDiagram, i: int, j: int) -> tuple[Pair, ...]:
 def reading_of_pair(d: MultisectionDiagram, i: int, j: int) -> tuple[Word, ...]:
     """System j read against system i, cached or by substitution; a
     system reads trivially against itself, its curves bounding disks."""
+    return read_pair(d.systems, d.reading_map, i, j)
+
+
+def read_pair(systems: tuple[CutSystem, ...], cache: dict[Pair, tuple[Word, ...]],
+              i: int, j: int) -> tuple[Word, ...]:
+    """:func:`reading_of_pair` of systems and cached readings that need
+    not form a checked diagram."""
     if i == j:
-        return (Word(d.surface.genus, ()),) * d.surface.genus
-    cached = d.reading_map.get((i, j))
+        genus = systems[0].surface.genus
+        return (Word(genus, ()),) * genus
+    cached = cache.get((i, j))
     if cached is not None:
         return cached
-    if d.systems[i - 1].standardizer is None:
+    if systems[i - 1].standardizer is None:
         raise DiagramError(
             f"pair ({i}, {j}) is unreadable: no cache and no standardizer")
-    return read_system(d.systems[i - 1], d.systems[j - 1])
+    return read_system(systems[i - 1], systems[j - 1])
 
 
 def presentation_of_pair(d: MultisectionDiagram, i: int, j: int) -> GroupPresentation:
@@ -430,15 +438,26 @@ class ValidationReport:
         return all(verdict.is_verified for _, _, verdict in self.entries)
 
 
-def settle_pair(d: MultisectionDiagram, sides,
-                budget: int = DEFAULT_TIETZE_BUDGET) -> tuple[Pair, TietzeResult] | None:
+def settle_pair(d: MultisectionDiagram, sides, budget: int = DEFAULT_TIETZE_BUDGET,
+                settled: dict | None = None) -> tuple[Pair, TietzeResult] | None:
     """Tietze-simplify the pair presentation of each of ``sides`` in
     order, and return the first side that simplifies to a free
     presentation with its result; when none does, the first side and its
-    result, or None for no sides."""
+    result, or None for no sides.
+
+    ``settled``, when given, keeps each result under the budget, the
+    generator count and the relator letters it was computed from, so a
+    caller settling many pairs simplifies each distinct presentation
+    once: :func:`tietze_simplify` is deterministic, so an equal input
+    has an equal result, trace and verdict."""
+    settled = {} if settled is None else settled
     first = None
     for side in sides:
-        result = tietze_simplify(presentation_of_pair(d, *side), budget)
+        pres = presentation_of_pair(d, *side)
+        key = (budget, pres.generator_count, tuple(rel.letters for rel in pres.relators))
+        result = settled.get(key)
+        if result is None:
+            result = settled[key] = tietze_simplify(pres, budget)
         if not result.presentation.relators:
             return side, result
         first = first or (side, result)
@@ -449,9 +468,9 @@ def validate(d: MultisectionDiagram,
              budget: int = DEFAULT_TIETZE_BUDGET) -> ValidationReport:
     """Check every sector interface against its claimed handlebody rank,
     and report boundary homology for bounded diagrams."""
-    entries = []
+    entries, settled = [], {}
     for (i, j), claimed in zip(d.sector_pairs(), d.claimed_types):
-        _, result = settle_pair(d, readable_sides(d, i, j), budget)
+        _, result = settle_pair(d, readable_sides(d, i, j), budget, settled)
         entries.append(((i, j), claimed, SectorVerdict.of(result, claimed)))
     pair = d.boundary_pair()
     boundary = None if pair is None else (pair, d.boundary_invariants)
@@ -462,18 +481,18 @@ def validate(d: MultisectionDiagram,
 # file formats
 
 
-def _format_system(system: CutSystem, lines: list[str]) -> None:
-    lines.append(f"system {system.label}")
-    for c in system.curves:
-        lines.append(f"curve {format_word(c)}")
-    if system.standardizer is not None:
+def _system_body(system: CutSystem, text) -> list[str]:
+    """The lines of a system block after its label line, each word
+    written by ``text``."""
+    lines = [f"curve {text(c)}" for c in system.curves]
+    std = system.standardizer
+    if std is not None:
         lines.append("standardizer")
-        for img in system.standardizer.images:
-            lines.append(f"image {format_word(img)}")
-        if system.standardizer.inverse_images is not None:
+        lines.extend(f"image {text(img)}" for img in std.images)
+        if std.inverse_images is not None:
             lines.append("inverse")
-            for img in system.standardizer.inverse_images:
-                lines.append(f"image {format_word(img)}")
+            lines.extend(f"image {text(img)}" for img in std.inverse_images)
+    return lines
 
 
 def _parse_words(reader: _LineReader, keyword: str, count: int, rank: int) -> tuple[Word, ...]:
@@ -516,16 +535,25 @@ def _parse_system(reader: _LineReader, surface: SurfaceModel,
 
 
 def format_diagram(d: MultisectionDiagram) -> str:
+    """The MSD text of ``d``.  Copies share their words, so each distinct
+    word is written once per call, and so is the body of each system
+    block, keyed by the identity of its curves and standardizer, which
+    relabelled copies share and ``d`` keeps alive."""
+    text = cache(format_word)  # lives for this call only
     lines = ["MSD 1",
              f"genus {d.surface.genus}",
              f"closed {'true' if d.closed else 'false'}",
              "types " + " ".join(str(k) for k in d.claimed_types)]
+    bodies: dict[tuple[int, int], list[str]] = {}
     for system in d.systems:
-        _format_system(system, lines)
+        key = (id(system.curves), id(system.standardizer))
+        if key not in bodies:
+            bodies[key] = _system_body(system, text)
+        lines.append(f"system {system.label}")
+        lines.extend(bodies[key])
     for (i, j), words in d.readings:
         lines.append(f"reading {i} {j}")
-        for w in words:
-            lines.append(f"word {format_word(w)}")
+        lines.extend(f"word {text(w)}" for w in words)
     return "\n".join(lines) + "\n"
 
 
@@ -601,7 +629,8 @@ def format_heegaard(h: GeometricHeegaardDiagram) -> str:
         lines.append(f"name {h.name}")
     if h.params is not None:
         lines.append(f"params {h.params[0]} {h.params[1]}")
-    _format_system(h.beta, lines)
+    lines.append(f"system {h.beta.label}")
+    lines.extend(_system_body(h.beta, format_word))
     return "\n".join(lines) + "\n"
 
 

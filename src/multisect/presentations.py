@@ -84,8 +84,13 @@ class AbelianInvariants:
 
 def abelianization(pres: GroupPresentation) -> AbelianInvariants:
     """Invariants of the quotient by the commutator subgroup, from the
-    Smith normal form of the relator exponent matrix."""
-    snf = smith_normal_form(pres.exponent_matrix())
+    Smith normal form of the relator exponent matrix's distinct nonzero
+    rows.  Subtracting a row from its repeat is a unimodular row
+    operation and deleting the zero row it leaves changes no minor, so
+    neither changes the rank or the invariant factors."""
+    rows = dict.fromkeys(row for row in (rel.exponent_sums() for rel in pres.relators)
+                         if any(row))
+    snf = smith_normal_form(IntegerMatrix.from_rows(list(rows), pres.generator_count))
     return AbelianInvariants(pres.generator_count - snf.rank, snf.invariant_factors)
 
 

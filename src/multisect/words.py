@@ -214,7 +214,9 @@ class Word:
         return Word(self.rank, tuple(-lt for lt in self.letters))
 
     def cyclic_reduce(self) -> "Word":
-        return Word(self.rank, _cyclic_core(self.letters))
+        """This word cyclically reduced: itself when it already is."""
+        core = _cyclic_core(self.letters)
+        return self if len(core) == len(self.letters) else Word(self.rank, core)
 
     def exponent_sums(self) -> tuple[int, ...]:
         return _exponent_row(self.letters, self.rank)

@@ -1,6 +1,11 @@
+import functools
+
 import pytest
 
-from multisect.constructions import bisection_from_heegaard, lens_diagram
+from multisect.constructions import (auto_cap, bisection_from_heegaard, cap_off,
+                                     glue_bisections, lens_diagram,
+                                     merge_adjacent_sectors)
+from multisect.diagrams import connected_sum
 
 
 @pytest.fixture(scope="session")
@@ -11,3 +16,18 @@ def lens21():
 @pytest.fixture(scope="session")
 def lens21_bisection(lens21):
     return bisection_from_heegaard(lens21)
+
+
+@pytest.fixture(scope="session")
+def lens5_sum():
+    """lens(5,1) # lens(5,2) # lens(5,3) # lens(5,4), the base of the
+    glue-chain benchmark in one of its orders."""
+    return functools.reduce(connected_sum, (lens_diagram(5, q) for q in range(1, 5)))
+
+
+@pytest.fixture(scope="session")
+def c12_merge(lens5_sum):
+    """The benchmark's ``c12-merge.msd``: 12 glued copies of the base,
+    capped, merged across interface 3."""
+    chain = cap_off(glue_bisections(lens5_sum, 12), auto_cap(lens5_sum, 12))
+    return merge_adjacent_sectors(chain, 3)

@@ -19,11 +19,13 @@ from multisect.diagrams import (CutSystem, DiagramError,
                                 SurfaceModel, adjacent_pairs, connected_sum,
                                 express_against, format_diagram, format_heegaard,
                                 mirror, pi1_of_diagram, presentation_of_pair,
-                                read_system, readable_sides, stabilize,
-                                standard_alpha_system, validate)
+                                read_system, readable_sides, settle_pair,
+                                stabilize, standard_alpha_system, validate,
+                                ValidationReport)
 from multisect.nielsen import spine_tuple
-from multisect.presentations import AbelianInvariants, GroupPresentation, \
-    abelianization, tietze_simplify, verify_free_of_rank
+from multisect.presentations import DEFAULT_TIETZE_BUDGET, AbelianInvariants, \
+    GroupPresentation, SectorVerdict, abelianization, tietze_simplify, \
+    verify_free_of_rank
 from multisect.words import (FreeAutomorphism, Word, apply, automorphism,
                              block_automorphism, compose, flip_letters,
                              identity_automorphism, invert_all, relabel)
@@ -503,6 +505,67 @@ def test_assemble_reads_each_source_pair_once(monkeypatch):
     assert len(calls) == 7
 
 
+def test_cap_off_checks_only_its_output(monkeypatch, lens5_sum):
+    # the chain's 48 cached readings were checked when it was built; only
+    # the capped diagram, with 50 readings, is checked again
+    chain, cap = glue_bisections(lens5_sum, 12), auto_cap(lens5_sum, 12)
+    checked = []
+    original = MultisectionDiagram.__post_init__
+
+    def counting(self):
+        checked.append(len(self.readings))
+        original(self)
+
+    monkeypatch.setattr(MultisectionDiagram, "__post_init__", counting)
+    cap_off(chain, cap)
+    assert checked == [50]
+
+
+def test_validate_settles_each_distinct_presentation_once(monkeypatch, c12_merge):
+    # 25 sectors, some read from both sides, present 5 distinct groups
+    calls = []
+    original = multisect.diagrams.tietze_simplify
+
+    def counting(pres, budget):
+        calls.append(pres)
+        return original(pres, budget)
+
+    monkeypatch.setattr(multisect.diagrams, "tietze_simplify", counting)
+    assert validate(c12_merge).ok
+    assert len(calls) == 5
+
+
+def reference_validate(d, budget):
+    """:func:`validate` without the memo: each pair settled on its own."""
+    entries = tuple(
+        (pair, k, SectorVerdict.of(settle_pair(d, readable_sides(d, *pair), budget)[1], k))
+        for pair, k in zip(d.sector_pairs(), d.claimed_types))
+    boundary = None if d.closed else (d.boundary_pair(), d.boundary_invariants)
+    return ValidationReport(entries, boundary)
+
+
+@pytest.mark.parametrize("budget", [DEFAULT_TIETZE_BUDGET, 1])
+def test_memoized_validate_matches_pair_by_pair(budget, lens5_sum, c12_merge):
+    built = [double_bisection(bisection_from_heegaard(lens_diagram(p, q)))
+             for p, q in [(2, 1), (5, 2), (7, 3)]]
+    h = lens_diagram(5, 2)
+    built += [glue_bisections(h, 2), cap_off(glue_bisections(h, 2), auto_cap(h, 2)),
+              glue_bisections(lens5_sum, 12), c12_merge]
+    first_side_stuck = unknown = 0
+    for d in built:
+        assert validate(d, budget) == reference_validate(d, budget)
+        settled = {}
+        for pair in d.sector_pairs():
+            sides = readable_sides(d, *pair)
+            side, result = settle_pair(d, sides, budget, settled)
+            assert (side, result) == settle_pair(d, sides, budget)
+            first_side_stuck += side != sides[0]
+        unknown += sum(v.status == "unknown" for _, _, v in validate(d, budget).entries)
+    # at full budget the lens(5,2) pair (2, 3) settles from (3, 2); at
+    # budget 1 no side gets free, and pairs are left Unknown
+    assert (first_side_stuck > 0, unknown > 0) == (budget > 1, budget == 1)
+
+
 # ---------------------------------------------------------------------------
 # the three side walks as written before ``diagrams.settle_pair``, kept as
 # oracles: validate took the first side whose verdict is not Unknown, merge
@@ -544,7 +607,7 @@ def reference_merge(d, interface):
     old_types = dict(zip(d.sector_pairs(), d.claimed_types))
     new_types = tuple(old_types.get((keep[i - 1], keep[j - 1]), simplified.generator_count)
                       for i, j in adjacent_pairs(len(keep), d.closed))
-    return multisect.constructions._assemble(d, keep, d.closed, new_types)
+    return multisect.constructions._assemble(d.systems, d.reading_map, keep, d.closed, new_types)
 
 
 def reference_spine_tuple(d, sector):

@@ -220,6 +220,23 @@ def test_msd_round_trip(lens21_bisection):
     assert format_diagram(parsed) == text
 
 
+def test_format_writes_each_distinct_word_once(monkeypatch, c12_merge):
+    # the 25 systems of the merged chain are copies of 3, and most of its
+    # 1,384 word lines repeat (97 are distinct); parsed copies share words
+    text = format_diagram(c12_merge)
+    parsed = parse_diagram(text)
+    calls = []
+    original = multisect.diagrams.format_word
+
+    def counting(w):
+        calls.append(w)
+        return original(w)
+
+    monkeypatch.setattr(multisect.diagrams, "format_word", counting)
+    assert format_diagram(parsed) == text
+    assert len(calls) == len(set(calls)) < 100
+
+
 def test_parse_builds_one_word_per_word_line(monkeypatch):
     # the cut-system checks and the cached-reading check run on letter
     # tuples, and a repeated word line shares the word of its first copy,

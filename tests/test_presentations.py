@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import multisect.presentations
 from multisect.abelian import FiniteAbelianGroup, invariant_factor_chains
+from multisect.matrices import smith_normal_form
 from multisect.presentations import (DEFAULT_TIETZE_BUDGET, AbelianInvariants,
                                      GroupPresentation, SectorVerdict, TietzeResult,
                                      _overlap_reduction, _RelatorIndex, abelianization,
@@ -63,6 +64,30 @@ def test_abelianization_examples():
     # exponent matrix [[2, -2], [2, 2]] has Smith form diag(2, 4)
     p = pres(2, (1, 1, -2, -2), (1, 1, 2, 2))
     assert abelianization(p) == AbelianInvariants(0, (2, 4))
+
+
+@st.composite
+def repetitive_presentations(draw):
+    """Relators drawn with repeats from a few words, some with zero rows."""
+    gens = draw(st.integers(1, 3))
+    letters = st.sampled_from([k for k in range(-gens, gens + 1) if k])
+    pool = draw(st.lists(st.lists(letters, max_size=5), min_size=1, max_size=4))
+    if gens >= 2:
+        pool.append([1, 2, -1, -2])  # a commutator: a zero row
+    return pres(gens, *draw(st.lists(st.sampled_from(pool), max_size=8)))
+
+
+@settings(deadline=None)
+@example(pres(0))
+@example(pres(2))
+@example(pres(0, (), ()))
+@example(pres(2, (), (1, -1), (1, 2, -1, -2)))
+@example(pres(2, (1, 1), (2, 1, 1, -2), (1, 1), (1, 2, -1, -2)))
+@given(repetitive_presentations())
+def test_abelianization_equals_the_smith_form_of_every_row(p):
+    snf = smith_normal_form(p.exponent_matrix())
+    expected = AbelianInvariants(p.generator_count - snf.rank, snf.invariant_factors)
+    assert abelianization(p) == expected
 
 
 def test_abelian_invariants_validation():

@@ -197,6 +197,16 @@ def test_letter_inverse_is_involution(w):
 
 
 @given(words())
+def test_cyclic_reduce_keeps_a_cyclically_reduced_word(w):
+    core = w.letters
+    while len(core) >= 2 and core[0] == -core[-1]:
+        core = core[1:-1]
+    reduced = w.cyclic_reduce()
+    assert reduced.letters == core
+    assert (reduced is w) == (core == w.letters)
+
+
+@given(words())
 def test_cyclic_reduce_conjugacy(w):
     c = w.cyclic_reduce()
     assert len(c) <= len(w)
