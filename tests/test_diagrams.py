@@ -1,5 +1,6 @@
 import functools
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -235,6 +236,14 @@ def test_format_writes_each_distinct_word_once(monkeypatch, c12_merge):
     monkeypatch.setattr(multisect.diagrams, "format_word", counting)
     assert format_diagram(parsed) == text
     assert len(calls) == len(set(calls)) < 100
+
+
+def test_format_tells_apart_copies_with_another_standardizer(c12_merge):
+    # the bare system keeps the curves tuple that its copies share
+    systems = list(c12_merge.systems)
+    systems[1] = replace(systems[1], standardizer=None)
+    d = replace(c12_merge, systems=tuple(systems))
+    assert parse_diagram(format_diagram(d)) == d
 
 
 def test_parse_builds_one_word_per_word_line(monkeypatch):
