@@ -19,7 +19,6 @@ system j against system i.  A bounded diagram stores its boundary pair as
 
 from __future__ import annotations
 
-import copy
 import hashlib
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
@@ -29,7 +28,7 @@ from .presentations import (AbelianInvariants, GroupPresentation, SectorVerdict,
                             TietzeResult, abelianization, tietze_simplify,
                             DEFAULT_TIETZE_BUDGET)
 from .words import (FormatError, FreeAutomorphism, Word, _LineReader,
-                    _apply_images, _canonical_letters, _cyclic_core, _reduce,
+                    _canonical_letters, _cyclic_core, _signed_table, _substitute,
                     block_automorphism, compose, flip_letters, format_word,
                     identity_automorphism, invert_all, parse_integer)
 
@@ -126,9 +125,9 @@ class CutSystem:
         copy shares the standard letters and dual images."""
         _check_label(label)
         if self.standardizer is not None:
-            _ = self.dual_images  # derived once for every copy
-        clone = copy.copy(self)
-        object.__setattr__(clone, "label", label)
+            _ = self.dual_table  # derived once for every copy
+        clone = object.__new__(CutSystem)
+        clone.__dict__.update(self.__dict__, label=label)
         return clone
 
     @cached_property
@@ -137,7 +136,7 @@ class CutSystem:
             raise DiagramError(f"system {self.label!r} has no standardizer")
         letters = []
         for c in self.curves:
-            image = _apply_images(self.standardizer.image_letters, c.letters)
+            image = _substitute(self.standardizer.table, c.letters)
             if len(image) != 1 or image[0] < 0:
                 raise DiagramError(
                     f"system {self.label!r}: standardizer sends {format_word(c)} "
@@ -158,11 +157,16 @@ class CutSystem:
         image in the dual generators: its standardizer image with the
         standard letters deleted and the surviving letters renamed 1..G
         in increasing order, freely reduced."""
-        dual = {}
+        dual = [()] * self.surface.rank
         for n, lt in enumerate(self.surviving_letters, 1):
-            dual[lt], dual[-lt] = n, -n
-        return tuple(_reduce(dual[lt] for lt in img if lt in dual)
-                     for img in self.standardizer.image_letters)
+            dual[lt - 1] = (n,)
+        table = _signed_table(dual)
+        return tuple(_substitute(table, img.letters) for img in self.standardizer.images)
+
+    @cached_property
+    def dual_table(self) -> tuple[tuple[int, ...], ...]:
+        """The dual images as the signed table of :func:`_substitute`."""
+        return _signed_table(self.dual_images)
 
 
 def _check_label(label: str) -> None:
@@ -176,7 +180,7 @@ def express_against(w: Word, system: CutSystem) -> Word:
     substitution by the system's dual images."""
     if w.rank != system.surface.rank:
         raise DiagramError("word rank does not match the system's surface")
-    return Word(system.surface.genus, _apply_images(system.dual_images, w.letters))
+    return Word._made(system.surface.genus, _substitute(system.dual_table, w.letters))
 
 
 def read_against(curve: Word, system: CutSystem) -> Word:
@@ -184,8 +188,8 @@ def read_against(curve: Word, system: CutSystem) -> Word:
     system's dual images, reduced cyclically."""
     if curve.rank != system.surface.rank:
         raise DiagramError("word rank does not match the system's surface")
-    return Word(system.surface.genus,
-                _cyclic_core(_apply_images(system.dual_images, curve.letters)))
+    return Word._made(system.surface.genus,
+                      _cyclic_core(_substitute(system.dual_table, curve.letters)))
 
 
 def standard_alpha_system(surface: SurfaceModel, label: str = "alpha") -> CutSystem:
@@ -323,7 +327,9 @@ class MultisectionDiagram:
         for (pair, _), (following, _) in zip(readings, readings[1:]):
             if pair == following:
                 raise DiagramError(f"duplicate reading pair {pair}", pair)
-        derived = {}  # (dual images, curves) -> cyclic cores of the readings
+        # (ids of the home dual table and other curves) -> cores, and those
+        # keys with the ids of cached words that agree; copies share them
+        derived, agreed = {}, set()
         for (i, j), words in readings:
             if not (1 <= i <= s and 1 <= j <= s and i != j):
                 raise DiagramError(f"reading pair {(i, j)} out of range", (i, j))
@@ -333,19 +339,24 @@ class MultisectionDiagram:
             for w in words:
                 if w.rank != self.surface.genus:
                     raise DiagramError(f"reading {(i, j)}: dual rank mismatch", (i, j))
-            if self.systems[i - 1].standardizer is not None:
-                key = (self.systems[i - 1].dual_images, self.systems[j - 1].curves)
-                if key not in derived:
-                    derived[key] = tuple(_cyclic_core(_apply_images(key[0], c.letters))
-                                         for c in key[1])
-                for cached, core in zip(words, derived[key]):
-                    # the cyclic core is what readings cache; compare
-                    # conjugacy classes only when the cached word differs
-                    if cached.letters != core and \
-                            _canonical_letters(cached.letters) != _canonical_letters(core):
-                        raise DiagramError(
-                            f"cached reading {(i, j)} disagrees with recomputation",
-                            (i, j))
+            home, other = self.systems[i - 1], self.systems[j - 1]
+            if home.standardizer is None:
+                continue
+            key = (id(home.dual_table), id(other.curves))
+            if (key, id(words)) in agreed:
+                continue
+            if key not in derived:
+                derived[key] = tuple(_cyclic_core(_substitute(home.dual_table, c.letters))
+                                     for c in other.curves)
+            for cached, core in zip(words, derived[key]):
+                # the cyclic core is what readings cache; compare
+                # conjugacy classes only when the cached word differs
+                if cached.letters != core and \
+                        _canonical_letters(cached.letters) != _canonical_letters(core):
+                    raise DiagramError(
+                        f"cached reading {(i, j)} disagrees with recomputation",
+                        (i, j))
+            agreed.add((key, id(words)))
 
     @property
     def sector_count(self) -> int:
@@ -495,51 +506,53 @@ def _system_body(system: CutSystem, text) -> list[str]:
     return lines
 
 
-def _parse_words(reader: _LineReader, keyword: str, count: int, rank: int) -> tuple[Word, ...]:
-    words = []
-    for _ in range(count):
-        head, _, text = reader.take().partition(" ")
-        if head != keyword or not text:
-            raise FormatError(f"expected '{keyword} <word>'", reader.line_no)
-        words.append(reader.word(text, rank))
-    return tuple(words)
-
-
 def _parse_system(reader: _LineReader, surface: SurfaceModel,
                   seen: dict[tuple[str, ...], CutSystem]) -> CutSystem:
-    """One system block.  A block whose lines after the label repeat
-    those of a block in ``seen`` has the same curve, image and inverse
-    words, so it is that system relabelled: the words passed every check
-    but the label's already."""
+    """One system block, whose span after the label follows from its
+    shape: genus curve lines, then rank image lines after ``standardizer``
+    and rank more after ``inverse``.  A span that repeats one in ``seen``
+    holds the same words, so it is that system relabelled, and is not
+    read: the words passed every check but the label's already."""
     keyword, _, label = reader.take().partition(" ")
     if keyword != "system" or not label:
-        raise FormatError("expected 'system <label>'", reader.line_no)
-    start = reader.line_no
-    curves = _parse_words(reader, "curve", surface.genus, surface.rank)
-    images = inverse = None
-    if reader.peek() == "standardizer":
-        reader.take()
-        images = _parse_words(reader, "image", surface.rank, surface.rank)
-        if reader.peek() == "inverse":
+        raise FormatError("expected 'system <label>'", reader.pos)
+    lines, start = reader.lines, reader.pos
+    end = start + surface.genus
+    if end < len(lines) and lines[end] == "standardizer":
+        end += 1 + surface.rank
+        if end < len(lines) and lines[end] == "inverse":
+            end += 1 + surface.rank
+    key = tuple(lines[start:end])
+    copied = seen.get(key)
+    if copied is None:
+        curves = reader.words("curve", surface.genus, surface.rank)
+        images = inverse = None
+        if reader.peek() == "standardizer":
             reader.take()
-            inverse = _parse_words(reader, "image", surface.rank, surface.rank)
-    key = tuple(reader.lines[start:reader.line_no])
+            images = reader.words("image", surface.rank, surface.rank)
+            if reader.peek() == "inverse":
+                reader.take()
+                inverse = reader.words("image", surface.rank, surface.rank)
+    reader.pos = end  # past the block, whether read or copied
     try:
-        if key in seen:
-            return seen[key].relabelled(label)
+        if copied is not None:
+            return copied.relabelled(label)
         std = None if images is None else FreeAutomorphism(surface.rank, images, inverse)
         seen[key] = system = CutSystem(surface, curves, std, label)
         return system
     except ValueError as exc:
-        raise FormatError(str(exc), reader.line_no) from None
+        raise FormatError(str(exc), reader.pos) from None
 
 
 def format_diagram(d: MultisectionDiagram) -> str:
-    """The MSD text of ``d``.  Copies share their words, so each distinct
-    word is written once per call, and so is the body of each system
-    block, keyed by the identity of its curves and standardizer, which
-    relabelled copies share and ``d`` keeps alive."""
-    text = cache(format_word)  # lives for this call only
+    """The MSD text of ``d``.  Each distinct word is written once per
+    call, through a letter -> token table, and so is the body of each
+    system block, keyed by the identity of its curves and standardizer,
+    which relabelled copies share and ``d`` keeps alive."""
+    token = {lt: f"g{lt}" if lt > 0 else f"g{-lt}^-1"
+             for lt in range(-d.surface.rank, d.surface.rank + 1) if lt}
+    # format_word, through the table; the cache lives for this call only
+    text = cache(lambda w: " ".join(map(token.__getitem__, w.letters)) or "1")
     lines = ["MSD 1",
              f"genus {d.surface.genus}",
              f"closed {'true' if d.closed else 'false'}",
@@ -560,16 +573,16 @@ def format_diagram(d: MultisectionDiagram) -> str:
 def _parse_header(reader: _LineReader, header: str) -> int:
     """The header line, then ``genus <g>``; returns the genus."""
     if reader.take() != header:
-        raise FormatError(f"expected '{header}' header", reader.line_no)
+        raise FormatError(f"expected '{header}' header", reader.pos)
     keyword, _, value = reader.take().partition(" ")
     if keyword != "genus":
-        raise FormatError("expected 'genus <g>'", reader.line_no)
+        raise FormatError("expected 'genus <g>'", reader.pos)
     try:
         genus = parse_integer(value)
     except ValueError:
         genus = None
     if genus is None or genus < 0:
-        raise FormatError("bad genus line", reader.line_no)
+        raise FormatError("bad genus line", reader.pos)
     return genus
 
 
@@ -578,16 +591,16 @@ def parse_diagram(text: str) -> MultisectionDiagram:
     surface = SurfaceModel(_parse_header(reader, "MSD 1"))
     line = reader.take()
     if line not in ("closed true", "closed false"):
-        raise FormatError("expected 'closed <true|false>'", reader.line_no)
+        raise FormatError("expected 'closed <true|false>'", reader.pos)
     closed = line == "closed true"
     keyword, *values = reader.take().split(" ")
     if keyword != "types":
-        raise FormatError("expected 'types <k1> <k2> ...'", reader.line_no)
+        raise FormatError("expected 'types <k1> <k2> ...'", reader.pos)
     try:
         types = tuple(parse_integer(tok) for tok in values)
     except ValueError:
-        raise FormatError("bad types line", reader.line_no) from None
-    line_of = {"types": reader.line_no}  # DiagramError.where -> line number
+        raise FormatError("bad types line", reader.pos) from None
+    line_of = {"types": reader.pos}  # DiagramError.where -> line number
 
     systems, seen = [], {}
     while (line := reader.peek()) is not None and not line.startswith("reading "):
@@ -597,17 +610,17 @@ def parse_diagram(text: str) -> MultisectionDiagram:
     while reader.peek() is not None:
         keyword, *indices = reader.take().split(" ")
         if keyword == "system":
-            raise FormatError("systems must come before the readings", reader.line_no)
+            raise FormatError("systems must come before the readings", reader.pos)
         if keyword != "reading" or len(indices) != 2:
-            raise FormatError("expected 'reading <i> <j>'", reader.line_no)
+            raise FormatError("expected 'reading <i> <j>'", reader.pos)
         try:
             pair = (parse_integer(indices[0]), parse_integer(indices[1]))
         except ValueError:
-            raise FormatError("bad reading indices", reader.line_no) from None
+            raise FormatError("bad reading indices", reader.pos) from None
         if readings and pair < readings[-1][0] and unordered is None:
-            unordered = reader.line_no
-        line_of[pair] = reader.line_no
-        words = _parse_words(reader, "word", surface.genus, surface.genus)
+            unordered = reader.pos
+        line_of[pair] = reader.pos
+        words = reader.words("word", surface.genus, surface.genus)
         readings.append((pair, words))
     try:
         d = MultisectionDiagram(surface, tuple(systems), closed, types,
@@ -616,7 +629,7 @@ def parse_diagram(text: str) -> MultisectionDiagram:
         # a fault of the whole file (too few systems, a repeated label)
         # is reported at its last line
         where = getattr(exc, "where", None)
-        raise FormatError(str(exc), line_of.get(where, reader.line_no)) from None
+        raise FormatError(str(exc), line_of.get(where, reader.pos)) from None
     # checked last, so that a fault in a reading itself is what is reported
     if unordered is not None:
         raise FormatError("reading pairs out of order", unordered)
@@ -646,14 +659,14 @@ def parse_heegaard(text: str) -> GeometricHeegaardDiagram:
             _, p, q = reader.take().split(" ")
             params = (parse_integer(p), parse_integer(q))
         except ValueError:
-            raise FormatError("expected 'params <p> <q>'", reader.line_no) from None
+            raise FormatError("expected 'params <p> <q>'", reader.pos) from None
     beta = _parse_system(reader, SurfaceModel(genus), {})
     if reader.peek() is not None:
-        raise FormatError("unexpected line after the beta system", reader.line_no + 1)
+        raise FormatError("unexpected line after the beta system", reader.pos + 1)
     try:
         return GeometricHeegaardDiagram(genus, beta, name, params)
     except ValueError as exc:
-        raise FormatError(str(exc), reader.line_no) from None
+        raise FormatError(str(exc), reader.pos) from None
 
 
 def content_digest(text: str) -> str:

@@ -29,8 +29,8 @@ from .diagrams import DiagramError, MultisectionDiagram, express_against, \
 from .matrices import IntegerMatrix, determinant, smith_normal_form
 from .presentations import (AbelianInvariants, GroupPresentation, Surjection,
                             same_relators, tietze_simplify)
-from .words import (Word, _apply_images, _letters_conjugate, _letters_inverse,
-                    _letters_product, format_word, parse_word)
+from .words import (Word, _letters_conjugate, _letters_inverse, _letters_product,
+                    _signed_table, _substitute, format_word, parse_word)
 
 MOVES = ("swap12", "cycle", "invert1", "mult12")
 DEFAULT_QUOTIENT_BOUND = 100
@@ -415,8 +415,8 @@ def distinguish(pres: GroupPresentation, t1: WordTuple, t2: WordTuple,
     simplified = tietze_simplify(pres)
     target = simplified.presentation
     rank = target.generator_count
-    images = [img.letters for img in simplified.generator_images]
-    r1, r2 = (tuple(Word(rank, _apply_images(images, w.letters)) for w in t)
+    table = _signed_table([img.letters for img in simplified.generator_images])
+    r1, r2 = (tuple(Word._made(rank, _substitute(table, w.letters)) for w in t)
               for t in (t1, t2))
 
     for t in (r1, r2):

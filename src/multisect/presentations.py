@@ -24,9 +24,9 @@ from itertools import product as iproduct
 
 from .abelian import ORDER_BOUND, FiniteAbelianGroup
 from .matrices import IntegerMatrix, smith_normal_form
-from .words import (FormatError, Word, _LineReader, _apply_images,
-                    _canonical_letters, _cyclic_core, _exponent_row,
-                    _letters_inverse, _letters_product, format_word,
+from .words import (FormatError, Word, _LineReader, _canonical_letters,
+                    _cyclic_core, _exponent_row, _letters_inverse,
+                    _letters_product, _signed_table, _substitute, format_word,
                     parse_integer)
 
 DEFAULT_TIETZE_BUDGET = 10_000
@@ -302,7 +302,7 @@ def tietze_simplify(pres: GroupPresentation,
     gens = pres.generator_count
     relators: list[tuple[int, ...] | None] = [rel.letters for rel in pres.relators]
     rows: list[tuple[int, ...] | None] = [rel.exponent_sums() for rel in pres.relators]
-    images = [(k,) for k in range(1, gens + 1)]
+    images = list(_signed_table([(k,) for k in range(1, gens + 1)]))
     eliminated: list[int] = []
     trace: list[str] = []
     steps = 0
@@ -381,11 +381,12 @@ def tietze_simplify(pres: GroupPresentation,
                 raise AssertionError(f"eliminate generator: pivot entry {pivot[g - 1]} is not +-1")
             # a surviving k has the image (k,) and no relator holds an
             # eliminated one, so the images substitute for g alone
-            images[g - 1] = _solve_for(g, rel)
+            images[g] = _solve_for(g, rel)
+            images[-g] = _letters_inverse(images[g])
             for i in sorted(index.holds[g]):
                 factor = rows[i][g - 1] * pivot[g - 1]
                 row = tuple(x - factor * y for x, y in zip(rows[i], pivot))
-                new = _cyclic_core(_apply_images(images, relators[i]))
+                new = _cyclic_core(_substitute(images, relators[i]))
                 _check_row(new, row, "eliminate generator")
                 replace(i, new, row)
             eliminated.append(g)
@@ -410,7 +411,9 @@ def tietze_simplify(pres: GroupPresentation,
     # an image holds only generators alive when its generator went, so
     # resolving the latest eliminated first leaves each in the survivors
     for g in reversed(eliminated):
-        images[g - 1] = _apply_images(images, images[g - 1])
+        images[g] = _substitute(images, images[g])
+        images[-g] = _letters_inverse(images[g])
+    images = images[1:gens + 1]
     # an eliminated generator's image avoids it
     survivors = tuple(k for k, w in enumerate(images, 1) if w == (k,))
     number = {old: new for new, old in enumerate(survivors, 1)}
@@ -532,16 +535,16 @@ def parse_presentation(text: str) -> GroupPresentation:
     reader = _LineReader(text)
     parts = reader.take().split(" ")
     if len(parts) != 2 or parts[0] != "gens":
-        raise FormatError("expected 'gens <n>'", reader.line_no)
+        raise FormatError("expected 'gens <n>'", reader.pos)
     try:
         gens = parse_integer(parts[1])
         if gens < 0:
             raise ValueError(gens)
     except ValueError:
-        raise FormatError(f"bad generator count {parts[1]!r}", reader.line_no) from None
+        raise FormatError(f"bad generator count {parts[1]!r}", reader.pos) from None
     relators = []
     while reader.peek() is not None:
         relators.append(reader.word(reader.take(), gens))
         if relators[-1] != relators[-1].cyclic_reduce():
-            raise FormatError("relator is not cyclically reduced", reader.line_no)
+            raise FormatError("relator is not cyclically reduced", reader.pos)
     return GroupPresentation(gens, tuple(relators))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import eq, neg
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .matrices import IntegerMatrix, determinant
@@ -63,20 +64,25 @@ class _LineReader:
     newline and holds tokens separated by single spaces.  A blank line, a
     tab, a carriage return, leading, trailing or repeated whitespace and a
     missing final newline are each a FormatError at the first line at
-    fault, so that a file that parses formats back to itself."""
+    fault, so that a file that parses formats back to itself.  Lines are
+    scanned only for text that fails a test all laid-out ASCII text passes."""
 
     def __init__(self, text: str):
         lines = text.split("\n")
-        for number, line in enumerate(lines[:-1], 1):
-            if not line or " ".join(line.split()) != line:
-                raise FormatError("blank line or whitespace other than single "
-                                  "spaces between tokens", number)
+        if not text.isascii() or text.startswith((" ", "\n")) or \
+                "  " in text.replace("\n", " ") or \
+                any(c in text for c in "\t\r\x0b\x0c\x1c\x1d\x1e\x1f"):
+            for number, line in enumerate(lines[:-1], 1):
+                if not line or " ".join(line.split()) != line:
+                    raise FormatError("blank line or whitespace other than single "
+                                      "spaces between tokens", number)
         if lines.pop():
             raise FormatError("missing final newline", len(lines) + 1)
         self.lines = lines
         self.pos = 0
         self._letters: dict[int, dict[str, int]] = {}  # rank -> token -> letter
         self._words: dict[tuple[int, str], Word] = {}  # (rank, line text) -> word
+        self._blocks: dict[tuple, tuple[Word, ...]] = {}  # words() call -> words
 
     def peek(self) -> str | None:
         return self.lines[self.pos] if self.pos < len(self.lines) else None
@@ -88,39 +94,49 @@ class _LineReader:
         self.pos += 1
         return line
 
-    @property
-    def line_no(self) -> int:
-        return self.pos
+    def words(self, keyword: str, count: int, rank: int) -> tuple[Word, ...]:
+        """The next ``count`` lines, each ``<keyword> <word>``, as words: one
+        slice in one loop, once per distinct block and reader."""
+        start = self.pos
+        lines = tuple(self.lines[start:start + count])
+        key = (keyword, count, rank, lines)
+        words = self._blocks.get(key)
+        if words is None:
+            words = []
+            for number, line in enumerate(lines, start + 1):
+                head, _, text = line.partition(" ")
+                if head != keyword or not text:
+                    raise FormatError(f"expected '{keyword} <word>'", number)
+                words.append(self.word(text, rank, number))
+            if len(lines) < count:
+                raise FormatError("unexpected end of file", len(self.lines) + 1)
+            words = self._blocks[key] = tuple(words)
+        self.pos = start + count
+        return words
 
-    def word(self, text: str, rank: int) -> Word:
-        """``text``, from the line just taken, as a word, which must be freely
-        reduced: a letter next to its inverse would not be written back.
-        Each distinct text is parsed once per rank and reader, and its
-        copies share the one frozen Word; a text that raises is not kept,
-        so each copy of it raises at its own line."""
+    def word(self, text: str, rank: int, line: int | None = None) -> Word:
+        """``text``, from line ``line`` (by default the line just taken),
+        as a word, which must be freely reduced: a letter next to its
+        inverse would not be written back.  Each distinct text and token
+        is parsed once per rank and reader, unseen tokens left to right;
+        a text that raises is not kept, so each copy raises at its line."""
         word = self._words.get((rank, text))
-        if word is None:
-            word = self._words[rank, text] = self._parse(text, rank)
-        return word
-
-    def _parse(self, text: str, rank: int) -> Word:
-        """:meth:`word` without the memo; each distinct token is parsed
-        once per rank and reader."""
-        if text == "1":
-            return Word(rank)
+        if word is not None:
+            return word
+        line = line or self.pos
         memo = self._letters.setdefault(rank, {})
-        letters = []
-        try:
-            for token in text.split(" "):
-                letter = memo.get(token)
-                if letter is None:
-                    letter = memo[token] = _parse_token(token, rank)
-                letters.append(letter)
-        except ValueError as exc:
-            raise FormatError(str(exc), self.pos) from None
-        word = Word(rank, tuple(letters))
-        if len(word) != len(letters):
-            raise FormatError("word is not freely reduced", self.pos)
+        tokens = text.split(" ")
+        letters = () if text == "1" else tuple(map(memo.get, tokens))
+        if None in letters:
+            try:
+                letters = tuple(memo.get(t) or memo.setdefault(t, _parse_token(t, rank))
+                                for t in tokens)
+            except ValueError as exc:
+                raise FormatError(str(exc), line) from None
+        # in range, and freely reduced unless letters[i] == -letters[i + 1]
+        if any(map(eq, letters, map(neg, letters[1:]))):
+            raise FormatError("word is not freely reduced", line)
+        word = self._words[rank, text] = Word._made(rank, letters)
         return word
 
 
@@ -154,7 +170,7 @@ def _letters_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def _letters_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
     """The inverse of a letter tuple: reversed, every letter negated."""
-    return tuple(-lt for lt in reversed(a))
+    return tuple(map(neg, reversed(a)))
 
 
 def _letters_conjugate(a: tuple[int, ...], c: int) -> tuple[int, ...]:
@@ -189,6 +205,15 @@ class Word:
                 raise ValueError(f"letter {lt!r} is not valid in rank {self.rank}")
         object.__setattr__(self, "letters", _reduce(letters))
 
+    @classmethod
+    def _made(cls, rank: int, letters: tuple[int, ...]) -> "Word":
+        """The word of letters that are in range and freely reduced by how
+        they were made: ``Word(rank, letters)`` without the checks."""
+        word = object.__new__(cls)
+        fields = word.__dict__
+        fields["rank"], fields["letters"] = rank, letters
+        return word
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -207,24 +232,27 @@ class Word:
         return not self.letters
 
     def inverse(self) -> "Word":
-        return Word(self.rank, _letters_inverse(self.letters))
+        return Word._made(self.rank, _letters_inverse(self.letters))
 
     def letter_inverse(self) -> "Word":
         """Flip the sign of every letter, keeping the order."""
-        return Word(self.rank, tuple(-lt for lt in self.letters))
+        return Word._made(self.rank, tuple(map(neg, self.letters)))
 
     def cyclic_reduce(self) -> "Word":
         """This word cyclically reduced: itself when it already is."""
         core = _cyclic_core(self.letters)
-        return self if len(core) == len(self.letters) else Word(self.rank, core)
+        return self if len(core) == len(self.letters) else Word._made(self.rank, core)
 
     def exponent_sums(self) -> tuple[int, ...]:
         return _exponent_row(self.letters, self.rank)
 
     def shift(self, offset: int, new_rank: int) -> "Word":
-        """Re-express the word with all generator indices shifted up."""
-        return Word(new_rank, tuple(lt + offset if lt > 0 else lt - offset
-                                    for lt in self.letters))
+        """The word with every generator index shifted up by ``offset``."""
+        if offset < 0 or self.rank + offset > new_rank:
+            raise ValueError(f"cannot shift rank {self.rank} by {offset} "
+                             f"into rank {new_rank}")
+        return Word._made(new_rank, tuple(lt + offset if lt > 0 else lt - offset
+                                          for lt in self.letters))
 
 
 def _least_rotation(s: tuple[int, ...]) -> tuple[int, ...]:
@@ -265,19 +293,30 @@ def _canonical_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
 def canonical_cyclic(w: Word) -> Word:
     """Canonical representative of the conjugacy class of ``w`` and its
     inverse: the least rotation of either, in tuple order."""
-    return Word(w.rank, _canonical_letters(w.letters))
+    return Word._made(w.rank, _canonical_letters(w.letters))
 
 
-def _apply_images(images: Sequence[tuple[int, ...]], letters: tuple[int, ...]) -> tuple[int, ...]:
-    """Substitute the letter tuple ``images[k - 1]`` for generator k
-    throughout ``letters``, freely reduced."""
+def _signed_table(images: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """The :func:`_substitute` table: entry k is images[k - 1], entry -k its inverse."""
+    return ((), *images, *(_letters_inverse(img) for img in reversed(images)))
+
+
+def _substitute(table: Sequence[tuple[int, ...]], letters: Iterable[int]) -> tuple[int, ...]:
+    """Substitute ``table[lt]`` for every letter ``lt``, freely reduced.
+    ``table`` is signed, as :func:`_signed_table` builds it, and holds
+    freely reduced entries, so the output so far and the next entry
+    cancel only where they meet (Lyndon & Schupp, ch. I.1)."""
     out: list[int] = []
     for lt in letters:
-        if lt > 0:
-            out.extend(images[lt - 1])
-        else:
-            out.extend(_letters_inverse(images[-lt - 1]))
-    return _reduce(out)
+        image = table[lt]
+        k = 0
+        for x in image:
+            if not out or out[-1] != -x:
+                break
+            out.pop()
+            k += 1
+        out += image[k:]
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -319,13 +358,13 @@ class FreeAutomorphism:
         for k, img in enumerate(self.inverse_images):
             if img.rank != self.rank:
                 raise ValueError("inverse image rank mismatch")
-            if _apply_images(self.image_letters, img.letters) != (k + 1,):
+            if _substitute(self.table, img.letters) != (k + 1,):
                 raise ValueError("declared inverse does not invert the automorphism")
 
     @cached_property
-    def image_letters(self) -> tuple[tuple[int, ...], ...]:
-        """The generator images as letter tuples, listed once, not per call."""
-        return tuple(img.letters for img in self.images)
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The images as the signed table of :func:`_substitute`, built once."""
+        return _signed_table([img.letters for img in self.images])
 
     def inverse(self) -> "FreeAutomorphism":
         if self.inverse_images is None:
@@ -337,25 +376,28 @@ def apply(phi: FreeAutomorphism, w: Word) -> Word:
     """Image of ``w`` under the substitution homomorphism, freely reduced."""
     if phi.rank != w.rank:
         raise ValueError("rank mismatch between automorphism and word")
-    return Word(phi.rank, _apply_images(phi.image_letters, w.letters))
+    return Word._made(phi.rank, _substitute(phi.table, w.letters))
 
 
 def compose(phi: FreeAutomorphism, psi: FreeAutomorphism) -> FreeAutomorphism:
-    """The automorphism sending w to phi(psi(w))."""
+    """The automorphism sending w to phi(psi(w)).  With both inverses tracked
+    it is not checked again: psi^-1 phi^-1 inverts it, as phi and psi passed."""
     if phi.rank != psi.rank:
         raise ValueError("rank mismatch in composition")
-    images = tuple(Word(phi.rank, _apply_images(phi.image_letters, img.letters))
+    images = tuple(Word._made(phi.rank, _substitute(phi.table, img.letters))
                    for img in psi.images)
-    inverse = None
-    if phi.inverse_images is not None and psi.inverse_images is not None:
-        psi_inverse = [img.letters for img in psi.inverse_images]
-        inverse = tuple(Word(phi.rank, _apply_images(psi_inverse, img.letters))
-                        for img in phi.inverse_images)
-    return FreeAutomorphism(phi.rank, images, inverse)
+    if phi.inverse_images is None or psi.inverse_images is None:
+        return FreeAutomorphism(phi.rank, images)
+    psi_inverse = _signed_table([img.letters for img in psi.inverse_images])
+    inverse = tuple(Word._made(phi.rank, _substitute(psi_inverse, img.letters))
+                    for img in phi.inverse_images)
+    composite = object.__new__(FreeAutomorphism)
+    composite.__dict__.update(rank=phi.rank, images=images, inverse_images=inverse)
+    return composite
 
 
 def identity_automorphism(rank: int) -> FreeAutomorphism:
-    images = tuple(Word(rank, (k + 1,)) for k in range(rank))
+    images = tuple(Word._made(rank, (k + 1,)) for k in range(rank))
     return FreeAutomorphism(rank, images, images)
 
 

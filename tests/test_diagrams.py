@@ -17,7 +17,7 @@ from multisect.constructions import (auto_cap, bisection_from_heegaard, cap_off,
                                      double_bisection, glue_bisections, lens_diagram,
                                      sphere_bundle_sum_diagram)
 from multisect.presentations import AbelianInvariants, abelianization
-from multisect.words import (FreeAutomorphism, Word, automorphism,
+from multisect.words import (FreeAutomorphism, Word, automorphism, format_word,
                             identity_automorphism)
 
 
@@ -227,15 +227,17 @@ def test_format_writes_each_distinct_word_once(monkeypatch, c12_merge):
     text = format_diagram(c12_merge)
     parsed = parse_diagram(text)
     calls = []
-    original = multisect.diagrams.format_word
 
-    def counting(w):
-        calls.append(w)
-        return original(w)
+    def counting_cache(write):
+        def counted(w):
+            calls.append(w)
+            assert write(w) == format_word(w)
+            return write(w)
+        return functools.cache(counted)
 
-    monkeypatch.setattr(multisect.diagrams, "format_word", counting)
+    monkeypatch.setattr(multisect.diagrams, "cache", counting_cache)
     assert format_diagram(parsed) == text
-    assert len(calls) == len(set(calls)) < 100
+    assert 0 < len(calls) == len(set(calls)) < 100
 
 
 def test_format_tells_apart_copies_with_another_standardizer(c12_merge):
@@ -249,7 +251,8 @@ def test_format_tells_apart_copies_with_another_standardizer(c12_merge):
 def test_parse_builds_one_word_per_word_line(monkeypatch):
     # the cut-system checks and the cached-reading check run on letter
     # tuples, and a repeated word line shares the word of its first copy,
-    # so the only words built are one per distinct (rank, text) line
+    # so the only words built are one per distinct (rank, text) line,
+    # whether checked by Word(...) or proven by Word._made
     h = connected_sum(lens_diagram(5, 2), lens_diagram(3, 1))
     text = format_diagram(double_bisection(bisection_from_heegaard(h)))
     word_lines = [(keyword == "word", rest) for keyword, _, rest in
@@ -257,13 +260,18 @@ def test_parse_builds_one_word_per_word_line(monkeypatch):
                   if keyword in ("curve", "image", "word")]
     assert len(set(word_lines)) < len(word_lines)  # delta repeats beta's block
     built = []
-    original = Word.__post_init__
+    original, made = Word.__post_init__, Word._made
 
     def counting(self):
         built.append(self)
         original(self)
 
+    def counting_made(cls, rank, letters):
+        built.append(letters)
+        return made(rank, letters)
+
     monkeypatch.setattr(Word, "__post_init__", counting)
+    monkeypatch.setattr(Word, "_made", classmethod(counting_made))
     d = parse_diagram(text)
     assert len(built) == len(set(word_lines))
     assert format_diagram(d) == text

@@ -22,9 +22,10 @@ from multisect.nielsen import (DEFAULT_SEARCH_NODES, GeneratingTuple,
                                flip_check, format_certificate, free_tuple_search,
                                nielsen_move, orbit_enumerate, spine_tuple)
 from multisect.presentations import (GroupPresentation, abelianization,
-                                     enumerate_finite_abelian_quotients)
+                                     enumerate_finite_abelian_quotients, tietze_simplify)
 from multisect.words import Word, format_word, identity_automorphism, parse_word
 from test_constructions import untracked
+from test_words import reference_apply_images
 
 
 def z(n, *factors):
@@ -702,3 +703,24 @@ def test_distinct_replay_checks_each_claim():
     ]
     for bad in tampered:
         assert not bad.replay()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3).filter(bool), max_size=6),
+                min_size=4, max_size=4))
+def test_distinguish_rewrites_the_tuples_as_checked_words(letters):
+    # g3 is eliminated, so the tuples are rewritten through the images of
+    # the simplification, substituted as made words; they must be what
+    # Word(...) with every check returns for the substituted letters
+    p = GroupPresentation(3, (Word(3, (3, 1, 2)), Word(3, (1,) * 5), Word(3, (2,) * 5)))
+    t1 = (Word(3, (1,)), Word(3, (2,)))
+    t2 = tuple(Word(3, tuple(ls)) for ls in letters[:2])
+    images = [img.letters for img in tietze_simplify(p).generator_images]
+    try:
+        cert = distinguish(p, t1, t2)
+    except ValueError:
+        return  # t2 does not generate the abelianization
+    for before, rewritten in ((t1, cert.tuple1), (t2, cert.tuple2)):
+        assert rewritten == tuple(Word(2, reference_apply_images(images, w.letters))
+                                  for w in before)
+        assert all(Word(w.rank, w.letters) == w for w in rewritten)

@@ -4,6 +4,7 @@ that parses formats back to itself, and a word that parses formats back
 to text that parses to the same value.  A diagram file full of repeated
 blocks parses as it would with every block and word line read afresh."""
 
+from dataclasses import replace
 from unittest.mock import patch
 
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 import multisect.diagrams
 from multisect.constructions import (auto_cap, bisection_from_heegaard, cap_off,
                                      double_bisection, glue_bisections, lens_diagram)
-from multisect.diagrams import format_diagram, parse_diagram
+from multisect.diagrams import (format_diagram, format_heegaard, parse_diagram,
+                                parse_heegaard)
 from multisect.presentations import format_presentation, parse_presentation
 from multisect.words import FormatError, _LineReader, format_word, parse_word
 from test_cli_fuzz import _one_token_edit
@@ -89,11 +91,24 @@ def _diagram_outcome(text):
         return str(exc), exc.line
 
 
+def _afresh(method):
+    """``method`` of a reader with its block, word and token memos
+    emptied first, so that nothing is looked up."""
+    def read(reader, *args):
+        reader._blocks.clear()
+        reader._words.clear()
+        reader._letters.clear()
+        return method(reader, *args)
+    return read
+
+
 def _fresh_outcome(text):
-    """The outcome with no memo: each word line is parsed and each
-    system block checked as if it were the first."""
+    """The outcome with no memo: each block of word lines is read, each
+    word line and token parsed and each system block checked as if it
+    were the first, with no span looked up."""
     parse_system = multisect.diagrams._parse_system
-    with patch.object(_LineReader, "word", _LineReader._parse), \
+    with patch.object(_LineReader, "words", _afresh(_LineReader.words)), \
+            patch.object(_LineReader, "word", _afresh(_LineReader.word)), \
             patch.object(multisect.diagrams, "_parse_system",
                          lambda reader, surface, seen: parse_system(reader, surface, {})):
         return _diagram_outcome(text)
@@ -108,3 +123,60 @@ def test_one_token_edits_of_repeated_blocks_parse_as_if_read_afresh(text):
         assert outcome == text
     else:
         assert outcome[1] is not None and 1 <= outcome[1] <= text.count("\n") + 1
+
+
+def _layout_outcome(text):
+    try:
+        return _LineReader(text).lines
+    except FormatError as exc:
+        return str(exc), exc.line
+
+
+def _per_line_layout(text):
+    """The layout check scanning every line, as an oracle for the
+    reader's whole-text test."""
+    lines = text.split("\n")
+    for number, line in enumerate(lines[:-1], 1):
+        if not line or " ".join(line.split()) != line:
+            return str(FormatError("blank line or whitespace other than single "
+                                   "spaces between tokens", number)), number
+    if lines.pop():
+        return str(FormatError("missing final newline", len(lines) + 1)), len(lines) + 1
+    return lines
+
+
+_LAYOUT_CHARS = (" ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+                 "\x85", "\xa0", "\u2028", "\n")
+_LAYOUT_FILES = (("msd", _REPEATING_MSDS[0], parse_diagram, format_diagram),
+                 ("hd", format_heegaard(_LENS), parse_heegaard, format_heegaard))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_LAYOUT_FILES), st.sampled_from(("insert", "substitute")),
+       st.integers(0, 10 ** 5), st.sampled_from(_LAYOUT_CHARS))
+def test_whitespace_edits_fail_the_layout_check_as_the_per_line_scan_does(
+        case, edit, position, char):
+    _, text, parse, write = case
+    i = position % (len(text) + (edit == "insert"))
+    mutated = text[:i] + char + text[i + (edit == "substitute"):]
+    expected = _per_line_layout(mutated)
+    assert _layout_outcome(mutated) == expected
+    try:
+        outcome = write(parse(mutated))
+    except FormatError as exc:
+        outcome = str(exc), exc.line
+    if isinstance(expected, tuple):
+        assert outcome == expected  # the layout fault is the one reported
+    else:
+        assert outcome == mutated or isinstance(outcome, tuple)
+
+
+@pytest.mark.parametrize("label", ("bêta", "β", "系统", "a\u0301"))
+def test_a_non_ascii_label_parses_and_round_trips(label):
+    b = bisection_from_heegaard(_LENS)
+    systems = (b.systems[0].relabelled(label),) + b.systems[1:]
+    text = format_diagram(replace(b, systems=systems))
+    assert not text.isascii()
+    assert format_diagram(parse_diagram(text)) == text
+    h = replace(_LENS, beta=_LENS.beta.relabelled(label))
+    assert format_heegaard(parse_heegaard(format_heegaard(h))) == format_heegaard(h)

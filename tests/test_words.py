@@ -4,10 +4,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 import multisect.words
-from multisect.words import (FreeAutomorphism, Word, apply, automorphism,
+from multisect.words import (FreeAutomorphism, Word, _letters_inverse, _reduce,
+                             _signed_table, _substitute, apply, automorphism,
                              block_automorphism, canonical_cyclic, compose,
                              flip_letters, format_word, identity_automorphism,
                              invert_all, parse_word, relabel)
+
+
+def reference_apply_images(images, letters):
+    """Substitute ``images[k - 1]`` for generator k throughout
+    ``letters``: the whole product built, every negative letter's image
+    inverted, then freely reduced, as an oracle for ``_substitute``."""
+    out = []
+    for lt in letters:
+        out.extend(images[lt - 1] if lt > 0 else _letters_inverse(images[-lt - 1]))
+    return _reduce(out)
 
 
 def words(max_rank=4, max_len=12):
@@ -252,3 +263,105 @@ def test_tracked_inverse_is_inverse(phi, data):
                        max_size=8)
     w = Word(rank, tuple(data.draw(letters)))
     assert apply(phi.inverse(), apply(phi, w)) == w
+
+
+def checked(w):
+    """``w`` as ``Word`` builds it with every check: the letters in range,
+    then freely reduced."""
+    return Word(w.rank, w.letters)
+
+
+@st.composite
+def reduced_images(draw, rank=3):
+    """Freely reduced images, one per generator, some the inverse or the
+    copy of another, so that products cancel completely, and some empty."""
+    images = []
+    for k in range(rank):
+        kind = draw(st.sampled_from(["word", "inverse", "copy", "empty"]))
+        if k and kind == "inverse":
+            images.append(_letters_inverse(images[draw(st.integers(0, k - 1))]))
+        elif k and kind == "copy":
+            images.append(images[draw(st.integers(0, k - 1))])
+        elif kind == "empty":
+            images.append(())
+        else:
+            images.append(draw(words(max_rank=rank, max_len=6)).letters)
+    return images
+
+
+@given(reduced_images(), st.lists(st.integers(-3, 3).filter(bool), max_size=12))
+def test_substitute_equals_building_the_product_then_reducing(images, letters):
+    # the letters need not be reduced: the output is reduced all the same
+    table = _signed_table(images)
+    assert _substitute(table, letters) == reference_apply_images(images, letters)
+    assert _substitute(table, ()) == ()
+    for k in range(1, 4):
+        assert _substitute(table, (k, -k)) == _substitute(table, (-k, k)) == ()
+
+
+@given(random_automorphisms(), random_automorphisms())
+def test_compose_of_tracked_inverses_is_what_the_checked_constructor_builds(phi, psi):
+    # psi^-1 phi^-1 of two checked automorphisms inverts phi psi, so
+    # compose skips the check; the full check accepts the same value
+    composed = compose(phi, psi)
+    assert composed.inverse_images is not None
+    assert composed == FreeAutomorphism(phi.rank, composed.images,
+                                        composed.inverse_images)
+    assert composed.images == tuple(
+        Word(phi.rank, reference_apply_images([img.letters for img in phi.images], img.letters))
+        for img in psi.images)
+    for img in composed.images + composed.inverse_images:
+        assert checked(img) == img
+
+
+def test_compose_without_a_tracked_inverse_checks_the_determinant(monkeypatch):
+    calls = []
+    original = multisect.words.determinant
+
+    def counting(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(multisect.words, "determinant", counting)
+    phi = automorphism(2, {1: (1, 2)}, {1: (1, -2)})
+    compose(phi, phi)
+    assert calls == []
+    assert compose(FreeAutomorphism(2, phi.images), phi).inverse_images is None
+    assert len(calls) == 2  # the untracked factor's own, and the composite's
+
+
+@given(random_automorphisms(), words(max_rank=3), st.integers(0, 3), st.integers(0, 2))
+def test_made_words_are_what_the_checked_constructor_returns(phi, w, offset, spare):
+    # every Word._made call site in this module, against Word(...) with
+    # all its checks on the letters the site computes another way
+    w = Word(3, w.letters)
+    rank = w.rank
+    made = {
+        "inverse": (w.inverse(), tuple(-lt for lt in reversed(w.letters))),
+        "letter_inverse": (w.letter_inverse(), tuple(-lt for lt in w.letters)),
+        "cyclic_reduce": (w.cyclic_reduce(), Word(rank, w.letters).cyclic_reduce().letters),
+        "canonical_cyclic": (canonical_cyclic(w), _least_rotation_by_sorting(w).letters),
+        "shift": (w.shift(offset, rank + offset + spare),
+                  tuple(lt + offset if lt > 0 else lt - offset for lt in w.letters)),
+        "apply": (apply(phi, w), reference_apply_images([img.letters for img in phi.images], w.letters)),
+        "parse": (multisect.words._LineReader("").word(format_word(w), rank), w.letters),
+    }
+    for site, (value, letters) in made.items():
+        assert value == checked(value) == Word(value.rank, letters), site
+    for img in identity_automorphism(rank).images:
+        assert img == checked(img)
+    with pytest.raises(ValueError):
+        w.shift(offset, rank + offset - 1)
+
+
+@given(st.integers(1, 3).flatmap(lambda r: st.tuples(
+    st.just(r), st.lists(st.integers(-r, r).filter(bool), max_size=8))))
+def test_parsed_words_are_refused_exactly_when_reduction_shortens_them(case):
+    rank, letters = case
+    text = " ".join(f"g{lt}" if lt > 0 else f"g{-lt}^-1" for lt in letters) or "1"
+    reader = multisect.words._LineReader("")
+    if len(Word(rank, tuple(letters))) != len(letters):
+        with pytest.raises(multisect.words.FormatError, match="not freely reduced"):
+            reader.word(text, rank, 7)
+    else:
+        assert reader.word(text, rank, 7) == Word(rank, tuple(letters))
