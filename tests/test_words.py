@@ -314,20 +314,26 @@ def test_compose_of_tracked_inverses_is_what_the_checked_constructor_builds(phi,
         assert checked(img) == img
 
 
-def test_compose_without_a_tracked_inverse_checks_the_determinant(monkeypatch):
-    calls = []
-    original = multisect.words.determinant
-
-    def counting(matrix):
-        calls.append(matrix)
-        return original(matrix)
-
-    monkeypatch.setattr(multisect.words, "determinant", counting)
+def test_compose_checks_only_a_composite_without_tracked_inverses(monkeypatch):
     phi = automorphism(2, {1: (1, 2)}, {1: (1, -2)})
-    compose(phi, phi)
-    assert calls == []
-    assert compose(FreeAutomorphism(2, phi.images), phi).inverse_images is None
-    assert len(calls) == 2  # the untracked factor's own, and the composite's
+    untracked = FreeAutomorphism(2, phi.images)
+    checked_values, determinants = [], []
+    check, determinant = FreeAutomorphism.__post_init__, multisect.words.determinant
+
+    def counting_check(self):
+        checked_values.append(self)
+        check(self)
+
+    def counting_determinant(matrix):
+        determinants.append(matrix)
+        return determinant(matrix)
+
+    monkeypatch.setattr(FreeAutomorphism, "__post_init__", counting_check)
+    monkeypatch.setattr(multisect.words, "determinant", counting_determinant)
+    assert compose(phi, phi).inverse_images is not None
+    assert checked_values == [] and determinants == []
+    assert compose(untracked, phi).inverse_images is None
+    assert len(checked_values) == len(determinants) == 1
 
 
 @given(random_automorphisms(), words(max_rank=3), st.integers(0, 3), st.integers(0, 2))
