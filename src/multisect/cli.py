@@ -3,8 +3,11 @@
 Every verb is a thin adapter over the library: files are parsed, one
 library call runs, and the result is serialized or reported.  Each verb
 is declared once, in :func:`build_parser`, with its flags, its input
-reader and its library call.  Reports are byte-stable for fixed inputs
-and flags.  Diagram and presentation formats are the ones defined next
+reader and its library call.  A command line declares the flags of the
+verbs it names and no others: argparse enters a verb only on an exact
+token, and no verb has an alias and no argument is read from a file, so
+the verb entered has its flags; help and usage text list every verb.
+Reports are byte-stable for fixed inputs and flags.  Diagram and presentation formats are the ones defined next
 to their types; stdin/stdout piping uses '-' (the default).
 
 Exit codes: 0 success (for ``validate``: all sectors verified; for
@@ -282,61 +285,77 @@ def _at_least(minimum: int):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The command line.  Each verb is declared here once: its flags, its
-    handler ``run``, and for a construct verb its input reader ``read``
-    and its construction ``build(input, args)``.  Readers and handlers
-    are looked up on every call, so a rebinding of the module globals
-    (a test double, the benchmark's tracer) takes effect."""
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser of the command line ``argv``.  Each verb is declared
+    here once: its flags, its handler ``run``, and for a construct verb
+    its input reader ``read`` and its construction ``build(input, args)``.
+    Readers and handlers are looked up on every call, so a rebinding of
+    the module globals (a test double, the benchmark's tracer) takes
+    effect.  Every verb gets its parser, help and defaults, so help,
+    usage and invalid-choice errors list them all; its flags are added
+    only when it is one of argv's tokens, and the construct verbs only
+    when ``construct`` is.  That is exact: argparse enters a subcommand
+    only on an exact token, and no verb has an alias and the parser no
+    ``fromfile_prefix_chars``, so the verb entered has its flags."""
+    named = set(argv)
     parser = argparse.ArgumentParser(
         prog="multisect",
         description="Construct, validate, and distinguish multisection "
                     "diagrams of 4-manifolds.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    construct = sub.add_parser("construct", help="build diagrams")
-    construct.set_defaults(run=cmd_construct)
-    verbs = construct.add_subparsers(dest="verb", required=True)
+    def declare(group, name, help=None, **defaults):
+        """A verb's parser with its help and the defaults that bind its
+        handler ``run``, or a construct verb's reader ``read`` (None: it
+        reads no input) and construction ``build(input, args)``; returned
+        to take its flags if argv names the verb, else None."""
+        p = group.add_parser(name, **({"help": help} if help else {}))
+        p.set_defaults(**defaults)
+        return p if name in named else None
 
     def verb(group, name, *flags, help=None, **defaults):
-        """Declare one verb: its flags, each (name, add_argument options),
-        then -i (unless ``read`` is None) and -o, and the defaults that
-        bind its handler ``run``, or a construct verb's reader ``read``
-        (None: it reads no input) and construction ``build(input, args)``."""
-        p = group.add_parser(name, **({"help": help} if help else {}))
+        """Declare one verb with its flags, each (name, add_argument
+        options), then -i (unless ``read`` is None) and -o."""
+        p = declare(group, name, help, **defaults)
+        if p is None:
+            return
         for flag, options in flags:
             p.add_argument(flag, **options)
         if defaults.get("read", True):
             p.add_argument("-i", "--input", default="-", help="input file ('-' for stdin)")
         p.add_argument("-o", "--output", default="-", help="output file ('-' for stdout)")
-        p.set_defaults(**defaults)
 
-    verb(verbs, "lens", ("--p", dict(type=_at_least(1), required=True)),
-         ("--q", dict(type=_at_least(1), required=True)),
-         help="lens space Heegaard diagram",
-         read=None, build=lambda _, a: cons.lens_diagram(a.p, a.q))
-    verb(verbs, "sum", ("--copies", dict(type=_at_least(1), default=2, help="number of copies")),
-         read=parse_heegaard, build=lambda h, a: reduce(connected_sum, [h] * a.copies))
-    verb(verbs, "mirror", read=parse_heegaard, build=lambda h, _: mirror(h))
-    verb(verbs, "stabilize", ("--times", dict(type=_at_least(0), default=1, help="stabilizations")),
-         read=parse_heegaard, build=_stabilized)
-    verb(verbs, "bisect", read=parse_heegaard,
-         build=lambda h, _: cons.bisection_from_heegaard(h))
-    verb(verbs, "double", read=parse_diagram, build=lambda d, _: cons.double_bisection(d))
-    verb(verbs, "trisect-restrict",
-         ("--drop", dict(type=int, choices=(1, 2, 3), required=True, help="sector to forget")),
-         help="bounded bisection from a closed 3-system diagram",
-         read=parse_diagram, build=lambda d, a: cons.bisection_from_trisection(d, a.drop))
-    verb(verbs, "insert", ("--position", dict(type=_at_least(1), default=2)),
-         ("--count", dict(type=_at_least(0), required=True)),
-         help="insert parallel sectors", read=parse_diagram,
-         build=lambda d, a: cons.insert_parallel_sectors(d, a.position, a.count))
-    verb(verbs, "glue", ("--copies", dict(type=_at_least(1), required=True)),
-         ("--cap", dict(choices=["auto", "none"], default="none")),
-         help="chain copies of one bisection", read=parse_heegaard, build=_glued)
-    verb(verbs, "merge", ("--interface", dict(type=_at_least(1), required=True)),
-         help="merge across one interface", read=parse_diagram,
-         build=lambda d, a: cons.merge_adjacent_sectors(d, a.interface))
+    construct = declare(sub, "construct", "build diagrams", run=cmd_construct)
+    if construct is not None:
+        verbs = construct.add_subparsers(dest="verb", required=True)
+        verb(verbs, "lens", ("--p", dict(type=_at_least(1), required=True)),
+             ("--q", dict(type=_at_least(1), required=True)),
+             help="lens space Heegaard diagram",
+             read=None, build=lambda _, a: cons.lens_diagram(a.p, a.q))
+        verb(verbs, "sum",
+             ("--copies", dict(type=_at_least(1), default=2, help="number of copies")),
+             read=parse_heegaard, build=lambda h, a: reduce(connected_sum, [h] * a.copies))
+        verb(verbs, "mirror", read=parse_heegaard, build=lambda h, _: mirror(h))
+        verb(verbs, "stabilize",
+             ("--times", dict(type=_at_least(0), default=1, help="stabilizations")),
+             read=parse_heegaard, build=_stabilized)
+        verb(verbs, "bisect", read=parse_heegaard,
+             build=lambda h, _: cons.bisection_from_heegaard(h))
+        verb(verbs, "double", read=parse_diagram, build=lambda d, _: cons.double_bisection(d))
+        verb(verbs, "trisect-restrict",
+             ("--drop", dict(type=int, choices=(1, 2, 3), required=True, help="sector to forget")),
+             help="bounded bisection from a closed 3-system diagram",
+             read=parse_diagram, build=lambda d, a: cons.bisection_from_trisection(d, a.drop))
+        verb(verbs, "insert", ("--position", dict(type=_at_least(1), default=2)),
+             ("--count", dict(type=_at_least(0), required=True)),
+             help="insert parallel sectors", read=parse_diagram,
+             build=lambda d, a: cons.insert_parallel_sectors(d, a.position, a.count))
+        verb(verbs, "glue", ("--copies", dict(type=_at_least(1), required=True)),
+             ("--cap", dict(choices=["auto", "none"], default="none")),
+             help="chain copies of one bisection", read=parse_heegaard, build=_glued)
+        verb(verbs, "merge", ("--interface", dict(type=_at_least(1), required=True)),
+             help="merge across one interface", read=parse_diagram,
+             build=lambda d, a: cons.merge_adjacent_sectors(d, a.interface))
 
     budget = ("--budget", dict(type=_at_least(1), default=DEFAULT_TIETZE_BUDGET,
                                help="Tietze moves before giving up"))
@@ -344,33 +363,34 @@ def build_parser() -> argparse.ArgumentParser:
     verb(sub, "pi1", budget, help="fundamental group of the diagram", run=cmd_pi1)
     verb(sub, "homology", help="abelian invariants", run=cmd_homology)
 
-    dist = sub.add_parser("distinguish", help="Nielsen-class comparison")
-    mode = dist.add_mutually_exclusive_group()
-    mode.add_argument("--presentation", help="presentation text file")
-    mode.add_argument("--flip", action="store_true",
-                      help="compare the two sectors of one bounded bisection")
-    mode.add_argument("--diagram2", help="second diagram file")
-    dist.add_argument("--tuple1", help="comma-separated words")
-    dist.add_argument("--tuple2", help="comma-separated words")
-    dist.add_argument("--diagram", help="diagram file")
-    dist.add_argument("--sector", type=_at_least(1), help="default 1")
-    dist.add_argument("--sector2", type=_at_least(0), help="0 or unset: as --sector")
-    dist.add_argument("--bound", type=_at_least(1), default=DEFAULT_QUOTIENT_BOUND,
-                      help="largest witness quotient order m^n")
-    dist.add_argument("-o", "--output", default="-")
-    dist.set_defaults(run=cmd_distinguish)
+    dist = declare(sub, "distinguish", "Nielsen-class comparison", run=cmd_distinguish)
+    if dist is not None:
+        mode = dist.add_mutually_exclusive_group()
+        mode.add_argument("--presentation", help="presentation text file")
+        mode.add_argument("--flip", action="store_true",
+                          help="compare the two sectors of one bounded bisection")
+        mode.add_argument("--diagram2", help="second diagram file")
+        dist.add_argument("--tuple1", help="comma-separated words")
+        dist.add_argument("--tuple2", help="comma-separated words")
+        dist.add_argument("--diagram", help="diagram file")
+        dist.add_argument("--sector", type=_at_least(1), help="default 1")
+        dist.add_argument("--sector2", type=_at_least(0), help="0 or unset: as --sector")
+        dist.add_argument("--bound", type=_at_least(1), default=DEFAULT_QUOTIENT_BOUND,
+                          help="largest witness quotient order m^n")
+        dist.add_argument("-o", "--output", default="-")
 
-    render = sub.add_parser("render", help="schematic SVG chord diagram")
-    render.add_argument("--svg", default="-", help="output file ('-' for stdout)")
-    render.add_argument("--size", type=_at_least(1), default=640)
-    render.add_argument("-i", "--input", default="-", help="input file ('-' for stdin)")
-    render.set_defaults(run=cmd_render)
+    render = declare(sub, "render", "schematic SVG chord diagram", run=cmd_render)
+    if render is not None:
+        render.add_argument("--svg", default="-", help="output file ('-' for stdout)")
+        render.add_argument("--size", type=_at_least(1), default=640)
+        render.add_argument("-i", "--input", default="-", help="input file ('-' for stdin)")
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         code = args.run(args)
         # a reader that closed early shows up here, not at interpreter exit

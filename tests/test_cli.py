@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import os
 import subprocess
 import sys
@@ -12,7 +14,7 @@ import multisect.diagrams
 import multisect.matrices
 import multisect.nielsen
 import multisect.presentations
-from multisect.cli import main
+from multisect.cli import build_parser, main
 from multisect.constructions import (bisection_from_heegaard, double_bisection,
                                      insert_parallel_sectors, lens_diagram)
 from multisect.diagrams import connected_sum, format_diagram, format_heegaard, \
@@ -694,3 +696,103 @@ def test_render_genus_zero(tmp_path):
     svg = tmp_path / "empty.svg"
     assert run("render", "-i", src, "--svg", svg) == 0
     assert "<circle" in svg.read_text()
+
+
+# sha256 of the help each command line prints at COLUMNS=80, recorded
+# once: help and usage text are part of the interface
+HELP_DIGESTS = {
+    "-h": "632dd34002ab4f62e4aef0cd7ef5d67e4ab770c6943aff5dae851326738b5944",
+    "construct -h": "179d21b71befdb67d181cbd9191ccefd541a4d3c81498232c7b71c5aa4093c2b",
+    "construct lens -h": "9cba7f8f615bc47f2228448630de2a18148f28556f642f5a69fca58095f84034",
+    "construct sum -h": "923f34b5cc094694a5afb7691a4e6d27551af957e01ee3e79ee51cbbe1b2345d",
+    "construct mirror -h": "754012fbb5330980343ed1dae29678265aac8e3a56b68f5fa61bf876e02f5ded",
+    "construct stabilize -h": "458109dacc85623e0cf23fa634cf46bcf2202faddf1ca40ed9325b607572252f",
+    "construct bisect -h": "ded1c2b8efbbf787c861b430c59dc9628de22565202aa9fa5d09d3f749c490ce",
+    "construct double -h": "f66964862aa7efbfe64dab1eeb0e02d24760a7abeea325d4ebe9387fdd9d4733",
+    "construct trisect-restrict -h":
+        "fbf4a7dc2e928fc4187a26d9ea1dddb52185559dd264eb7d4cfacd9532f16811",
+    "construct insert -h": "c9b379aad9e62f2c8f50752e49da25bfce1024099a19169a80bf9fc56fbb1ea0",
+    "construct glue -h": "ca4e52b62fb5da7ee1ef7f9985099f0eecda263473244f9908c1bed9840e05b8",
+    "construct merge -h": "720ea2d61254297668585b374b6b3cf78993bb5e37b82b322700b5b50fb5b9df",
+    "validate -h": "62db2873cea541f30f7e9b24d856c0591211c3ead56da25817feae1ad296ca59",
+    "pi1 -h": "5f0fb9f1fcc65fcf6854d89e5a9cb8e6dac5970c212f137ba0a2445f0b2cd1b7",
+    "homology -h": "dd32a862118489be87df74c2a37bbb9b3d4a3459da9358de0bf006d33aa46d5d",
+    "distinguish -h": "feb0d3c5656cd6b55453a6e501d50c63fd9b20ff88c21a2cab5584dc40402f67",
+    "render -h": "1c0890eb8165e38fa1c52385c1d8d0fff6f17c9dae4492f874fec3e75cc00520",
+}
+
+EVERY_VERB = ("construct", "lens", "sum", "mirror", "stabilize", "bisect", "double",
+              "trisect-restrict", "insert", "glue", "merge", "validate", "pi1",
+              "homology", "distinguish", "render")
+
+
+def _outcome(argv, capsys):
+    """Exit code, stdout and stderr of one command line."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("line", list(HELP_DIGESTS))
+def test_help_text_is_pinned(line, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _outcome(line.split(), capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[line], out
+
+
+def test_help_of_a_fresh_process_is_pinned():
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": str(Path(multisect.cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "multisect", "validate", "-h"],
+                          capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == HELP_DIGESTS["validate -h"]
+
+
+@pytest.mark.parametrize("line", [
+    "", "-h", "construct", "construct -h glue", "-h construct", "-h validate",
+    "validate -h render", "-- validate -i missing.msd", "construct -- lens --p 5 --q 2",
+    "validate --svg x", "validate -i missing.msd render", "homology -i missing.msd -o render",
+    "-o validate", "validat", "construct len", "construct validate", "validate construct",
+    "construct lens --p 5", "construct lens --p 0 --q 1", "construct glue -i missing.hd",
+    "construct trisect-restrict --drop 4", "construct insert --count -1",
+    "validate --budget 0", "pi1 -i missing.msd", "distinguish --bound 0",
+    "distinguish --flip --presentation p.txt", "render --size 0", "render --svg",
+    *HELP_DIGESTS])
+def test_a_command_line_runs_as_under_a_parser_of_every_verb(line, tmp_path,
+                                                             monkeypatch, capsys):
+    # argparse enters a verb only on an exact token, so the flags of the
+    # verbs a command line does not name are never consulted
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    argv = line.split()
+    named = _outcome(argv, capsys)
+    monkeypatch.setattr(multisect.cli, "build_parser", lambda _: build_parser(EVERY_VERB))
+    assert _outcome(argv, capsys) == named
+
+
+def _verbs(parser: argparse.ArgumentParser) -> dict:
+    """The parsers of a parser's subcommands, by name."""
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def test_a_command_line_declares_only_the_flags_of_the_verbs_it_names():
+    parser = build_parser(["validate", "-i", "x", "-o", "y"])
+    verbs = _verbs(parser)
+    assert list(verbs) == ["construct", "validate", "pi1", "homology", "distinguish",
+                           "render"]
+    for name, verb in verbs.items():
+        flags = [a.option_strings for a in verb._actions]
+        if name == "validate":
+            assert flags == [["-h", "--help"], ["--budget"], ["-i", "--input"],
+                             ["-o", "--output"]]
+        else:
+            assert flags == [["-h", "--help"]], name
+    assert verbs["construct"]._subparsers is None
+    construct = _verbs(_verbs(build_parser(["construct", "glue"]))["construct"])
+    assert list(construct) == list(EVERY_VERB[1:11])
