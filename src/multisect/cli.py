@@ -3,12 +3,12 @@
 Every verb is a thin adapter over the library: files are parsed, one
 library call runs, and the result is serialized or reported.  Each verb
 is declared once, in :func:`build_parser`, with its flags, its input
-reader and its library call.  A command line declares the flags of the
-verbs it names and no others: argparse enters a verb only on an exact
-token, and no verb has an alias and no argument is read from a file, so
-the verb entered has its flags; help and usage text list every verb.
-Reports are byte-stable for fixed inputs and flags.  Diagram and presentation formats are the ones defined next
-to their types; stdin/stdout piping uses '-' (the default).
+reader and its library call.  A command line builds the parser of only
+the verbs it names: argparse enters a verb only on an exact token (no
+verb has an alias, no argument is read from a file) and reads only the
+name and help line of any other verb.  Reports are byte-stable for
+fixed inputs and flags.  Diagram and presentation formats are the ones
+defined next to their types; stdin/stdout piping uses '-' (the default).
 
 Exit codes: 0 success (for ``validate``: all sectors verified; for
 ``distinguish``: verdict distinct), 1 failed validation, 2 bad usage,
@@ -50,7 +50,8 @@ def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        # untranslated, so that the file reads back on every platform
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
@@ -291,27 +292,34 @@ def build_parser(argv) -> argparse.ArgumentParser:
     its input reader ``read`` and its construction ``build(input, args)``.
     Readers and handlers are looked up on every call, so a rebinding of
     the module globals (a test double, the benchmark's tracer) takes
-    effect.  Every verb gets its parser, help and defaults, so help,
-    usage and invalid-choice errors list them all; its flags are added
+    effect.  Every verb is a name and a help line, so help, usage and
+    invalid-choice errors list them all, and argparse reads no more of a
+    verb it does not enter; a verb gets its parser, defaults and flags
     only when it is one of argv's tokens, and the construct verbs only
     when ``construct`` is.  That is exact: argparse enters a subcommand
     only on an exact token, and no verb has an alias and the parser no
-    ``fromfile_prefix_chars``, so the verb entered has its flags."""
+    ``fromfile_prefix_chars``, so the verb entered has its parser."""
     named = set(argv)
+
+    def entered_only(entered, **options):
+        """A parser for a verb argv names, else None; argparse's options pass untouched."""
+        return argparse.ArgumentParser(**options) if entered else None
+
     parser = argparse.ArgumentParser(
         prog="multisect",
         description="Construct, validate, and distinguish multisection "
                     "diagrams of 4-manifolds.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=entered_only)
 
     def declare(group, name, help=None, **defaults):
-        """A verb's parser with its help and the defaults that bind its
-        handler ``run``, or a construct verb's reader ``read`` (None: it
-        reads no input) and construction ``build(input, args)``; returned
-        to take its flags if argv names the verb, else None."""
-        p = group.add_parser(name, **({"help": help} if help else {}))
-        p.set_defaults(**defaults)
-        return p if name in named else None
+        """A verb's help line and, if argv names it, its parser with the
+        defaults that bind its handler ``run``, or a construct verb's reader
+        ``read`` (None: it reads no input) and construction ``build(input,
+        args)``; the parser is returned to take its flags, or None."""
+        p = group.add_parser(name, entered=name in named, **({"help": help} if help else {}))
+        if p is not None:
+            p.set_defaults(**defaults)
+        return p
 
     def verb(group, name, *flags, help=None, **defaults):
         """Declare one verb with its flags, each (name, add_argument
@@ -327,7 +335,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
 
     construct = declare(sub, "construct", "build diagrams", run=cmd_construct)
     if construct is not None:
-        verbs = construct.add_subparsers(dest="verb", required=True)
+        verbs = construct.add_subparsers(dest="verb", required=True, parser_class=entered_only)
         verb(verbs, "lens", ("--p", dict(type=_at_least(1), required=True)),
              ("--q", dict(type=_at_least(1), required=True)),
              help="lens space Heegaard diagram",
