@@ -1,4 +1,6 @@
+import _pyio
 import argparse
+import builtins
 import hashlib
 import os
 import subprocess
@@ -6,6 +8,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -160,6 +163,17 @@ def test_crlf_input_file_is_a_parse_error(lens_msd, tmp_path, capsys):
     crlf.write_bytes(lens_msd.read_bytes().replace(b"\n", b"\r\n"))
     assert run("validate", "-i", crlf, "-o", tmp_path / "r.txt") == 2
     assert "line 1:" in capsys.readouterr().err
+
+
+def test_output_files_read_back_where_lines_end_in_crlf(tmp_path, monkeypatch):
+    # the pure-Python io reads os.linesep when a file is opened, so this
+    # is a platform whose text files end lines in \r\n, as on Windows
+    monkeypatch.setattr(builtins, "open", _pyio.open)
+    monkeypatch.setattr(os, "linesep", "\r\n")
+    hd = tmp_path / "win.hd"
+    assert run("construct", "lens", "--p", 5, "--q", 2, "-o", hd) == 0
+    assert b"\r" not in hd.read_bytes()
+    assert run("construct", "bisect", "-i", hd, "-o", tmp_path / "win.msd") == 0
 
 
 def test_failed_self_check_exits_3(lens_msd, monkeypatch, capsys):
@@ -744,13 +758,15 @@ def test_help_text_is_pinned(line, monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[line], out
 
 
-def test_help_of_a_fresh_process_is_pinned():
+@pytest.mark.parametrize("line", ["-h", "construct -h", "validate -h"])
+def test_help_of_a_fresh_process_is_pinned(line):
+    # main(None) reads sys.argv; the verbs it does not name get no parser
     env = {**os.environ, "COLUMNS": "80",
            "PYTHONPATH": str(Path(multisect.cli.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "multisect", "validate", "-h"],
+    proc = subprocess.run([sys.executable, "-m", "multisect", *line.split()],
                           capture_output=True, env=env, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, b"")
-    assert hashlib.sha256(proc.stdout).hexdigest() == HELP_DIGESTS["validate -h"]
+    assert hashlib.sha256(proc.stdout).hexdigest() == HELP_DIGESTS[line]
 
 
 @pytest.mark.parametrize("line", [
@@ -762,11 +778,13 @@ def test_help_of_a_fresh_process_is_pinned():
     "construct trisect-restrict --drop 4", "construct insert --count -1",
     "validate --budget 0", "pi1 -i missing.msd", "distinguish --bound 0",
     "distinguish --flip --presentation p.txt", "render --size 0", "render --svg",
-    *HELP_DIGESTS])
+    "--he", "--hel validate", "construct --he glue", "validate --he",
+    "construct frobnicate -h", "construct glue --copies 2 lens",
+    "distinguish --fl --diagram x", *HELP_DIGESTS])
 def test_a_command_line_runs_as_under_a_parser_of_every_verb(line, tmp_path,
                                                              monkeypatch, capsys):
-    # argparse enters a verb only on an exact token, so the flags of the
-    # verbs a command line does not name are never consulted
+    # argparse enters a verb only on an exact token, so of a verb a
+    # command line does not name it reads only the name and help line
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(tmp_path)
     argv = line.split()
@@ -781,18 +799,34 @@ def _verbs(parser: argparse.ArgumentParser) -> dict:
                 if isinstance(a, argparse._SubParsersAction))
 
 
-def test_a_command_line_declares_only_the_flags_of_the_verbs_it_names():
+def _parsers_built(argv) -> int:
+    """How many ArgumentParser objects one build of argv's parser makes."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    with patch.object(argparse.ArgumentParser, "__init__", counted):
+        build_parser(argv)
+    return len(built)
+
+
+def test_a_command_line_builds_the_parser_of_only_the_verbs_it_names():
     parser = build_parser(["validate", "-i", "x", "-o", "y"])
     verbs = _verbs(parser)
     assert list(verbs) == ["construct", "validate", "pi1", "homology", "distinguish",
                            "render"]
-    for name, verb in verbs.items():
-        flags = [a.option_strings for a in verb._actions]
-        if name == "validate":
-            assert flags == [["-h", "--help"], ["--budget"], ["-i", "--input"],
-                             ["-o", "--output"]]
-        else:
-            assert flags == [["-h", "--help"]], name
-    assert verbs["construct"]._subparsers is None
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert [a.dest for a in sub._get_subactions()] == list(verbs)
+    assert all(a.help for a in sub._get_subactions())
+    assert [name for name, verb in verbs.items() if verb is not None] == ["validate"]
+    assert [a.option_strings for a in verbs["validate"]._actions] == [
+        ["-h", "--help"], ["--budget"], ["-i", "--input"], ["-o", "--output"]]
     construct = _verbs(_verbs(build_parser(["construct", "glue"]))["construct"])
     assert list(construct) == list(EVERY_VERB[1:11])
+    assert [name for name, verb in construct.items() if verb is not None] == ["glue"]
+    assert _parsers_built(["validate", "-i", "x", "-o", "y"]) == 2
+    assert _parsers_built(["construct", "glue", "--copies", "2"]) == 3
+    assert _parsers_built(["-h"]) == 1

@@ -3,22 +3,27 @@ presentation files, run through every verb that reads them, exit 0, 1,
 2, 10 or 20.  Exit 3 is kept for a failed internal self-check, a defect
 of this program that no input may bring about, and no exception escapes
 ``main``.  Random command lines may also end in argparse's own exits,
-``SystemExit`` 2 for a usage error and 0 for ``--help``."""
+``SystemExit`` 2 for a usage error and 0 for ``--help``, and each ends
+as it does under a parser of every verb."""
 
+import io
 import shlex
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 
-from multisect.cli import main
+import multisect.cli
+from multisect.cli import build_parser, main
 from multisect.constructions import (bisection_from_heegaard, double_bisection,
                                      lens_diagram)
 from multisect.diagrams import (CutSystem, MultisectionDiagram, SurfaceModel,
                                 format_diagram, format_heegaard,
                                 standard_alpha_system)
 from multisect.words import Word, automorphism
+from test_cli import EVERY_VERB
 from test_golden import PRESENTATION
 
 
@@ -210,11 +215,20 @@ def test_random_argv_exits_with_a_documented_code(tmp_path_factory, argv):
     (work / "latin1").write_bytes("gens 1\ng1 \xe9\n".encode("latin-1"))
     (work / "directory").mkdir()
     argv = [paths.get(arg, arg) for arg in argv]
-    try:
-        # no stdin: a verb that read it would raise AttributeError here
-        with patch.object(sys, "stdin", None):
-            code = main(argv)
-    except SystemExit as exc:
-        assert exc.code in (0, 2), argv
-    else:
-        assert code in (0, 1, 2, 10, 20), argv
+    exited, code, *_ = outcome = _outcome(argv)
+    assert code in ((0, 2) if exited else (0, 1, 2, 10, 20)), argv
+    with patch.object(multisect.cli, "build_parser", lambda _: build_parser(EVERY_VERB)):
+        assert _outcome(argv) == outcome, argv
+
+
+def _outcome(argv):
+    """Whether argparse exited, the exit code, stdout and stderr of one
+    command line, run with no stdin: a verb that read it would raise
+    AttributeError."""
+    out, err = io.StringIO(), io.StringIO()
+    with patch.object(sys, "stdin", None), redirect_stdout(out), redirect_stderr(err):
+        try:
+            exited, code = False, main(argv)
+        except SystemExit as exc:
+            exited, code = True, exc.code
+    return exited, code, out.getvalue(), err.getvalue()
