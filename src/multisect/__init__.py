@@ -7,7 +7,7 @@ decompositions that no isotopy can match.
 """
 
 from .abelian import FiniteAbelianGroup
-from .matrices import IntegerMatrix, SmithForm, smith_normal_form
+from .matrices import SmithForm, smith_normal_form
 from .presentations import (AbelianInvariants, GroupPresentation, SectorVerdict,
                             Surjection, TietzeResult, abelianization,
                             enumerate_finite_abelian_quotients, format_presentation,

@@ -48,7 +48,14 @@ def _read_text(path: str) -> tuple[str, str]:
 
 def _write_text(path: str, text: str) -> None:
     if path == "-":
-        sys.stdout.write(text)
+        # bytes untranslated, as _read_text reads stdin's; a text sink with
+        # no bytes beneath it, such as io.StringIO, takes the text
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:
+            sys.stdout.write(text)
+        else:
+            sys.stdout.flush()  # text the stream still holds goes first
+            buffer.write(text.encode("utf-8"))
     else:
         # untranslated, so that the file reads back on every platform
         with open(path, "w", encoding="utf-8", newline="") as fh:

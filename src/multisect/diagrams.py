@@ -23,7 +23,6 @@ import hashlib
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 
-from .matrices import IntegerMatrix, smith_normal_form
 from .presentations import (AbelianInvariants, GroupPresentation, SectorVerdict,
                             TietzeResult, abelianization, tietze_simplify,
                             DEFAULT_TIETZE_BUDGET)
@@ -109,9 +108,9 @@ class CutSystem:
                     f"system {self.label!r}: curve not cyclically reduced")
         _check_label(self.label)
         if self.standardizer is None:
-            rows = [c.exponent_sums() for c in self.curves]
-            snf = smith_normal_form(IntegerMatrix.from_rows(rows, self.surface.rank))
-            if snf.rank != genus or snf.invariant_factors != ():
+            # part of a basis of Z^2G: the quotient by the curves is Z^G
+            if abelianization(GroupPresentation(self.surface.rank, self.curves)) \
+                    != AbelianInvariants(genus):
                 raise DiagramError(
                     f"system {self.label!r}: exponent matrix is not part of a basis")
             return

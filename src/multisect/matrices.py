@@ -1,9 +1,11 @@
 """Exact integer matrices and Smith normal form.
 
-Everything here works over the integers with Python's arbitrary-precision
-arithmetic; no value is ever rounded or wrapped.  The Smith normal form D
-of A is returned with its unimodular column transform V, and every call
-checks D = E @ A @ V for a unimodular E that is never built.
+A matrix is a sequence of integer rows.  Everything here works over the
+integers with Python's arbitrary-precision arithmetic; no value is ever
+rounded or wrapped.  The Smith normal form D of A is returned as its
+diagonal with its unimodular column transform V, and every call checks
+D = E @ A @ V for a unimodular E that is never built.  The elimination,
+the result and the checks are all sparse: no dense matrix is built.
 
 Unimodularity comes from the elimination's operation log, not from a
 determinant: every row or column swap, addition of a multiple of one row
@@ -20,69 +22,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
-        if len(self.entries) != self.rows:
-            raise ValueError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("matrix is not rectangular")
-            for x in row:
-                if not isinstance(x, int):
-                    raise ValueError("entries must be exact integers")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
-        rows = [tuple(r) for r in rows]
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        return cls(len(rows), cols, tuple(rows))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
-    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        # each product row is a combination of the rows of ``other``;
-        # zero coefficients add nothing and are skipped
-        prod = []
-        for row in self.entries:
-            acc = [0] * other.cols
-            for x, other_row in zip(row, other.entries):
-                if x:
-                    acc = [a + x * y for a, y in zip(acc, other_row)]
-            prod.append(tuple(acc))
-        return IntegerMatrix(self.rows, other.cols, tuple(prod))
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
-
-    def is_diagonal(self) -> bool:
-        return all(self.entries[i][j] == 0
-                   for i in range(self.rows) for j in range(self.cols) if i != j)
-
-
-def determinant(a: IntegerMatrix) -> int:
+def determinant(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    if a.rows != a.cols:
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant requires a square matrix")
-    n = a.rows
     if n == 0:
         return 1
-    m = [list(row) for row in a.entries]
+    m = [list(row) for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -102,26 +49,28 @@ def determinant(a: IntegerMatrix) -> int:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """Diagonalization D = E @ A @ V with unimodular E, V; E is proved by
-    the row log and not kept, since no caller reads it.
+    """Diagonalization D = E @ A @ V with unimodular E, V, held sparse:
+    D by its diagonal, V by its columns, each a map from a row to the
+    nonzero entry there.  E is proved by the row log and not kept, since
+    no caller reads it.
 
     ``invariant_factors`` lists the nonzero, non-unit diagonal entries of D
     in divisibility order; ``rank`` counts all nonzero diagonal entries.
     """
 
-    D: IntegerMatrix
-    V: IntegerMatrix
+    diagonal: tuple[int, ...]
+    V: tuple[dict[int, int], ...]
     invariant_factors: tuple[int, ...]
 
     @property
     def rank(self) -> int:
-        return sum(1 for d in self.D.diagonal() if d != 0)
+        return sum(1 for d in self.diagonal if d != 0)
 
 
 # Elementary operations of the elimination.  Each one updates the working
 # matrix (and V) and logs itself as (kind, dst, src, q): row operations in
 # the row log, which replays on A @ V to D, and column operations in the
-# column log, which replays on the identity to V transposed.
+# column log, which replays on the identity to the columns of V.
 _SWAP, _ADD, _NEGATE = "swap", "add", "negate"
 
 
@@ -132,12 +81,16 @@ class _SparseMatrix:
 
     __slots__ = ("rows", "cols")
 
-    def __init__(self, a: IntegerMatrix):
+    def __init__(self, a: Sequence[Sequence[int]], cols: int):
         self.rows: list[dict[int, int]] = []
-        self.cols: list[set[int]] = [set() for _ in range(a.cols)]
-        for i, entries in enumerate(a.entries):
+        self.cols: list[set[int]] = [set() for _ in range(cols)]
+        for i, entries in enumerate(a):
+            if len(entries) != cols:
+                raise ValueError("matrix is not rectangular")
             row = {}
             for j, x in enumerate(entries):
+                if not isinstance(x, int):
+                    raise ValueError("entries must be exact integers")
                 if x:
                     row[j] = x
                     self.cols[j].add(i)
@@ -210,25 +163,31 @@ def _negate_row(m, log, t):
     log.append((_NEGATE, t, t, 0))
 
 
-def _replay(rows, log) -> tuple[tuple[int, ...], ...]:
-    """``rows`` with the logged row operations applied in order.
+def _replay(rows, log) -> list[dict[int, int]]:
+    """``rows``, each a map from a column to its nonzero entry, with the
+    logged row operations applied in order.
 
     Written apart from the elimination's helpers on purpose: a result is
     accepted only when this independent replay of the elementary
     operations reproduces it."""
-    rows = [list(row) for row in rows]
+    rows = [dict(row) for row in rows]
     for kind, dst, src, q in log:
         if kind == _SWAP:
             rows[dst], rows[src] = rows[src], rows[dst]
         elif kind == _ADD:
-            rows[dst] = [x + q * y for x, y in zip(rows[dst], rows[src])]
+            row = rows[dst]
+            for k, y in rows[src].items():
+                row[k] = row.get(k, 0) + q * y
+                if not row[k]:
+                    del row[k]
         else:
-            rows[dst] = [-x for x in rows[dst]]
-    return tuple(tuple(row) for row in rows)
+            rows[dst] = {k: -x for k, x in rows[dst].items()}
+    return rows
 
 
-def smith_normal_form(a: IntegerMatrix) -> SmithForm:
-    """Smith normal form by gcd-pivot elimination.
+def smith_normal_form(rows: Sequence[Sequence[int]], cols: int) -> SmithForm:
+    """Smith normal form of the matrix with the given rows, each of
+    ``cols`` exact integers, by gcd-pivot elimination.
 
     Pivot rule: smallest nonzero absolute value in the trailing block,
     ties broken by (row, col).  The rule is fixed, so output is
@@ -241,13 +200,15 @@ def smith_normal_form(a: IntegerMatrix) -> SmithForm:
     before the step's index t hold nothing but their diagonal entry,
     so every entry of a row from t on lies in the trailing block.
 
-    Checked on every call: V equal to the identity with the logged column
-    operations replayed (hence unimodular), D equal to A @ V with the
-    logged row operations replayed (hence D = E @ A @ V with E unimodular),
-    and D diagonal with its nonzero entries in a divisibility chain.
+    Checked on every call, on sparse rows: V equal to the identity with
+    the logged column operations replayed (hence unimodular), D equal to
+    A @ V with the logged row operations replayed (hence D = E @ A @ V
+    with E unimodular), and D diagonal with its nonzero entries in a
+    divisibility chain.
     """
-    r, c = a.rows, a.cols
-    m = _SparseMatrix(a)
+    m = _SparseMatrix(rows, cols)
+    a = [dict(row) for row in m.rows]  # A, kept for the check of D
+    r, c = len(a), cols
     rows = m.rows  # swaps exchange entries of this list, never the list
     v: list[dict[int, int]] = [{j: 1} for j in range(c)]  # columns of V
     row_log: list = []
@@ -295,31 +256,30 @@ def smith_normal_form(a: IntegerMatrix) -> SmithForm:
             _negate_row(m, row_log, t)
         t += 1
 
-    d_rows = []
-    for row in rows:
-        dense = [0] * c
-        for j, x in row.items():
-            dense[j] = x
-        d_rows.append(tuple(dense))
-    v_rows = [[0] * c for _ in range(c)]
+    v_rows: list[dict[int, int]] = [{} for _ in range(c)]
     for j, column in enumerate(v):
         for i, x in column.items():
             v_rows[i][j] = x
-    d_mat = IntegerMatrix(r, c, tuple(d_rows))
-    v_mat = IntegerMatrix(c, c, tuple(map(tuple, v_rows)))
+    av = []  # A @ V, each row a combination of V's rows
+    for row in a:
+        acc: dict[int, int] = {}
+        for k, x in row.items():
+            for j, y in v_rows[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        av.append({j: x for j, x in acc.items() if x})
 
-    diag = d_mat.diagonal()
-    factors = tuple(d for d in diag if d not in (0, 1))
+    diagonal = tuple(rows[i].get(i, 0) for i in range(min(r, c)))
+    factors = tuple(d for d in diagonal if d not in (0, 1))
 
-    if v_mat.entries != tuple(zip(*_replay(IntegerMatrix.identity(c).entries, col_log))):
+    if v != _replay([{j: 1} for j in range(c)], col_log):
         raise AssertionError("Smith normal form V is not the replayed column log: not unimodular")
-    if d_mat.entries != _replay((a @ v_mat).entries, row_log):
+    if rows != _replay(av, row_log):
         raise AssertionError("Smith normal form D is not A*V with the row log replayed: not unimodular")
-    if not d_mat.is_diagonal():
+    if any(j != i for i, row in enumerate(rows) for j in row):
         raise AssertionError("Smith normal form result is not diagonal")
-    nonzero = [d for d in diag if d != 0]
+    nonzero = [d for d in diagonal if d != 0]
     for x, y in zip(nonzero, nonzero[1:]):
         if y % x != 0:
             raise AssertionError("invariant factors do not form a divisibility chain")
 
-    return SmithForm(d_mat, v_mat, factors)
+    return SmithForm(diagonal, tuple(v), factors)

@@ -26,9 +26,9 @@ from math import gcd
 from .abelian import ORDER_BOUND, Element, FiniteAbelianGroup
 from .diagrams import DiagramError, MultisectionDiagram, express_against, \
     pi1_of_diagram, readable_sides, settle_pair
-from .matrices import IntegerMatrix, determinant, smith_normal_form
+from .matrices import determinant, smith_normal_form
 from .presentations import (AbelianInvariants, GroupPresentation, Surjection,
-                            same_relators, tietze_simplify)
+                            abelianization, same_relators, tietze_simplify)
 from .words import (Word, _letters_conjugate, _letters_inverse, _letters_product,
                     _signed_table, _substitute, format_word, parse_word)
 
@@ -182,7 +182,7 @@ def _unit_determinant_class(group: FiniteAbelianGroup,
     m, n = factors[0], group.rank
     if len(elements) != n:
         raise ValueError("tuple length must equal the group rank")
-    det = determinant(IntegerMatrix.from_rows([list(e) for e in elements], n))
+    det = determinant(elements)
     return _determinant_class(det, m) if gcd(det, m) == 1 else None
 
 
@@ -363,21 +363,13 @@ def format_certificate(cert: NielsenCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _generates_abelianization(pres: GroupPresentation, t: WordTuple) -> bool:
-    rows = [w.exponent_sums() for w in t]
-    rows.extend(rel.exponent_sums() for rel in pres.relators)
-    snf = smith_normal_form(IntegerMatrix.from_rows(rows, pres.generator_count))
-    return snf.rank == pres.generator_count and snf.invariant_factors == ()
-
-
 def _free_smith_diagonal(t: WordTuple, rank: int) -> tuple[int, ...]:
     """Diagonal of the Smith form of the tuple's exponent-sum matrix over
     Z^rank, its image in the free abelianization.  Every move multiplies
     the matrix on the left by a matrix in GL_n(Z) and conjugation leaves
     it fixed, so tuples whose diagonals differ are in different classes
     of the free group."""
-    rows = [w.exponent_sums() for w in t]
-    return smith_normal_form(IntegerMatrix.from_rows(rows, rank)).D.diagonal()
+    return smith_normal_form([w.exponent_sums() for w in t], rank).diagonal
 
 
 def distinguish(pres: GroupPresentation, t1: WordTuple, t2: WordTuple,
@@ -420,7 +412,7 @@ def distinguish(pres: GroupPresentation, t1: WordTuple, t2: WordTuple,
               for t in (t1, t2))
 
     for t in (r1, r2):
-        if not _generates_abelianization(target, t):
+        if abelianization(GroupPresentation(rank, target.relators + t)) != AbelianInvariants(0):
             raise ValueError("tuple does not generate the abelianization")
 
     if r1 == r2:
@@ -429,8 +421,8 @@ def distinguish(pres: GroupPresentation, t1: WordTuple, t2: WordTuple,
 
     # H1 coordinates of a word with exponent row x: x V at the columns of
     # D whose diagonal entry is not 1, zeros and free columns included
-    snf = smith_normal_form(target.exponent_matrix())
-    diagonal = snf.D.diagonal()
+    snf = smith_normal_form([rel.exponent_sums() for rel in target.relators], rank)
+    diagonal = snf.diagonal
     columns = [j for j in range(rank) if j >= len(diagonal) or diagonal[j] != 1]
     h1 = f"H1 = {AbelianInvariants(rank - snf.rank, snf.invariant_factors).describe()}"
     if len(columns) < n:
@@ -438,10 +430,9 @@ def distinguish(pres: GroupPresentation, t1: WordTuple, t2: WordTuple,
                     "class in every abelian quotient")
     else:
         d1 = diagonal[columns[0]] if columns[0] < len(diagonal) else 0
-        basis = IntegerMatrix.from_rows(
-            [[row[j] for j in columns] for row in snf.V.entries], n)
-        det1, det2 = (determinant(IntegerMatrix.from_rows(
-            [w.exponent_sums() for w in t], rank) @ basis) for t in (r1, r2))
+        basis = [snf.V[j] for j in columns]
+        det1, det2 = (determinant([[sum(row[i] * x for i, x in column.items()) for column in basis]
+                                   for row in map(Word.exponent_sums, t)]) for t in (r1, r2))
         tried = 0
         for m in takewhile(lambda m: m ** n <= bound, range(2, d1 + 1)):
             if d1 % m:
@@ -450,7 +441,8 @@ def distinguish(pres: GroupPresentation, t1: WordTuple, t2: WordTuple,
             class1, class2 = _determinant_class(det1, m), _determinant_class(det2, m)
             if class1 != class2:
                 group = FiniteAbelianGroup((m,) * n)
-                q = Surjection(group, tuple(map(group.reduce, basis.entries)))
+                q = Surjection(group, tuple(group.reduce(column.get(i, 0) for column in basis)
+                                            for i in range(rank)))
                 return NielsenCertificate(
                     "distinct", target, r1, r2, group, q.images,
                     tuple(map(q.evaluate, r1)), tuple(map(q.evaluate, r2)),

@@ -23,7 +23,7 @@ from heapq import heappop, heappush
 from itertools import product as iproduct
 
 from .abelian import ORDER_BOUND, FiniteAbelianGroup
-from .matrices import IntegerMatrix, smith_normal_form
+from .matrices import smith_normal_form
 from .words import (FormatError, Word, _LineReader, _canonical_letters,
                     _cyclic_core, _exponent_row, _letters_inverse,
                     _letters_product, _signed_table, _substitute, format_word,
@@ -46,10 +46,6 @@ class GroupPresentation:
                 raise ValueError("relator rank does not match generator count")
             fixed.append(rel.cyclic_reduce())
         object.__setattr__(self, "relators", tuple(fixed))
-
-    def exponent_matrix(self) -> IntegerMatrix:
-        return IntegerMatrix.from_rows(
-            [rel.exponent_sums() for rel in self.relators], self.generator_count)
 
 
 @dataclass(frozen=True)
@@ -90,7 +86,7 @@ def abelianization(pres: GroupPresentation) -> AbelianInvariants:
     neither changes the rank or the invariant factors."""
     rows = dict.fromkeys(row for row in (rel.exponent_sums() for rel in pres.relators)
                          if any(row))
-    snf = smith_normal_form(IntegerMatrix.from_rows(list(rows), pres.generator_count))
+    snf = smith_normal_form(list(rows), pres.generator_count)
     return AbelianInvariants(pres.generator_count - snf.rank, snf.invariant_factors)
 
 

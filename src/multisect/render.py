@@ -80,8 +80,10 @@ def diagram_to_svg(d: MultisectionDiagram, size: int = 640) -> str:
         dash = DASHES[sys_idx % len(DASHES)]
         inset = 1.0 - 0.035 * sys_idx
         dash_attr = f' stroke-dasharray="{dash}"' if dash != "none" else ""
+        # labels may hold the characters that XML attributes reserve
+        label = system.label.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
         parts.append(f'<g stroke="{color}" fill="none" stroke-width="1.4"'
-                     f'{dash_attr} data-system="{system.label}">')
+                     f'{dash_attr} data-system="{label}">')
         for curve in system.curves:
             points = []
             length = len(curve.letters)

@@ -23,7 +23,7 @@ from functools import cached_property
 from operator import eq, neg
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .matrices import IntegerMatrix, determinant
+from .matrices import determinant
 
 __all__ = [
     "Word",
@@ -347,9 +347,7 @@ class FreeAutomorphism:
             if img.rank != self.rank:
                 raise ValueError("image rank mismatch")
         if self.inverse_images is None:
-            mat = IntegerMatrix.from_rows(
-                [img.exponent_sums() for img in self.images], self.rank)
-            if determinant(mat) not in (1, -1):
+            if determinant([img.exponent_sums() for img in self.images]) not in (1, -1):
                 raise ValueError(
                     "abelianized determinant is not +-1; not an automorphism")
             return

@@ -14,7 +14,7 @@ from multisect.constructions import (MergeRefusedError, auto_cap,
                                      glue_bisections, insert_parallel_sectors,
                                      lens_diagram, merge_adjacent_sectors)
 from multisect.diagrams import connected_sum, pi1_of_diagram, validate
-from multisect.matrices import IntegerMatrix, smith_normal_form
+from multisect.matrices import smith_normal_form
 from multisect.nielsen import (GeneratingTuple, connect_tuples,
                                determinant_invariant, distinguish,
                                orbit_enumerate, _move_elements, MOVES)
@@ -232,9 +232,8 @@ def test_criterion_8_property_suites():
 
         for _ in range(100):
             rows = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
-            a = IntegerMatrix.from_rows(rows, 4)
-            snf = smith_normal_form(a)  # internally asserts U*A*V = D
-            oracle_factors, oracle_rank = minors_gcd_invariant_factors(a)
+            snf = smith_normal_form(rows, 4)  # internally asserts U*A*V = D
+            oracle_factors, oracle_rank = minors_gcd_invariant_factors(rows, 4)
             assert list(snf.invariant_factors) == oracle_factors
             assert snf.rank == oracle_rank
 

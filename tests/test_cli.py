@@ -2,6 +2,7 @@ import _pyio
 import argparse
 import builtins
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
+from xml.dom import minidom
 
 import pytest
 
@@ -176,6 +178,19 @@ def test_output_files_read_back_where_lines_end_in_crlf(tmp_path, monkeypatch):
     assert run("construct", "bisect", "-i", hd, "-o", tmp_path / "win.msd") == 0
 
 
+def test_stdout_reads_back_where_lines_end_in_crlf(tmp_path, monkeypatch):
+    # a stdout whose text layer ends lines in \r\n, as on Windows: the
+    # report goes to the bytes beneath it, so it pipes into the next call
+    monkeypatch.setattr(os, "linesep", "\r\n")
+    stdout = _pyio.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run("construct", "lens", "--p", 5, "--q", 2) == 0
+    piped = stdout.buffer.getvalue()
+    assert piped.startswith(b"HD") and b"\r" not in piped
+    monkeypatch.setattr(sys, "stdin", _pyio.TextIOWrapper(io.BytesIO(piped)))
+    assert run("construct", "bisect", "-o", tmp_path / "win.msd") == 0
+
+
 def test_failed_self_check_exits_3(lens_msd, monkeypatch, capsys):
     def failing(args):
         raise AssertionError("Smith normal form transforms are not unimodular")
@@ -255,9 +270,9 @@ def test_validate_and_pi1_take_no_redundant_smith_forms(p, q, validate_snfs,
     calls = []
     original = multisect.matrices.smith_normal_form
 
-    def counting(matrix):
-        calls.append((matrix.rows, matrix.cols))
-        return original(matrix)
+    def counting(rows, cols):
+        calls.append((len(rows), cols))
+        return original(rows, cols)
 
     for module in (multisect.matrices, multisect.presentations, multisect.diagrams,
                    multisect.nielsen):
@@ -281,9 +296,9 @@ def test_homology_shares_the_simplification_of_pi1(tmp_path, monkeypatch):
     calls = []
     original = multisect.matrices.smith_normal_form
 
-    def counting(matrix):
-        calls.append((matrix.rows, matrix.cols))
-        return original(matrix)
+    def counting(rows, cols):
+        calls.append((len(rows), cols))
+        return original(rows, cols)
 
     monkeypatch.setattr(multisect.presentations, "smith_normal_form", counting)
     out = tmp_path / "report.txt"
@@ -697,6 +712,19 @@ def test_render(lens_msd, tmp_path):
     svg2 = tmp_path / "out2.svg"
     run("render", "-i", lens_msd, "--svg", svg2)
     assert svg.read_bytes() == svg2.read_bytes()
+
+
+def test_render_escapes_a_label_that_xml_would_misread(tmp_path):
+    label = 'g"a<m>&a'
+    msd = tmp_path / "odd.msd"
+    msd.write_text(format_diagram(bisection_from_heegaard(lens_diagram(5, 2)))
+                   .replace("system gamma\n", f"system {label}\n"))
+    assert run("validate", "-i", msd, "-o", tmp_path / "report.txt") == 0
+    svg = tmp_path / "odd.svg"
+    assert run("render", "-i", msd, "--svg", svg) == 0
+    groups = minidom.parse(str(svg)).getElementsByTagName("g")
+    assert [g.getAttribute("data-system") for g in groups if g.hasAttribute("data-system")] \
+        == ["alpha", "beta", label]
 
 
 def test_render_genus_zero(tmp_path):

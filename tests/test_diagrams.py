@@ -62,10 +62,10 @@ def test_cut_system_rejects_bad_standardizer():
 
 
 def test_standardized_cut_system_is_checked_by_its_standard_letters(monkeypatch):
-    def no_snf(matrix):
+    def no_snf(pres):
         raise AssertionError("Smith normal form computed despite a standardizer")
 
-    monkeypatch.setattr(multisect.diagrams, "smith_normal_form", no_snf)
+    monkeypatch.setattr(multisect.diagrams, "abelianization", no_snf)
     surf = SurfaceModel(1)
     assert CutSystem(surf, (Word(2, (1,)),), identity_automorphism(2)).standard_letters \
         == (1,)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 from math import gcd
 
@@ -6,21 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import multisect.matrices
-from multisect.matrices import IntegerMatrix, determinant, smith_normal_form
+from multisect.matrices import determinant, smith_normal_form
 
 
-def minors_gcd_invariant_factors(a: IntegerMatrix):
+def minors_gcd_invariant_factors(a, width):
     """Independent oracle: d_k = gcd of all k-minors; the k-th invariant
     factor is d_k / d_{k-1}, stopping when the minors vanish."""
     factors = []
     previous = 1
-    for k in range(1, min(a.rows, a.cols) + 1):
+    for k in range(1, min(len(a), width) + 1):
         g = 0
-        for rows in combinations(range(a.rows), k):
-            for cols in combinations(range(a.cols), k):
-                sub = IntegerMatrix.from_rows(
-                    [[a.entries[r][c] for c in cols] for r in rows], k)
-                g = gcd(g, determinant(sub))
+        for rows in combinations(range(len(a)), k):
+            for cols in combinations(range(width), k):
+                g = gcd(g, determinant([[a[r][c] for c in cols] for r in rows]))
         if g == 0:
             break
         factors.append(g // previous)
@@ -28,47 +27,53 @@ def minors_gcd_invariant_factors(a: IntegerMatrix):
     return [f for f in factors if f != 1], len(factors)
 
 
+def dense(snf, rows, cols):
+    """D and V of a Smith form as lists of integer rows."""
+    d = [[snf.diagonal[i] if i == j else 0 for j in range(cols)] for i in range(rows)]
+    return d, [[column.get(i, 0) for column in snf.V] for i in range(cols)]
+
+
 def test_determinant_basics():
-    assert determinant(IntegerMatrix.identity(3)) == 1
-    assert determinant(IntegerMatrix.from_rows([[2, 4], [6, 8]], 2)) == -8
-    assert determinant(IntegerMatrix.from_rows([[0, 1], [1, 0]], 2)) == -1
-    assert determinant(IntegerMatrix.zeros(2, 2)) == 0
-    with pytest.raises(ValueError):
-        determinant(IntegerMatrix.zeros(2, 3))
+    assert determinant([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
+    assert determinant([[2, 4], [6, 8]]) == -8
+    assert determinant([[0, 1], [1, 0]]) == -1
+    assert determinant([[0, 0], [0, 0]]) == 0
+    with pytest.raises(ValueError, match="square"):
+        determinant([[0, 0, 0], [0, 0, 0]])
 
 
 def test_matrix_validation():
-    with pytest.raises(ValueError):
-        IntegerMatrix(1, 2, ((1,),))
-    with pytest.raises(ValueError):
-        IntegerMatrix.from_rows([[1.5]], 1)
+    with pytest.raises(ValueError, match="not rectangular"):
+        smith_normal_form([[1]], 2)
+    with pytest.raises(ValueError, match="exact integers"):
+        smith_normal_form([[1.5]], 1)
 
 
 def test_snf_already_diagonal():
-    snf = smith_normal_form(IntegerMatrix.from_rows([[2, 0], [0, 2]], 2))
+    snf = smith_normal_form([[2, 0], [0, 2]], 2)
     assert snf.invariant_factors == (2, 2)
 
 
 def test_snf_two_by_two():
-    snf = smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]], 2))
+    snf = smith_normal_form([[2, 4], [6, 8]], 2)
     assert snf.invariant_factors == (2, 4)
 
 
 def test_snf_zero_matrix():
-    snf = smith_normal_form(IntegerMatrix.zeros(3, 3))
+    snf = smith_normal_form([[0, 0, 0]] * 3, 3)
     assert snf.invariant_factors == ()
     assert snf.rank == 0
 
 
 def test_snf_rectangular():
-    snf = smith_normal_form(IntegerMatrix.from_rows([[1, 2, 3]], 3))
+    snf = smith_normal_form([[1, 2, 3]], 3)
     assert snf.rank == 1
     assert snf.invariant_factors == ()
 
 
 def test_snf_large_entries_stay_exact():
     big = 10 ** 30
-    snf = smith_normal_form(IntegerMatrix.from_rows([[big, 0], [0, big * 3]], 2))
+    snf = smith_normal_form([[big, 0], [0, big * 3]], 2)
     assert snf.invariant_factors == (big, 3 * big)
 
 
@@ -76,9 +81,8 @@ def test_snf_identity_and_dets_asserted():
     rng = random.Random(7)
     for _ in range(20):
         rows = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(4)]
-        a = IntegerMatrix.from_rows(rows, 3)
-        snf = smith_normal_form(a)
-        assert determinant(snf.V) in (1, -1)
+        snf = smith_normal_form(rows, 3)
+        assert determinant(dense(snf, 4, 3)[1]) in (1, -1)
 
 
 def test_snf_rectangular_against_minors_oracle():
@@ -86,11 +90,9 @@ def test_snf_rectangular_against_minors_oracle():
     for _ in range(40):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
-        a = IntegerMatrix.from_rows(
-            [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)],
-            cols)
-        snf = smith_normal_form(a)
-        oracle_factors, oracle_rank = minors_gcd_invariant_factors(a)
+        a = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        snf = smith_normal_form(a, cols)
+        oracle_factors, oracle_rank = minors_gcd_invariant_factors(a, cols)
         assert list(snf.invariant_factors) == oracle_factors
         assert snf.rank == oracle_rank
 
@@ -98,13 +100,12 @@ def test_snf_rectangular_against_minors_oracle():
 def test_snf_against_minors_oracle_100_random():
     rng = random.Random(20260810)
     for _ in range(100):
-        rows = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
-        a = IntegerMatrix.from_rows(rows, 4)
-        snf = smith_normal_form(a)
-        oracle_factors, oracle_rank = minors_gcd_invariant_factors(a)
+        a = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
+        snf = smith_normal_form(a, 4)
+        oracle_factors, oracle_rank = minors_gcd_invariant_factors(a, 4)
         assert list(snf.invariant_factors) == oracle_factors
         assert snf.rank == oracle_rank
-        nonzero = [d for d in snf.D.diagonal() if d != 0]
+        nonzero = [d for d in snf.diagonal if d != 0]
         for x, y in zip(nonzero, nonzero[1:]):
             assert y % x == 0
 
@@ -118,14 +119,13 @@ def test_snf_transform_must_match_its_operation_log(monkeypatch):
         log.append(("negate", t, t, 0))
 
     monkeypatch.setattr(multisect.matrices, "_negate_row", doubling_negation)
-    a = IntegerMatrix.from_rows([[-1, 0], [0, 3]], 2)
-    with pytest.raises(AssertionError, match="not unimodular"):
-        smith_normal_form(a)
+    with pytest.raises(AssertionError, match="D is not A.V with the row log replayed"):
+        smith_normal_form([[-1, 0], [0, 3]], 2)
 
 
 def test_snf_column_transform_must_match_its_operation_log(monkeypatch):
-    # V gains 2q times a column where the log records q: only the
-    # replayed column log exposes it
+    # V gains 2q times a column where the log records q: the replayed
+    # column log exposes it before the wrong V spoils A*V
     original = multisect.matrices._add_col
 
     def doubled_column_update(m, v, log, dst, src, q):
@@ -134,28 +134,52 @@ def test_snf_column_transform_must_match_its_operation_log(monkeypatch):
             v[dst][k] = v[dst].get(k, 0) + q * y
 
     monkeypatch.setattr(multisect.matrices, "_add_col", doubled_column_update)
-    a = IntegerMatrix.from_rows([[1, 2], [0, 3]], 2)
-    with pytest.raises(AssertionError, match="not unimodular"):
-        smith_normal_form(a)
+    with pytest.raises(AssertionError, match="V is not the replayed column log"):
+        smith_normal_form([[1, 2], [0, 3]], 2)
 
 
-def test_snf_of_a_tall_matrix_builds_no_rows_by_rows_matrix(monkeypatch):
-    # the row transform is never built: a 200 x 8 Smith form makes no
-    # matrix with 200 columns
-    shapes = []
-    original = IntegerMatrix.__post_init__
+def test_snf_result_must_be_diagonal(monkeypatch):
+    # after negating the first pivot row, add the next row to it: a logged
+    # unimodular operation, so both replays agree, but D keeps an entry
+    # off its diagonal that only the diagonal check sees
+    negate, add_row = multisect.matrices._negate_row, multisect.matrices._add_row
 
-    def recording(self):
-        shapes.append((self.rows, self.cols))
-        original(self)
+    def negation_and_addition(m, log, t):
+        negate(m, log, t)
+        add_row(m, log, t, t + 1, 1)
 
-    rng = random.Random(200)
-    a = IntegerMatrix.from_rows(
-        [[rng.randint(-3, 3) for _ in range(8)] for _ in range(200)], 8)
-    monkeypatch.setattr(IntegerMatrix, "__post_init__", recording)
-    snf = smith_normal_form(a)
-    assert snf.rank == 8
-    assert shapes and all(cols <= 8 for _, cols in shapes)
+    monkeypatch.setattr(multisect.matrices, "_negate_row", negation_and_addition)
+    with pytest.raises(AssertionError, match="not diagonal"):
+        smith_normal_form([[-1, 0], [0, 3]], 2)
+
+
+class _Indivisible(int):
+    """An integer that claims to be divisible by everything."""
+
+    def __mod__(self, other):
+        return 0
+
+
+def test_snf_diagonal_must_be_a_divisibility_chain():
+    # the elimination's divisibility scan asks -3 % 2 of an integer that
+    # answers 0; negating that pivot leaves a plain 3 on the diagonal,
+    # and only the final chain check sees that 2 does not divide it
+    with pytest.raises(AssertionError, match="divisibility chain"):
+        smith_normal_form([[2, 0], [0, _Indivisible(-3)]], 2)
+
+
+def test_snf_builds_no_dense_matrix():
+    # the simplified pi1 of a central genus 960 product diagram; one dense
+    # 480 x 480 list of rows alone takes about 1.9 MB
+    a = [[5 if i == j else 0 for j in range(480)] for i in range(480)]
+    tracemalloc.start()
+    try:
+        snf = smith_normal_form(a, 480)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert snf.invariant_factors == (5,) * 480
+    assert peak < 1_500_000, peak
 
 
 # (A, D, V) recorded from the full-scan pivot search; in each A the first
@@ -181,47 +205,17 @@ _UNIT_PIVOT_CASES = (
 def test_snf_unit_pivot_is_the_first_least_entry(a, d, v):
     # the pivot scan stops at the first unit, which the rule (least
     # absolute value, ties by row then column) picks anyway
-    snf = smith_normal_form(IntegerMatrix.from_rows(a, len(a[0])))
-    assert snf.D == IntegerMatrix.from_rows(d, len(a[0]))
-    assert snf.V == IntegerMatrix.from_rows(v, len(a[0]))
+    snf = smith_normal_form(a, len(a[0]))
+    assert dense(snf, len(a), len(a[0])) == (d, v)
 
 
-def _naive_product(a, b):
-    return tuple(tuple(sum(a.entries[i][k] * b.entries[k][j] for k in range(a.cols))
-                       for j in range(b.cols))
-                 for i in range(a.rows))
-
-
-@st.composite
-def matrix_pairs(draw):
-    r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
-    entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10 ** 25, 10 ** 25))
-
-    def matrix(rows, cols):
-        zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
-        zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0))))
-        return IntegerMatrix.from_rows(
-            [[0 if i in zero_rows or j in zero_cols else draw(entry)
-              for j in range(cols)] for i in range(rows)], cols)
-
-    return matrix(r, k), matrix(k, c)
-
-
-@given(matrix_pairs())
-def test_matmul_matches_naive_triple_sum(pair):
-    a, b = pair
-    product = a @ b
-    assert (product.rows, product.cols) == (a.rows, b.cols)
-    assert product.entries == _naive_product(a, b)
-
-
-def reference_smith_normal_form(a: IntegerMatrix):
+def reference_smith_normal_form(a, c):
     """The elimination on dense rows, scanning the whole trailing block
     for the pivot and for a divisibility offender: the same pivot rule
     and operations as ``smith_normal_form``, without its sparse rows,
     column index or self-checks.  Returns (D, V, invariant factors)."""
-    r, c = a.rows, a.cols
-    m = [list(row) for row in a.entries]
+    r = len(a)
+    m = [list(row) for row in a]
     v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
 
     def swap_cols(i, j):
@@ -263,8 +257,7 @@ def reference_smith_normal_form(a: IntegerMatrix):
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]
         t += 1
-    d = IntegerMatrix.from_rows(m, c)
-    return d, IntegerMatrix.from_rows(v, c), tuple(x for x in d.diagonal() if x not in (0, 1))
+    return m, v, tuple(m[i][i] for i in range(min(r, c)) if m[i][i] not in (0, 1))
 
 
 def _matrix_entries(scale):
@@ -281,23 +274,24 @@ def sparse_matrices(draw):
     rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
     zero_rows, zero_cols = (draw(st.sets(st.integers(0, 6), max_size=2)) for _ in "rc")
     entries = _matrix_entries(draw(st.sampled_from([1, 1, 2, 6])))
-    return IntegerMatrix.from_rows(
-        [[0 if i in zero_rows or j in zero_cols else draw(entries) for j in range(cols)]
-         for i in range(rows)], cols)
+    return [[0 if i in zero_rows or j in zero_cols else draw(entries) for j in range(cols)]
+            for i in range(rows)], cols
 
 
 @settings(max_examples=300, deadline=None)
 @given(sparse_matrices())
-def test_sparse_snf_agrees_with_the_dense_oracle(a):
-    snf = smith_normal_form(a)
-    assert (snf.D, snf.V, snf.invariant_factors) == reference_smith_normal_form(a)
+def test_sparse_snf_agrees_with_the_dense_oracle(matrix):
+    a, cols = matrix
+    snf = smith_normal_form(a, cols)
+    assert (*dense(snf, len(a), cols), snf.invariant_factors) \
+        == reference_smith_normal_form(a, cols)
 
 
 def test_sparse_snf_agrees_with_the_dense_oracle_on_a_large_residue():
     # the simplified pi1 of a central genus 480 product diagram: g^5 for
     # each of 240 generators, a diagonal of non-unit pivots
-    a = IntegerMatrix.from_rows([[5 if i == j else 0 for j in range(240)]
-                                 for i in range(240)], 240)
-    snf = smith_normal_form(a)
+    a = [[5 if i == j else 0 for j in range(240)] for i in range(240)]
+    snf = smith_normal_form(a, 240)
     assert snf.invariant_factors == (5,) * 240
-    assert (snf.D, snf.V, snf.invariant_factors) == reference_smith_normal_form(a)
+    assert (*dense(snf, 240, 240), snf.invariant_factors) \
+        == reference_smith_normal_form(a, 240)

@@ -14,7 +14,6 @@ from pathlib import Path
 import multisect
 import multisect.cli  # imports every module the tracer names
 from multisect import matrices
-from multisect.matrices import IntegerMatrix
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -59,7 +58,7 @@ def test_trace_installs_on_every_traced_name_and_uninstalls():
             assert getattr(owner, attr) is not value, f"{owner.__name__}.{attr}"
         for m in tracing.package_modules(multisect):
             assert not any(id(v) in original_ids for v in vars(m).values()), m
-        matrices.smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]], 2))
+        matrices.smith_normal_form([[2, 4], [6, 8]], 2)
         assert tracer.calls[tracer.names.index("matrices.smith_normal_form")] == 1
     finally:
         tracer.uninstall()
