@@ -94,15 +94,14 @@ def _assemble(source: tuple[CutSystem, ...], cache, picks, closed: bool,
     ``source`` systems (relabelled as in ``systems`` if given), with
     readings cached for all sector pairs, the boundary pair and every
     pair (1, j) feeding pi1.  A copy reads as its source: pair (i, j)
-    caches ``read_pair(source, cache, picks[i - 1], picks[j - 1])``, read
-    once per call; ``cache`` holds readings of ``source`` pairs, which
-    need not form a diagram, since only the output is checked."""
+    caches ``read_pair(source, cache, picks[i - 1], picks[j - 1])``;
+    ``cache`` holds readings of ``source`` pairs, which need not form a
+    diagram, since only the output is checked."""
     systems = systems or tuple(source[k - 1] for k in picks)
     s = len(systems)
     pairs = set(adjacent_pairs(s, True)) | {(1, j) for j in range(2, s + 1)}
-    sources = {(i, j): (picks[i - 1], picks[j - 1]) for i, j in sorted(pairs)}
-    read = {pair: read_pair(source, cache, *pair) for pair in dict.fromkeys(sources.values())}
-    readings = tuple((pair, read[src]) for pair, src in sources.items())
+    readings = tuple(((i, j), read_pair(source, cache, picks[i - 1], picks[j - 1]))
+                     for i, j in sorted(pairs))
     return MultisectionDiagram(source[0].surface, systems, closed, types, readings)
 
 

@@ -121,13 +121,28 @@ class CutSystem:
     def relabelled(self, label: str) -> "CutSystem":
         """This system under another label.  Its curves and standardizer
         passed this system's checks, so only the label is checked, and the
-        copy shares the standard letters and dual images."""
+        copy shares the standard letters, dual images and :meth:`read` memo."""
         _check_label(label)
         if self.standardizer is not None:
-            _ = self.dual_table  # derived once for every copy
+            _ = self.dual_table, self._read_memo  # derived once for every copy
         clone = object.__new__(CutSystem)
         clone.__dict__.update(self.__dict__, label=label)
         return clone
+
+    def read(self, other: "CutSystem") -> tuple[tuple[int, ...], ...]:
+        """The letters of ``other``'s curves read against this system, once per
+        system and curves: keyed by ``id(other.curves)``, the memo keeps them."""
+        hit = self._read_memo.get(id(other.curves))
+        if hit is None:
+            if other.surface != self.surface:
+                raise DiagramError("word rank does not match the system's surface")
+            hit = self._read_memo[id(other.curves)] = (
+                other.curves, tuple(_reading(self.dual_table, c.letters) for c in other.curves))
+        return hit[1]
+
+    @cached_property
+    def _read_memo(self) -> dict[int, tuple]:
+        return {}
 
     @cached_property
     def standard_letters(self) -> tuple[int, ...]:
@@ -171,6 +186,8 @@ class CutSystem:
 def _check_label(label: str) -> None:
     if " " in label or not label:
         raise DiagramError("system labels must be nonempty and space-free")
+    if any(c < " " or "\ud800" <= c <= "\udfff" or c in "\ufffe\uffff" for c in label):
+        raise DiagramError(f"system label {label!r} holds a character XML cannot carry")
 
 
 def express_against(w: Word, system: CutSystem) -> Word:
@@ -182,13 +199,17 @@ def express_against(w: Word, system: CutSystem) -> Word:
     return Word._made(system.surface.genus, _substitute(system.dual_table, w.letters))
 
 
+def _reading(table: tuple[tuple[int, ...], ...], letters: tuple[int, ...]) -> tuple[int, ...]:
+    """A curve's letters read through a dual table, reduced cyclically."""
+    return _cyclic_core(_substitute(table, letters))
+
+
 def read_against(curve: Word, system: CutSystem) -> Word:
     """Relator word of a curve against a cut system: its image under the
     system's dual images, reduced cyclically."""
     if curve.rank != system.surface.rank:
         raise DiagramError("word rank does not match the system's surface")
-    return Word._made(system.surface.genus,
-                      _cyclic_core(_substitute(system.dual_table, curve.letters)))
+    return Word._made(system.surface.genus, _reading(system.dual_table, curve.letters))
 
 
 def standard_alpha_system(surface: SurfaceModel, label: str = "alpha") -> CutSystem:
@@ -289,10 +310,10 @@ class MultisectionDiagram:
     Adjacent systems (cyclically, for closed diagrams) cut out the sector
     interfaces; for bounded diagrams the pair (s, 1) is the boundary
     Heegaard diagram rather than a sector.  ``claimed_types`` lists one
-    handlebody rank per sector.  Cached readings are re-derived from the
-    standardizers at construction time, once per distinct pair of home
-    dual images and other curves, and every cached word must agree with
-    its re-derivation up to rotation and inversion.
+    handlebody rank per sector.  Every cached word must agree up to
+    rotation and inversion with :meth:`CutSystem.read` of its pair, which
+    a system and its relabelled copies derive once per pair of systems,
+    whether a construction, this check or a later reading asks first.
     """
 
     surface: SurfaceModel
@@ -326,9 +347,6 @@ class MultisectionDiagram:
         for (pair, _), (following, _) in zip(readings, readings[1:]):
             if pair == following:
                 raise DiagramError(f"duplicate reading pair {pair}", pair)
-        # (ids of the home dual table and other curves) -> cores, and those
-        # keys with the ids of cached words that agree; copies share them
-        derived, agreed = {}, set()
         for (i, j), words in readings:
             if not (1 <= i <= s and 1 <= j <= s and i != j):
                 raise DiagramError(f"reading pair {(i, j)} out of range", (i, j))
@@ -341,13 +359,7 @@ class MultisectionDiagram:
             home, other = self.systems[i - 1], self.systems[j - 1]
             if home.standardizer is None:
                 continue
-            key = (id(home.dual_table), id(other.curves))
-            if (key, id(words)) in agreed:
-                continue
-            if key not in derived:
-                derived[key] = tuple(_cyclic_core(_substitute(home.dual_table, c.letters))
-                                     for c in other.curves)
-            for cached, core in zip(words, derived[key]):
+            for cached, core in zip(words, home.read(other)):
                 # the cyclic core is what readings cache; compare
                 # conjugacy classes only when the cached word differs
                 if cached.letters != core and \
@@ -355,7 +367,6 @@ class MultisectionDiagram:
                     raise DiagramError(
                         f"cached reading {(i, j)} disagrees with recomputation",
                         (i, j))
-            agreed.add((key, id(words)))
 
     @property
     def sector_count(self) -> int:
@@ -385,8 +396,8 @@ class MultisectionDiagram:
 
 
 def read_system(system_i: CutSystem, system_j: CutSystem) -> tuple[Word, ...]:
-    """Curves of system j read against system i."""
-    return tuple(read_against(c, system_i) for c in system_j.curves)
+    """Curves of system j read against system i, through :meth:`CutSystem.read`."""
+    return tuple(Word._made(system_i.surface.genus, core) for core in system_i.read(system_j))
 
 
 def readable_sides(d: MultisectionDiagram, i: int, j: int) -> tuple[Pair, ...]:
@@ -397,8 +408,7 @@ def readable_sides(d: MultisectionDiagram, i: int, j: int) -> tuple[Pair, ...]:
     sides = tuple((h, o) for h, o in ((i, j), (j, i))
                   if (h, o) in d.reading_map or d.systems[h - 1].standardizer is not None)
     if not sides:
-        raise DiagramError(
-            f"pair ({i}, {j}) is unreadable: no cache and no standardizer")
+        reading_of_pair(d, i, j)  # refuses the unreadable pair
     return sides
 
 
@@ -506,36 +516,25 @@ def _system_body(system: CutSystem, text) -> list[str]:
 
 
 def _parse_system(reader: _LineReader, surface: SurfaceModel,
-                  seen: dict[tuple[str, ...], CutSystem]) -> CutSystem:
-    """One system block, whose span after the label follows from its
-    shape: genus curve lines, then rank image lines after ``standardizer``
-    and rank more after ``inverse``.  A span that repeats one in ``seen``
-    holds the same words, so it is that system relabelled, and is not
-    read: the words passed every check but the label's already."""
+                  seen: dict[tuple[int, ...], CutSystem]) -> CutSystem:
+    """One system block.  The reader's block memo gives a repeated curve,
+    image or inverse block its first copy's tuple, and keeps every tuple,
+    so a system whose tuples are those of one in ``seen`` is that system
+    relabelled: its words passed every check but the label's already."""
     keyword, _, label = reader.take().partition(" ")
     if keyword != "system" or not label:
         raise FormatError("expected 'system <label>'", reader.pos)
-    lines, start = reader.lines, reader.pos
-    end = start + surface.genus
-    if end < len(lines) and lines[end] == "standardizer":
-        end += 1 + surface.rank
-        if end < len(lines) and lines[end] == "inverse":
-            end += 1 + surface.rank
-    key = tuple(lines[start:end])
-    copied = seen.get(key)
-    if copied is None:
-        curves = reader.words("curve", surface.genus, surface.rank)
-        images = inverse = None
-        if reader.peek() == "standardizer":
-            reader.take()
-            images = reader.words("image", surface.rank, surface.rank)
-            if reader.peek() == "inverse":
-                reader.take()
-                inverse = reader.words("image", surface.rank, surface.rank)
-    reader.pos = end  # past the block, whether read or copied
+    blocks = [reader.words("curve", surface.genus, surface.rank)]
+    for head in ("standardizer", "inverse"):  # an inverse only after a standardizer
+        if reader.peek() != head:
+            break
+        reader.take()
+        blocks.append(reader.words("image", surface.rank, surface.rank))
+    key = tuple(map(id, blocks))
     try:
-        if copied is not None:
-            return copied.relabelled(label)
+        if key in seen:
+            return seen[key].relabelled(label)
+        curves, images, inverse = (*blocks, None, None)[:3]
         std = None if images is None else FreeAutomorphism(surface.rank, images, inverse)
         seen[key] = system = CutSystem(surface, curves, std, label)
         return system

@@ -714,17 +714,28 @@ def test_render(lens_msd, tmp_path):
     assert svg.read_bytes() == svg2.read_bytes()
 
 
-def test_render_escapes_a_label_that_xml_would_misread(tmp_path):
-    label = 'g"a<m>&a'
+@pytest.mark.parametrize("label", ['g"a<m>&a', "g\xe9a", "g\x7fa"],
+                         ids=["markup", "non-ascii", "delete"])
+def test_render_escapes_a_label_that_xml_would_misread(label, tmp_path):
     msd = tmp_path / "odd.msd"
     msd.write_text(format_diagram(bisection_from_heegaard(lens_diagram(5, 2)))
-                   .replace("system gamma\n", f"system {label}\n"))
+                   .replace("system gamma\n", f"system {label}\n"), encoding="utf-8")
     assert run("validate", "-i", msd, "-o", tmp_path / "report.txt") == 0
     svg = tmp_path / "odd.svg"
     assert run("render", "-i", msd, "--svg", svg) == 0
     groups = minidom.parse(str(svg)).getElementsByTagName("g")
     assert [g.getAttribute("data-system") for g in groups if g.hasAttribute("data-system")] \
         == ["alpha", "beta", label]
+
+
+def test_a_label_xml_cannot_carry_is_an_input_error(tmp_path, capsys):
+    msd = tmp_path / "odd.msd"
+    msd.write_text(format_diagram(bisection_from_heegaard(lens_diagram(5, 2)))
+                   .replace("system gamma\n", "system g\x01a\n"))
+    assert run("validate", "-i", msd, "-o", tmp_path / "report.txt") == 2
+    assert run("render", "-i", msd, "--svg", tmp_path / "odd.svg") == 2
+    assert "XML cannot carry" in capsys.readouterr().err
+    assert not (tmp_path / "odd.svg").exists()
 
 
 def test_render_genus_zero(tmp_path):

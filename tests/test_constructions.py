@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 from dataclasses import replace
 from math import gcd
 
@@ -18,7 +19,7 @@ from multisect.diagrams import (CutSystem, DiagramError,
                                 GeometricHeegaardDiagram, MultisectionDiagram,
                                 SurfaceModel, ValidationReport, adjacent_pairs,
                                 connected_sum, express_against, format_diagram,
-                                format_heegaard, mirror, pi1_of_diagram,
+                                format_heegaard, mirror, parse_diagram, pi1_of_diagram,
                                 presentation_of_pair, read_system, readable_sides,
                                 settle_pair, stabilize, standard_alpha_system,
                                 validate)
@@ -488,21 +489,82 @@ def test_every_cached_reading_is_what_its_pair_reads(p, q, n):
             assert words == read_system(d.systems[i - 1], d.systems[j - 1]), (i, j)
 
 
+def _checking(patch) -> list:
+    """Patch ``MultisectionDiagram.__post_init__`` so that the returned
+    list is non-empty exactly while a diagram is being checked."""
+    checking, check = [], MultisectionDiagram.__post_init__
+
+    def checked(self):
+        checking.append(self)
+        try:
+            check(self)
+        finally:
+            checking.pop()
+
+    patch.setattr(MultisectionDiagram, "__post_init__", checked)
+    return checking
+
+
 def test_assemble_reads_each_source_pair_once(monkeypatch):
     # the 12-copy chain caches 48 pairs that copy few source pairs: bisect
     # reads its four pairs and the input's relators, glue the two uncached
-    # pairs (2, 1) and (3, 2); its self-check takes (3, 2) from the cache
+    # pairs (2, 1) and (3, 2); its self-check takes (3, 2) from the cache.
+    # A derivation is a miss of the reading memo outside the diagram check.
     base = functools.reduce(connected_sum, (lens_diagram(5, q) for q in range(1, 5)))
-    calls = []
-    original = multisect.diagrams.read_system
+    calls, read = [], CutSystem.read
+    checking = _checking(monkeypatch)
 
-    def counting(system_i, system_j):
-        calls.append((system_i.label, system_j.label))
-        return original(system_i, system_j)
+    def counting(self, other):
+        if not checking and id(other.curves) not in self._read_memo:
+            calls.append((self.label, other.label))
+        return read(self, other)
 
-    monkeypatch.setattr(multisect.diagrams, "read_system", counting)
+    monkeypatch.setattr(CutSystem, "read", counting)
     glue_bisections(base, 12)
     assert len(calls) == 7
+
+
+def _substitutions(monkeypatch, build):
+    """``build()``, and the curve substitutions of ``diagrams`` made while it
+    runs: inside ``MultisectionDiagram.__post_init__`` and in all."""
+    inside, outside, substitute = [], [], multisect.diagrams._substitute
+    with monkeypatch.context() as patch:
+        checking = _checking(patch)
+
+        def counting(table, letters):
+            (inside if checking else outside).append(letters)
+            return substitute(table, letters)
+
+        patch.setattr(multisect.diagrams, "_substitute", counting)
+        return build(), len(inside), len(inside) + len(outside)
+
+
+def test_the_reading_check_reuses_the_readings_a_construction_derived(monkeypatch,
+                                                                       lens5_sum):
+    # the check compares each cached word with the systems' reading memo,
+    # which the construction filled: only the chain's pairs (1, j) with
+    # system j a copy of gamma read a copy's own curves, 8 of them
+    _, bisect, _ = _substitutions(monkeypatch, lambda: bisection_from_heegaard(lens5_sum))
+    chain, glue, _ = _substitutions(monkeypatch, lambda: glue_bisections(lens5_sum, 12))
+    cap = auto_cap(lens5_sum, 12)
+    capped, capping, _ = _substitutions(monkeypatch, lambda: cap_off(chain, cap))
+    assert (bisect, glue, capping) == (0, 8, 0)
+    # a parsed diagram checks each distinct pair of systems once, and
+    # validate then reads every pair it needs from the memo
+    d, _, _ = _substitutions(monkeypatch, lambda: parse_diagram(format_diagram(capped)))
+    assert _substitutions(monkeypatch, lambda: validate(d))[2] == 0
+
+
+def test_a_warm_reading_memo_still_refuses_a_wrong_cached_word(lens5_sum):
+    d = glue_bisections(lens5_sum, 3)
+    (pair, words), *rest = d.readings
+    home, other = (d.systems[k - 1] for k in pair)
+    assert id(other.curves) in home._read_memo  # the check will read the memo
+    # longer than the reading, so conjugate to neither it nor its inverse
+    wrong = Word(d.surface.genus, (1,) * (len(words[0]) + 1))
+    with pytest.raises(DiagramError, match=re.escape(
+            f"cached reading {pair} disagrees with recomputation")):
+        replace(d, readings=((pair, (wrong,) + words[1:]), *rest))
 
 
 def test_cap_off_checks_only_its_output(monkeypatch, lens5_sum):

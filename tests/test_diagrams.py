@@ -317,6 +317,18 @@ def test_faults_in_repeated_blocks_name_their_line(old, new, message, at):
     assert exc.value.line == line
 
 
+@pytest.mark.parametrize("label", ["g\x01a", "g\x08a", "g\ud800a", "g\ufffea", "g\uffffa"])
+def test_a_label_xml_cannot_carry_is_refused_where_a_spaced_one_is(label):
+    text = format_diagram(bisection_from_heegaard(lens_diagram(5, 2)))
+    with pytest.raises(FormatError, match="space-free") as spaced:
+        parse_diagram(text.replace("system gamma\n", "system g a\n"))
+    with pytest.raises(FormatError, match="XML cannot carry") as exc:
+        parse_diagram(text.replace("system gamma\n", f"system {label}\n"))
+    assert exc.value.line == spaced.value.line
+    with pytest.raises(DiagramError, match="XML cannot carry"):
+        standard_alpha_system(SurfaceModel(1)).relabelled(label)
+
+
 def test_hd_round_trip(lens21):
     text = format_heegaard(lens21)
     parsed = parse_heegaard(text)

@@ -1,9 +1,10 @@
 """No package module keeps state from one call to the next: no
-module-level name other than ``__all__`` is bound to a mutable
-container, and no function is wrapped in ``functools.lru_cache`` or
-``functools.cache``.  So every memo lives in one call or one reader, and
-a long-running process pays what a fresh one pays.  The check reads
-each module with ``ast``, so no linter is needed."""
+module-level name other than ``__all__`` and no name in a class body is
+bound to a mutable container, and no function is wrapped in
+``functools.lru_cache`` or ``functools.cache``.  So every memo lives in
+one call, one reader or one object, and a long-running process pays what
+a fresh one pays.  The check reads each module with ``ast``, so no
+linter is needed."""
 
 import ast
 from pathlib import Path
@@ -39,11 +40,12 @@ def _holds_state(value: ast.AST) -> bool:
 
 
 def module_state(source: str) -> list[str]:
-    """The module-level names bound to state and the functions wrapped
-    in a cache, in line order."""
+    """The module-level and class-level names bound to state and the
+    functions wrapped in a cache, in line order."""
     tree = ast.parse(source)
     found = []
-    for node in tree.body:
+    classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    for node in tree.body + [stmt for c in classes for stmt in c.body]:
         if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and \
                 node.value is not None and _holds_state(node.value):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -63,8 +65,9 @@ def test_the_check_finds_module_state():
               "@functools.lru_cache(maxsize=None)\ndef f(x):\n    return x\n"
               "class C:\n    @cache\n    def g(self):\n        local = {}\n"
               "        return local\n"
-              "h = functools.lru_cache()(len)\n")
-    assert module_state(source) == ["_MEMO", "SEEN", "PAIR", "f", "g", "h"]
+              "h = functools.lru_cache()(len)\n"
+              "class D:\n    NAMES = ('a',)\n    SHARED: dict = {}\n")
+    assert module_state(source) == ["_MEMO", "SEEN", "PAIR", "f", "g", "h", "SHARED"]
     assert "diagrams.py" in MODULES
 
 

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multisect.constructions import (bisection_from_heegaard, double_bisection,
-                                     lens_diagram)
+                                     glue_bisections, lens_diagram)
 from multisect.diagrams import (CutSystem, GeometricHeegaardDiagram,
                                 SurfaceModel, format_diagram, parse_diagram,
                                 express_against, pi1_of_diagram, read_against,
                                 read_system, validate)
 from multisect.presentations import abelianization
-from multisect.words import (Word, apply, automorphism, compose, flip_letters,
-                             identity_automorphism, relabel)
+from multisect.words import (FreeAutomorphism, Word, apply, automorphism, compose,
+                             flip_letters, identity_automorphism, relabel)
 
 
 def random_heegaard(rng, genus):
@@ -58,6 +58,32 @@ def test_random_heegaard_bisections_always_verify(seed):
         abelianization(h.pi1_presentation())
     text = format_diagram(d4)
     assert parse_diagram(text) == d4
+
+
+def fresh(system):
+    """``system`` rebuilt from new words, so it shares no reading memo."""
+    rank, std = system.surface.rank, system.standardizer
+
+    def new(words):
+        return None if words is None else tuple(Word(rank, w.letters) for w in words)
+
+    if std is not None:
+        std = FreeAutomorphism(rank, new(std.images), new(std.inverse_images))
+    return CutSystem(system.surface, new(system.curves), std, system.label)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cached_readings_are_what_fresh_systems_read(seed):
+    # every construction caches what its systems read; the reference
+    # reads each pair with read_against on rebuilt systems
+    rng = random.Random(4000 + seed)
+    h = random_heegaard(rng, rng.randint(1, 2))
+    b = bisection_from_heegaard(h)
+    for d in (b, double_bisection(b), glue_bisections(h, rng.randint(1, 4))):
+        systems = tuple(map(fresh, d.systems))
+        for (i, j), words in d.readings:
+            assert words == tuple(read_against(c, systems[i - 1])
+                                  for c in systems[j - 1].curves), (i, j)
 
 
 def pi1_from_any_system(d, home):
