@@ -421,6 +421,9 @@ def main(argv=None) -> int:
             os.close(devnull)
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # a size too large to allocate is the input's fault too
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except AssertionError as exc:
         # a self-check failed: a defect in this program, not in the input
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)

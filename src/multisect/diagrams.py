@@ -131,13 +131,16 @@ class CutSystem:
 
     def read(self, other: "CutSystem") -> tuple[tuple[int, ...], ...]:
         """The letters of ``other``'s curves read against this system, once per
-        system and curves: keyed by ``id(other.curves)``, the memo keeps them."""
+        system and curves: keyed by ``id(other.curves)``, the memo keeps them.
+        Its own curves go to standard letters, which the dual images delete."""
         hit = self._read_memo.get(id(other.curves))
         if hit is None:
             if other.surface != self.surface:
                 raise DiagramError("word rank does not match the system's surface")
-            hit = self._read_memo[id(other.curves)] = (
-                other.curves, tuple(_reading(self.dual_table, c.letters) for c in other.curves))
+            table = self.dual_table  # refuses a system without a standardizer
+            hit = self._read_memo[id(other.curves)] = (other.curves, (
+                ((),) * len(other.curves) if other.curves is self.curves
+                else tuple(_cyclic_core(_substitute(table, c.letters)) for c in other.curves)))
         return hit[1]
 
     @cached_property
@@ -199,17 +202,10 @@ def express_against(w: Word, system: CutSystem) -> Word:
     return Word._made(system.surface.genus, _substitute(system.dual_table, w.letters))
 
 
-def _reading(table: tuple[tuple[int, ...], ...], letters: tuple[int, ...]) -> tuple[int, ...]:
-    """A curve's letters read through a dual table, reduced cyclically."""
-    return _cyclic_core(_substitute(table, letters))
-
-
 def read_against(curve: Word, system: CutSystem) -> Word:
     """Relator word of a curve against a cut system: its image under the
     system's dual images, reduced cyclically."""
-    if curve.rank != system.surface.rank:
-        raise DiagramError("word rank does not match the system's surface")
-    return Word._made(system.surface.genus, _reading(system.dual_table, curve.letters))
+    return express_against(curve, system).cyclic_reduce()
 
 
 def standard_alpha_system(surface: SurfaceModel, label: str = "alpha") -> CutSystem:

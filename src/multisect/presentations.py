@@ -7,12 +7,11 @@ eliminated only when it occurs exactly once in some relator, which is
 always a valid Tietze move and needs no word-problem machinery.  The
 payoff is a three-valued freeness check that never overclaims.
 
-Simplification checks every move on the relators' exponent rows instead
-of comparing Smith normal forms at both ends (see :func:`tietze_simplify`),
-so the input's abelian invariants are those of the small simplified
-presentation, and those of a free one need no computation at all.  Rows
-keep an eliminated generator's column, so an elimination touches only the
-relators that hold it, and the one renumbering at the end is checked too.
+Simplification checks every move on exponent sums read off the letters it
+touches, at the cost of their length, instead of comparing Smith normal
+forms at both ends (see :func:`tietze_simplify`), so the input's abelian
+invariants are those of the small simplified presentation, and those of a
+free one need no computation at all.  The final renumbering is checked too.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from itertools import product as iproduct
 from .abelian import ORDER_BOUND, FiniteAbelianGroup
 from .matrices import smith_normal_form
 from .words import (FormatError, Word, _LineReader, _canonical_letters,
-                    _cyclic_core, _exponent_row, _letters_inverse,
+                    _cyclic_core, _letters_inverse,
                     _letters_product, _signed_table, _substitute, format_word,
                     parse_integer)
 
@@ -114,8 +113,8 @@ class TietzeResult:
 
     @cached_property
     def invariants(self) -> AbelianInvariants:
-        """Abelian invariants of the input.  The per-step row checks prove
-        them equal to those of ``presentation``: Z^gens when no relator is
+        """Abelian invariants of the input.  The per-move exponent-sum checks
+        prove them equal to those of ``presentation``: Z^gens when no relator is
         left, else one Smith normal form of the simplified matrix."""
         if not self.presentation.relators:
             return AbelianInvariants(self.presentation.generator_count)
@@ -238,10 +237,12 @@ def _overlap_reduction(index: _RelatorIndex
     return None
 
 
-def _check_row(letters: tuple[int, ...], predicted: tuple[int, ...], move: str) -> None:
-    if _exponent_row(letters, len(predicted)) != predicted:
-        raise AssertionError(f"{move}: relator {letters} does not have "
-                             f"the predicted exponent row {predicted}")
+def _balanced(letters: tuple[int, ...]) -> bool:
+    """Whether every generator's exponent sum in ``letters`` is 0."""
+    sums: dict[int, int] = {}
+    for lt in letters:
+        sums[abs(lt)] = sums.get(abs(lt), 0) + (1 if lt > 0 else -1)
+    return not any(sums.values())
 
 
 def _renumbered(letters: tuple[int, ...], number: dict[int, int], what: str) -> tuple[int, ...]:
@@ -281,23 +282,21 @@ def tietze_simplify(pres: GroupPresentation,
     when it went; the images are resolved once, at the end, the latest
     eliminated first.
 
-    Every move is checked on the exponent rows of the relators, which
-    are carried along: a dropped empty relator has a zero row, a dropped
-    duplicate's row is +- the row it duplicates, a shrunk relator's row
-    is its old row +- the other relator's (and its letters are those of
-    the cyclically reduced ``Word`` product), and eliminating g has a +-1
-    pivot, whose row goes, and rewrites only the relators that hold g,
-    each row to ``row - (row[g] / pivot[g]) * pivot`` (column g
-    stays, now zero).  Each rewritten relator must have its predicted row,
-    and each final one its row on the surviving columns, so the result's
-    ``invariants`` are read off the simplified presentation.
+    Each move is checked by a defect word with zero exponent sums: d t^-1
+    or d t for a duplicate d of t; r' (r s^+-1)^-1 for r shrunk to r' by s,
+    which must also be the cyclically reduced ``Word`` product; and, for
+    g eliminated through ``rel`` with a +-1 pivot (g's exponent there),
+    new old^-1 rel^f for each relator rewritten, f being g's exponent in
+    ``old`` times the pivot.  An empty relator has zero sums as input or
+    by the check of the move that emptied it.  Each final relator, mapped
+    back through the survivors, must give its letters before renumbering,
+    so the result's ``invariants`` are read off the simplified presentation.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
 
     gens = pres.generator_count
     relators: list[tuple[int, ...] | None] = [rel.letters for rel in pres.relators]
-    rows: list[tuple[int, ...] | None] = [rel.exponent_sums() for rel in pres.relators]
     images = list(_signed_table([(k,) for k in range(1, gens + 1)]))
     eliminated: list[int] = []
     trace: list[str] = []
@@ -307,12 +306,12 @@ def tietze_simplify(pres: GroupPresentation,
     changed = list(range(len(relators)))  # to check for being empty or a duplicate
     index: _RelatorIndex | None = None
 
-    def replace(rid: int, new: tuple[int, ...] | None, row: tuple[int, ...] | None) -> None:
+    def replace(rid: int, new: tuple[int, ...] | None) -> None:
         """Rewrite relator ``rid`` to ``new``, or drop it for None."""
         old = relators[rid]
         if owner.get(canonical.get(old)) == rid:
             del owner[canonical[old]]
-        relators[rid], rows[rid] = new, row
+        relators[rid] = new
         if index is not None:
             _reindex(index, rid, old, new or ())
             if new:
@@ -328,13 +327,10 @@ def tietze_simplify(pres: GroupPresentation,
 
         for rid in recheck:
             if not relators[rid] and steps < budget:
-                if any(rows[rid]):
-                    raise AssertionError("drop empty relator: its exponent row "
-                                         f"{rows[rid]} is not zero")
                 steps += 1
                 trace.append("drop empty relator")
                 progress = True
-                replace(rid, None, None)
+                replace(rid, None)
 
         # the lowest relator with a key keeps it; the others go in order
         duplicates = []
@@ -354,14 +350,14 @@ def tietze_simplify(pres: GroupPresentation,
         for rid, twin in sorted(duplicates):
             if steps >= budget:
                 break
-            row, twin_row = rows[rid], rows[twin]
-            if row != twin_row and row != tuple(-x for x in twin_row):
-                raise AssertionError(f"drop duplicate relator: row {row} is "
-                                     f"not +- the row {twin_row} it duplicates")
+            rel, twin_rel = relators[rid], relators[twin]
+            if not (rel == twin_rel or _balanced(rel + _letters_inverse(twin_rel))
+                    or _balanced(rel + twin_rel)):
+                raise AssertionError(f"drop duplicate relator: {rel} is not +- {twin_rel} in sums")
             steps += 1
             trace.append("drop duplicate relator")
             progress = True
-            replace(rid, None, None)
+            replace(rid, None)
         if steps >= budget:
             break
 
@@ -371,20 +367,24 @@ def tietze_simplify(pres: GroupPresentation,
         if candidate is not None:
             steps += 1
             g, ridx = candidate
-            rel, pivot = relators[ridx], rows[ridx]
-            replace(ridx, None, None)
-            if pivot[g - 1] not in (1, -1):
-                raise AssertionError(f"eliminate generator: pivot entry {pivot[g - 1]} is not +-1")
+            rel = relators[ridx]
+            replace(ridx, None)
+            pivot = rel.count(g) - rel.count(-g)
+            if pivot not in (1, -1):
+                raise AssertionError(f"eliminate generator: pivot entry {pivot} is not +-1")
             # a surviving k has the image (k,) and no relator holds an
             # eliminated one, so the images substitute for g alone
             images[g] = _solve_for(g, rel)
             images[-g] = _letters_inverse(images[g])
             for i in sorted(index.holds[g]):
-                factor = rows[i][g - 1] * pivot[g - 1]
-                row = tuple(x - factor * y for x, y in zip(rows[i], pivot))
-                new = _cyclic_core(_substitute(images, relators[i]))
-                _check_row(new, row, "eliminate generator")
-                replace(i, new, row)
+                old = relators[i]
+                factor = (old.count(g) - old.count(-g)) * pivot
+                new = _cyclic_core(_substitute(images, old))
+                if not _balanced(new + _letters_inverse(old)
+                                 + (rel if factor > 0 else _letters_inverse(rel)) * abs(factor)):
+                    raise AssertionError(f"eliminate generator: relator {new} does not have "
+                                         f"the sums of {old} less {factor} times {rel}")
+                replace(i, new)
             eliminated.append(g)
             trace.append(f"eliminate generator g{g}")
             progress = True
@@ -394,13 +394,15 @@ def tietze_simplify(pres: GroupPresentation,
         if shrink is not None:
             steps += 1
             ridx, other, sign, rotation, shorter = shrink
-            predicted = tuple(x + sign * y for x, y in zip(rows[ridx], rows[other]))
-            _check_row(shorter, predicted, "shrink relator")
-            product = Word(gens, relators[ridx]) * Word(gens, rotation)
+            r, s = relators[ridx], relators[other]
+            if not _balanced(shorter + _letters_inverse(r)
+                             + (s if sign < 0 else _letters_inverse(s))):
+                raise AssertionError(f"shrink relator: {shorter} is not {r} {s}^{sign} in sums")
+            product = Word(gens, r) * Word(gens, rotation)
             if product.cyclic_reduce().letters != shorter:
                 raise AssertionError(f"shrink relator: {shorter} is not the "
                                      "cyclically reduced product")
-            replace(ridx, shorter, predicted)
+            replace(ridx, shorter)
             trace.append("shrink relator by a conjugate")
             progress = True
 
@@ -413,12 +415,12 @@ def tietze_simplify(pres: GroupPresentation,
     # an eliminated generator's image avoids it
     survivors = tuple(k for k, w in enumerate(images, 1) if w == (k,))
     number = {old: new for new, old in enumerate(survivors, 1)}
-    kept = [(_renumbered(r, number, "relator"), row)
-            for r, row in zip(relators, rows) if r is not None]
-    for r, row in kept:
-        _check_row(r, tuple(row[k - 1] for k in survivors), "renumber generators")
+    kept = [(_renumbered(r, number, "relator"), r) for r in relators if r is not None]
+    for new, r in kept:
+        if tuple(survivors[lt - 1] if lt > 0 else -survivors[-lt - 1] for lt in new) != r:
+            raise AssertionError(f"renumber generators: relator {new} does not map back to {r}")
     rank = len(survivors)
-    return TietzeResult(GroupPresentation(rank, tuple(Word(rank, r) for r, _ in kept)),
+    return TietzeResult(GroupPresentation(rank, tuple(Word(rank, new) for new, _ in kept)),
                         tuple(trace), steps, survivors,
                         tuple(Word(rank, _renumbered(w, number, "image")) for w in images))
 

@@ -181,14 +181,6 @@ def _letters_conjugate(a: tuple[int, ...], c: int) -> tuple[int, ...]:
     return a[:-1] if a and a[-1] == c else a + (-c,)
 
 
-def _exponent_row(letters: tuple[int, ...], rank: int) -> tuple[int, ...]:
-    """Exponent sum of each of the ``rank`` generators in ``letters``."""
-    sums = [0] * rank
-    for lt in letters:
-        sums[abs(lt) - 1] += 1 if lt > 0 else -1
-    return tuple(sums)
-
-
 @dataclass(frozen=True)
 class Word:
     """A freely reduced word in the free group of the given rank."""
@@ -244,7 +236,11 @@ class Word:
         return self if len(core) == len(self.letters) else Word._made(self.rank, core)
 
     def exponent_sums(self) -> tuple[int, ...]:
-        return _exponent_row(self.letters, self.rank)
+        """Exponent sum of each of the ``rank`` generators."""
+        sums = [0] * self.rank
+        for lt in self.letters:
+            sums[abs(lt) - 1] += 1 if lt > 0 else -1
+        return tuple(sums)
 
     def shift(self, offset: int, new_rank: int) -> "Word":
         """The word with every generator index shifted up by ``offset``."""

@@ -362,6 +362,14 @@ def test_distinguish_refuses_free_rank_above_the_width_before_simplifying(
         "error: tuple does not generate the abelianization\n"
 
 
+def test_a_size_too_large_to_allocate_exits_2(tmp_path, capsys):
+    # the list of copies fails to allocate at once, touching no memory
+    hd = tmp_path / "lens52.hd"
+    hd.write_text(format_heegaard(lens_diagram(5, 2)))
+    assert run("construct", "sum", "--copies", 10 ** 15, "-i", hd) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 @pytest.mark.parametrize("buffering", [[], ["-u"]])
 def test_reader_closing_early_exits_2_without_traceback(lens_msd, buffering):
     # the reader is gone before the report is written; the write or the

@@ -542,13 +542,13 @@ def _substitutions(monkeypatch, build):
 def test_the_reading_check_reuses_the_readings_a_construction_derived(monkeypatch,
                                                                        lens5_sum):
     # the check compares each cached word with the systems' reading memo,
-    # which the construction filled: only the chain's pairs (1, j) with
-    # system j a copy of gamma read a copy's own curves, 8 of them
+    # which the construction filled; the chain's pairs (1, j) with system
+    # j a copy of gamma read gamma's own curves, as empty words
     _, bisect, _ = _substitutions(monkeypatch, lambda: bisection_from_heegaard(lens5_sum))
     chain, glue, _ = _substitutions(monkeypatch, lambda: glue_bisections(lens5_sum, 12))
     cap = auto_cap(lens5_sum, 12)
     capped, capping, _ = _substitutions(monkeypatch, lambda: cap_off(chain, cap))
-    assert (bisect, glue, capping) == (0, 8, 0)
+    assert (bisect, glue, capping) == (0, 0, 0)
     # a parsed diagram checks each distinct pair of systems once, and
     # validate then reads every pair it needs from the memo
     d, _, _ = _substitutions(monkeypatch, lambda: parse_diagram(format_diagram(capped)))

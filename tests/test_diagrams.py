@@ -467,6 +467,21 @@ def test_unreadable_pair_error():
     assert reading_of_pair(d, 2, 2) == (Word(1, ()),)
 
 
+def test_a_system_reads_its_own_curves_as_empty_words(monkeypatch):
+    built = bisection_from_heegaard(lens_diagram(5, 2)).systems[2]
+    # a new system, so its reading memo is empty
+    gamma = CutSystem(built.surface, built.curves, built.standardizer, "gamma")
+    substituted = tuple(express_against(c, gamma).cyclic_reduce().letters
+                        for c in gamma.curves)
+    assert substituted == ((),) * gamma.surface.genus
+    monkeypatch.setattr(multisect.diagrams, "_substitute", None)  # not called
+    assert gamma.read(gamma.relabelled("copy")) == substituted
+    # without a standardizer there is no reading to shortcut
+    bare = CutSystem(SurfaceModel(1), (Word(2, (1,)),), None, "bare")
+    with pytest.raises(DiagramError, match="has no standardizer"):
+        bare.read(bare)
+
+
 def test_cache_only_diagram_validates_without_standardizers():
     # user-supplied data: no standardizers anywhere, every needed reading
     # cached by hand (a three-system genus-1 diagram of a simply

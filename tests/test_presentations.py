@@ -377,6 +377,43 @@ def test_shrink_must_be_the_product_it_claims(monkeypatch):
         tietze_simplify(p)
 
 
+def test_wrong_dedup_key_fails_the_duplicate_check(monkeypatch):
+    original = _canonical_letters
+
+    def merged(letters):
+        # x y^2 takes the key of x^2 y, which has other exponent sums
+        return original((1, 1, 2) if letters == (1, 2, 2) else letters)
+
+    monkeypatch.setattr(multisect.presentations, "_canonical_letters", merged)
+    with pytest.raises(AssertionError, match="drop duplicate relator"):
+        tietze_simplify(pres(2, (1, 1, 2), (1, 2, 2)))
+
+
+def test_tietze_checks_read_letters_linear_in_the_input(monkeypatch):
+    # each check reads the words a move touches, never a row of the
+    # generator count, so doubling the genus doubles the letters read
+    read = []
+    original = multisect.presentations._balanced
+
+    def counting(letters):
+        read[-1] += len(letters)
+        return original(letters)
+
+    monkeypatch.setattr(multisect.presentations, "_balanced", counting)
+    base = lens_diagram(5, 1)
+    for q in (2, 3, 4):
+        base = connected_sum(base, lens_diagram(5, q))
+    for copies in (15, 30, 60):  # central genus 120, 240 and 480
+        h = base
+        for _ in range(copies - 1):
+            h = connected_sum(h, base)
+        p = pi1_of_diagram(double_bisection(bisection_from_heegaard(h)))
+        read.append(0)
+        tietze_simplify(p)
+        assert 0 < read[-1] <= 4 * sum(len(rel.letters) for rel in p.relators)
+    assert all(large <= 2.2 * small for small, large in zip(read, read[1:])), read
+
+
 def test_tietze_builds_words_only_for_its_result(monkeypatch):
     h = lens_diagram(5, 2)
     for _ in range(29):
@@ -558,7 +595,7 @@ def test_tietze_agrees_with_the_oracle_on_sector_pairs():
         assert tietze_simplify(p) == reference_tietze_simplify(p)
 
 
-TIETZE_WORK = ("_substitute", "_check_row", "_reindex", "_letters_product")
+TIETZE_WORK = ("_substitute", "_balanced", "_reindex", "_letters_product")
 
 
 def test_tietze_work_in_validate_grows_about_linearly(monkeypatch):
@@ -566,7 +603,7 @@ def test_tietze_work_in_validate_grows_about_linearly(monkeypatch):
     # that hold the eliminated generator, and a shrink scan tries only
     # the rotations of relators due for one, so doubling the genus about
     # doubles each count (renumbering every relator per step made the
-    # rewrites and row checks grow fourfold)
+    # rewrites and checks grow fourfold)
     counts = Counter()
     for name in TIETZE_WORK:
         def counting(*args, _name=name, _original=getattr(multisect.presentations, name)):
