@@ -227,11 +227,17 @@ def cmd_homology(args) -> int:
 
 def _parse_tuple(flag: str, text: str, rank: int):
     # the empty string is the empty tuple; "1" is the identity word
-    entries = [e.strip() for e in text.split(",")] if text else []
+    entries = [e.strip(" ") for e in text.split(",")] if text else []
     if "" in entries:
         raise ValueError(f"{flag}: entry {entries.index('') + 1} is empty; "
                          "write 1 for the identity word")
-    return tuple(parse_word(e, rank) for e in entries)
+    words = []
+    for number, entry in enumerate(entries, 1):
+        try:
+            words.append(parse_word(entry, rank))
+        except FormatError as exc:
+            raise FormatError(f"{flag}: entry {number}: {exc}") from None
+    return tuple(words)
 
 
 def cmd_distinguish(args) -> int:
@@ -349,14 +355,18 @@ def build_parser(argv) -> argparse.ArgumentParser:
              read=None, build=lambda _, a: cons.lens_diagram(a.p, a.q))
         verb(verbs, "sum",
              ("--copies", dict(type=_at_least(1), default=2, help="number of copies")),
+             help="connected sum of copies of one Heegaard diagram",
              read=parse_heegaard, build=lambda h, a: reduce(connected_sum, [h] * a.copies))
-        verb(verbs, "mirror", read=parse_heegaard, build=lambda h, _: mirror(h))
+        verb(verbs, "mirror", help="orientation-reversed Heegaard diagram",
+             read=parse_heegaard, build=lambda h, _: mirror(h))
         verb(verbs, "stabilize",
              ("--times", dict(type=_at_least(0), default=1, help="stabilizations")),
+             help="add trivial handles to a Heegaard diagram",
              read=parse_heegaard, build=_stabilized)
-        verb(verbs, "bisect", read=parse_heegaard,
-             build=lambda h, _: cons.bisection_from_heegaard(h))
-        verb(verbs, "double", read=parse_diagram, build=lambda d, _: cons.double_bisection(d))
+        verb(verbs, "bisect", help="product bisection of a Heegaard diagram",
+             read=parse_heegaard, build=lambda h, _: cons.bisection_from_heegaard(h))
+        verb(verbs, "double", help="close a product bisection by doubling",
+             read=parse_diagram, build=lambda d, _: cons.double_bisection(d))
         verb(verbs, "trisect-restrict",
              ("--drop", dict(type=int, choices=(1, 2, 3), required=True, help="sector to forget")),
              help="bounded bisection from a closed 3-system diagram",

@@ -29,7 +29,7 @@ from .presentations import (AbelianInvariants, GroupPresentation, SectorVerdict,
 from .words import (FormatError, FreeAutomorphism, Word, _LineReader,
                     _canonical_letters, _cyclic_core, _signed_table, _substitute,
                     block_automorphism, compose, flip_letters, format_word,
-                    identity_automorphism, invert_all, parse_integer)
+                    identity_automorphism, invert_all)
 
 
 class DiagramError(ValueError):
@@ -564,36 +564,24 @@ def format_diagram(d: MultisectionDiagram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_header(reader: _LineReader, header: str) -> int:
-    """The header line, then ``genus <g>``; returns the genus."""
+def _parse_header(reader: _LineReader, header: str) -> SurfaceModel:
+    """The header line, then ``genus <g>``; returns the surface."""
     if reader.take() != header:
         raise FormatError(f"expected '{header}' header", reader.pos)
-    keyword, _, value = reader.take().partition(" ")
-    if keyword != "genus":
-        raise FormatError("expected 'genus <g>'", reader.pos)
-    try:
-        genus = parse_integer(value)
-    except ValueError:
-        genus = None
-    if genus is None or genus < 0:
-        raise FormatError("bad genus line", reader.pos)
-    return genus
+    (genus,) = reader.integers("genus", "<g>", 1)
+    if genus < 0:
+        raise FormatError("genus must be non-negative", reader.pos)
+    return SurfaceModel(genus)
 
 
 def parse_diagram(text: str) -> MultisectionDiagram:
     reader = _LineReader(text)
-    surface = SurfaceModel(_parse_header(reader, "MSD 1"))
+    surface = _parse_header(reader, "MSD 1")
     line = reader.take()
     if line not in ("closed true", "closed false"):
         raise FormatError("expected 'closed <true|false>'", reader.pos)
     closed = line == "closed true"
-    keyword, *values = reader.take().split(" ")
-    if keyword != "types":
-        raise FormatError("expected 'types <k1> <k2> ...'", reader.pos)
-    try:
-        types = tuple(parse_integer(tok) for tok in values)
-    except ValueError:
-        raise FormatError("bad types line", reader.pos) from None
+    types = reader.integers("types", "<k1> <k2> ...")
     line_of = {"types": reader.pos}  # DiagramError.where -> line number
 
     systems, seen = [], {}
@@ -601,16 +589,10 @@ def parse_diagram(text: str) -> MultisectionDiagram:
         systems.append(_parse_system(reader, surface, seen))
     readings = []
     unordered = None  # first reading line whose pair precedes the one before
-    while reader.peek() is not None:
-        keyword, *indices = reader.take().split(" ")
-        if keyword == "system":
-            raise FormatError("systems must come before the readings", reader.pos)
-        if keyword != "reading" or len(indices) != 2:
-            raise FormatError("expected 'reading <i> <j>'", reader.pos)
-        try:
-            pair = (parse_integer(indices[0]), parse_integer(indices[1]))
-        except ValueError:
-            raise FormatError("bad reading indices", reader.pos) from None
+    while (line := reader.peek()) is not None:
+        if line.partition(" ")[0] == "system":
+            raise FormatError("systems must come before the readings", reader.pos + 1)
+        pair = reader.integers("reading", "<i> <j>", 2)
         if readings and pair < readings[-1][0] and unordered is None:
             unordered = reader.pos
         line_of[pair] = reader.pos
@@ -643,22 +625,18 @@ def format_heegaard(h: GeometricHeegaardDiagram) -> str:
 
 def parse_heegaard(text: str) -> GeometricHeegaardDiagram:
     reader = _LineReader(text)
-    genus = _parse_header(reader, "HD 1")
+    surface = _parse_header(reader, "HD 1")
     name = ""
     if (reader.peek() or "").startswith("name "):
         name = reader.take()[len("name "):]
     params = None
     if (reader.peek() or "").startswith("params "):
-        try:
-            _, p, q = reader.take().split(" ")
-            params = (parse_integer(p), parse_integer(q))
-        except ValueError:
-            raise FormatError("expected 'params <p> <q>'", reader.pos) from None
-    beta = _parse_system(reader, SurfaceModel(genus), {})
+        params = reader.integers("params", "<p> <q>", 2)
+    beta = _parse_system(reader, surface, {})
     if reader.peek() is not None:
         raise FormatError("unexpected line after the beta system", reader.pos + 1)
     try:
-        return GeometricHeegaardDiagram(genus, beta, name, params)
+        return GeometricHeegaardDiagram(surface.genus, beta, name, params)
     except ValueError as exc:
         raise FormatError(str(exc), reader.pos) from None
 

@@ -208,12 +208,11 @@ def apply_word_move(t: WordTuple, move: str) -> WordTuple:
     changes; all entries stay freely reduced.  A conjugation is accepted
     only in exactly that form, the one :func:`free_tuple_search` writes."""
     if move.startswith("conj "):
-        text = move[len("conj "):]
-        c = parse_word(text, t[0].rank if t else 0)
-        if len(c) != 1 or format_word(c) != text:
-            raise ValueError(f"move {move!r} is not conjugation by one generator letter")
-        c_inv = c.inverse()
-        return tuple(c * w * c_inv for w in t)
+        try:
+            (c,) = parse_word(move[len("conj "):], t[0].rank if t else 0).letters
+        except ValueError:
+            raise ValueError(f"move {move!r} is not conjugation by one generator letter") from None
+        return tuple(Word._made(w.rank, _letters_conjugate(w.letters, c)) for w in t)
     return _move(t, move, Word.__mul__, Word.inverse)
 
 

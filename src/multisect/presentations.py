@@ -25,8 +25,7 @@ from .abelian import ORDER_BOUND, FiniteAbelianGroup
 from .matrices import smith_normal_form
 from .words import (FormatError, Word, _LineReader, _canonical_letters,
                     _cyclic_core, _letters_inverse,
-                    _letters_product, _signed_table, _substitute, format_word,
-                    parse_integer)
+                    _letters_product, _signed_table, _substitute, format_word)
 
 DEFAULT_TIETZE_BUDGET = 10_000
 
@@ -531,15 +530,9 @@ def parse_presentation(text: str) -> GroupPresentation:
     reduced among them, is a :class:`FormatError` naming its line, so
     that text that parses formats back to itself."""
     reader = _LineReader(text)
-    parts = reader.take().split(" ")
-    if len(parts) != 2 or parts[0] != "gens":
-        raise FormatError("expected 'gens <n>'", reader.pos)
-    try:
-        gens = parse_integer(parts[1])
-        if gens < 0:
-            raise ValueError(gens)
-    except ValueError:
-        raise FormatError(f"bad generator count {parts[1]!r}", reader.pos) from None
+    (gens,) = reader.integers("gens", "<n>", 1)
+    if gens < 0:
+        raise FormatError("generator count must be non-negative", reader.pos)
     relators = []
     while reader.peek() is not None:
         relators.append(reader.word(reader.take(), gens))

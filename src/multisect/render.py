@@ -75,10 +75,12 @@ def diagram_to_svg(d: MultisectionDiagram, size: int = 640) -> str:
             parts.append(f'<text x="{_fmt(mx)}" y="{_fmt(my)}" '
                          f'text-anchor="middle" font-size="11">g{k}{mark}</text>')
 
+    # insets fall by 0.035 a system to 0.3 at the 21st; more systems share that span
+    step = 0.035 if len(d.systems) <= 21 else 0.7 / (len(d.systems) - 1)
     for sys_idx, system in enumerate(d.systems):
         color = PALETTE[sys_idx % len(PALETTE)]
         dash = DASHES[sys_idx % len(DASHES)]
-        inset = 1.0 - 0.035 * sys_idx
+        inset = 1.0 - step * sys_idx
         dash_attr = f' stroke-dasharray="{dash}"' if dash != "none" else ""
         # labels may hold the characters that XML attributes reserve
         label = system.label.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")

@@ -116,28 +116,28 @@ class _LineReader:
 
     def word(self, text: str, rank: int, line: int | None = None) -> Word:
         """``text``, from line ``line`` (by default the line just taken),
-        as a word, which must be freely reduced: a letter next to its
-        inverse would not be written back.  Each distinct text and token
-        is parsed once per rank and reader, unseen tokens left to right;
-        a text that raises is not kept, so each copy raises at its line."""
+        as a word, parsed as :func:`parse_word` parses it.  Each distinct
+        text and token is parsed once per rank and reader; a text that
+        raises is not kept, so each copy raises at its line."""
         word = self._words.get((rank, text))
-        if word is not None:
-            return word
-        line = line or self.pos
-        memo = self._letters.setdefault(rank, {})
-        tokens = text.split(" ")
-        letters = () if text == "1" else tuple(map(memo.get, tokens))
-        if None in letters:
+        if word is None:
             try:
-                letters = tuple(memo.get(t) or memo.setdefault(t, _parse_token(t, rank))
-                                for t in tokens)
+                letters = _word_letters(text, rank, self._letters.setdefault(rank, {}))
             except ValueError as exc:
-                raise FormatError(str(exc), line) from None
-        # in range, and freely reduced unless letters[i] == -letters[i + 1]
-        if any(map(eq, letters, map(neg, letters[1:]))):
-            raise FormatError("word is not freely reduced", line)
-        word = self._words[rank, text] = Word._made(rank, letters)
+                raise FormatError(str(exc), line or self.pos) from None
+            word = self._words[rank, text] = Word._made(rank, letters)
         return word
+
+    def integers(self, keyword: str, shape: str, count: int | None = None) -> tuple[int, ...]:
+        """The next line as ``<keyword>`` and ``count`` integers (any number
+        if None), or the FormatError ``expected '<keyword> <shape>'``."""
+        head, *values = self.take().split(" ")
+        try:
+            if head != keyword or count not in (None, len(values)):
+                raise ValueError(head)
+            return tuple(map(parse_integer, values))
+        except ValueError:
+            raise FormatError(f"expected '{keyword} {shape}'", self.pos) from None
 
 
 def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
@@ -476,13 +476,27 @@ def parse_integer(text: str) -> int:
 
 
 def parse_word(text: str, rank: int) -> Word:
-    """Parse the shared word grammar: ``g<k>`` or ``g<k>^-1`` tokens, with
-    ``<k>`` an integer in [1, rank] as :func:`parse_integer` reads it, or
-    ``1`` for the empty word."""
-    text = text.strip()
-    if text == "1" or text == "":
-        return Word(rank)
-    return Word(rank, tuple(_parse_token(token, rank) for token in text.split()))
+    """A word as :func:`format_word` writes it, or a :class:`FormatError`:
+    ``1``, or ``g<k>`` and ``g<k>^-1`` tokens joined by single spaces, each
+    ``<k>`` in [1, rank] as :func:`parse_integer` reads it, freely reduced."""
+    try:
+        return Word(rank, _word_letters(text, rank, {}))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
+
+def _word_letters(text: str, rank: int, tokens: dict[str, int]) -> tuple[int, ...]:
+    """The letters of a :func:`parse_word` text, or ValueError; ``tokens``
+    maps the tokens parsed at this rank to letters and takes new ones."""
+    split = text.split(" ")
+    letters = () if text == "1" else tuple(map(tokens.get, split))
+    if None in letters:
+        letters = tuple(tokens.get(t) or tokens.setdefault(t, _parse_token(t, rank))
+                        for t in split)
+    # in range, and freely reduced unless letters[i] == -letters[i + 1]
+    if any(map(eq, letters, map(neg, letters[1:]))):
+        raise ValueError("word is not freely reduced")
+    return letters
 
 
 def _parse_token(token: str, rank: int) -> int:

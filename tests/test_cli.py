@@ -612,6 +612,20 @@ def test_distinguish_refuses_empty_tuple_entries(tmp_path, capsys, flag, tuple1,
         f"error: {flag}: entry {entry} is empty")
 
 
+@pytest.mark.parametrize("flag, tuple1, tuple2, reason", [
+    ("--tuple1", "g1, x2", "g1, g2", "bad word token 'x2'"),
+    ("--tuple2", "g1, g2", "g1, g2 g2^-1", "word is not freely reduced"),
+    ("--tuple1", "g1, g1  g2", "g1, g2", "bad word token ''"),
+])
+def test_distinguish_names_the_flag_and_entry_of_a_bad_word(tmp_path, capsys, flag,
+                                                           tuple1, tuple2, reason):
+    pres = tmp_path / "p.txt"
+    pres.write_text("gens 2\ng1 g1 g1 g1 g1\ng2 g2 g2 g2 g2\n")
+    assert run("distinguish", "--presentation", pres, "--tuple1", tuple1,
+               "--tuple2", tuple2, "-o", tmp_path / "c.txt") == 2
+    assert capsys.readouterr().err == f"error: {flag}: entry 2: {reason}\n"
+
+
 def test_distinguish_tuple_spellings(tmp_path):
     # "1" is the identity word and the empty string the empty tuple;
     # spaces around entries are optional
@@ -763,7 +777,7 @@ def test_render_genus_zero(tmp_path):
 # once: help and usage text are part of the interface
 HELP_DIGESTS = {
     "-h": "632dd34002ab4f62e4aef0cd7ef5d67e4ab770c6943aff5dae851326738b5944",
-    "construct -h": "179d21b71befdb67d181cbd9191ccefd541a4d3c81498232c7b71c5aa4093c2b",
+    "construct -h": "0687982916f3e710ce66050e2bc056c2aa84424f5584dac065a7865e039b0ebb",
     "construct lens -h": "9cba7f8f615bc47f2228448630de2a18148f28556f642f5a69fca58095f84034",
     "construct sum -h": "923f34b5cc094694a5afb7691a4e6d27551af957e01ee3e79ee51cbbe1b2345d",
     "construct mirror -h": "754012fbb5330980343ed1dae29678265aac8e3a56b68f5fa61bf876e02f5ded",

@@ -1,8 +1,10 @@
 """Edge cases and cross-cutting properties beyond the per-module tests."""
 
 import os
+import re
 import subprocess
 import sys
+from math import cos, pi, sin
 from pathlib import Path
 
 import multisect
@@ -17,7 +19,7 @@ from multisect.diagrams import (CutSystem, MultisectionDiagram, SurfaceModel,
                                 validate)
 from multisect.presentations import (abelianization, parse_presentation,
                                      tietze_simplify)
-from multisect.render import diagram_to_svg
+from multisect.render import _edge_index, diagram_to_svg
 from multisect.words import Word
 
 
@@ -127,13 +129,38 @@ def test_render_marks_parallel_copy_offset(lens21_bisection):
     svg = diagram_to_svg(d4)
     assert svg.count("data-system=") == 4
     # delta is a parallel copy of beta: same chord multiset, offset stroke
-    import re
     groups = re.findall(r'<g stroke=.*?data-system="(\w+)">(.*?)</g>',
                         svg, re.S)
     chords = {label: re.findall(r'points="([^"]+)"', body)
               for label, body in groups}
     assert len(chords["delta"]) == len(chords["beta"])
     assert chords["delta"] != chords["beta"]  # inset separates the copies
+
+
+def test_render_keeps_the_systems_of_a_long_chain_on_their_side():
+    # 30 systems: the cap's polygon must not cross the centre
+    h = lens_diagram(5, 2)
+    chain = cap_off(glue_bisections(h, 14), auto_cap(h, 14))
+    assert len(chain.systems) == 30
+    size, sides = 640, 4 * chain.surface.genus
+    c, radius = size / 2, size * 0.42
+    angles = [2 * pi * v / sides - pi / 2 for v in range(sides)]
+    verts = [(c + radius * cos(a), c + radius * sin(a)) for a in angles]
+    bodies = re.findall(r'data-system="[^"]*">(.*?)</g>', diagram_to_svg(chain, size), re.S)
+    assert len(bodies) == 30
+    for system, body in zip(chain.systems, bodies):
+        polygons = re.findall(r'points="([^"]+)"', body)
+        curves = [curve.letters for curve in system.curves if curve.letters]
+        assert len(polygons) == len(curves)
+        for letters, points in zip(curves, polygons):
+            for pos, (lt, point) in enumerate(zip(letters, points.split(" "))):
+                e = _edge_index(lt)
+                (x1, y1), (x2, y2) = verts[e], verts[(e + 1) % sides]
+                t = (pos + 1) / (len(letters) + 1)
+                px, py = x1 + (x2 - x1) * t, y1 + (y2 - y1) * t
+                x, y = map(float, point.split(","))
+                # the unscaled edge point and its inset image share a side
+                assert (x - c) * (px - c) + (y - c) * (py - c) > 0
 
 
 def test_readme_pipeline_via_shell(tmp_path):

@@ -16,6 +16,7 @@ from multisect.constructions import (auto_cap, bisection_from_heegaard, cap_off,
 from multisect.diagrams import (format_diagram, format_heegaard, parse_diagram,
                                 parse_heegaard)
 from multisect.presentations import format_presentation, parse_presentation
+from multisect.cli import main
 from multisect.words import FormatError, _LineReader, format_word, parse_word
 from test_cli_fuzz import _one_token_edit
 from test_golden import PRESENTATION
@@ -73,7 +74,37 @@ def test_word_text_parses_or_is_a_value_error(text, rank):
     except ValueError:
         return
     assert word.rank == rank
-    assert parse_word(format_word(word), rank) == word
+    assert format_word(word) == text
+
+
+def _accepts(parse, text):
+    try:
+        parse(text)
+    except FormatError:
+        return False
+    return True
+
+
+# a canonical word, the identity, and texts that fault spacing, tokens,
+# range and reduction, over the free group of rank 2
+_WORD_CORPUS = ("g1 g2^-1", "1", "", "g1  g2", " g1", "g1 ", "g1\tg2", "g01", "g0",
+                "g-1", "g3", "g1 g1^-1")
+
+
+@pytest.mark.parametrize("text", _WORD_CORPUS)
+def test_words_relators_and_tuple_entries_share_one_grammar(text, tmp_path, capsys):
+    def word(t):
+        return _accepts(lambda u: parse_word(u, 2), t)
+    assert word(text) == (text in ("g1 g2^-1", "1"))
+    assert _accepts(parse_presentation, f"gens 2\n{text}\n") == word(text)
+    free = tmp_path / "free.txt"
+    free.write_text("gens 2\n")
+    code = main(["distinguish", "--presentation", str(free),
+                 "--tuple1", f"{text}, g1, g2", "--tuple2", "1, g1, g2"])
+    # an entry is stripped of the spaces around it, where ", " leaves them
+    assert (code == 10) == word(text.strip(" "))
+    if code != 10:
+        assert code == 2 and capsys.readouterr().err.startswith("error: --tuple1: entry 1")
 
 
 # files whose systems are mostly relabelled copies: the double repeats
@@ -82,6 +113,24 @@ def test_word_text_parses_or_is_a_value_error(text, rank):
 _LENS = lens_diagram(2, 1)
 _REPEATING_MSDS = (format_diagram(double_bisection(bisection_from_heegaard(_LENS))),
                    format_diagram(cap_off(glue_bisections(_LENS, 3), auto_cap(_LENS, 3))))
+
+
+_INTEGER_LINES = (("gens", PRESENTATION, parse_presentation),
+                  ("genus", format_heegaard(_LENS), parse_heegaard),
+                  ("params", format_heegaard(_LENS), parse_heegaard),
+                  *((keyword, _REPEATING_MSDS[0], parse_diagram)
+                    for keyword in ("genus", "types", "reading")))
+
+
+@pytest.mark.parametrize("values", ("x", "01", "-0", "+1", "1 x"))
+@pytest.mark.parametrize("keyword, text, parse", _INTEGER_LINES,
+                         ids=[f"{k}-{parse.__name__}" for k, _, parse in _INTEGER_LINES])
+def test_a_malformed_integer_line_fails_at_its_line(keyword, text, parse, values):
+    lines = text.split("\n")
+    number = next(i for i, line in enumerate(lines, 1) if line.startswith(keyword + " "))
+    lines[number - 1] = f"{keyword} {values}"
+    with pytest.raises(FormatError, match=f"^line {number}: expected '{keyword} <"):
+        parse("\n".join(lines))
 
 
 def _diagram_outcome(text):
