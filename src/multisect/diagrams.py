@@ -77,7 +77,7 @@ class CutSystem:
     must carry the curves to pairwise distinct positive single letters,
     the system's standard letters; the complementary letters, in
     increasing order, name the dual generators 1..G of the free quotient,
-    onto which a reading is one substitution by ``dual_images``.
+    onto which a reading is one substitution by ``dual_table``.
 
     With a standardizer, checking the standard letters is the whole
     check: the standardizer's abelianized matrix M is unimodular (its
@@ -121,7 +121,7 @@ class CutSystem:
     def relabelled(self, label: str) -> "CutSystem":
         """This system under another label.  Its curves and standardizer
         passed this system's checks, so only the label is checked, and the
-        copy shares the standard letters, dual images and :meth:`read` memo."""
+        copy shares the standard letters, dual table and :meth:`read` memo."""
         _check_label(label)
         if self.standardizer is not None:
             _ = self.dual_table, self._read_memo  # derived once for every copy
@@ -169,21 +169,16 @@ class CutSystem:
         return tuple(k for k in range(1, self.surface.rank + 1) if k not in dead)
 
     @cached_property
-    def dual_images(self) -> tuple[tuple[int, ...], ...]:
-        """The reading homomorphism, as the letters of each generator's
-        image in the dual generators: its standardizer image with the
-        standard letters deleted and the surviving letters renamed 1..G
-        in increasing order, freely reduced."""
+    def dual_table(self) -> tuple[tuple[int, ...], ...]:
+        """The reading homomorphism as the signed table of :func:`_substitute`:
+        each generator's image in the dual generators is its standardizer
+        image with the standard letters deleted and the surviving letters
+        renamed 1..G in increasing order, freely reduced."""
         dual = [()] * self.surface.rank
         for n, lt in enumerate(self.surviving_letters, 1):
             dual[lt - 1] = (n,)
         table = _signed_table(dual)
-        return tuple(_substitute(table, img.letters) for img in self.standardizer.images)
-
-    @cached_property
-    def dual_table(self) -> tuple[tuple[int, ...], ...]:
-        """The dual images as the signed table of :func:`_substitute`."""
-        return _signed_table(self.dual_images)
+        return _signed_table([_substitute(table, img.letters) for img in self.standardizer.images])
 
 
 def _check_label(label: str) -> None:

@@ -9,9 +9,9 @@ the result and the checks are all sparse: no dense matrix is built.
 
 Unimodularity comes from the elimination's operation log, not from a
 determinant: every row or column swap, addition of a multiple of one row
-or column to another, and row negation is logged.  V must equal the
-identity with the column log replayed on it, and D must equal A @ V with
-the row log replayed on it, both by code separate from the elimination.
+or column to another, and row negation is logged.  V is the identity
+with the column log replayed on it, and D must equal A @ V with the row
+log replayed on it, both replays by code separate from the elimination.
 Each logged operation is an elementary matrix of determinant +-1, so V
 and E, the product of the logged row operations, are unimodular.
 """
@@ -68,7 +68,7 @@ class SmithForm:
 
 
 # Elementary operations of the elimination.  Each one updates the working
-# matrix (and V) and logs itself as (kind, dst, src, q): row operations in
+# matrix and logs itself as (kind, dst, src, q): row operations in
 # the row log, which replays on A @ V to D, and column operations in the
 # column log, which replays on the identity to the columns of V.
 _SWAP, _ADD, _NEGATE = "swap", "add", "negate"
@@ -110,7 +110,7 @@ def _swap_rows(m, log, i, j):
     log.append((_SWAP, i, j, 0))
 
 
-def _swap_cols(m, v, log, i, j):
+def _swap_cols(m, log, i, j):
     for k in m.cols[i] | m.cols[j]:
         row = m.rows[k]
         x, y = row.pop(i, 0), row.pop(j, 0)
@@ -119,7 +119,6 @@ def _swap_cols(m, v, log, i, j):
         if x:
             row[j] = x
     m.cols[i], m.cols[j] = m.cols[j], m.cols[i]
-    v[i], v[j] = v[j], v[i]
     log.append((_SWAP, i, j, 0))
 
 
@@ -137,8 +136,8 @@ def _add_row(m, log, dst, src, q):
     log.append((_ADD, dst, src, q))
 
 
-def _add_col(m, v, log, dst, src, q):
-    # column dst += q * column src, in the working matrix and in V
+def _add_col(m, log, dst, src, q):
+    # column dst += q * column src
     for k in m.cols[src]:
         row = m.rows[k]
         x = row.get(dst, 0) + q * row[src]
@@ -148,13 +147,6 @@ def _add_col(m, v, log, dst, src, q):
             row[dst] = x
         elif row.pop(dst, 0):
             m.cols[dst].discard(k)
-    column = v[dst]
-    for k, y in v[src].items():
-        x = column.get(k, 0) + q * y
-        if x:
-            column[k] = x
-        else:
-            column.pop(k, 0)
     log.append((_ADD, dst, src, q))
 
 
@@ -167,9 +159,9 @@ def _replay(rows, log) -> list[dict[int, int]]:
     """``rows``, each a map from a column to its nonzero entry, with the
     logged row operations applied in order.
 
-    Written apart from the elimination's helpers on purpose: a result is
-    accepted only when this independent replay of the elementary
-    operations reproduces it."""
+    Written apart from the elimination's helpers on purpose: V is this
+    replay of the column log, and D is accepted only when this replay of
+    the row log on A @ V reproduces it."""
     rows = [dict(row) for row in rows]
     for kind, dst, src, q in log:
         if kind == _SWAP:
@@ -193,24 +185,24 @@ def smith_normal_form(rows: Sequence[Sequence[int]], cols: int) -> SmithForm:
     ties broken by (row, col).  The rule is fixed, so output is
     deterministic for a given input.
 
-    The working matrix is sparse (see :class:`_SparseMatrix`), and V is
-    kept as its sparse columns, so the pivot and divisibility scans
-    touch only the nonzero entries of the trailing block, and a row or
-    column operation only the entries it changes.  Rows and columns
-    before the step's index t hold nothing but their diagonal entry,
-    so every entry of a row from t on lies in the trailing block.
+    The working matrix is sparse (see :class:`_SparseMatrix`), so the
+    pivot and divisibility scans touch only the nonzero entries of the
+    trailing block, and a row or column operation only the entries it
+    changes.  Rows and columns before the step's index t hold nothing
+    but their diagonal entry, so every entry of a row from t on lies in
+    the trailing block.  The elimination keeps no V: V is the identity
+    with the logged column operations replayed, so unimodular.
 
-    Checked on every call, on sparse rows: V equal to the identity with
-    the logged column operations replayed (hence unimodular), D equal to
-    A @ V with the logged row operations replayed (hence D = E @ A @ V
-    with E unimodular), and D diagonal with its nonzero entries in a
-    divisibility chain.
+    Checked on every call, on sparse rows: D equal to A @ V with the
+    logged row operations replayed (hence D = E @ A @ V with E
+    unimodular; a column operation that does not do what it logs fails
+    here), and D diagonal with its nonzero entries in a divisibility
+    chain.
     """
     m = _SparseMatrix(rows, cols)
     a = [dict(row) for row in m.rows]  # A, kept for the check of D
     r, c = len(a), cols
     rows = m.rows  # swaps exchange entries of this list, never the list
-    v: list[dict[int, int]] = [{j: 1} for j in range(c)]  # columns of V
     row_log: list = []
     col_log: list = []
 
@@ -229,7 +221,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]], cols: int) -> SmithForm:
         if pivot[0] != t:
             _swap_rows(m, row_log, t, pivot[0])
         if pivot[1] != t:
-            _swap_cols(m, v, col_log, t, pivot[1])
+            _swap_cols(m, col_log, t, pivot[1])
 
         p = rows[t][t]
         dirty = False
@@ -239,7 +231,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]], cols: int) -> SmithForm:
                 dirty = dirty or t in rows[i]
         for j in sorted(rows[t]):
             if j > t:
-                _add_col(m, v, col_log, j, t, -(rows[t][j] // p))
+                _add_col(m, col_log, j, t, -(rows[t][j] // p))
                 dirty = dirty or j in rows[t]
         if dirty:
             continue
@@ -256,6 +248,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]], cols: int) -> SmithForm:
             _negate_row(m, row_log, t)
         t += 1
 
+    v = _replay([{j: 1} for j in range(c)], col_log)  # the columns of V
     v_rows: list[dict[int, int]] = [{} for _ in range(c)]
     for j, column in enumerate(v):
         for i, x in column.items():
@@ -271,8 +264,6 @@ def smith_normal_form(rows: Sequence[Sequence[int]], cols: int) -> SmithForm:
     diagonal = tuple(rows[i].get(i, 0) for i in range(min(r, c)))
     factors = tuple(d for d in diagonal if d not in (0, 1))
 
-    if v != _replay([{j: 1} for j in range(c)], col_log):
-        raise AssertionError("Smith normal form V is not the replayed column log: not unimodular")
     if rows != _replay(av, row_log):
         raise AssertionError("Smith normal form D is not A*V with the row log replayed: not unimodular")
     if any(j != i for i, row in enumerate(rows) for j in row):

@@ -103,12 +103,16 @@ def same_relators(p: GroupPresentation, q: GroupPresentation) -> bool:
 class TietzeResult:
     presentation: GroupPresentation
     trace: tuple[str, ...]
-    steps_used: int
     surviving_generators: tuple[int, ...]
     """Original 1-based ids of the generators that survived, in order."""
     generator_images: tuple[Word, ...]
     """For each original generator, its expression in the simplified
     presentation's generators (the isomorphism witness)."""
+
+    @property
+    def steps_used(self) -> int:
+        """The number of moves made: ``trace`` has one entry per move."""
+        return len(self.trace)
 
     @cached_property
     def invariants(self) -> AbelianInvariants:
@@ -298,8 +302,7 @@ def tietze_simplify(pres: GroupPresentation,
     relators: list[tuple[int, ...] | None] = [rel.letters for rel in pres.relators]
     images = list(_signed_table([(k,) for k in range(1, gens + 1)]))
     eliminated: list[int] = []
-    trace: list[str] = []
-    steps = 0
+    trace: list[str] = []  # one entry per move, so also the step count
     canonical: dict[tuple[int, ...], tuple[int, ...]] = {}  # dedup key of each tuple seen
     owner: dict[tuple[int, ...], int] = {}  # dedup key -> the relator that has it
     changed = list(range(len(relators)))  # to check for being empty or a duplicate
@@ -319,14 +322,13 @@ def tietze_simplify(pres: GroupPresentation,
             changed.append(rid)
 
     progress = True
-    while progress and steps < budget:
+    while progress and len(trace) < budget:
         progress = False
         recheck = sorted({rid for rid in changed if relators[rid] is not None})
         changed = []
 
         for rid in recheck:
-            if not relators[rid] and steps < budget:
-                steps += 1
+            if not relators[rid] and len(trace) < budget:
                 trace.append("drop empty relator")
                 progress = True
                 replace(rid, None)
@@ -347,24 +349,22 @@ def tietze_simplify(pres: GroupPresentation,
                 owner[key] = rid
                 duplicates.append((first, rid))
         for rid, twin in sorted(duplicates):
-            if steps >= budget:
+            if len(trace) >= budget:
                 break
             rel, twin_rel = relators[rid], relators[twin]
             if not (rel == twin_rel or _balanced(rel + _letters_inverse(twin_rel))
                     or _balanced(rel + twin_rel)):
                 raise AssertionError(f"drop duplicate relator: {rel} is not +- {twin_rel} in sums")
-            steps += 1
             trace.append("drop duplicate relator")
             progress = True
             replace(rid, None)
-        if steps >= budget:
+        if len(trace) >= budget:
             break
 
         if index is None:
             index = _RelatorIndex(relators)
         candidate = index.candidate()  # (generator, relator index)
         if candidate is not None:
-            steps += 1
             g, ridx = candidate
             rel = relators[ridx]
             replace(ridx, None)
@@ -391,7 +391,6 @@ def tietze_simplify(pres: GroupPresentation,
 
         shrink = _overlap_reduction(index)
         if shrink is not None:
-            steps += 1
             ridx, other, sign, rotation, shorter = shrink
             r, s = relators[ridx], relators[other]
             if not _balanced(shorter + _letters_inverse(r)
@@ -420,7 +419,7 @@ def tietze_simplify(pres: GroupPresentation,
             raise AssertionError(f"renumber generators: relator {new} does not map back to {r}")
     rank = len(survivors)
     return TietzeResult(GroupPresentation(rank, tuple(Word(rank, new) for new, _ in kept)),
-                        tuple(trace), steps, survivors,
+                        tuple(trace), survivors,
                         tuple(Word(rank, _renumbered(w, number, "image")) for w in images))
 
 

@@ -211,14 +211,13 @@ def _misreported_row_update(m, log, dst, src, q):
     log.append(("add", dst, src, 2 * q))
 
 
-def _doubled_column_update(m, v, log, dst, src, q):
-    _ADD_COL(m, v, log, dst, src, q)
-    for k, y in v[src].items():  # V's column dst gains q * column src again
-        v[dst][k] = v[dst].get(k, 0) + q * y
+def _misreported_column_update(m, log, dst, src, q):
+    _ADD_COL(m, [], dst, src, q)
+    log.append(("add", dst, src, 2 * q))
 
 
 @pytest.mark.parametrize("helper, tampered", [("_add_row", _misreported_row_update),
-                                              ("_add_col", _doubled_column_update)])
+                                              ("_add_col", _misreported_column_update)])
 def test_tampered_smith_form_operation_exits_3(helper, tampered, tmp_path,
                                                monkeypatch, capsys):
     # an elimination step that does not do what it logs is caught by the

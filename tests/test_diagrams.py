@@ -37,7 +37,7 @@ def test_cut_system_standard_letters_and_duals():
                        "beta")
     assert system.standard_letters == (1,)
     assert system.surviving_letters == (2,)
-    assert system.dual_images == ((-1, -1), (1,))
+    assert system.dual_table[1:system.surface.rank + 1] == ((-1, -1), (1,))
 
 
 def test_cut_system_rejects_bad_exponents():
@@ -211,7 +211,7 @@ def test_alpha_system_helper():
     surf = SurfaceModel(2)
     alpha = standard_alpha_system(surf)
     assert [c.letters for c in alpha.curves] == [(1,), (3,)]
-    assert alpha.dual_images == ((), (1,), (), (2,))
+    assert alpha.dual_table[1:surf.rank + 1] == ((), (1,), (), (2,))
 
 
 def test_msd_round_trip(lens21_bisection):

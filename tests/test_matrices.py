@@ -124,17 +124,17 @@ def test_snf_transform_must_match_its_operation_log(monkeypatch):
 
 
 def test_snf_column_transform_must_match_its_operation_log(monkeypatch):
-    # V gains 2q times a column where the log records q: the replayed
-    # column log exposes it before the wrong V spoils A*V
+    # a column addition done with q but logged as 2q: V, the replayed
+    # column log, is then not the transform the elimination applied, and
+    # the row log replayed on A*V no longer gives D
     original = multisect.matrices._add_col
 
-    def doubled_column_update(m, v, log, dst, src, q):
-        original(m, v, log, dst, src, q)
-        for k, y in v[src].items():  # V's column dst gains q * column src again
-            v[dst][k] = v[dst].get(k, 0) + q * y
+    def misreported_column_update(m, log, dst, src, q):
+        original(m, [], dst, src, q)
+        log.append(("add", dst, src, 2 * q))
 
-    monkeypatch.setattr(multisect.matrices, "_add_col", doubled_column_update)
-    with pytest.raises(AssertionError, match="V is not the replayed column log"):
+    monkeypatch.setattr(multisect.matrices, "_add_col", misreported_column_update)
+    with pytest.raises(AssertionError, match="D is not A.V with the row log replayed"):
         smith_normal_form([[1, 2], [0, 3]], 2)
 
 

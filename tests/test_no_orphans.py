@@ -1,0 +1,83 @@
+"""Every module-level function or class of the package is reached some way:
+named by package code outside its own definition, imported by the
+package's ``__init__``, listed in a module's ``__all__``, or wrapped by the
+benchmark tracer's ``TRACED`` table.  A definition that none of these
+reach is an old path that a deletion stranded.  The check reads each
+module and the tracer's source with ``ast``, so it imports neither and
+needs no linter."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "multisect"
+TRACING = ROOT / "perfbench" / "tracing.py"
+
+
+def _assigned(tree: ast.Module, name: str):
+    """The value a top-level ``name = ...`` binds, read as a literal."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    return ()
+
+
+def _names(node: ast.AST) -> Counter:
+    """How often each name is read, or looked up as an attribute, in ``node``."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+    return found
+
+
+def orphaned_definitions(sources: dict[str, str], traced: tuple) -> list[str]:
+    """``module.name`` for each top-level function or class of a module in
+    ``sources`` (keyed by module name, ``__init__`` among them) that no
+    module names outside that definition, that ``__init__`` does not
+    import, that no ``__all__`` lists and that ``traced``, pairs of
+    (module, attribute path) as in the tracer's table, does not name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reached = {f"{module}.{path.partition('.')[0]}" for module, path in traced}
+    for module, tree in trees.items():
+        reached.update(f"{module}.{name}" for name in _assigned(tree, "__all__"))
+    for node in trees["__init__"].body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            reached.update(f"{node.module}.{a.name}" for a in node.names)
+    everywhere = sum((_names(tree) for tree in trees.values()), Counter())
+    orphans = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if f"{module}.{node.name}" in reached:
+                continue
+            # a recursive call is no use
+            if everywhere[node.name] == _names(node)[node.name]:
+                orphans.append(f"{module}.{node.name}")
+    return orphans
+
+
+def test_the_check_finds_orphaned_definitions():
+    sources = {
+        "__init__": "from .a import exported\n",
+        "a": ("def exported():\n    pass\ndef traced():\n    pass\n"
+              "def listed():\n    pass\n__all__ = ['listed']\n"
+              "def used():\n    pass\nclass Holder:\n    pass\n"
+              "def recursive(n):\n    return recursive(n)\n"
+              "def _helper():\n    pass\n"),
+        "b": "from . import a\nx = a.Holder()\ndef run():\n    return used()\n",
+    }
+    traced = (("a", "traced"), ("b", "run.attr"))
+    assert orphaned_definitions(sources, traced) == ["a.recursive", "a._helper"]
+
+
+def test_every_definition_is_reached():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    traced = _assigned(ast.parse(TRACING.read_text(encoding="utf-8")), "TRACED")
+    assert ("matrices", "smith_normal_form") in traced
+    assert orphaned_definitions(sources, traced) == []

@@ -531,8 +531,9 @@ def reference_tietze_simplify(p, budget=DEFAULT_TIETZE_BUDGET):
             rows[ridx] = tuple(x + sign * y for x, y in zip(rows[ridx], rows[other]))
             trace.append("shrink relator by a conjugate")
             progress = True
+    assert steps == len(trace)  # the library counts its steps by its trace
     return TietzeResult(GroupPresentation(gens, tuple(Word(gens, r) for r in relators)),
-                        tuple(trace), steps, tuple(survivors),
+                        tuple(trace), tuple(survivors),
                         tuple(Word(gens, w) for w in images))
 
 
