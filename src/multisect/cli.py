@@ -75,8 +75,7 @@ class Report:
         self.lines.append(f"== {name} ==")
 
     def raw(self, text: str) -> None:
-        for line in text.rstrip("\n").splitlines():
-            self.lines.append(line)
+        self.lines.extend(text.rstrip("\n").splitlines())
 
     def render(self) -> str:
         return "\n".join(self.lines) + "\n"
@@ -153,17 +152,13 @@ def _standardizer_checks(d: MultisectionDiagram) -> str:
     """Which check each standardizer passed when it was built: composition
     with its declared inverse proves an automorphism, the abelianized
     determinant alone does not."""
-    composed = [s.label for s in d.systems if s.standardizer is not None
-                and s.standardizer.inverse_images is not None]
-    determinant = [s.label for s in d.systems if s.standardizer is not None
-                   and s.standardizer.inverse_images is None]
     checks = []
-    if composed:
-        checks.append("checked by composition with declared inverse for "
-                      + " ".join(composed))
-    if determinant:
-        checks.append("checked by abelianized determinant only for "
-                      + " ".join(determinant))
+    for tracked, check in ((True, "composition with declared inverse"),
+                           (False, "abelianized determinant only")):
+        labels = [s.label for s in d.systems if s.standardizer is not None
+                  and (s.standardizer.inverse_images is not None) == tracked]
+        if labels:
+            checks.append(f"checked by {check} for " + " ".join(labels))
     return "; ".join(checks) or "none"
 
 

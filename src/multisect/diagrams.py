@@ -149,11 +149,15 @@ class CutSystem:
 
     @cached_property
     def standard_letters(self) -> tuple[int, ...]:
-        if self.standardizer is None:
+        std = self.standardizer
+        if std is None:
             raise DiagramError(f"system {self.label!r} has no standardizer")
+        # phi(c) = x_k exactly when c = psi(x_k), since the standardizer's
+        # check proved psi = phi^-1: a tracked inverse is read, not substituted
+        sent = {img.letters: (k,) for k, img in enumerate(std.inverse_images or (), 1)}
         letters = []
         for c in self.curves:
-            image = _substitute(self.standardizer.table, c.letters)
+            image = sent.get(c.letters) or _substitute(std.table, c.letters)
             if len(image) != 1 or image[0] < 0:
                 raise DiagramError(
                     f"system {self.label!r}: standardizer sends {format_word(c)} "

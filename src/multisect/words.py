@@ -20,7 +20,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import eq, neg
+from itertools import accumulate, repeat
+from operator import eq, itemgetter, neg
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .matrices import determinant
@@ -81,7 +82,7 @@ class _LineReader:
         self.lines = lines
         self.pos = 0
         self._letters: dict[int, dict[str, int]] = {}  # rank -> token -> letter
-        self._words: dict[tuple[int, str], Word] = {}  # (rank, line text) -> word
+        self._words: dict[int, dict[str, Word]] = {}  # rank -> text -> word
         self._blocks: dict[tuple, tuple[Word, ...]] = {}  # words() call -> words
 
     def peek(self) -> str | None:
@@ -95,22 +96,32 @@ class _LineReader:
         return line
 
     def words(self, keyword: str, count: int, rank: int) -> tuple[Word, ...]:
-        """The next ``count`` lines, each ``<keyword> <word>``, as words: one
-        slice in one loop, once per distinct block and reader."""
+        """The next ``count`` lines, each ``<keyword> <word>``, as words, once
+        per distinct block and reader: its unseen texts parsed and tested
+        together, and its lines scanned only to name the first at fault."""
         start = self.pos
         lines = tuple(self.lines[start:start + count])
         key = (keyword, count, rank, lines)
         words = self._blocks.get(key)
         if words is None:
-            words = []
-            for number, line in enumerate(lines, start + 1):
-                head, _, text = line.partition(" ")
-                if head != keyword or not text:
-                    raise FormatError(f"expected '{keyword} <word>'", number)
-                words.append(self.word(text, rank, number))
+            texts = list(map(itemgetter(slice(len(keyword) + 1, None)), lines))
+            memo = self._words.setdefault(rank, {})
+            try:
+                if not all(map(str.startswith, lines, repeat(keyword + " "))) or "" in texts:
+                    raise ValueError(keyword)
+                new = list(set(texts).difference(memo))
+                letters = _word_letters(new, rank, self._letters.setdefault(rank, {}))
+                memo.update(zip(new, map(Word._made, repeat(rank), letters)))
+            except ValueError:
+                for number, line in enumerate(lines, start + 1):
+                    head, _, text = line.partition(" ")
+                    if head != keyword or not text:
+                        raise FormatError(f"expected '{keyword} <word>'", number)
+                    self.word(text, rank, number)
+                raise AssertionError(f"block at line {start + 1} failed with no line at fault")
             if len(lines) < count:
                 raise FormatError("unexpected end of file", len(self.lines) + 1)
-            words = self._blocks[key] = tuple(words)
+            words = self._blocks[key] = tuple(map(memo.__getitem__, texts))
         self.pos = start + count
         return words
 
@@ -119,14 +130,14 @@ class _LineReader:
         as a word, parsed as :func:`parse_word` parses it.  Each distinct
         text and token is parsed once per rank and reader; a text that
         raises is not kept, so each copy raises at its line."""
-        word = self._words.get((rank, text))
-        if word is None:
+        memo = self._words.setdefault(rank, {})
+        if text not in memo:
             try:
-                letters = _word_letters(text, rank, self._letters.setdefault(rank, {}))
+                letters = _word_letters([text], rank, self._letters.setdefault(rank, {}))
             except ValueError as exc:
                 raise FormatError(str(exc), line or self.pos) from None
-            word = self._words[rank, text] = Word._made(rank, letters)
-        return word
+            memo[text] = Word._made(rank, letters[0])
+        return memo[text]
 
     def integers(self, keyword: str, shape: str, count: int | None = None) -> tuple[int, ...]:
         """The next line as ``<keyword>`` and ``count`` integers (any number
@@ -294,21 +305,23 @@ def canonical_cyclic(w: Word) -> Word:
 
 def _signed_table(images: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     """The :func:`_substitute` table: entry k is images[k - 1], entry -k its inverse."""
-    return ((), *images, *(_letters_inverse(img) for img in reversed(images)))
+    return ((), *images, *map(_letters_inverse, reversed(images)))
 
 
 def _substitute(table: Sequence[tuple[int, ...]], letters: Iterable[int]) -> tuple[int, ...]:
     """Substitute ``table[lt]`` for every letter ``lt``, freely reduced.
     ``table`` is signed, as :func:`_signed_table` builds it, and holds
     freely reduced entries, so the output so far and the next entry
-    cancel only where they meet (Lyndon & Schupp, ch. I.1)."""
+    cancel only where they meet (Lyndon & Schupp, ch. I.1): an entry whose
+    first letter does not invert the last one out is appended whole."""
     out: list[int] = []
     for lt in letters:
         image = table[lt]
+        if not (out and image and out[-1] == -image[0]):
+            out += image
+            continue
         k = 0
-        for x in image:
-            if not out or out[-1] != -x:
-                break
+        while out and k < len(image) and out[-1] == -image[k]:
             out.pop()
             k += 1
         out += image[k:]
@@ -361,9 +374,10 @@ class FreeAutomorphism:
         return _signed_table([img.letters for img in self.images])
 
     def inverse(self) -> "FreeAutomorphism":
+        """phi^-1, unchecked: phi psi = 1 passed, so psi phi = 1 as well."""
         if self.inverse_images is None:
             raise ValueError("inverse images were not tracked for this automorphism")
-        return FreeAutomorphism(self.rank, self.inverse_images, self.images)
+        return _proven(self.rank, self.inverse_images, self.images)
 
 
 def apply(phi: FreeAutomorphism, w: Word) -> Word:
@@ -385,14 +399,25 @@ def compose(phi: FreeAutomorphism, psi: FreeAutomorphism) -> FreeAutomorphism:
     psi_inverse = _signed_table([img.letters for img in psi.inverse_images])
     inverse = tuple(Word._made(phi.rank, _substitute(psi_inverse, img.letters))
                     for img in phi.inverse_images)
-    composite = object.__new__(FreeAutomorphism)
-    composite.__dict__.update(rank=phi.rank, images=images, inverse_images=inverse)
-    return composite
+    return _proven(phi.rank, images, inverse)
+
+
+def _proven(rank: int, images: tuple[Word, ...], inverse: tuple[Word, ...]) -> FreeAutomorphism:
+    """``FreeAutomorphism(rank, images, inverse)`` for an inverse proven by construction."""
+    if len(images) != rank:  # a negative rank
+        raise ValueError("need one image per generator")
+    phi = object.__new__(FreeAutomorphism)
+    phi.__dict__.update(rank=rank, images=images, inverse_images=inverse)
+    return phi
+
+
+def _check_generators(rank: int, gens: Iterable[int]) -> None:
+    if not all(map(range(1, rank + 1).__contains__, gens)):
+        raise ValueError(f"a generator is outside 1..{rank}")
 
 
 def identity_automorphism(rank: int) -> FreeAutomorphism:
-    images = tuple(Word._made(rank, (k + 1,)) for k in range(rank))
-    return FreeAutomorphism(rank, images, images)
+    return flip_letters(rank, ())
 
 
 def automorphism(rank: int,
@@ -404,13 +429,10 @@ def automorphism(rank: int,
     applies to ``inverse`` when given.
     """
     def full(sparse: Mapping[int, Iterable[int]]) -> tuple[Word, ...]:
-        out = [Word(rank, (k,)) for k in range(1, rank + 1)]
-        for gen, lts in sparse.items():
-            out[gen - 1] = Word(rank, tuple(lts))
-        return tuple(out)
+        _check_generators(rank, sparse)
+        return tuple(Word(rank, tuple(sparse.get(k, (k,)))) for k in range(1, rank + 1))
 
-    imgs = full(images)
-    return FreeAutomorphism(rank, imgs, None if inverse is None else full(inverse))
+    return FreeAutomorphism(rank, full(images), None if inverse is None else full(inverse))
 
 
 def invert_all(rank: int) -> FreeAutomorphism:
@@ -421,41 +443,37 @@ def invert_all(rank: int) -> FreeAutomorphism:
 def flip_letters(rank: int, gens: Iterable[int]) -> FreeAutomorphism:
     """Invert the listed generators, fixing all others; an involution."""
     flip = set(gens)
-    images = tuple(Word(rank, (-(k + 1) if (k + 1) in flip else (k + 1),))
-                   for k in range(rank))
-    return FreeAutomorphism(rank, images, images)
+    _check_generators(rank, flip)
+    images = tuple(Word._made(rank, (-k if k in flip else k,)) for k in range(1, rank + 1))
+    return _proven(rank, images, images)
 
 
 def relabel(rank: int, mapping: Mapping[int, int]) -> FreeAutomorphism:
     """Permute generators: generator k maps to generator mapping[k]."""
+    _check_generators(rank, mapping)
     perm = {k: mapping.get(k, k) for k in range(1, rank + 1)}
     if sorted(perm.values()) != list(range(1, rank + 1)):
         raise ValueError("relabeling is not a permutation")
-    images = tuple(Word(rank, (perm[k + 1],)) for k in range(rank))
-    inv_perm = {v: k for k, v in perm.items()}
-    inverse = tuple(Word(rank, (inv_perm[k + 1],)) for k in range(rank))
-    return FreeAutomorphism(rank, images, inverse)
+    images = tuple(Word._made(rank, (perm[k],)) for k in range(1, rank + 1))
+    # generator perm[k] goes back to k: the generators in order of their images
+    inverse = tuple(Word._made(rank, (k,)) for k in sorted(perm, key=perm.__getitem__))
+    return _proven(rank, images, inverse)
 
 
 def block_automorphism(blocks: Iterable[FreeAutomorphism]) -> FreeAutomorphism:
     """Block-diagonal automorphism: each block acts on its own run of
-    consecutive generators."""
+    consecutive generators, inverted by the blocks' tracked inverses."""
     blocks = list(blocks)
-    rank = sum(b.rank for b in blocks)
-    images: list[Word] = []
-    inverses: list[Word] | None = []
-    offset = 0
-    for b in blocks:
-        for img in b.images:
-            images.append(img.shift(offset, rank))
-        if inverses is not None and b.inverse_images is not None:
-            for img in b.inverse_images:
-                inverses.append(img.shift(offset, rank))
-        else:
-            inverses = None
-        offset += b.rank
-    return FreeAutomorphism(rank, tuple(images),
-                            tuple(inverses) if inverses is not None else None)
+    offsets = [0, *accumulate(b.rank for b in blocks)]
+    rank = offsets[-1]
+
+    def joined(parts: list[tuple[Word, ...]]) -> tuple[Word, ...]:
+        return tuple(img.shift(offset, rank) for part, offset in zip(parts, offsets) for img in part)
+
+    images, inverses = joined([b.images for b in blocks]), [b.inverse_images for b in blocks]
+    if None in inverses:
+        return FreeAutomorphism(rank, images)
+    return _proven(rank, images, joined(inverses))
 
 
 def format_word(w: Word) -> str:
@@ -480,23 +498,31 @@ def parse_word(text: str, rank: int) -> Word:
     ``1``, or ``g<k>`` and ``g<k>^-1`` tokens joined by single spaces, each
     ``<k>`` in [1, rank] as :func:`parse_integer` reads it, freely reduced."""
     try:
-        return Word(rank, _word_letters(text, rank, {}))
+        return Word(rank, _word_letters([text], rank, {})[0])
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
 
-def _word_letters(text: str, rank: int, tokens: dict[str, int]) -> tuple[int, ...]:
-    """The letters of a :func:`parse_word` text, or ValueError; ``tokens``
-    maps the tokens parsed at this rank to letters and takes new ones."""
-    split = text.split(" ")
-    letters = () if text == "1" else tuple(map(tokens.get, split))
-    if None in letters:
-        letters = tuple(tokens.get(t) or tokens.setdefault(t, _parse_token(t, rank))
-                        for t in split)
+def _word_letters(texts: list[str], rank: int, tokens: dict[str, int]) -> list[tuple[int, ...]]:
+    """The letters of each :func:`parse_word` text of ``texts``, or ValueError:
+    split as one text, mapped through ``tokens`` (the tokens parsed at this
+    rank, which takes new ones) and tested for reduction all together."""
+    parts = [text for text in texts if text != "1"]
+    # a "\n" token between two texts reads as letter 0, which inverts no letter
+    split = " \n ".join(parts).split(" ") if parts else []
+    for token in dict.fromkeys(split):
+        if token not in tokens and token != "\n":
+            tokens[token] = _parse_token(token, rank)
+    letters = tuple(map(tokens.get, split, repeat(0)))
     # in range, and freely reduced unless letters[i] == -letters[i + 1]
     if any(map(eq, letters, map(neg, letters[1:]))):
         raise ValueError("word is not freely reduced")
-    return letters
+    out, at = [], 0
+    for text in texts:  # a text "1" has no tokens and no "\n" after them
+        end = at if text == "1" else at + text.count(" ") + 1
+        out.append(letters[at:end])
+        at = end if text == "1" else end + 1
+    return out
 
 
 def _parse_token(token: str, rank: int) -> int:

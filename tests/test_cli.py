@@ -890,3 +890,25 @@ def test_a_command_line_builds_the_parser_of_only_the_verbs_it_names():
     assert _parsers_built(["validate", "-i", "x", "-o", "y"]) == 2
     assert _parsers_built(["construct", "glue", "--copies", "2"]) == 3
     assert _parsers_built(["-h"]) == 1
+
+
+@pytest.mark.parametrize("verb, name, text, at, message", [
+    ("validate", "big.msd", "MSD 1\ngenus {g}\nclosed true\ntypes 1 1 1\nsystem alpha\n"
+     "curve g1\ncurve g3\n", 8, "unexpected end of file"),
+    ("validate", "big.msd", "MSD 1\ngenus {g}\nclosed true\ntypes 1 1 1\nsystem alpha\n"
+     "curve g1\ncurve g0\n", 7, "generator g0 out of range"),
+    ("construct bisect", "big.hd", "HD 1\ngenus {g}\nsystem beta\ncurve g2\n", 5,
+     "unexpected end of file"),
+    ("construct bisect", "big.hd", "HD 1\ngenus {g}\nsystem beta\ncurve g2 x\n", 4,
+     "bad word token 'x'"),
+], ids=["msd-end", "msd-token", "hd-end", "hd-token"])
+def test_a_huge_declared_genus_fails_at_its_line_at_once(tmp_path, capsys, verb, name, text,
+                                                         at, message):
+    # the token tables grow with the text read, never with the declared rank
+    path = tmp_path / name
+    path.write_text(text.format(g=10 ** 20))
+    start = time.perf_counter()
+    assert run(*verb.split(), "-i", path, "-o", tmp_path / "out") == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {at}: {message}") and err.count("\n") == 1, err

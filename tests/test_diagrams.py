@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import multisect.diagrams
+import multisect.words
 from multisect.diagrams import (CutSystem, DiagramError, FormatError,
                                 MultisectionDiagram, SurfaceModel,
                                 connected_sum, express_against, format_diagram,
@@ -14,7 +15,8 @@ from multisect.diagrams import (CutSystem, DiagramError, FormatError,
                                 presentation_of_pair, read_against, reading_of_pair,
                                 stabilize, standard_alpha_system, validate)
 from multisect.constructions import (auto_cap, bisection_from_heegaard, cap_off,
-                                     double_bisection, glue_bisections, lens_diagram,
+                                     double_bisection, glue_bisections,
+                                     insert_parallel_sectors, lens_diagram,
                                      sphere_bundle_sum_diagram)
 from multisect.presentations import AbelianInvariants, abelianization
 from multisect.words import (FreeAutomorphism, Word, automorphism, format_word,
@@ -509,3 +511,60 @@ def test_genus_zero_diagram():
     assert validate(d).ok
     text = format_diagram(d)
     assert parse_diagram(text) == d
+
+
+def _product_insert(copies):
+    """The benchmark's product chain: ``copies`` sums of lens(5, 1) # ... #
+    lens(5, 4), bisected, doubled, with two parallel sectors inserted."""
+    base = functools.reduce(connected_sum, (lens_diagram(5, q) for q in range(1, 5)))
+    h = functools.reduce(connected_sum, [base] * copies)
+    return insert_parallel_sectors(double_bisection(bisection_from_heegaard(h)), 2, 2)
+
+
+@pytest.mark.parametrize("copies", [2, 5], ids=["genus-16", "genus-40"])
+def test_parse_reads_each_distinct_token_once(monkeypatch, copies):
+    # the token tables fill with the tokens present, one parse per rank
+    text = format_diagram(_product_insert(copies))
+    genus = 8 * copies
+    present = {(genus if keyword == "word" else 2 * genus, token)
+               for keyword, _, rest in (line.partition(" ") for line in text.splitlines())
+               if keyword in ("curve", "image", "word") and rest != "1"
+               for token in rest.split(" ")}
+    calls = []
+    parse_token = multisect.words._parse_token
+
+    def counting(token, rank):
+        calls.append((rank, token))
+        return parse_token(token, rank)
+
+    monkeypatch.setattr(multisect.words, "_parse_token", counting)
+    assert format_diagram(parse_diagram(text)) == text
+    assert len(calls) == len(set(calls)) and set(calls) == present
+
+
+def test_standard_letters_of_a_tracked_inverse_need_no_substitution(monkeypatch):
+    # phi(c) = x_k exactly when c is the k-th inverse image, so the letters
+    # are read off the inverse; without one, each curve is substituted
+    substituted = []
+    substitute = multisect.diagrams._substitute
+
+    def counting(table, letters):
+        substituted.append(letters)
+        return substitute(table, letters)
+
+    monkeypatch.setattr(multisect.diagrams, "_substitute", counting)
+    d = parse_diagram(format_diagram(_product_insert(2)))
+    substituted.clear()  # the readings' check substitutes by the dual tables
+    for system in d.systems:
+        copy = CutSystem(system.surface, system.curves, system.standardizer, system.label)
+        assert copy.standard_letters == system.standard_letters and substituted == []
+        bare = FreeAutomorphism(system.surface.rank, system.standardizer.images)
+        assert CutSystem(system.surface, system.curves, bare).standard_letters \
+            == system.standard_letters
+        assert len(substituted) == len(system.curves)
+        substituted.clear()
+    # a curve the standardizer does not send to a positive letter is worded
+    # by the substitution, as before
+    std = automorphism(2, {1: (-2, -2, 1)}, {1: (2, 2, 1)})
+    with pytest.raises(DiagramError, match="sends g2 g2 g1 g2 to g1 g2, not a positive letter"):
+        CutSystem(SurfaceModel(1), (Word(2, (2, 2, 1, 2)),), std)

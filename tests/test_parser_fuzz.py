@@ -1,9 +1,11 @@
 """Fuzz gate for the word, presentation and diagram parsers: every input
 either parses or is refused with the documented error; presentation text
 that parses formats back to itself, and a word that parses formats back
-to text that parses to the same value.  A diagram file full of repeated
-blocks parses as it would with every block and word line read afresh."""
+to text that parses to the same value.  A diagram, Heegaard or
+presentation file, with repeated blocks or distinct ones, parses as a
+reader with no memo, reading every word line on its own, reads it."""
 
+import re
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -11,13 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import multisect.diagrams
+import multisect.presentations
 from multisect.constructions import (auto_cap, bisection_from_heegaard, cap_off,
                                      double_bisection, glue_bisections, lens_diagram)
-from multisect.diagrams import (format_diagram, format_heegaard, parse_diagram,
-                                parse_heegaard)
+from multisect.diagrams import (connected_sum, format_diagram, format_heegaard,
+                                parse_diagram, parse_heegaard)
 from multisect.presentations import format_presentation, parse_presentation
 from multisect.cli import main
-from multisect.words import FormatError, _LineReader, format_word, parse_word
+from multisect.words import FormatError, Word, _LineReader, format_word, parse_word
 from test_cli_fuzz import _one_token_edit
 from test_golden import PRESENTATION
 
@@ -133,45 +136,101 @@ def test_a_malformed_integer_line_fails_at_its_line(keyword, text, parse, values
         parse("\n".join(lines))
 
 
-def _diagram_outcome(text):
+def _outcome(parse, write, text):
     try:
-        return format_diagram(parse_diagram(text))
+        return write(parse(text))
     except FormatError as exc:
         return str(exc), exc.line
 
 
-def _afresh(method):
-    """``method`` of a reader with its block, word and token memos
-    emptied first, so that nothing is looked up."""
-    def read(reader, *args):
-        reader._blocks.clear()
-        reader._words.clear()
-        reader._letters.clear()
-        return method(reader, *args)
-    return read
+def _diagram_outcome(text):
+    return _outcome(parse_diagram, format_diagram, text)
 
 
-def _fresh_outcome(text):
-    """The outcome with no memo: each block of word lines is read, each
-    word line and token parsed and each system block checked as if it
-    were the first, with no span looked up."""
+def _reference_word(text, rank):
+    """One word text read on its own, token by token, as the grammar
+    reads it: the oracle for the reader's block sweep."""
+    if text == "1":
+        return Word(rank, ())
+    letters = []
+    for token in text.split(" "):
+        match = re.fullmatch(r"g(0|-?[1-9][0-9]*)(\^-1)?", token)
+        if match is None:
+            raise ValueError(f"bad word token {token!r}")
+        k = int(match[1])
+        if not 1 <= k <= rank:
+            raise ValueError(f"generator g{k} out of range for rank {rank}")
+        letters.append(-k if match[2] else k)
+    if len(Word(rank, tuple(letters))) != len(letters):
+        raise ValueError("word is not freely reduced")
+    return Word(rank, tuple(letters))
+
+
+class _PerLineReader(_LineReader):
+    """The reader with no memo: every word line read on its own, in order,
+    and refused at its line."""
+
+    def words(self, keyword, count, rank):
+        start = self.pos
+        lines = self.lines[start:start + count]
+        words = []
+        for number, line in enumerate(lines, start + 1):
+            head, _, text = line.partition(" ")
+            if head != keyword or not text:
+                raise FormatError(f"expected '{keyword} <word>'", number)
+            words.append(self.word(text, rank, number))
+        if len(lines) < count:
+            raise FormatError("unexpected end of file", len(self.lines) + 1)
+        self.pos = start + count
+        return tuple(words)
+
+    def word(self, text, rank, line=None):
+        try:
+            return _reference_word(text, rank)
+        except ValueError as exc:
+            raise FormatError(str(exc), line or self.pos) from None
+
+
+def _fresh_outcome(parse, write, text):
+    """The outcome read by the per-line reader, with each system block
+    checked as if it were the first."""
     parse_system = multisect.diagrams._parse_system
-    with patch.object(_LineReader, "words", _afresh(_LineReader.words)), \
-            patch.object(_LineReader, "word", _afresh(_LineReader.word)), \
+    with patch.object(multisect.diagrams, "_LineReader", _PerLineReader), \
+            patch.object(multisect.presentations, "_LineReader", _PerLineReader), \
             patch.object(multisect.diagrams, "_parse_system",
                          lambda reader, surface, seen: parse_system(reader, surface, {})):
-        return _diagram_outcome(text)
+        return _outcome(parse, write, text)
+
+
+def _check_against_the_per_line_reader(parse, write, text):
+    outcome = _outcome(parse, write, text)
+    assert outcome == _fresh_outcome(parse, write, text)
+    if isinstance(outcome, str):
+        assert outcome == text
+    else:
+        assert outcome[1] is not None and 1 <= outcome[1] <= text.count("\n") + 1
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(_REPEATING_MSDS).flatmap(_one_token_edit))
 def test_one_token_edits_of_repeated_blocks_parse_as_if_read_afresh(text):
-    outcome = _diagram_outcome(text)
-    assert outcome == _fresh_outcome(text)
-    if isinstance(outcome, str):
-        assert outcome == text
-    else:
-        assert outcome[1] is not None and 1 <= outcome[1] <= text.count("\n") + 1
+    _check_against_the_per_line_reader(parse_diagram, format_diagram, text)
+
+
+# files whose blocks of word lines are all distinct: the bisection of
+# lens(5,2) # lens(3,1) and that sum itself, and a presentation
+_SUM = connected_sum(lens_diagram(5, 2), lens_diagram(3, 1))
+_DISTINCT_FILES = ((format_diagram(bisection_from_heegaard(_SUM)), parse_diagram, format_diagram),
+                   (format_heegaard(_SUM), parse_heegaard, format_heegaard),
+                   (PRESENTATION, parse_presentation, format_presentation))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_DISTINCT_FILES).flatmap(
+    lambda case: st.tuples(st.just(case), _one_token_edit(case[0]))))
+def test_one_token_edits_of_distinct_blocks_parse_as_the_per_line_reader_reads(edited):
+    (_, parse, write), text = edited
+    _check_against_the_per_line_reader(parse, write, text)
 
 
 def _layout_outcome(text):

@@ -371,3 +371,58 @@ def test_parsed_words_are_refused_exactly_when_reduction_shortens_them(case):
             reader.word(text, rank, 7)
     else:
         assert reader.word(text, rank, 7) == Word(rank, tuple(letters))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: automorphism(2, {0: (2,), -1: (1,)}),  # was the identity, by negative indexing
+    lambda: automorphism(2, {3: (1, 2)}),  # was an IndexError
+    lambda: automorphism(2, {}, {3: (1,)}),
+    lambda: relabel(2, {5: 1}),  # was ignored
+    lambda: flip_letters(2, {5}),  # was ignored
+    lambda: flip_letters(2, {0}),
+], ids=["automorphism-keys-0-and-minus-1", "automorphism-key-3", "automorphism-inverse-key-3",
+        "relabel-key-5", "flip-letters-5", "flip-letters-0"])
+def test_generator_keys_outside_the_rank_are_refused(build):
+    with pytest.raises(ValueError, match=r"outside 1\.\.2"):
+        build()
+
+
+@given(random_automorphisms(), random_automorphisms(), st.integers(0, 4),
+       st.sets(st.integers(1, 4)), st.permutations([1, 2, 3, 4]))
+def test_builders_whose_inverse_is_a_proof_run_no_composition_check(phi, psi, rank, flip, perm):
+    # what the builders make is what the checked constructor builds from
+    # the same images and inverse, which it accepts; they build it unchecked
+    built = []
+    check = FreeAutomorphism.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FreeAutomorphism, "__post_init__", counting)
+        values = [identity_automorphism(rank), flip_letters(4, flip),
+                  relabel(4, dict(zip([1, 2, 3, 4], perm))), block_automorphism([phi, psi]),
+                  phi.inverse()]
+        assert built == []
+    for value in values:
+        assert value.inverse_images is not None
+        assert value == FreeAutomorphism(value.rank, value.images, value.inverse_images)
+        for img in value.images + value.inverse_images:
+            assert checked(img) == img
+    assert values[0].images == tuple(Word(rank, (k,)) for k in range(1, rank + 1))
+    assert values[1].images == tuple(Word(4, (-k if k in flip else k,)) for k in range(1, 5))
+    assert values[2].images == tuple(Word(4, (p,)) for p in perm)
+    assert values[3].images == tuple(img.shift(0, 6) for img in phi.images) + tuple(
+        img.shift(3, 6) for img in psi.images)
+    assert values[4].images == phi.inverse_images
+
+
+def test_a_block_without_a_tracked_inverse_is_checked_by_its_determinant():
+    phi = automorphism(2, {1: (1, 2)}, {1: (1, -2)})
+    untracked = FreeAutomorphism(2, phi.images)
+    block = block_automorphism([phi, untracked])
+    assert block.inverse_images is None
+    assert block.images == tuple(img.shift(k, 4) for k in (0, 2) for img in phi.images)
+    with pytest.raises(ValueError, match="need one image per generator"):
+        identity_automorphism(-1)
