@@ -22,10 +22,9 @@ from .diagrams import (CutSystem, DiagramError, FormatError,
                        read_against, stabilize, validate)
 from .constructions import (GlueMismatchError, MergeRefusedError, auto_cap,
                             bisection_from_heegaard, bisection_from_trisection,
-                            cap_off, double_bisection, genus_bound_report,
-                            glue_bisections, insert_parallel_sectors,
-                            lens_diagram, merge_adjacent_sectors,
-                            sphere_bundle_sum_diagram)
+                            cap_off, double_bisection, glue_bisections,
+                            insert_parallel_sectors, lens_diagram,
+                            merge_adjacent_sectors, sphere_bundle_sum_diagram)
 from .nielsen import (GeneratingTuple, NielsenCertificate, OrbitPartition,
                       compare_sectors, connect_tuples, determinant_invariant,
                       distinguish, flip_check, format_certificate, nielsen_move,

@@ -20,19 +20,24 @@ ORDER_BOUND = 10 ** 6
 Element = tuple[int, ...]
 
 
+def _divisibility_chain(values: Iterable[int], noun: str) -> tuple[int, ...]:
+    """``values`` as ints d1 | d2 | ..., each above 1, or a ValueError
+    that calls them ``noun``."""
+    chain = tuple(map(int, values))
+    if any(d <= 1 for d in chain):
+        raise ValueError(f"{noun} must exceed 1")
+    if any(y % x for x, y in zip(chain, chain[1:])):
+        raise ValueError(f"{noun} must form a divisibility chain")
+    return chain
+
+
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
     invariant_factors: tuple[int, ...]
 
     def __post_init__(self):
-        factors = tuple(int(d) for d in self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", factors)
-        for d in factors:
-            if d <= 1:
-                raise ValueError("invariant factors must exceed 1")
-        for x, y in zip(factors, factors[1:]):
-            if y % x != 0:
-                raise ValueError("invariant factors must form a divisibility chain")
+        object.__setattr__(self, "invariant_factors",
+                           _divisibility_chain(self.invariant_factors, "invariant factors"))
 
     @property
     def order(self) -> int:

@@ -349,16 +349,3 @@ def merge_adjacent_sectors(d: MultisectionDiagram, interface: int) -> Multisecti
                       for i, j in adjacent_pairs(len(keep), d.closed))
     return _assemble(d.systems, d.reading_map, keep, d.closed, new_types)
 
-
-def genus_bound_report(d: MultisectionDiagram) -> dict[str, object]:
-    """Homology lower bound for the genus of any diagram of the same
-    4-manifold with the same boundary: the boundary's first homology
-    needs at least as many generators as the central genus provides.
-    This is a bound, not a Heegaard-genus computation."""
-    inv = d.boundary_invariants
-    bound = inv.minimal_generators
-    return {
-        "boundary_h1_rank": bound,
-        "central_genus": d.surface.genus,
-        "minimal_genus_certified": bound == d.surface.genus,
-    }

@@ -186,7 +186,7 @@ class CutSystem:
 
 
 def _check_label(label: str) -> None:
-    if " " in label or not label:
+    if label.split() != [label]:  # the one word the system line holds
         raise DiagramError("system labels must be nonempty and space-free")
     if any(c < " " or "\ud800" <= c <= "\udfff" or c in "\ufffe\uffff" for c in label):
         raise DiagramError(f"system label {label!r} holds a character XML cannot carry")
@@ -225,6 +225,8 @@ class GeometricHeegaardDiagram:
     params: tuple[int, int] | None = None
 
     def __post_init__(self):
+        if " ".join(self.name.split()) != self.name:
+            raise DiagramError("diagram names must be words separated by single spaces")
         if self.beta.surface.genus != self.genus:
             raise DiagramError("beta system lives on the wrong surface")
         if self.beta.standardizer is None:

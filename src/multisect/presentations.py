@@ -21,7 +21,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from itertools import product as iproduct
 
-from .abelian import ORDER_BOUND, FiniteAbelianGroup
+from .abelian import ORDER_BOUND, FiniteAbelianGroup, _divisibility_chain
 from .matrices import smith_normal_form
 from .words import (FormatError, Word, _LineReader, _canonical_letters,
                     _cyclic_core, _letters_inverse,
@@ -57,14 +57,8 @@ class AbelianInvariants:
     def __post_init__(self):
         if self.free_rank < 0:
             raise ValueError("free rank must be non-negative")
-        torsion = tuple(int(d) for d in self.torsion)
-        object.__setattr__(self, "torsion", torsion)
-        for d in torsion:
-            if d <= 1:
-                raise ValueError("torsion coefficients must exceed 1")
-        for x, y in zip(torsion, torsion[1:]):
-            if y % x != 0:
-                raise ValueError("torsion coefficients must form a divisibility chain")
+        object.__setattr__(self, "torsion",
+                           _divisibility_chain(self.torsion, "torsion coefficients"))
 
     def describe(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.torsion]
@@ -533,8 +527,8 @@ def parse_presentation(text: str) -> GroupPresentation:
     if gens < 0:
         raise FormatError("generator count must be non-negative", reader.pos)
     relators = []
-    while reader.peek() is not None:
-        relators.append(reader.word(reader.take(), gens))
+    while reader.peek() is not None:  # a block a line, so the first fault is named
+        relators += reader.words("", 1, gens)
         if relators[-1] != relators[-1].cyclic_reduce():
             raise FormatError("relator is not cyclically reduced", reader.pos)
     return GroupPresentation(gens, tuple(relators))

@@ -96,48 +96,37 @@ class _LineReader:
         return line
 
     def words(self, keyword: str, count: int, rank: int) -> tuple[Word, ...]:
-        """The next ``count`` lines, each ``<keyword> <word>``, as words, once
-        per distinct block and reader: its unseen texts parsed and tested
-        together, and its lines scanned only to name the first at fault."""
+        """The next ``count`` lines, each ``<keyword> <word>`` (a bare word for
+        keyword ""), as words, once per block and reader: unseen texts parsed
+        and tested together, lines scanned only to name the first at fault."""
         start = self.pos
         lines = tuple(self.lines[start:start + count])
         key = (keyword, count, rank, lines)
         words = self._blocks.get(key)
         if words is None:
-            texts = list(map(itemgetter(slice(len(keyword) + 1, None)), lines))
-            memo = self._words.setdefault(rank, {})
+            prefix = keyword and keyword + " "
+            texts = list(map(itemgetter(slice(len(prefix), None)), lines))
+            memo, tokens = self._words.setdefault(rank, {}), self._letters.setdefault(rank, {})
             try:
-                if not all(map(str.startswith, lines, repeat(keyword + " "))) or "" in texts:
+                if not all(map(str.startswith, lines, repeat(prefix))) or "" in texts:
                     raise ValueError(keyword)
                 new = list(set(texts).difference(memo))
-                letters = _word_letters(new, rank, self._letters.setdefault(rank, {}))
+                letters = _word_letters(new, rank, tokens)
                 memo.update(zip(new, map(Word._made, repeat(rank), letters)))
             except ValueError:
-                for number, line in enumerate(lines, start + 1):
-                    head, _, text = line.partition(" ")
-                    if head != keyword or not text:
+                for number, (line, text) in enumerate(zip(lines, texts), start + 1):
+                    if not line.startswith(prefix) or not text:
                         raise FormatError(f"expected '{keyword} <word>'", number)
-                    self.word(text, rank, number)
+                    try:
+                        _word_letters([text], rank, tokens)
+                    except ValueError as exc:
+                        raise FormatError(str(exc), number) from None
                 raise AssertionError(f"block at line {start + 1} failed with no line at fault")
             if len(lines) < count:
                 raise FormatError("unexpected end of file", len(self.lines) + 1)
             words = self._blocks[key] = tuple(map(memo.__getitem__, texts))
         self.pos = start + count
         return words
-
-    def word(self, text: str, rank: int, line: int | None = None) -> Word:
-        """``text``, from line ``line`` (by default the line just taken),
-        as a word, parsed as :func:`parse_word` parses it.  Each distinct
-        text and token is parsed once per rank and reader; a text that
-        raises is not kept, so each copy raises at its line."""
-        memo = self._words.setdefault(rank, {})
-        if text not in memo:
-            try:
-                letters = _word_letters([text], rank, self._letters.setdefault(rank, {}))
-            except ValueError as exc:
-                raise FormatError(str(exc), line or self.pos) from None
-            memo[text] = Word._made(rank, letters[0])
-        return memo[text]
 
     def integers(self, keyword: str, shape: str, count: int | None = None) -> tuple[int, ...]:
         """The next line as ``<keyword>`` and ``count`` integers (any number

@@ -10,9 +10,9 @@ import pytest
 from multisect.abelian import FiniteAbelianGroup
 from multisect.constructions import (MergeRefusedError, auto_cap,
                                      bisection_from_heegaard, cap_off,
-                                     double_bisection, genus_bound_report,
-                                     glue_bisections, insert_parallel_sectors,
-                                     lens_diagram, merge_adjacent_sectors)
+                                     double_bisection, glue_bisections,
+                                     insert_parallel_sectors, lens_diagram,
+                                     merge_adjacent_sectors)
 from multisect.diagrams import connected_sum, pi1_of_diagram, validate
 from multisect.matrices import smith_normal_form
 from multisect.nielsen import (GeneratingTuple, connect_tuples,
@@ -69,10 +69,9 @@ def test_criterion_2_connected_sum_scaling():
             report = validate(d, budget=200)
             assert all(v.describe() == f"Verified({n})"
                        for _, _, v in report.entries)
-            bound = genus_bound_report(d)
-            assert bound["boundary_h1_rank"] == 2 * n
-            assert bound["boundary_h1_rank"] == bound["central_genus"]
-            assert bound["minimal_genus_certified"]
+            bound = d.boundary_invariants.minimal_generators
+            assert bound == 2 * n
+            assert bound == d.surface.genus  # the minimal genus is certified
 
 
 def test_criterion_3_doubling():

@@ -11,10 +11,9 @@ import multisect.diagrams
 from multisect.constructions import (GlueMismatchError, MergeRefusedError,
                                      auto_cap, bisection_from_heegaard,
                                      bisection_from_trisection, cap_off,
-                                     double_bisection, genus_bound_report,
-                                     glue_bisections, insert_parallel_sectors,
-                                     lens_diagram, merge_adjacent_sectors,
-                                     sphere_bundle_sum_diagram)
+                                     double_bisection, glue_bisections,
+                                     insert_parallel_sectors, lens_diagram,
+                                     merge_adjacent_sectors, sphere_bundle_sum_diagram)
 from multisect.diagrams import (CutSystem, DiagramError,
                                 GeometricHeegaardDiagram, MultisectionDiagram,
                                 SurfaceModel, ValidationReport, adjacent_pairs,
@@ -23,7 +22,7 @@ from multisect.diagrams import (CutSystem, DiagramError,
                                 presentation_of_pair, read_system, readable_sides,
                                 settle_pair, stabilize, standard_alpha_system,
                                 validate)
-from multisect.nielsen import spine_tuple
+from multisect.nielsen import flip_check, spine_tuple
 from multisect.presentations import DEFAULT_TIETZE_BUDGET, AbelianInvariants, \
     GroupPresentation, SectorVerdict, abelianization, tietze_simplify, \
     verify_free_of_rank
@@ -240,10 +239,8 @@ def test_bisection_connected_sum_scaling(n):
     report = validate(d, budget=200)
     assert report.ok
     assert report.boundary[1] == AbelianInvariants(0, (5,) * (2 * n))
-    bound = genus_bound_report(d)
-    assert bound["boundary_h1_rank"] == 2 * n
-    assert bound["central_genus"] == 2 * n
-    assert bound["minimal_genus_certified"]
+    assert d.boundary_invariants.minimal_generators == 2 * n
+    assert d.surface.genus == 2 * n  # so the homology bound certifies the genus
 
 
 def test_bisection_sphere_bundle():
@@ -881,3 +878,31 @@ def test_simplified_presentations_match_along_pipeline():
     chain = glue_bisections(h, 2)
     assert simplified_shape(chain) == shape
     assert simplified_shape(cap_off(chain, auto_cap(h, 2))) == shape
+
+
+_B = bisection_from_heegaard(lens_diagram(5, 2))
+_CLOSED = cap_off(_B, _B)
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: insert_parallel_sectors(_B, 3, 1), "position does not index an interior system"),
+    (lambda: insert_parallel_sectors(_B, 1, -1), "count must be non-negative"),
+    (lambda: cap_off(_CLOSED, _B), "both diagrams must be bounded"),
+    (lambda: cap_off(_B, glue_bisections(lens_diagram(5, 2), 2)),
+     "the cap must have exactly three systems"),
+    (lambda: cap_off(_B, bisection_from_heegaard(stabilize(lens_diagram(5, 2)))),
+     "central surfaces differ"),
+    (lambda: merge_adjacent_sectors(_CLOSED, 5), "interface index out of range"),
+    (lambda: flip_check(_CLOSED), "flip check expects a bounded three-system diagram"),
+    (lambda: spine_tuple(_B, 3), "sector index out of range"),
+    (lambda: replace(_B, systems=_B.systems[:2] + _B.systems[:1]), "system labels must be distinct"),
+    (lambda: replace(_B, systems=_B.systems[:2] + (standard_alpha_system(SurfaceModel(1), "x"),)),
+     "all systems must share the central surface"),
+    (lambda: replace(_B, readings=((_B.readings[0][0], _B.readings[0][1][:-1]),)),
+     "reading (1, 2): expected one word per curve"),
+], ids=["insert-position", "insert-count", "cap-closed", "cap-systems", "cap-surface",
+        "merge-closed-interface", "flip-shape", "spine-sector", "duplicate-labels",
+        "surfaces", "reading-length"])
+def test_each_construction_refusal_names_its_fault(refused, message):
+    with pytest.raises(DiagramError, match=f"^{re.escape(message)}$"):
+        refused()

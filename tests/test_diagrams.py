@@ -331,6 +331,50 @@ def test_a_label_xml_cannot_carry_is_refused_where_a_spaced_one_is(label):
         standard_alpha_system(SurfaceModel(1)).relabelled(label)
 
 
+@pytest.mark.parametrize("label", ["g\xa0a", "g\u2028a", "g\u3000a", "g\x85a", "g\ta", "g\na"])
+def test_a_label_with_whitespace_of_any_kind_is_refused(label):
+    # the formatter would write each one, and the parser would refuse it
+    with pytest.raises(DiagramError, match="space-free"):
+        standard_alpha_system(SurfaceModel(1)).relabelled(label)
+    with pytest.raises(DiagramError, match="space-free"):
+        standard_alpha_system(SurfaceModel(1), label)
+
+
+@pytest.mark.parametrize("name", [" x", "x ", "x  y", "x\ty", "x\xa0y", "x\ny"])
+def test_a_name_that_is_not_single_spaced_words_is_refused(name):
+    with pytest.raises(DiagramError, match="words separated by single spaces"):
+        replace(lens_diagram(5, 2), name=name)
+
+
+def _xml_cannot_carry(text):
+    return any(c < " " or "\ud800" <= c <= "\udfff" or c in "\ufffe\uffff" for c in text)
+
+
+# whitespace that str.split knows and the format does not, and characters
+# the label check refuses, beside any character at all
+_ODD = st.text(st.one_of(st.sampled_from(" \t\n\r\x0b\x1c\x85\xa0\u2028\u3000\x01\ud800\ufffeg"),
+                         st.characters()), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ODD, _ODD)
+def test_every_label_and_name_the_constructors_accept_round_trips(label, name):
+    h = lens_diagram(5, 2)
+    try:
+        h = replace(h, beta=h.beta.relabelled(label), name=name)
+    except DiagramError:
+        assert label.split() != [label] or _xml_cannot_carry(label) or \
+            " ".join(name.split()) != name
+        return
+    text = format_heegaard(h)
+    assert parse_heegaard(text) == h and format_heegaard(parse_heegaard(text)) == text
+    d = bisection_from_heegaard(lens_diagram(5, 2))
+    if label not in (system.label for system in d.systems):
+        d = replace(d, systems=d.systems[:2] + (d.systems[2].relabelled(label),))
+        text = format_diagram(d)
+        assert parse_diagram(text) == d and format_diagram(parse_diagram(text)) == text
+
+
 def test_hd_round_trip(lens21):
     text = format_heegaard(lens21)
     parsed = parse_heegaard(text)

@@ -1,9 +1,10 @@
 """The token grammar has one implementation: ``words.py`` parses every
-word token and every integer, through ``_LineReader`` for files and
-``parse_word`` for single words, so no other package module names the
-token or integer parser.  A module that did would be splitting and
-parsing some line by hand, a second grammar beside the reader's.  The
-check reads each module with ``ast``, so no linter is needed."""
+word token and every integer, through ``_LineReader.words`` and
+``_LineReader.integers`` for files and ``parse_word`` for single words,
+so no other package module names the token, letters or integer parser.
+A module that did would be splitting and parsing some line by hand, a
+second grammar beside the reader's.  The check reads each module with
+``ast``, so no linter is needed."""
 
 import ast
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "multisect"
-GRAMMAR = {"_parse_token", "parse_integer"}
+GRAMMAR = {"_parse_token", "_word_letters", "parse_integer"}
 
 
 def grammar_names(source: str) -> list[str]:
@@ -29,8 +30,9 @@ def grammar_names(source: str) -> list[str]:
 
 def test_the_check_finds_the_grammar_parsers():
     source = ("from .words import parse_integer as count\n"
-              "from . import words\nwords._parse_token('g1', 1)\n")
-    assert grammar_names(source) == ["_parse_token", "parse_integer"]
+              "from . import words\nwords._parse_token('g1', 1)\n"
+              "letters = words._word_letters(['g1'], 1, {})\n")
+    assert grammar_names(source) == ["_parse_token", "_word_letters", "parse_integer"]
     assert grammar_names("def parse(text):\n    return int(text)\n") == []
 
 

@@ -175,7 +175,7 @@ class _PerLineReader(_LineReader):
         lines = self.lines[start:start + count]
         words = []
         for number, line in enumerate(lines, start + 1):
-            head, _, text = line.partition(" ")
+            head, _, text = line.partition(" ") if keyword else ("", "", line)
             if head != keyword or not text:
                 raise FormatError(f"expected '{keyword} <word>'", number)
             words.append(self.word(text, rank, number))

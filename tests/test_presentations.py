@@ -205,6 +205,9 @@ def test_presentation_text_round_trip():
     # relators that would not format back to themselves
     ("gens 1\ng1 g1 g1^-1\n", 2),
     ("gens 2\ng1\ng2 g1 g2^-1\n", 3),
+    # the first line at fault, whichever kind of relator fault comes first
+    ("gens 2\ng2 g1 g2^-1\ng1 g3\n", 2),
+    ("gens 2\ng1 g3\ng2 g1 g2^-1\n", 2),
 ])
 def test_parse_presentation_errors_name_their_line(text, line):
     with pytest.raises(FormatError) as exc:

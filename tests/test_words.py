@@ -350,7 +350,8 @@ def test_made_words_are_what_the_checked_constructor_returns(phi, w, offset, spa
         "shift": (w.shift(offset, rank + offset + spare),
                   tuple(lt + offset if lt > 0 else lt - offset for lt in w.letters)),
         "apply": (apply(phi, w), reference_apply_images([img.letters for img in phi.images], w.letters)),
-        "parse": (multisect.words._LineReader("").word(format_word(w), rank), w.letters),
+        "parse": (multisect.words._LineReader(format_word(w) + "\n").words("", 1, rank)[0],
+                  w.letters),
     }
     for site, (value, letters) in made.items():
         assert value == checked(value) == Word(value.rank, letters), site
@@ -365,12 +366,12 @@ def test_made_words_are_what_the_checked_constructor_returns(phi, w, offset, spa
 def test_parsed_words_are_refused_exactly_when_reduction_shortens_them(case):
     rank, letters = case
     text = " ".join(f"g{lt}" if lt > 0 else f"g{-lt}^-1" for lt in letters) or "1"
-    reader = multisect.words._LineReader("")
+    reader = multisect.words._LineReader(text + "\n")
     if len(Word(rank, tuple(letters))) != len(letters):
-        with pytest.raises(multisect.words.FormatError, match="not freely reduced"):
-            reader.word(text, rank, 7)
+        with pytest.raises(multisect.words.FormatError, match="^line 1: word is not freely reduced"):
+            reader.words("", 1, rank)
     else:
-        assert reader.word(text, rank, 7) == Word(rank, tuple(letters))
+        assert reader.words("", 1, rank) == (Word(rank, tuple(letters)),)
 
 
 @pytest.mark.parametrize("build", [
