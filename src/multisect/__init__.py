@@ -12,8 +12,8 @@ from .presentations import (AbelianInvariants, GroupPresentation, SectorVerdict,
                             Surjection, TietzeResult, abelianization,
                             enumerate_finite_abelian_quotients, format_presentation,
                             parse_presentation, tietze_simplify, verify_free_of_rank)
-from .words import (FreeAutomorphism, Word, apply, canonical_cyclic, compose,
-                    format_word, identity_automorphism, parse_word)
+from .words import (FreeAutomorphism, Word, apply, compose, format_word,
+                    identity_automorphism, parse_word)
 from .diagrams import (CutSystem, DiagramError, FormatError,
                        GeometricHeegaardDiagram, MultisectionDiagram, SurfaceModel,
                        ValidationReport, connected_sum, express_against,
@@ -25,9 +25,8 @@ from .constructions import (GlueMismatchError, MergeRefusedError, auto_cap,
                             cap_off, double_bisection, glue_bisections,
                             insert_parallel_sectors, lens_diagram,
                             merge_adjacent_sectors, sphere_bundle_sum_diagram)
-from .nielsen import (GeneratingTuple, NielsenCertificate, OrbitPartition,
-                      compare_sectors, connect_tuples, determinant_invariant,
-                      distinguish, flip_check, format_certificate, nielsen_move,
+from .nielsen import (NielsenCertificate, OrbitPartition, compare_sectors,
+                      connect_tuples, distinguish, flip_check, format_certificate,
                       orbit_enumerate, spine_tuple)
 
 __version__ = "0.1.0"

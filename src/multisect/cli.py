@@ -34,7 +34,7 @@ from .nielsen import (DEFAULT_QUOTIENT_BOUND, compare_sectors, distinguish,
 from .presentations import (DEFAULT_TIETZE_BUDGET, AbelianInvariants, format_presentation,
                             parse_presentation, tietze_simplify)
 from .render import diagram_to_svg
-from .words import parse_word
+from .words import parse_integer, parse_word
 
 
 def _read_text(path: str) -> tuple[str, str]:
@@ -284,9 +284,9 @@ def cmd_render(args) -> int:
 
 
 def _at_least(minimum: int):
-    """argparse type: an integer no smaller than ``minimum``."""
+    """argparse type: an integer as files write it, at least ``minimum``."""
     def parse(text: str) -> int:
-        value = int(text)
+        value = parse_integer(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
         return value
@@ -363,7 +363,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
         verb(verbs, "double", help="close a product bisection by doubling",
              read=parse_diagram, build=lambda d, _: cons.double_bisection(d))
         verb(verbs, "trisect-restrict",
-             ("--drop", dict(type=int, choices=(1, 2, 3), required=True, help="sector to forget")),
+             ("--drop", dict(type=_at_least(1), choices=(1, 2, 3), required=True, help="sector to forget")),
              help="bounded bisection from a closed 3-system diagram",
              read=parse_diagram, build=lambda d, a: cons.bisection_from_trisection(d, a.drop))
         verb(verbs, "insert", ("--position", dict(type=_at_least(1), default=2)),

@@ -39,21 +39,6 @@ DEFAULT_SEARCH_NODES = 4000
 Tuple_ = tuple[Element, ...]
 
 
-@dataclass(frozen=True)
-class GeneratingTuple:
-    group: FiniteAbelianGroup
-    elements: tuple[Element, ...]
-
-    def __post_init__(self):
-        elements = tuple(self.group.reduce(e) for e in self.elements)
-        object.__setattr__(self, "elements", elements)
-        if not self.group.generates(elements):
-            raise ValueError("tuple does not generate the group")
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
 def _move(t: tuple, move: str, mul, inv) -> tuple:
     """One elementary move on a tuple over a group given by its product
     ``mul`` and inverse ``inv``."""
@@ -76,11 +61,6 @@ def _moves_for(width: int) -> tuple[str, ...]:
 
 def _move_elements(group: FiniteAbelianGroup, t: Tuple_, move: str) -> Tuple_:
     return _move(t, move, group.add, group.neg)
-
-
-def nielsen_move(t: GeneratingTuple, move: str) -> GeneratingTuple:
-    """Apply one elementary move; the result still generates."""
-    return GeneratingTuple(t.group, _move_elements(t.group, t.elements, move))
 
 
 @dataclass(frozen=True)
@@ -175,7 +155,9 @@ def _determinant_class(det: int, m: int) -> tuple[int, ...]:
 def _unit_determinant_class(group: FiniteAbelianGroup,
                             elements: Tuple_) -> tuple[int, ...] | None:
     """+-det of the component matrix of an n-tuple in (Z/m)^n, or None if
-    it is not a unit mod m; a unit proves that the tuple generates."""
+    it is not a unit mod m; a unit proves that the tuple generates.  The
+    class is constant on move-orbits, as every move acts by an elementary
+    matrix of determinant +-1, and complete (see distinguish)."""
     factors = group.invariant_factors
     if not factors or any(d != factors[0] for d in factors):
         raise ValueError("determinant invariant needs a group (Z/m)^n")
@@ -184,16 +166,6 @@ def _unit_determinant_class(group: FiniteAbelianGroup,
         raise ValueError("tuple length must equal the group rank")
     det = determinant(elements)
     return _determinant_class(det, m) if gcd(det, m) == 1 else None
-
-
-def determinant_invariant(t: GeneratingTuple) -> tuple[int, ...]:
-    """Determinant of the component matrix modulo sign, for n-tuples in
-    (Z/m)^n: constant on move-orbits because every move acts by an
-    elementary matrix of determinant +-1, and complete (see distinguish)."""
-    found = _unit_determinant_class(t.group, t.elements)
-    if found is None:
-        raise AssertionError("generating tuple with a non-unit determinant")
-    return found
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,10 @@ __all__ = [
     "FreeAutomorphism",
     "apply",
     "compose",
-    "canonical_cyclic",
     "identity_automorphism",
     "automorphism",
     "invert_all",
     "flip_letters",
-    "relabel",
     "block_automorphism",
     "FormatError",
     "parse_integer",
@@ -286,12 +284,6 @@ def _canonical_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
     return base
 
 
-def canonical_cyclic(w: Word) -> Word:
-    """Canonical representative of the conjugacy class of ``w`` and its
-    inverse: the least rotation of either, in tuple order."""
-    return Word._made(w.rank, _canonical_letters(w.letters))
-
-
 def _signed_table(images: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     """The :func:`_substitute` table: entry k is images[k - 1], entry -k its inverse."""
     return ((), *images, *map(_letters_inverse, reversed(images)))
@@ -435,18 +427,6 @@ def flip_letters(rank: int, gens: Iterable[int]) -> FreeAutomorphism:
     _check_generators(rank, flip)
     images = tuple(Word._made(rank, (-k if k in flip else k,)) for k in range(1, rank + 1))
     return _proven(rank, images, images)
-
-
-def relabel(rank: int, mapping: Mapping[int, int]) -> FreeAutomorphism:
-    """Permute generators: generator k maps to generator mapping[k]."""
-    _check_generators(rank, mapping)
-    perm = {k: mapping.get(k, k) for k in range(1, rank + 1)}
-    if sorted(perm.values()) != list(range(1, rank + 1)):
-        raise ValueError("relabeling is not a permutation")
-    images = tuple(Word._made(rank, (perm[k],)) for k in range(1, rank + 1))
-    # generator perm[k] goes back to k: the generators in order of their images
-    inverse = tuple(Word._made(rank, (k,)) for k in sorted(perm, key=perm.__getitem__))
-    return _proven(rank, images, inverse)
 
 
 def block_automorphism(blocks: Iterable[FreeAutomorphism]) -> FreeAutomorphism:

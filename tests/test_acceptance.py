@@ -15,9 +15,8 @@ from multisect.constructions import (MergeRefusedError, auto_cap,
                                      merge_adjacent_sectors)
 from multisect.diagrams import connected_sum, pi1_of_diagram, validate
 from multisect.matrices import smith_normal_form
-from multisect.nielsen import (GeneratingTuple, connect_tuples,
-                               determinant_invariant, distinguish,
-                               orbit_enumerate, _move_elements, MOVES)
+from multisect.nielsen import (connect_tuples, distinguish, orbit_enumerate,
+                               _move_elements, _unit_determinant_class, MOVES)
 from multisect.presentations import (AbelianInvariants, GroupPresentation,
                                      abelianization, tietze_simplify)
 from multisect.words import Word
@@ -135,9 +134,8 @@ def test_criterion_6_orbit_oracle_equivalence():
                 partition = orbit_enumerate(group, n)
                 by_orbit = []
                 for oid, members in partition.orbits:
-                    classes = {determinant_invariant(GeneratingTuple(group, m))
-                               for m in members}
-                    assert len(classes) == 1
+                    classes = {_unit_determinant_class(group, m) for m in members}
+                    assert len(classes) == 1 and None not in classes
                     by_orbit.append(next(iter(classes)))
                 assert len(set(by_orbit)) == len(by_orbit)
 
@@ -185,8 +183,9 @@ def test_criterion_7_certificate_soundness():
             while True:
                 t1 = random_generating(group)
                 t2 = random_generating(group)
-                c1 = determinant_invariant(GeneratingTuple(group, t1))
-                c2 = determinant_invariant(GeneratingTuple(group, t2))
+                c1 = _unit_determinant_class(group, t1)
+                c2 = _unit_determinant_class(group, t2)
+                assert None not in (c1, c2)
                 if c1 != c2:
                     break
             assert partition.orbit_of[t1] != partition.orbit_of[t2]
@@ -276,7 +275,7 @@ def test_criterion_9_synthetic_demonstration_note():
         assert cert.verdict == "distinct"
         assert cert.quotient.invariant_factors == (5, 5)
         group = cert.quotient
-        c1 = determinant_invariant(GeneratingTuple(group, cert.image1))
-        c2 = determinant_invariant(GeneratingTuple(group, cert.image2))
+        c1 = _unit_determinant_class(group, cert.image1)
+        c2 = _unit_determinant_class(group, cert.image2)
         assert {c1, c2} == {(1, 4), (2, 3)}
         assert cert.replay()

@@ -135,6 +135,21 @@ def test_drop_names_a_sector_of_a_trisection(capsys):
     assert "argument --drop: invalid choice: 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["1_0", " 1", "١", "+1", "01"])
+@pytest.mark.parametrize("argv", [
+    ("construct", "lens", "--q", 1, "--p"),
+    ("construct", "glue", "-i", "missing.hd", "--copies"),
+    ("construct", "trisect-restrict", "-i", "missing.msd", "--drop"),
+], ids=["p", "copies", "drop"])
+def test_integer_flags_take_the_one_integer_grammar_of_files(argv, text, capsys):
+    # int() reads each of these, but a file refuses them and str() never
+    # writes them, so a flag refuses them too
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, text)
+    assert exc.value.code == 2
+    assert f"argument {argv[-1]}: invalid int value: {text!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("verb", ["validate", "pi1"])
 @pytest.mark.parametrize("budget", [0, -4])
 def test_budget_is_checked_before_input_is_read(verb, budget, tmp_path, capsys):

@@ -28,7 +28,7 @@ from multisect.presentations import DEFAULT_TIETZE_BUDGET, AbelianInvariants, \
     verify_free_of_rank
 from multisect.words import (FreeAutomorphism, Word, apply, automorphism,
                              block_automorphism, compose, flip_letters,
-                             identity_automorphism, invert_all, relabel)
+                             identity_automorphism, invert_all)
 
 
 def nsum(h, n):
@@ -116,9 +116,9 @@ def _transport_alpha_and_gamma(h):
     g, half = h.genus, 2 * h.genus
     rank = 2 * half
     surface = SurfaceModel(half)
-    swap = {k: k + half for k in range(1, half + 1)}
-    swap.update({k + half: k for k in range(1, half + 1)})
-    tau = compose(invert_all(rank), relabel(rank, swap))
+    swap = {k: (k + half,) for k in range(1, half + 1)}
+    swap.update({k + half: (k,) for k in range(1, half + 1)})
+    tau = compose(invert_all(rank), automorphism(rank, swap, swap))
     assert all(apply(tau, img) == Word(rank, (k,))
                for k, img in enumerate(tau.images, 1))
     alpha_curves = tuple(Word(rank, (2 * i - 1,)) for i in range(1, g + 1)) + \
@@ -861,17 +861,17 @@ def test_pi1_preserved_along_pipeline():
 
 def test_simplified_presentations_match_along_pipeline():
     from multisect.presentations import tietze_simplify
-    from multisect.words import canonical_cyclic
+    from multisect.words import _canonical_letters
 
     def simplified_shape(d):
         pres = tietze_simplify(pi1_of_diagram(d)).presentation
         return (pres.generator_count,
-                sorted(canonical_cyclic(r).letters for r in pres.relators))
+                sorted(_canonical_letters(r.letters) for r in pres.relators))
 
     h = lens_diagram(2, 1)
     b = bisection_from_heegaard(h)
     shape = simplified_shape(b)
-    assert shape == (1, [canonical_cyclic(Word(1, (1, 1))).letters])
+    assert shape == (1, [_canonical_letters((1, 1))])
     d4 = double_bisection(b)
     assert simplified_shape(d4) == shape
     assert simplified_shape(insert_parallel_sectors(d4, 2, 1)) == shape

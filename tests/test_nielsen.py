@@ -15,12 +15,12 @@ from multisect.constructions import (bisection_from_heegaard, double_bisection,
                                      lens_diagram)
 from multisect.diagrams import (CutSystem, DiagramError, MultisectionDiagram,
                                 SurfaceModel, connected_sum)
-from multisect.nielsen import (DEFAULT_SEARCH_NODES, GeneratingTuple,
-                               NielsenCertificate, _free_smith_diagonal, _moves_for,
-                               _path, _search, apply_word_move, compare_sectors,
-                               connect_tuples, determinant_invariant, distinguish,
-                               flip_check, format_certificate, free_tuple_search,
-                               nielsen_move, orbit_enumerate, spine_tuple)
+from multisect.nielsen import (DEFAULT_SEARCH_NODES, MOVES, NielsenCertificate,
+                               _free_smith_diagonal, _move_elements, _moves_for,
+                               _path, _search, _unit_determinant_class,
+                               apply_word_move, compare_sectors, connect_tuples,
+                               distinguish, flip_check, format_certificate,
+                               free_tuple_search, orbit_enumerate, spine_tuple)
 from multisect.presentations import (GroupPresentation, abelianization,
                                      enumerate_finite_abelian_quotients, tietze_simplify)
 from multisect.words import Word, format_word, identity_automorphism
@@ -32,31 +32,27 @@ def z(n, *factors):
     return FiniteAbelianGroup(tuple(factors) if factors else (n,))
 
 
-def test_generating_tuple_validation():
-    g = FiniteAbelianGroup((5, 5))
-    GeneratingTuple(g, ((1, 0), (0, 1)))
-    with pytest.raises(ValueError):
-        GeneratingTuple(g, ((1, 0), (2, 0)))
-
-
 def test_nielsen_move_examples():
     g = FiniteAbelianGroup((5, 5))
-    t = GeneratingTuple(g, ((1, 0), (0, 1)))
-    assert nielsen_move(t, "swap12").elements == ((0, 1), (1, 0))
-    assert nielsen_move(t, "mult12").elements == ((1, 1), (0, 1))
-    twice = nielsen_move(nielsen_move(t, "invert1"), "invert1")
-    assert twice.elements == t.elements
-    assert nielsen_move(t, "cycle").elements == ((0, 1), (1, 0))
+    t = ((1, 0), (0, 1))
+    assert _move_elements(g, t, "swap12") == ((0, 1), (1, 0))
+    assert _move_elements(g, t, "mult12") == ((1, 1), (0, 1))
+    assert _move_elements(g, t, "invert1") == ((4, 0), (0, 1))
+    twice = _move_elements(g, _move_elements(g, t, "invert1"), "invert1")
+    assert twice == t
+    assert _move_elements(g, t, "cycle") == ((0, 1), (1, 0))
+    # a move keeps a generating tuple generating
+    assert all(g.generates(_move_elements(g, t, m)) for m in MOVES)
 
 
 def test_nielsen_move_small_tuple_errors():
     g = FiniteAbelianGroup((5,))
-    t = GeneratingTuple(g, ((1,),))
+    t = ((1,),)
     with pytest.raises(ValueError):
-        nielsen_move(t, "swap12")
+        _move_elements(g, t, "swap12")
     with pytest.raises(ValueError):
-        nielsen_move(t, "mult12")
-    assert nielsen_move(t, "cycle").elements == t.elements
+        _move_elements(g, t, "mult12")
+    assert _move_elements(g, t, "cycle") == t
 
 
 def test_orbit_enumerate_z5():
@@ -102,31 +98,31 @@ def test_orbit_ids_are_minimal_members():
 
 def test_determinant_invariant_examples():
     g = FiniteAbelianGroup((5, 5))
-    ident = GeneratingTuple(g, ((1, 0), (0, 1)))
-    assert determinant_invariant(ident) == (1, 4)
-    other = GeneratingTuple(g, ((2, 0), (0, 1)))
-    assert determinant_invariant(other) == (2, 3)
+    assert _unit_determinant_class(g, ((1, 0), (0, 1))) == (1, 4)
+    assert _unit_determinant_class(g, ((2, 0), (0, 1))) == (2, 3)
+    # a pair that does not generate has determinant 0, no unit
+    assert not g.generates(((1, 0), (2, 0)))
+    assert _unit_determinant_class(g, ((1, 0), (2, 0))) is None
 
 
 def test_determinant_invariant_shape_errors():
     # composite moduli are allowed; mixed factors are not
-    assert determinant_invariant(GeneratingTuple(FiniteAbelianGroup((4,)), ((1,),))) == (1, 3)
+    assert _unit_determinant_class(FiniteAbelianGroup((4,)), ((1,),)) == (1, 3)
     with pytest.raises(ValueError):
-        determinant_invariant(GeneratingTuple(FiniteAbelianGroup((2, 4)),
-                                              ((1, 0), (0, 1))))
+        _unit_determinant_class(FiniteAbelianGroup((2, 4)), ((1, 0), (0, 1)))
     g = FiniteAbelianGroup((5,))
-    t = GeneratingTuple(g, ((1,), (2,)))
+    assert g.generates(((1,), (2,)))
     with pytest.raises(ValueError):
-        determinant_invariant(t)
+        _unit_determinant_class(g, ((1,), (2,)))
 
 
 def test_determinant_matches_orbits_exhaustively():
     g = FiniteAbelianGroup((5, 5))
     part = orbit_enumerate(g, 2)
     for oid, members in part.orbits:
-        classes = {determinant_invariant(GeneratingTuple(g, m)) for m in members}
-        assert len(classes) == 1
-    ids = [determinant_invariant(GeneratingTuple(g, oid)) for oid, _ in part.orbits]
+        classes = {_unit_determinant_class(g, m) for m in members}
+        assert len(classes) == 1 and None not in classes
+    ids = [_unit_determinant_class(g, oid) for oid, _ in part.orbits]
     assert len(set(ids)) == len(ids)
 
 
@@ -503,7 +499,6 @@ def test_randomized_certificate_soundness():
             if g.generates(t1):
                 break
         t2 = t1
-        from multisect.nielsen import _move_elements, MOVES
         for _ in range(rng.randint(0, 6)):
             move = rng.choice([m for m in MOVES
                                if n >= 2 or m in ("cycle", "invert1")])
@@ -656,9 +651,9 @@ def test_free_abelianization_skips_the_search_on_unreachable_pairs(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2])
 def test_determinant_classes_are_the_orbits_for_composite_moduli(m, n):
     group = FiniteAbelianGroup((m,) * n)
-    classes = [{determinant_invariant(GeneratingTuple(group, t)) for t in members}
+    classes = [{_unit_determinant_class(group, t) for t in members}
                for _, members in orbit_enumerate(group, n).orbits]
-    assert all(len(c) == 1 for c in classes)
+    assert all(len(c) == 1 and None not in c for c in classes)
     assert len({c.pop() for c in classes}) == len(classes)
 
 

@@ -14,7 +14,7 @@ from multisect.diagrams import (CutSystem, GeometricHeegaardDiagram,
                                 read_system, validate)
 from multisect.presentations import abelianization
 from multisect.words import (FreeAutomorphism, Word, apply, automorphism, compose,
-                             flip_letters, identity_automorphism, relabel)
+                             flip_letters, identity_automorphism)
 
 
 def random_heegaard(rng, genus):
@@ -35,7 +35,7 @@ def random_heegaard(rng, genus):
             elif kind < 0.8:
                 step = flip_letters(rank, {i})
             else:
-                step = relabel(rank, {i: j, j: i})
+                step = automorphism(rank, {i: (j,), j: (i,)}, {i: (j,), j: (i,)})
             phi = compose(step, phi)
         curves = tuple(apply(phi, Word(rank, (2 * k - 1,)))
                        for k in range(1, genus + 1))
