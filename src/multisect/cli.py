@@ -3,10 +3,9 @@
 Every verb is a thin adapter over the library: files are parsed, one
 library call runs, and the result is serialized or reported.  Each verb
 is declared once, in :func:`build_parser`, with its flags, its input
-reader and its library call.  A command line builds the parser of only
-the verbs it names: argparse enters a verb only on an exact token (no
-verb has an alias, no argument is read from a file) and reads only the
-name and help line of any other verb.  Reports are byte-stable for
+reader and its library call.  A command line builds one parser, its
+verb's, with the ``prog`` and defaults it would have under the top, so
+help, usage and error text are unchanged.  Reports are byte-stable for
 fixed inputs and flags.  Diagram and presentation formats are the ones
 defined next to their types; stdin/stdout piping uses '-' (the default).
 
@@ -22,7 +21,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import reduce
 
 from . import constructions as cons
 from .diagrams import (FormatError, GeometricHeegaardDiagram,
@@ -129,12 +127,6 @@ def cmd_construct(args) -> int:
         types = " ".join(str(k) for k in out.claimed_types)
         _echo(f"{shape} diagram genus {out.surface.genus} types {types}")
     return 0
-
-
-def _stabilized(h: GeometricHeegaardDiagram, args) -> GeometricHeegaardDiagram:
-    for _ in range(args.times):
-        h = stabilize(h)
-    return h
 
 
 def _glued(h: GeometricHeegaardDiagram, args) -> MultisectionDiagram:
@@ -294,123 +286,144 @@ def _at_least(minimum: int):
     return parse
 
 
-def build_parser(argv) -> argparse.ArgumentParser:
-    """The parser of the command line ``argv``.  Each verb is declared
-    here once: its flags, its handler ``run``, and for a construct verb
-    its input reader ``read`` and its construction ``build(input, args)``.
-    Readers and handlers are looked up on every call, so a rebinding of
-    the module globals (a test double, the benchmark's tracer) takes
-    effect.  Every verb is a name and a help line, so help, usage and
-    invalid-choice errors list them all, and argparse reads no more of a
-    verb it does not enter; a verb gets its parser, defaults and flags
-    only when it is one of argv's tokens, and the construct verbs only
-    when ``construct`` is.  That is exact: argparse enters a subcommand
-    only on an exact token, and no verb has an alias and the parser no
-    ``fromfile_prefix_chars``, so the verb entered has its parser."""
+def _add_flags(parser, flags) -> None:
+    """Add each flag, (*names, add_argument options); a list of flags is
+    one mutually exclusive group."""
+    for flag in flags:
+        if isinstance(flag, list):
+            _add_flags(parser.add_mutually_exclusive_group(), flag)
+        else:
+            parser.add_argument(*flag[:-1], **flag[-1])
+
+
+def build_parser(argv) -> tuple[argparse.ArgumentParser, int]:
+    """The parser of the command line ``argv``, and how many of argv's
+    leading tokens name its verb (0: the parser is the top).  Each verb is
+    declared here once, in one table: its help line, the defaults that
+    bind its handler ``run`` (a construct verb's also bind its reader
+    ``read``, None if it reads no input, and its construction
+    ``build(input, args)``), and its flags, or construct's own verbs.  The
+    table is built on every call, so a rebinding of the module globals (a
+    test double, the benchmark's tracer) takes effect.
+
+    A line led by a verb (``validate ...``, ``construct glue ...``) builds
+    that verb's parser alone, with the ``prog`` argparse gives it and the
+    defaults of the levels it passes through.  That is exact: argparse
+    enters a subcommand only on an exact token, no verb has an alias, no
+    argument is read from a file, and a level above a verb has no option
+    but ``-h`` and hands it every later token.  Any other line builds the
+    levels it enters from the top, where every verb is a name and a help
+    line and has its parser only if it is one of argv's tokens."""
+    source = ("-i", "--input", dict(default="-", help="input file ('-' for stdin)"))
+    sink = ("-o", "--output", dict(default="-", help="output file ('-' for stdout)"))
+    budget = ("--budget", dict(type=_at_least(1), default=DEFAULT_TIETZE_BUDGET,
+                               help="Tietze moves before giving up"))
+
+    def make(help, read, build, *flags):
+        """A construct verb's entry: its flags, then -i (unless ``read`` is None) and -o."""
+        return help, dict(read=read, build=build), (*flags, *((source,) if read else ()), sink)
+
+    verbs = {
+        "construct": ("build diagrams", dict(run=cmd_construct), {
+            "lens": make("lens space Heegaard diagram", None,
+                         lambda _, a: cons.lens_diagram(a.p, a.q),
+                         ("--p", dict(type=_at_least(1), required=True)),
+                         ("--q", dict(type=_at_least(1), required=True))),
+            "sum": make("connected sum of copies of one Heegaard diagram", parse_heegaard,
+                        lambda h, a: connected_sum(*[h] * a.copies),
+                        ("--copies", dict(type=_at_least(1), default=2, help="number of copies"))),
+            "mirror": make("orientation-reversed Heegaard diagram", parse_heegaard,
+                           lambda h, _: mirror(h)),
+            "stabilize": make("add trivial handles to a Heegaard diagram", parse_heegaard,
+                              lambda h, a: stabilize(h, a.times),
+                              ("--times", dict(type=_at_least(0), default=1, help="stabilizations"))),
+            "bisect": make("product bisection of a Heegaard diagram", parse_heegaard,
+                           lambda h, _: cons.bisection_from_heegaard(h)),
+            "double": make("close a product bisection by doubling", parse_diagram,
+                           lambda d, _: cons.double_bisection(d)),
+            "trisect-restrict": make(
+                "bounded bisection from a closed 3-system diagram", parse_diagram,
+                lambda d, a: cons.bisection_from_trisection(d, a.drop),
+                ("--drop", dict(type=_at_least(1), choices=(1, 2, 3), required=True,
+                                help="sector to forget"))),
+            "insert": make("insert parallel sectors", parse_diagram,
+                           lambda d, a: cons.insert_parallel_sectors(d, a.position, a.count),
+                           ("--position", dict(type=_at_least(1), default=2)),
+                           ("--count", dict(type=_at_least(0), required=True))),
+            "glue": make("chain copies of one bisection", parse_heegaard, _glued,
+                         ("--copies", dict(type=_at_least(1), required=True)),
+                         ("--cap", dict(choices=["auto", "none"], default="none"))),
+            "merge": make("merge across one interface", parse_diagram,
+                          lambda d, a: cons.merge_adjacent_sectors(d, a.interface),
+                          ("--interface", dict(type=_at_least(1), required=True))),
+        }),
+        "validate": ("check sector structure", dict(run=cmd_validate), (budget, source, sink)),
+        "pi1": ("fundamental group of the diagram", dict(run=cmd_pi1), (budget, source, sink)),
+        "homology": ("abelian invariants", dict(run=cmd_homology), (source, sink)),
+        "distinguish": ("Nielsen-class comparison", dict(run=cmd_distinguish), (
+            [("--presentation", dict(help="presentation text file")),
+             ("--flip", dict(action="store_true",
+                             help="compare the two sectors of one bounded bisection")),
+             ("--diagram2", dict(help="second diagram file"))],
+            ("--tuple1", dict(help="comma-separated words")),
+            ("--tuple2", dict(help="comma-separated words")),
+            ("--diagram", dict(help="diagram file")),
+            ("--sector", dict(type=_at_least(1), help="default 1")),
+            ("--sector2", dict(type=_at_least(0), help="0 or unset: as --sector")),
+            ("--bound", dict(type=_at_least(1), default=DEFAULT_QUOTIENT_BOUND,
+                             help="largest witness quotient order m^n")),
+            ("-o", "--output", dict(default="-")))),
+        "render": ("schematic SVG chord diagram", dict(run=cmd_render), (
+            ("--svg", dict(default="-", help="output file ('-' for stdout)")),
+            ("--size", dict(type=_at_least(1), default=640)), source)),
+    }
+
+    path, defaults, body = [], {}, verbs
+    for token, dest in zip(argv, ("command", "verb")):
+        if not isinstance(body, dict) or token not in body:
+            break
+        path.append(token)
+        _, own, body = body[token]
+        defaults.update({dest: token}, **own)
+    if path and not isinstance(body, dict):
+        parser = argparse.ArgumentParser(prog=" ".join(["multisect", *path]))
+        parser.set_defaults(**defaults)
+        _add_flags(parser, body)
+        return parser, len(path)
+
     named = set(argv)
 
     def entered_only(entered, **options):
         """A parser for a verb argv names, else None; argparse's options pass untouched."""
         return argparse.ArgumentParser(**options) if entered else None
 
-    parser = argparse.ArgumentParser(
+    def levels(parser, verbs, dest):
+        """``parser`` with a subcommand for each of ``verbs``, which has
+        its parser only if argv names it."""
+        sub = parser.add_subparsers(dest=dest, required=True, parser_class=entered_only)
+        for name, (help, own, body) in verbs.items():
+            p = sub.add_parser(name, help=help, entered=name in named)
+            if p is not None:
+                p.set_defaults(**own)
+                if isinstance(body, dict):
+                    levels(p, body, "verb")
+                else:
+                    _add_flags(p, body)
+        return parser
+
+    return levels(argparse.ArgumentParser(
         prog="multisect",
         description="Construct, validate, and distinguish multisection "
-                    "diagrams of 4-manifolds.")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=entered_only)
-
-    def declare(group, name, help=None, **defaults):
-        """A verb's help line and, if argv names it, its parser with the
-        defaults that bind its handler ``run``, or a construct verb's reader
-        ``read`` (None: it reads no input) and construction ``build(input,
-        args)``; the parser is returned to take its flags, or None."""
-        p = group.add_parser(name, entered=name in named, **({"help": help} if help else {}))
-        if p is not None:
-            p.set_defaults(**defaults)
-        return p
-
-    def verb(group, name, *flags, help=None, **defaults):
-        """Declare one verb with its flags, each (name, add_argument
-        options), then -i (unless ``read`` is None) and -o."""
-        p = declare(group, name, help, **defaults)
-        if p is None:
-            return
-        for flag, options in flags:
-            p.add_argument(flag, **options)
-        if defaults.get("read", True):
-            p.add_argument("-i", "--input", default="-", help="input file ('-' for stdin)")
-        p.add_argument("-o", "--output", default="-", help="output file ('-' for stdout)")
-
-    construct = declare(sub, "construct", "build diagrams", run=cmd_construct)
-    if construct is not None:
-        verbs = construct.add_subparsers(dest="verb", required=True, parser_class=entered_only)
-        verb(verbs, "lens", ("--p", dict(type=_at_least(1), required=True)),
-             ("--q", dict(type=_at_least(1), required=True)),
-             help="lens space Heegaard diagram",
-             read=None, build=lambda _, a: cons.lens_diagram(a.p, a.q))
-        verb(verbs, "sum",
-             ("--copies", dict(type=_at_least(1), default=2, help="number of copies")),
-             help="connected sum of copies of one Heegaard diagram",
-             read=parse_heegaard, build=lambda h, a: reduce(connected_sum, [h] * a.copies))
-        verb(verbs, "mirror", help="orientation-reversed Heegaard diagram",
-             read=parse_heegaard, build=lambda h, _: mirror(h))
-        verb(verbs, "stabilize",
-             ("--times", dict(type=_at_least(0), default=1, help="stabilizations")),
-             help="add trivial handles to a Heegaard diagram",
-             read=parse_heegaard, build=_stabilized)
-        verb(verbs, "bisect", help="product bisection of a Heegaard diagram",
-             read=parse_heegaard, build=lambda h, _: cons.bisection_from_heegaard(h))
-        verb(verbs, "double", help="close a product bisection by doubling",
-             read=parse_diagram, build=lambda d, _: cons.double_bisection(d))
-        verb(verbs, "trisect-restrict",
-             ("--drop", dict(type=_at_least(1), choices=(1, 2, 3), required=True, help="sector to forget")),
-             help="bounded bisection from a closed 3-system diagram",
-             read=parse_diagram, build=lambda d, a: cons.bisection_from_trisection(d, a.drop))
-        verb(verbs, "insert", ("--position", dict(type=_at_least(1), default=2)),
-             ("--count", dict(type=_at_least(0), required=True)),
-             help="insert parallel sectors", read=parse_diagram,
-             build=lambda d, a: cons.insert_parallel_sectors(d, a.position, a.count))
-        verb(verbs, "glue", ("--copies", dict(type=_at_least(1), required=True)),
-             ("--cap", dict(choices=["auto", "none"], default="none")),
-             help="chain copies of one bisection", read=parse_heegaard, build=_glued)
-        verb(verbs, "merge", ("--interface", dict(type=_at_least(1), required=True)),
-             help="merge across one interface", read=parse_diagram,
-             build=lambda d, a: cons.merge_adjacent_sectors(d, a.interface))
-
-    budget = ("--budget", dict(type=_at_least(1), default=DEFAULT_TIETZE_BUDGET,
-                               help="Tietze moves before giving up"))
-    verb(sub, "validate", budget, help="check sector structure", run=cmd_validate)
-    verb(sub, "pi1", budget, help="fundamental group of the diagram", run=cmd_pi1)
-    verb(sub, "homology", help="abelian invariants", run=cmd_homology)
-
-    dist = declare(sub, "distinguish", "Nielsen-class comparison", run=cmd_distinguish)
-    if dist is not None:
-        mode = dist.add_mutually_exclusive_group()
-        mode.add_argument("--presentation", help="presentation text file")
-        mode.add_argument("--flip", action="store_true",
-                          help="compare the two sectors of one bounded bisection")
-        mode.add_argument("--diagram2", help="second diagram file")
-        dist.add_argument("--tuple1", help="comma-separated words")
-        dist.add_argument("--tuple2", help="comma-separated words")
-        dist.add_argument("--diagram", help="diagram file")
-        dist.add_argument("--sector", type=_at_least(1), help="default 1")
-        dist.add_argument("--sector2", type=_at_least(0), help="0 or unset: as --sector")
-        dist.add_argument("--bound", type=_at_least(1), default=DEFAULT_QUOTIENT_BOUND,
-                          help="largest witness quotient order m^n")
-        dist.add_argument("-o", "--output", default="-")
-
-    render = declare(sub, "render", "schematic SVG chord diagram", run=cmd_render)
-    if render is not None:
-        render.add_argument("--svg", default="-", help="output file ('-' for stdout)")
-        render.add_argument("--size", type=_at_least(1), default=640)
-        render.add_argument("-i", "--input", default="-", help="input file ('-' for stdin)")
-
-    return parser
+                    "diagrams of 4-manifolds."), verbs, "command"), 0
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    parser, used = build_parser(argv)
+    args, extra = parser.parse_known_args(argv[used:])
+    if extra:  # argparse words leftover arguments at the top of the tree
+        (build_parser([])[0] if used else parser).error(
+            "unrecognized arguments: " + " ".join(extra))
     try:
         code = args.run(args)
         # a reader that closed early shows up here, not at interpreter exit

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
+from itertools import accumulate
 
 from .presentations import (AbelianInvariants, GroupPresentation, SectorVerdict,
                             TietzeResult, abelianization, tietze_simplify,
@@ -252,18 +253,17 @@ class GeometricHeegaardDiagram:
         return abelianization(self.pi1_presentation())
 
 
-def connected_sum(h1: GeometricHeegaardDiagram,
-                  h2: GeometricHeegaardDiagram) -> GeometricHeegaardDiagram:
-    """Connected sum: genus adds, curves of the second summand move into
-    fresh handles, standardizers combine blockwise."""
-    g = h1.genus + h2.genus
-    surface = SurfaceModel(g)
-    shifted = tuple(c.shift(2 * h1.genus, surface.rank) for c in h2.beta.curves)
-    kept = tuple(Word(surface.rank, c.letters) for c in h1.beta.curves)
-    std = block_automorphism([h1.beta.standardizer, h2.beta.standardizer])
-    name = f"{h1.name}#{h2.name}" if h1.name and h2.name else (h1.name or h2.name)
-    beta = CutSystem(surface, kept + shifted, std, "beta")
-    return GeometricHeegaardDiagram(g, beta, name, None)
+def connected_sum(*hs: GeometricHeegaardDiagram) -> GeometricHeegaardDiagram:
+    """Connected sum: genus adds, the curves of each summand move once
+    into its own run of handles, standardizers combine blockwise, and the
+    names join with ``#`` (an unnamed summand adds nothing)."""
+    offsets = accumulate((2 * h.genus for h in hs), initial=0)
+    surface = SurfaceModel(sum(h.genus for h in hs))
+    curves = tuple(c.shift(offset, surface.rank) for h, offset in zip(hs, offsets)
+                   for c in h.beta.curves)
+    std = block_automorphism([h.beta.standardizer for h in hs])
+    name = "#".join(h.name for h in hs if h.name)
+    return GeometricHeegaardDiagram(surface.genus, CutSystem(surface, curves, std, "beta"), name)
 
 
 def mirror(h: GeometricHeegaardDiagram) -> GeometricHeegaardDiagram:
@@ -280,13 +280,14 @@ def mirror(h: GeometricHeegaardDiagram) -> GeometricHeegaardDiagram:
     return GeometricHeegaardDiagram(h.genus, beta, name, None)
 
 
-def stabilize(h: GeometricHeegaardDiagram) -> GeometricHeegaardDiagram:
-    """Add a trivial handle: the connected sum with the genus-1 diagram
-    of S3 whose curve is the b-type letter, so the new dual generator
-    acquires a killing relator.  Name and parameters are kept."""
+def stabilize(h: GeometricHeegaardDiagram, times: int = 1) -> GeometricHeegaardDiagram:
+    """Add ``times`` trivial handles in one connected sum with as many
+    genus-1 diagrams of S3, each with the b-type letter as its curve, so
+    each new dual generator acquires a killing relator.  Name and
+    parameters are kept."""
     beta = CutSystem(SurfaceModel(1), (Word(2, (2,)),), identity_automorphism(2), "beta")
     sphere = GeometricHeegaardDiagram(1, beta)
-    return replace(connected_sum(h, sphere), params=h.params)
+    return replace(connected_sum(h, *[sphere] * times), params=h.params)
 
 
 Pair = tuple[int, int]

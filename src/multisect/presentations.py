@@ -86,11 +86,15 @@ def same_relators(p: GroupPresentation, q: GroupPresentation) -> bool:
     """Whether ``p`` and ``q`` have the same generator count and the same
     set of non-trivial relators, each up to rotation and inversion.  A
     rotation is a conjugate and an inverse has the same normal closure,
-    so both present one group."""
-    def classes(pres: GroupPresentation) -> set[tuple[int, ...]]:
-        return {_canonical_letters(r.letters) for r in pres.relators} - {()}
+    so both present one group.  Equal sets of relator letters have equal
+    classes, so the classes are computed only when the letters differ."""
+    def letters(pres: GroupPresentation) -> set[tuple[int, ...]]:
+        return {r.letters for r in pres.relators} - {()}
 
-    return p.generator_count == q.generator_count and classes(p) == classes(q)
+    if p.generator_count != q.generator_count:
+        return False
+    mine, theirs = letters(p), letters(q)
+    return mine == theirs or {*map(_canonical_letters, mine)} == {*map(_canonical_letters, theirs)}
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ import multisect.diagrams
 import multisect.matrices
 import multisect.nielsen
 import multisect.presentations
+import multisect.words
 from multisect.cli import build_parser, main
 from multisect.constructions import (bisection_from_heegaard, double_bisection,
                                      insert_parallel_sectors, lens_diagram)
@@ -512,6 +513,26 @@ def test_sum_mirror_stabilize(lens_hd, tmp_path):
     assert parse_heegaard((tmp_path / "s.hd").read_text()).genus == 3
 
 
+def test_construct_sum_shifts_each_word_once(tmp_path, monkeypatch):
+    # one n-ary sum moves each copy's curves and standardizer images into
+    # the final rank once, so the shifts double with the copies; a left
+    # fold of binary sums re-shifted the sum so far at every step (29,500,
+    # 116,620 and 463,660 shifts at 60, 120 and 240 copies)
+    base = tmp_path / "base.hd"
+    base.write_text(format_heegaard(connected_sum(*(lens_diagram(5, q) for q in range(1, 5)))))
+    shifts, shift = [], multisect.words.Word.shift
+
+    def counting(self, offset, rank):
+        shifts[-1] += 1
+        return shift(self, offset, rank)
+
+    monkeypatch.setattr(multisect.words.Word, "shift", counting)
+    for copies in (60, 120, 240):
+        shifts.append(0)
+        assert run("construct", "sum", "--copies", copies, "-i", base, "-o", tmp_path / "s.hd") == 0
+    assert shifts == [1200, 2400, 4800]
+
+
 def test_trisect_restrict(tmp_path):
     from multisect.diagrams import (CutSystem, MultisectionDiagram, SurfaceModel,
                                     standard_alpha_system)
@@ -815,6 +836,13 @@ EVERY_VERB = ("construct", "lens", "sum", "mirror", "stabilize", "bisect", "doub
               "homology", "distinguish", "render")
 
 
+def every_verb_parser(_argv):
+    """The parser of every verb, entered from the top: a line not led by a
+    verb builds the levels it enters from the top, with the parser of
+    every verb it names."""
+    return build_parser(["--", *EVERY_VERB])
+
+
 def _outcome(argv, capsys):
     """Exit code, stdout and stderr of one command line."""
     try:
@@ -855,16 +883,19 @@ def test_help_of_a_fresh_process_is_pinned(line):
     "distinguish --flip --presentation p.txt", "render --size 0", "render --svg",
     "--he", "--hel validate", "construct --he glue", "validate --he",
     "construct frobnicate -h", "construct glue --copies 2 lens",
-    "distinguish --fl --diagram x", *HELP_DIGESTS])
+    "distinguish --fl --diagram x", "construct lens --p 5 --q 2 extra",
+    "construct glue --copies 2 --bogus -i missing.hd", "pi1 --budget 1 --budget 2",
+    *HELP_DIGESTS])
 def test_a_command_line_runs_as_under_a_parser_of_every_verb(line, tmp_path,
                                                              monkeypatch, capsys):
-    # argparse enters a verb only on an exact token, so of a verb a
-    # command line does not name it reads only the name and help line
+    # a line led by a verb builds that verb's parser alone, any other the
+    # levels it enters with the verbs it names; both end as under the top
+    # of a tree that holds every verb's parser
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(tmp_path)
     argv = line.split()
     named = _outcome(argv, capsys)
-    monkeypatch.setattr(multisect.cli, "build_parser", lambda _: build_parser(EVERY_VERB))
+    monkeypatch.setattr(multisect.cli, "build_parser", every_verb_parser)
     assert _outcome(argv, capsys) == named
 
 
@@ -889,21 +920,33 @@ def _parsers_built(argv) -> int:
 
 
 def test_a_command_line_builds_the_parser_of_only_the_verbs_it_names():
-    parser = build_parser(["validate", "-i", "x", "-o", "y"])
+    parser, used = build_parser(["validate", "-i", "x", "-o", "y"])
+    assert (parser.prog, used) == ("multisect validate", 1)
+    assert [a.option_strings for a in parser._actions] == [
+        ["-h", "--help"], ["--budget"], ["-i", "--input"], ["-o", "--output"]]
+    assert (parser.get_default("command"), parser.get_default("run")) == \
+        ("validate", multisect.cli.cmd_validate)
+    parser, used = build_parser(["construct", "glue", "--copies", "2"])
+    assert (parser.prog, used) == ("multisect construct glue", 2)
+    assert [parser.get_default(d) for d in ("command", "verb", "run", "read")] == \
+        ["construct", "glue", multisect.cli.cmd_construct, multisect.cli.parse_heegaard]
+    # a line not led by a verb enters from the top, and of the verbs it
+    # does not name argparse holds only the name and help line
+    parser, used = build_parser(["-h", "validate"])
     verbs = _verbs(parser)
+    assert (parser.prog, used) == ("multisect", 0)
     assert list(verbs) == ["construct", "validate", "pi1", "homology", "distinguish",
                            "render"]
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert [a.dest for a in sub._get_subactions()] == list(verbs)
     assert all(a.help for a in sub._get_subactions())
     assert [name for name, verb in verbs.items() if verb is not None] == ["validate"]
-    assert [a.option_strings for a in verbs["validate"]._actions] == [
-        ["-h", "--help"], ["--budget"], ["-i", "--input"], ["-o", "--output"]]
-    construct = _verbs(_verbs(build_parser(["construct", "glue"]))["construct"])
+    construct = _verbs(_verbs(build_parser(["construct", "--", "glue"])[0])["construct"])
     assert list(construct) == list(EVERY_VERB[1:11])
     assert [name for name, verb in construct.items() if verb is not None] == ["glue"]
-    assert _parsers_built(["validate", "-i", "x", "-o", "y"]) == 2
-    assert _parsers_built(["construct", "glue", "--copies", "2"]) == 3
+    assert _parsers_built(["validate", "-i", "x", "-o", "y"]) == 1
+    assert _parsers_built(["construct", "glue", "--copies", "2"]) == 1
+    assert _parsers_built(["distinguish", "--flip", "--diagram", "x"]) == 1
     assert _parsers_built(["-h"]) == 1
 
 

@@ -16,14 +16,14 @@ from unittest.mock import patch
 from hypothesis import given, settings, strategies as st
 
 import multisect.cli
-from multisect.cli import build_parser, main
+from multisect.cli import main
 from multisect.constructions import (bisection_from_heegaard, double_bisection,
                                      lens_diagram)
 from multisect.diagrams import (CutSystem, MultisectionDiagram, SurfaceModel,
                                 format_diagram, format_heegaard,
                                 standard_alpha_system)
 from multisect.words import Word, automorphism
-from test_cli import EVERY_VERB
+from test_cli import every_verb_parser
 from test_golden import PRESENTATION
 
 
@@ -217,7 +217,7 @@ def test_random_argv_exits_with_a_documented_code(tmp_path_factory, argv):
     argv = [paths.get(arg, arg) for arg in argv]
     exited, code, *_ = outcome = _outcome(argv)
     assert code in ((0, 2) if exited else (0, 1, 2, 10, 20)), argv
-    with patch.object(multisect.cli, "build_parser", lambda _: build_parser(EVERY_VERB)):
+    with patch.object(multisect.cli, "build_parser", every_verb_parser):
         assert _outcome(argv) == outcome, argv
 
 

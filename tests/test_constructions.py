@@ -8,6 +8,7 @@ import pytest
 
 import multisect.constructions
 import multisect.diagrams
+import multisect.presentations
 from multisect.constructions import (GlueMismatchError, MergeRefusedError,
                                      auto_cap, bisection_from_heegaard,
                                      bisection_from_trisection, cap_off,
@@ -550,6 +551,19 @@ def test_the_reading_check_reuses_the_readings_a_construction_derived(monkeypatc
     # validate then reads every pair it needs from the memo
     d, _, _ = _substitutions(monkeypatch, lambda: parse_diagram(format_diagram(capped)))
     assert _substitutions(monkeypatch, lambda: validate(d))[2] == 0
+
+
+def test_the_group_self_checks_compute_no_canonical_form(monkeypatch):
+    # a construction keeps system 1's relators letter for letter, so its
+    # same-group check finds equal letter sets and computes no class
+    # (200, 240 and 208 canonical forms when every relator was classed)
+    base = functools.reduce(connected_sum, (lens_diagram(5, q) for q in range(1, 5)))
+    b = bisection_from_heegaard(connected_sum(*[base] * 5))
+    classed, canonical = [], multisect.presentations._canonical_letters
+    monkeypatch.setattr(multisect.presentations, "_canonical_letters",
+                        lambda letters: classed.append(letters) or canonical(letters))
+    built = [double_bisection(b), insert_parallel_sectors(b, 2, 2), glue_bisections(base, 12)]
+    assert [d.surface.genus for d in built] == [40, 40, 8] and classed == []
 
 
 def test_a_warm_reading_memo_still_refuses_a_wrong_cached_word(lens5_sum):

@@ -185,6 +185,24 @@ def test_connected_sum_examples(lens21):
         AbelianInvariants(0, (5, 5, 5))
 
 
+def test_a_sum_of_many_summands_is_the_fold_of_binary_sums(lens21):
+    # one n-ary sum, byte for byte the left fold of two-summand sums, with
+    # the names joined as the fold joins them (an unnamed summand adds none)
+    base = functools.reduce(connected_sum, (lens_diagram(5, q) for q in range(1, 5)))
+    unnamed = replace(lens_diagram(3, 1), name="")
+    cases = [[base] * c for c in (1, 2, 8, 20)]
+    cases += [[lens_diagram(5, 2), unnamed, lens_diagram(7, 3), mirror(lens_diagram(11, 4))],
+              [unnamed, unnamed, lens21], [sphere_bundle_sum_diagram(0), lens21, unnamed]]
+    for hs in cases:
+        ours, folded = connected_sum(*hs), functools.reduce(connected_sum, hs)
+        assert ours == folded and format_heegaard(ours) == format_heegaard(folded)
+    assert connected_sum(unnamed, lens21, unnamed, lens21).name == f"{lens21.name}#{lens21.name}"
+    h = lens_diagram(5, 2)
+    for times in range(4):  # one sum with ``times`` spheres, params kept
+        assert stabilize(lens_diagram(5, 2), times) == h
+        h = stabilize(h)
+
+
 def test_mirror_examples(lens21):
     m = mirror(lens21)
     assert [r.letters for r in m.relators()] == [(-1, -1)]

@@ -49,6 +49,32 @@ def test_same_relators_ignores_order_repeats_identities_rotation_and_inversion(c
     assert same_relators(p, q) and same_relators(q, p)
 
 
+def _same_classes(p, q):
+    """The rule itself: the same generator count and the same set of
+    non-trivial relator classes up to rotation and inversion."""
+    def classes(pres):
+        return {_canonical_letters(r.letters) for r in pres.relators} - {()}
+
+    return p.generator_count == q.generator_count and classes(p) == classes(q)
+
+
+_LETTERS = st.lists(st.sampled_from([-2, -1, 1, 2]), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LETTERS, max_size=4), st.lists(_LETTERS, max_size=4),
+       st.sampled_from([2, 2, 2, 3]), st.randoms(use_true_random=False))
+def test_same_relators_decides_as_the_classes_alone(mine, theirs, gens, rng):
+    # the letters are compared first, and the classes only if they differ;
+    # half the time the other side is a reordering with repeats of this one
+    p = pres(2, *mine)
+    if rng.random() < 0.5:
+        theirs = [r.letters for r in p.relators] + rng.sample(mine, len(mine) // 2) + [()]
+        rng.shuffle(theirs)
+    q = pres(gens, *theirs)
+    assert same_relators(p, q) == same_relators(q, p) == _same_classes(p, q)
+
+
 def test_same_relators_refuses_a_changed_relator():
     # a conjugate and an inverse of one relator, repeated, beside the identity
     p = pres(2, (1, 2, -1, -2), (1, 1))
