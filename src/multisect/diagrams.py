@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import accumulate
 
 from .presentations import (AbelianInvariants, GroupPresentation, SectorVerdict,
@@ -29,8 +29,8 @@ from .presentations import (AbelianInvariants, GroupPresentation, SectorVerdict,
                             DEFAULT_TIETZE_BUDGET)
 from .words import (FormatError, FreeAutomorphism, Word, _LineReader,
                     _canonical_letters, _cyclic_core, _signed_table, _substitute,
-                    block_automorphism, compose, flip_letters, format_word,
-                    identity_automorphism, invert_all)
+                    _word_writer, block_automorphism, compose, flip_letters,
+                    format_word, identity_automorphism, invert_all)
 
 
 class DiagramError(ValueError):
@@ -246,12 +246,6 @@ class GeometricHeegaardDiagram:
         fundamental group of the underlying 3-manifold."""
         return read_system(self.alpha, self.beta)
 
-    def pi1_presentation(self) -> GroupPresentation:
-        return GroupPresentation(self.genus, self.relators())
-
-    def homology(self) -> AbelianInvariants:
-        return abelianization(self.pi1_presentation())
-
 
 def connected_sum(*hs: GeometricHeegaardDiagram) -> GeometricHeegaardDiagram:
     """Connected sum: genus adds, the curves of each summand move once
@@ -365,10 +359,6 @@ class MultisectionDiagram:
                     raise DiagramError(
                         f"cached reading {(i, j)} disagrees with recomputation",
                         (i, j))
-
-    @property
-    def sector_count(self) -> int:
-        return len(self.systems) if self.closed else len(self.systems) - 1
 
     @cached_property
     def reading_map(self) -> dict[Pair, tuple[Word, ...]]:
@@ -541,14 +531,11 @@ def _parse_system(reader: _LineReader, surface: SurfaceModel,
 
 
 def format_diagram(d: MultisectionDiagram) -> str:
-    """The MSD text of ``d``.  Each distinct word is written once per
-    call, through a letter -> token table, and so is the body of each
-    system block, keyed by the identity of its curves and standardizer,
-    which relabelled copies share and ``d`` keeps alive."""
-    token = {lt: f"g{lt}" if lt > 0 else f"g{-lt}^-1"
-             for lt in range(-d.surface.rank, d.surface.rank + 1) if lt}
-    # format_word, through the table; the cache lives for this call only
-    text = cache(lambda w: " ".join(map(token.__getitem__, w.letters)) or "1")
+    """The MSD text of ``d``.  One word writer serves the call, so each
+    distinct word is written once, and so is the body of each system
+    block, keyed by the identity of its curves and standardizer, which
+    relabelled copies share and ``d`` keeps alive."""
+    text = _word_writer()
     lines = ["MSD 1",
              f"genus {d.surface.genus}",
              f"closed {'true' if d.closed else 'false'}",
@@ -621,7 +608,7 @@ def format_heegaard(h: GeometricHeegaardDiagram) -> str:
     if h.params is not None:
         lines.append(f"params {h.params[0]} {h.params[1]}")
     lines.append(f"system {h.beta.label}")
-    lines.extend(_system_body(h.beta, format_word))
+    lines.extend(_system_body(h.beta, _word_writer()))
     return "\n".join(lines) + "\n"
 
 

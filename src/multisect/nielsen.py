@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product as iproduct, takewhile
 from math import gcd
 
@@ -30,7 +29,7 @@ from .matrices import determinant, smith_normal_form
 from .presentations import (AbelianInvariants, GroupPresentation, Surjection,
                             abelianization, same_relators, tietze_simplify)
 from .words import (Word, _letters_conjugate, _letters_inverse, _letters_product,
-                    _signed_table, _substitute, format_word, parse_word)
+                    _signed_table, _substitute, _word_writer, format_word, parse_word)
 
 MOVES = ("swap12", "cycle", "invert1", "mult12")
 DEFAULT_QUOTIENT_BOUND = 100
@@ -68,10 +67,6 @@ class OrbitPartition:
     group: FiniteAbelianGroup
     orbits: tuple[tuple[Tuple_, tuple[Tuple_, ...]], ...]
     """Pairs (orbit id, sorted members); the id is the least member."""
-
-    @cached_property
-    def orbit_of(self) -> dict[Tuple_, Tuple_]:
-        return {m: ident for ident, members in self.orbits for m in members}
 
     @property
     def tuple_count(self) -> int:
@@ -193,7 +188,8 @@ def free_tuple_search(t1: WordTuple, t2: WordTuple, rank: int,
     """Bounded breadth-first search connecting two word tuples by the
     moves above, compared as freely reduced words.
 
-    The search runs on tuples of letter tuples and builds no ``Word``.
+    The search runs on tuples of letter tuples; the only ``Word``s it
+    builds are the one-letter words that name its conjugation moves.
     Every entry of every node is freely reduced, so a move cancels
     letters only where two words meet: at the a_1|a_2 junction for
     mult12, and at either end of each entry for conjugation by one
@@ -208,8 +204,8 @@ def free_tuple_search(t1: WordTuple, t2: WordTuple, rank: int,
     start = tuple(w.letters for w in t1)
     goal = tuple(w.letters for w in t2)
     limit_len = max(sum(map(len, start)), sum(map(len, goal))) + 4
-    letters = {f"conj g{k}{tag}": s * k
-               for k in range(1, rank + 1) for s, tag in ((1, ""), (-1, "^-1"))}
+    letters = {"conj " + format_word(Word._made(rank, (c,))): c
+               for k in range(1, rank + 1) for c in (k, -k)}
     moves = _moves_for(len(t1)) + tuple(letters)
 
     def step(t, move):
@@ -319,9 +315,9 @@ class NielsenCertificate:
 
 
 def format_certificate(cert: NielsenCertificate) -> str:
-    lines = [f"verdict: {cert.verdict}"]
-    lines.append("tuple1: " + "; ".join(format_word(w) for w in cert.tuple1))
-    lines.append("tuple2: " + "; ".join(format_word(w) for w in cert.tuple2))
+    text = _word_writer()
+    lines = [f"verdict: {cert.verdict}", "tuple1: " + "; ".join(map(text, cert.tuple1)),
+             "tuple2: " + "; ".join(map(text, cert.tuple2))]
     if cert.quotient is not None:
         lines += [f"quotient: {cert.quotient.describe()}",
                   "surjection: " + "; ".join(str(v) for v in cert.surjection),

@@ -24,8 +24,8 @@ from itertools import product as iproduct
 from .abelian import ORDER_BOUND, FiniteAbelianGroup, _divisibility_chain
 from .matrices import smith_normal_form
 from .words import (FormatError, Word, _LineReader, _canonical_letters,
-                    _cyclic_core, _letters_inverse,
-                    _letters_product, _signed_table, _substitute, format_word)
+                    _cyclic_core, _letters_inverse, _letters_product, _signed_table,
+                    _substitute, _word_writer, format_word)
 
 DEFAULT_TIETZE_BUDGET = 10_000
 
@@ -383,7 +383,7 @@ def tietze_simplify(pres: GroupPresentation,
                                          f"the sums of {old} less {factor} times {rel}")
                 replace(i, new)
             eliminated.append(g)
-            trace.append(f"eliminate generator g{g}")
+            trace.append("eliminate generator " + format_word(Word._made(gens, (g,))))
             progress = True
             continue
 
@@ -517,7 +517,7 @@ def enumerate_finite_abelian_quotients(
 def format_presentation(pres: GroupPresentation) -> str:
     """Presentation text format: ``gens <n>`` then one relator per line."""
     lines = [f"gens {pres.generator_count}"]
-    lines.extend(format_word(rel) for rel in pres.relators)
+    lines.extend(map(_word_writer(), pres.relators))
     return "\n".join(lines) + "\n"
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from math import cos, pi, sin
 
 from .diagrams import MultisectionDiagram
+from .words import Word, format_word
 
 PALETTE = ("#c0392b", "#2980b9", "#27ae60", "#e67e22", "#8e44ad",
            "#16a085", "#7f8c8d", "#2c3e50")
@@ -66,6 +67,7 @@ def diagram_to_svg(d: MultisectionDiagram, size: int = 640) -> str:
 
     # edge labels: g<k> on the positive edge, g<k>* on the inverse edge
     for k in range(1, 2 * genus + 1):
+        name = format_word(Word(2 * genus, (k,)))
         for sign, mark in ((1, ""), (-1, "*")):
             e = _edge_index(sign * k)
             x1, y1 = verts[e]
@@ -73,7 +75,7 @@ def diagram_to_svg(d: MultisectionDiagram, size: int = 640) -> str:
             mx = cx + (((x1 + x2) / 2) - cx) * 1.08
             my = cy + (((y1 + y2) / 2) - cy) * 1.08
             parts.append(f'<text x="{_fmt(mx)}" y="{_fmt(my)}" '
-                         f'text-anchor="middle" font-size="11">g{k}{mark}</text>')
+                         f'text-anchor="middle" font-size="11">{name}{mark}</text>')
 
     # insets fall by 0.035 a system to 0.3 at the 21st; more systems share that span
     step = 0.035 if len(d.systems) <= 21 else 0.7 / (len(d.systems) - 1)

@@ -5,8 +5,9 @@ inverse, with ``1 <= k <= rank``.  Words reduce freely on construction, so
 every :class:`Word` in circulation is reduced; relators and curve classes
 are additionally cyclically reduced where they are declared as such.
 
-All values are immutable and every operation is pure, so shared use from
-multiple threads is safe.
+:class:`Word` and :class:`FreeAutomorphism` values are immutable and their
+operations pure, so they are safe to share between threads; a file reader
+or a word writer keeps memos for the one call that made it.
 
 >>> w = Word(2, (1, 2, -2, 1))
 >>> w.letters
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, repeat
 from operator import eq, itemgetter, neg
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -445,12 +446,25 @@ def block_automorphism(blocks: Iterable[FreeAutomorphism]) -> FreeAutomorphism:
     return _proven(rank, images, joined(inverses))
 
 
+class _Tokens(dict):
+    """Letter -> ``g<k>`` or ``g<k>^-1`` token, each spelled on first use."""
+
+    def __missing__(self, letter: int) -> str:
+        return self.setdefault(letter, f"g{letter}" if letter > 0 else f"g{-letter}^-1")
+
+    def write(self, w: Word) -> str:
+        return " ".join(map(self.__getitem__, w.letters)) or "1"
+
+
+def _word_writer():
+    """:func:`format_word` for one call's words, writing each distinct one once."""
+    return cache(_Tokens().write)
+
+
 def format_word(w: Word) -> str:
     """Serialize in the shared word grammar: ``g<k>`` and ``g<k>^-1``
     tokens separated by spaces, with ``1`` for the empty word."""
-    if w.is_identity():
-        return "1"
-    return " ".join(f"g{lt}" if lt > 0 else f"g{-lt}^-1" for lt in w.letters)
+    return _Tokens().write(w)
 
 
 def parse_integer(text: str) -> int:

@@ -18,7 +18,7 @@ from multisect.constructions import (auto_cap, bisection_from_heegaard, cap_off,
                                      double_bisection, glue_bisections,
                                      insert_parallel_sectors, lens_diagram,
                                      sphere_bundle_sum_diagram)
-from multisect.presentations import AbelianInvariants, abelianization
+from multisect.presentations import AbelianInvariants, GroupPresentation, abelianization
 from multisect.words import (FreeAutomorphism, Word, automorphism, format_word,
                             identity_automorphism)
 
@@ -172,7 +172,7 @@ def test_connected_sum_examples(lens21):
     s = connected_sum(lens21, lens21)
     assert s.genus == 2
     assert [r.letters for r in s.relators()] == [(1, 1), (2, 2)]
-    assert abelianization(s.pi1_presentation()) == AbelianInvariants(0, (2, 2))
+    assert abelianization(GroupPresentation(s.genus, s.relators())) == AbelianInvariants(0, (2, 2))
 
     empty = sphere_bundle_sum_diagram(0)
     assert connected_sum(lens21, empty).relators() == lens21.relators()
@@ -181,7 +181,7 @@ def test_connected_sum_examples(lens21):
     total = n_copies
     for _ in range(2):
         total = connected_sum(total, n_copies)
-    assert abelianization(total.pi1_presentation()) == \
+    assert abelianization(GroupPresentation(total.genus, total.relators())) == \
         AbelianInvariants(0, (5, 5, 5))
 
 
@@ -206,7 +206,7 @@ def test_a_sum_of_many_summands_is_the_fold_of_binary_sums(lens21):
 def test_mirror_examples(lens21):
     m = mirror(lens21)
     assert [r.letters for r in m.relators()] == [(-1, -1)]
-    assert m.homology() == AbelianInvariants(0, (2,))
+    assert abelianization(GroupPresentation(m.genus, m.relators())) == AbelianInvariants(0, (2,))
     again = mirror(m)
     assert [c.letters for c in again.beta.curves] == \
         [c.letters for c in lens21.beta.curves]
@@ -214,14 +214,15 @@ def test_mirror_examples(lens21):
 
 def test_mirror_pairing_with_original(lens21):
     s = connected_sum(lens_diagram(5, 1), mirror(lens_diagram(5, 1)))
-    assert abelianization(s.pi1_presentation()) == AbelianInvariants(0, (5, 5))
+    assert abelianization(GroupPresentation(s.genus, s.relators())) == AbelianInvariants(0, (5, 5))
 
 
 def test_stabilize_examples(lens21):
     s = stabilize(lens21)
     assert s.genus == 2
     assert [r.letters for r in s.relators()] == [(1, 1), (2,)]
-    assert abelianization(s.pi1_presentation()) == lens21.homology()
+    assert abelianization(GroupPresentation(s.genus, s.relators())) == \
+        abelianization(GroupPresentation(lens21.genus, lens21.relators()))
     double = stabilize(s)
     assert double.genus == 3
     assert [r.letters for r in double.relators()] == [(1, 1), (2,), (3,)]
@@ -255,7 +256,7 @@ def test_format_writes_each_distinct_word_once(monkeypatch, c12_merge):
             return write(w)
         return functools.cache(counted)
 
-    monkeypatch.setattr(multisect.diagrams, "cache", counting_cache)
+    monkeypatch.setattr(multisect.words, "cache", counting_cache)
     assert format_diagram(parsed) == text
     assert 0 < len(calls) == len(set(calls)) < 100
 

@@ -133,7 +133,7 @@ def test_orbits_invariant_under_coordinate_relabeling():
     def relabel(t):
         return tuple((e[1], e[0]) for e in t)
 
-    lookup = part.orbit_of
+    lookup = {m: ident for ident, members in part.orbits for m in members}
     for oid, members in part.orbits:
         images = {lookup[relabel(m)] for m in members}
         assert len(images) == 1
@@ -169,6 +169,26 @@ def test_free_tuple_moves_and_search():
     assert unreachable is None
     with pytest.raises(ValueError):
         free_tuple_search((Word(2, (1,)),), (Word(3, (1,)),), 2)
+
+
+def test_every_conj_label_of_the_search_conjugates_by_its_letter(monkeypatch):
+    offered = []
+
+    def recording_search(start, moves, step, goal=None, node_limit=None):
+        offered.extend(moves)
+        return {}, False
+
+    monkeypatch.setattr(multisect.nielsen, "_search", recording_search)
+    t = (Word(12, tuple(range(1, 13))), Word(12, tuple(range(-12, 0))), Word(12))
+    assert free_tuple_search(t, t[::-1], 12) is None
+    labels = [move for move in offered if move.startswith("conj ")]
+    # k = 1..12, each letter before its inverse: the order the BFS tries them
+    letters = [c for k in range(1, 13) for c in (k, -k)]
+    assert labels == [f"conj g{abs(c)}" + ("^-1" if c < 0 else "") for c in letters]
+    assert {"conj g10^-1", "conj g12"} <= set(labels)
+    for label, c in zip(labels, letters):
+        assert apply_word_move(t, label) == \
+            tuple(Word(12, (c,)) * w * Word(12, (-c,)) for w in t)
 
 
 def _word_level_search(t1, t2, rank, node_limit):
@@ -542,7 +562,8 @@ def _sweep_verdict(pres, t1, t2, bound):
         surjections = enumerate_finite_abelian_quotients(pres, [group])
         if not surjections:
             continue
-        orbit_of = orbit_enumerate(group, n).orbit_of
+        orbit_of = {m: ident for ident, members in orbit_enumerate(group, n).orbits
+                    for m in members}
         for q in surjections:
             if (orbit_of[tuple(map(q.evaluate, t1))]
                     != orbit_of[tuple(map(q.evaluate, t2))]):

@@ -1,10 +1,13 @@
 """Every module-level function or class of the package is reached: named by
 package code outside its own definition, or wrapped by the benchmark
-tracer's ``TRACED`` table.  Being imported by the package's ``__init__``
-or listed in an ``__all__`` does not count, since neither runs the code;
-a definition that only tests call is an old path that a deletion
-stranded.  The check reads each module and the tracer's source with
-``ast``, so it imports neither and needs no linter."""
+tracer's ``TRACED`` table.  Every method and property of a package class
+is reached too: named by package code outside its own body, or named by
+the tracer, whose counters read some results' properties.  Dunder
+methods are exempt, since Python calls them.  Being imported by the
+package's ``__init__`` or listed in an ``__all__`` does not count, since
+neither runs the code; a definition that only tests call is an old path
+that a deletion stranded.  The check reads each module and the tracer's
+source with ``ast``, so it imports neither and needs no linter."""
 
 import ast
 from collections import Counter
@@ -64,6 +67,28 @@ def orphaned_definitions(sources: dict[str, str], traced: tuple) -> list[str]:
     return orphans
 
 
+def orphaned_members(sources: dict[str, str], tracer: str) -> list[str]:
+    """``module.Class.member`` for each method or property, dunders
+    aside, of a top-level class of a module in ``sources`` that no module
+    names outside the member's own body and that the ``tracer`` source
+    does not name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = sum((_names(tree) for tree in trees.values()), Counter())
+    traced = _names(ast.parse(tracer))
+    orphans = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        or node.name.startswith("__") or traced[node.name]:
+                    continue
+                if everywhere[node.name] == _names(node)[node.name]:
+                    orphans.append(f"{module}.{cls.name}.{node.name}")
+    return orphans
+
+
 def stale_exports(sources: dict[str, str]) -> list[str]:
     """``module.name`` for each ``__all__`` entry that no top-level
     definition or assignment of its module binds; ``import *`` would
@@ -96,6 +121,20 @@ def test_the_check_finds_orphaned_definitions():
         "a.exported", "a.listed", "a.recursive", "a._helper"]
 
 
+def test_the_check_finds_orphaned_members():
+    sources = {
+        "a": ("class Holder:\n    def __len__(self):\n        return 0\n"
+              "    def used(self):\n        return self.counted\n"
+              "    @property\n    def counted(self):\n        return 1\n"
+              "    @property\n    def traced(self):\n        return 2\n"
+              "    def recursive(self):\n        return self.recursive()\n"
+              "    @property\n    def unread(self):\n        return 3\n"),
+        "b": "from .a import Holder\ndef run():\n    return Holder().used()\n",
+    }
+    tracer = "def count(result):\n    return result.traced\n"
+    assert orphaned_members(sources, tracer) == ["a.Holder.recursive", "a.Holder.unread"]
+
+
 def test_the_check_finds_stale_exports():
     sources = {"a": ("from os import path\nX = 1\ndef f():\n    pass\nclass C:\n    pass\n"
                      "__all__ = ['X', 'f', 'C', 'gone', 'path']\n")}
@@ -114,3 +153,12 @@ def test_every_export_is_defined():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert "FormatError" in _assigned(ast.parse(sources["words"]), "__all__")
     assert stale_exports(sources) == []
+
+
+def test_every_member_is_reached():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    tracer = TRACING.read_text(encoding="utf-8")
+    assert orphaned_members(sources, tracer) == []
+    # the tracer's counters read these, and no package code does
+    assert sorted(orphaned_members(sources, "")) == [
+        "nielsen.OrbitPartition.tuple_count", "presentations.TietzeResult.steps_used"]

@@ -12,7 +12,7 @@ from multisect.diagrams import (CutSystem, GeometricHeegaardDiagram,
                                 SurfaceModel, format_diagram, parse_diagram,
                                 express_against, pi1_of_diagram, read_against,
                                 read_system, validate)
-from multisect.presentations import abelianization
+from multisect.presentations import GroupPresentation, abelianization
 from multisect.words import (FreeAutomorphism, Word, apply, automorphism, compose,
                              flip_letters, identity_automorphism)
 
@@ -51,11 +51,11 @@ def test_random_heegaard_bisections_always_verify(seed):
     b = bisection_from_heegaard(h)
     assert validate(b).ok
     assert abelianization(pi1_of_diagram(b)) == \
-        abelianization(h.pi1_presentation())
+        abelianization(GroupPresentation(h.genus, h.relators()))
     d4 = double_bisection(b)
     assert validate(d4).ok
     assert abelianization(pi1_of_diagram(d4)) == \
-        abelianization(h.pi1_presentation())
+        abelianization(GroupPresentation(h.genus, h.relators()))
     text = format_diagram(d4)
     assert parse_diagram(text) == d4
 
@@ -152,7 +152,7 @@ def test_reading_is_one_substitution_by_the_dual_images(seed, data):
 def test_lens_family_invariants(p, q):
     h = lens_diagram(p, q)
     assert h.beta.curves[0].exponent_sums() == (q, p)
-    invariants = abelianization(h.pi1_presentation())
+    invariants = abelianization(GroupPresentation(h.genus, h.relators()))
     if p == 1:
         assert invariants.torsion == ()
         assert invariants.free_rank == 0

@@ -53,5 +53,5 @@ def test_readme_examples_show_what_their_comments_state():
     part = namespace["part"]
     assert (part.tuple_count, len(part.orbits)) == (480, 2)
     assert "# 480 tuples, 2 orbits" in text
-    assert [namespace[name].sector_count for name in ("chain", "closed", "merged")] \
+    assert [len(namespace[name].sector_pairs()) for name in ("chain", "closed", "merged")] \
         == [4, 6, 5]

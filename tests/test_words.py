@@ -1,11 +1,12 @@
 import doctest
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import multisect.words
 from multisect.words import (FreeAutomorphism, Word, _canonical_letters,
                              _letters_inverse, _reduce, _signed_table, _substitute,
+                             _word_writer,
                              apply, automorphism, block_automorphism, compose,
                              flip_letters, format_word, identity_automorphism,
                              invert_all, parse_word)
@@ -165,6 +166,18 @@ def test_word_grammar_round_trip():
     for token in ("g+1", "g01", "g1_0", "g\u0661", "g 1", "g1^-1^-1"):
         with pytest.raises(ValueError):
             parse_word(token, 10)
+
+
+@given(st.lists(words(max_rank=12), min_size=1, max_size=8))
+@example([Word(12, (10, -11, 12)), Word(11, (-10, 1)), Word(12, (10, -11, 12)), Word(3)])
+def test_one_writer_writes_every_word_as_format_word(ws):
+    # one writer for words of every rank 1..12, each written twice so the
+    # second pass reads the writer's memos; letters reach g10..g12
+    write = _word_writer()
+    for w in ws + ws:
+        text = write(w)
+        assert text == format_word(w)
+        assert parse_word(text, w.rank) == w
 
 
 def test_canonical_cyclic():
