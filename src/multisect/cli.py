@@ -3,11 +3,12 @@
 Every verb is a thin adapter over the library: files are parsed, one
 library call runs, and the result is serialized or reported.  Each verb
 is declared once, in :func:`build_parser`, with its flags, its input
-reader and its library call.  A command line builds one parser, its
-verb's, with the ``prog`` and defaults it would have under the top, so
-help, usage and error text are unchanged.  Reports are byte-stable for
-fixed inputs and flags.  Diagram and presentation formats are the ones
-defined next to their types; stdin/stdout piping uses '-' (the default).
+reader and its library call.  A command line builds one parser, that
+of the deepest level it names, with the ``prog`` and defaults it would
+have under the top, so help, usage and error text are unchanged.
+Reports are byte-stable for fixed inputs and flags.  Diagram and
+presentation formats are the ones defined next to their types;
+stdin/stdout piping uses '-' (the default).
 
 Exit codes: 0 success (for ``validate``: all sectors verified; for
 ``distinguish``: verdict distinct), 1 failed validation, 2 bad usage,
@@ -306,14 +307,15 @@ def build_parser(argv) -> tuple[argparse.ArgumentParser, int]:
     table is built on every call, so a rebinding of the module globals (a
     test double, the benchmark's tracer) takes effect.
 
-    A line led by a verb (``validate ...``, ``construct glue ...``) builds
-    that verb's parser alone, with the ``prog`` argparse gives it and the
-    defaults of the levels it passes through.  That is exact: argparse
-    enters a subcommand only on an exact token, no verb has an alias, no
-    argument is read from a file, and a level above a verb has no option
-    but ``-h`` and hands it every later token.  Any other line builds the
-    levels it enters from the top, where every verb is a name and a help
-    line and has its parser only if it is one of argv's tokens."""
+    The parser built is that of the deepest level argv's leading tokens
+    name (``validate ...``, ``construct glue ...``, ``construct ...``, or
+    the top), with the ``prog`` argparse gives it and the defaults of the
+    levels it passes through.  That is exact: argparse enters a
+    subcommand only on an exact token, no verb has an alias, no argument
+    is read from a file, and a level above a verb has no option but
+    ``-h`` and hands it every later token.  A level holds its flags, or
+    its verbs, each a name and a help line that has its parser only if
+    it is one of argv's tokens."""
     source = ("-i", "--input", dict(default="-", help="input file ('-' for stdin)"))
     sink = ("-o", "--output", dict(default="-", help="output file ('-' for stdout)"))
     budget = ("--budget", dict(type=_at_least(1), default=DEFAULT_TIETZE_BUDGET,
@@ -385,36 +387,32 @@ def build_parser(argv) -> tuple[argparse.ArgumentParser, int]:
         path.append(token)
         _, own, body = body[token]
         defaults.update({dest: token}, **own)
-    if path and not isinstance(body, dict):
-        parser = argparse.ArgumentParser(prog=" ".join(["multisect", *path]))
-        parser.set_defaults(**defaults)
-        _add_flags(parser, body)
-        return parser, len(path)
-
     named = set(argv)
 
     def entered_only(entered, **options):
         """A parser for a verb argv names, else None; argparse's options pass untouched."""
         return argparse.ArgumentParser(**options) if entered else None
 
-    def levels(parser, verbs, dest):
-        """``parser`` with a subcommand for each of ``verbs``, which has
-        its parser only if argv names it."""
+    def fill(parser, body, dest):
+        """``parser`` with ``body``'s flags, or a subcommand for each of
+        its verbs, which has its parser only if argv names it."""
+        if not isinstance(body, dict):
+            _add_flags(parser, body)
+            return
         sub = parser.add_subparsers(dest=dest, required=True, parser_class=entered_only)
-        for name, (help, own, body) in verbs.items():
+        for name, (help, own, inner) in body.items():
             p = sub.add_parser(name, help=help, entered=name in named)
             if p is not None:
                 p.set_defaults(**own)
-                if isinstance(body, dict):
-                    levels(p, body, "verb")
-                else:
-                    _add_flags(p, body)
-        return parser
+                fill(p, inner, "verb")
 
-    return levels(argparse.ArgumentParser(
-        prog="multisect",
-        description="Construct, validate, and distinguish multisection "
-                    "diagrams of 4-manifolds."), verbs, "command"), 0
+    parser = argparse.ArgumentParser(
+        prog=" ".join(["multisect", *path]),
+        description=None if path else "Construct, validate, and distinguish "
+                                      "multisection diagrams of 4-manifolds.")
+    parser.set_defaults(**defaults)
+    fill(parser, body, "verb" if path else "command")
+    return parser, len(path)
 
 
 def main(argv=None) -> int:

@@ -6,6 +6,9 @@ rounded or wrapped.  The Smith normal form D of A is returned as its
 diagonal with its unimodular column transform V, and every call checks
 D = E @ A @ V for a unimodular E that is never built.  The elimination,
 the result and the checks are all sparse: no dense matrix is built.
+The elimination holds its matrix both ways, by rows and by columns, so
+one kernel of three operations (swap, add a multiple, negate) performs
+both its row and its column operations.
 
 Unimodularity comes from the elimination's operation log, not from a
 determinant: every row or column swap, addition of a multiple of one row
@@ -67,91 +70,62 @@ class SmithForm:
         return sum(1 for d in self.diagonal if d != 0)
 
 
-# Elementary operations of the elimination.  Each one updates the working
-# matrix and logs itself as (kind, dst, src, q): row operations in
-# the row log, which replays on A @ V to D, and column operations in the
-# column log, which replays on the identity to the columns of V.
+# Elementary operations of the elimination.  ``_lines`` holds the working
+# matrix both ways, as rows (column -> nonzero entry) and as columns
+# (row -> nonzero entry).  Each operation acts on the lines of ``major``
+# and keeps ``minor``, the other holding, its transpose: a row operation
+# is ``op(rows, columns, row_log, ...)``, a column operation
+# ``op(columns, rows, col_log, ...)``.  Each logs itself as (kind, dst,
+# src, q): the row log replays on A @ V to D, the column log on the
+# identity to the columns of V.
 _SWAP, _ADD, _NEGATE = "swap", "add", "negate"
 
 
-class _SparseMatrix:
-    """The working matrix of the elimination: ``rows[i]`` maps each
-    column to the nonzero entry of row i there, and ``cols[j]`` is the
-    set of rows with a nonzero entry in column j."""
-
-    __slots__ = ("rows", "cols")
-
-    def __init__(self, a: Sequence[Sequence[int]], cols: int):
-        self.rows: list[dict[int, int]] = []
-        self.cols: list[set[int]] = [set() for _ in range(cols)]
-        for i, entries in enumerate(a):
-            if len(entries) != cols:
-                raise ValueError("matrix is not rectangular")
-            row = {}
-            for j, x in enumerate(entries):
-                if not isinstance(x, int):
-                    raise ValueError("entries must be exact integers")
-                if x:
-                    row[j] = x
-                    self.cols[j].add(i)
-            self.rows.append(row)
+def _lines(a: Sequence[Sequence[int]], cols: int):
+    """The rows and the columns of the matrix with rows ``a``."""
+    rows: list[dict[int, int]] = []
+    columns: list[dict[int, int]] = [{} for _ in range(cols)]
+    for i, entries in enumerate(a):
+        if len(entries) != cols:
+            raise ValueError("matrix is not rectangular")
+        row = {}
+        for j, x in enumerate(entries):
+            if not isinstance(x, int):
+                raise ValueError("entries must be exact integers")
+            if x:
+                row[j] = columns[j][i] = x
+        rows.append(row)
+    return rows, columns
 
 
-def _swap_rows(m, log, i, j):
-    for k in m.rows[i]:
-        m.cols[k].discard(i)
-    for k in m.rows[j]:
-        m.cols[k].discard(j)
-    m.rows[i], m.rows[j] = m.rows[j], m.rows[i]
-    for k in m.rows[i]:
-        m.cols[k].add(i)
-    for k in m.rows[j]:
-        m.cols[k].add(j)
-    log.append((_SWAP, i, j, 0))
-
-
-def _swap_cols(m, log, i, j):
-    for k in m.cols[i] | m.cols[j]:
-        row = m.rows[k]
-        x, y = row.pop(i, 0), row.pop(j, 0)
+def _swap(major, minor, log, i, j):
+    for k in major[i].keys() | major[j].keys():
+        line = minor[k]
+        x, y = line.pop(i, 0), line.pop(j, 0)
         if y:
-            row[i] = y
+            line[i] = y
         if x:
-            row[j] = x
-    m.cols[i], m.cols[j] = m.cols[j], m.cols[i]
+            line[j] = x
+    major[i], major[j] = major[j], major[i]
     log.append((_SWAP, i, j, 0))
 
 
-def _add_row(m, log, dst, src, q):
-    # row dst += q * row src
-    row, cols = m.rows[dst], m.cols
-    for k, y in m.rows[src].items():
-        x = row.get(k, 0) + q * y
+def _add(major, minor, log, dst, src, q):
+    # line dst += q * line src
+    line = major[dst]
+    for k, y in major[src].items():
+        x = line.get(k, 0) + q * y
         if x:
-            if k not in row:
-                cols[k].add(dst)
-            row[k] = x
-        elif row.pop(k, 0):
-            cols[k].discard(dst)
+            line[k] = minor[k][dst] = x
+        elif line.pop(k, 0):
+            del minor[k][dst]
     log.append((_ADD, dst, src, q))
 
 
-def _add_col(m, log, dst, src, q):
-    # column dst += q * column src
-    for k in m.cols[src]:
-        row = m.rows[k]
-        x = row.get(dst, 0) + q * row[src]
-        if x:
-            if dst not in row:
-                m.cols[dst].add(k)
-            row[dst] = x
-        elif row.pop(dst, 0):
-            m.cols[dst].discard(k)
-    log.append((_ADD, dst, src, q))
-
-
-def _negate_row(m, log, t):
-    m.rows[t] = {k: -x for k, x in m.rows[t].items()}
+def _negate(major, minor, log, t):
+    line = major[t]
+    for k, x in line.items():
+        line[k] = minor[k][t] = -x
     log.append((_NEGATE, t, t, 0))
 
 
@@ -185,10 +159,10 @@ def smith_normal_form(rows: Sequence[Sequence[int]], cols: int) -> SmithForm:
     ties broken by (row, col).  The rule is fixed, so output is
     deterministic for a given input.
 
-    The working matrix is sparse (see :class:`_SparseMatrix`), so the
-    pivot and divisibility scans touch only the nonzero entries of the
-    trailing block, and a row or column operation only the entries it
-    changes.  Rows and columns before the step's index t hold nothing
+    The working matrix is sparse and held both ways (see :func:`_lines`),
+    so the pivot and divisibility scans touch only the nonzero entries of
+    the trailing block, and a row or column operation only the entries
+    it changes.  Rows and columns before the step's index t hold nothing
     but their diagonal entry, so every entry of a row from t on lies in
     the trailing block.  The elimination keeps no V: V is the identity
     with the logged column operations replayed, so unimodular.
@@ -199,10 +173,9 @@ def smith_normal_form(rows: Sequence[Sequence[int]], cols: int) -> SmithForm:
     here), and D diagonal with its nonzero entries in a divisibility
     chain.
     """
-    m = _SparseMatrix(rows, cols)
-    a = [dict(row) for row in m.rows]  # A, kept for the check of D
+    rows, columns = _lines(rows, cols)
+    a = [dict(row) for row in rows]  # A, kept for the check of D
     r, c = len(a), cols
-    rows = m.rows  # swaps exchange entries of this list, never the list
     row_log: list = []
     col_log: list = []
 
@@ -219,19 +192,19 @@ def smith_normal_form(rows: Sequence[Sequence[int]], cols: int) -> SmithForm:
         if pivot is None:
             break
         if pivot[0] != t:
-            _swap_rows(m, row_log, t, pivot[0])
+            _swap(rows, columns, row_log, t, pivot[0])
         if pivot[1] != t:
-            _swap_cols(m, col_log, t, pivot[1])
+            _swap(columns, rows, col_log, t, pivot[1])
 
         p = rows[t][t]
         dirty = False
-        for i in sorted(m.cols[t]):
+        for i in sorted(columns[t]):
             if i > t:
-                _add_row(m, row_log, i, t, -(rows[i][t] // p))
+                _add(rows, columns, row_log, i, t, -(rows[i][t] // p))
                 dirty = dirty or t in rows[i]
         for j in sorted(rows[t]):
             if j > t:
-                _add_col(m, col_log, j, t, -(rows[t][j] // p))
+                _add(columns, rows, col_log, j, t, -(rows[t][j] // p))
                 dirty = dirty or j in rows[t]
         if dirty:
             continue
@@ -241,11 +214,11 @@ def smith_normal_form(rows: Sequence[Sequence[int]], cols: int) -> SmithForm:
         offender = None if abs(p) == 1 else next(
             (i for i in range(t + 1, r) if any(x % p for x in rows[i].values())), None)
         if offender is not None:
-            _add_row(m, row_log, t, offender, 1)
+            _add(rows, columns, row_log, t, offender, 1)
             continue
 
         if p < 0:
-            _negate_row(m, row_log, t)
+            _negate(rows, columns, row_log, t)
         t += 1
 
     v = _replay([{j: 1} for j in range(c)], col_log)  # the columns of V

@@ -219,23 +219,8 @@ def test_failed_self_check_exits_3(lens_msd, monkeypatch, capsys):
         "Smith normal form transforms are not unimodular\n")
 
 
-_ADD_ROW, _ADD_COL = multisect.matrices._add_row, multisect.matrices._add_col
-
-
-def _misreported_row_update(m, log, dst, src, q):
-    _ADD_ROW(m, [], dst, src, q)
-    log.append(("add", dst, src, 2 * q))
-
-
-def _misreported_column_update(m, log, dst, src, q):
-    _ADD_COL(m, [], dst, src, q)
-    log.append(("add", dst, src, 2 * q))
-
-
-@pytest.mark.parametrize("helper, tampered", [("_add_row", _misreported_row_update),
-                                              ("_add_col", _misreported_column_update)])
-def test_tampered_smith_form_operation_exits_3(helper, tampered, tmp_path,
-                                               monkeypatch, capsys):
+@pytest.mark.parametrize("side", ["rows", "columns"])
+def test_tampered_smith_form_operation_exits_3(side, tmp_path, misreport_add, capsys):
     # an elimination step that does not do what it logs is caught by the
     # replay of its log, on either side of the matrix
     # homology reads the simplified pi1, here with the residue diag(2, 3),
@@ -243,7 +228,7 @@ def test_tampered_smith_form_operation_exits_3(helper, tampered, tmp_path,
     path = tmp_path / "lens21_lens31.msd"
     path.write_text(format_diagram(bisection_from_heegaard(
         connected_sum(lens_diagram(2, 1), lens_diagram(3, 1)))))
-    monkeypatch.setattr(multisect.matrices, helper, tampered)
+    misreport_add(side)
     assert run("homology", "-i", path, "-o", tmp_path / "r.txt") == 3
     err = capsys.readouterr().err
     assert err.startswith("error: internal invariant failed: Smith normal form")
@@ -941,7 +926,11 @@ def test_a_command_line_builds_the_parser_of_only_the_verbs_it_names():
     assert [a.dest for a in sub._get_subactions()] == list(verbs)
     assert all(a.help for a in sub._get_subactions())
     assert [name for name, verb in verbs.items() if verb is not None] == ["validate"]
-    construct = _verbs(_verbs(build_parser(["construct", "--", "glue"])[0])["construct"])
+    # a line led by construct but by none of its verbs builds construct's level
+    parser, used = build_parser(["construct", "--", "glue"])
+    assert (parser.prog, used) == ("multisect construct", 1)
+    assert parser.get_default("run") == multisect.cli.cmd_construct
+    construct = _verbs(parser)
     assert list(construct) == list(EVERY_VERB[1:11])
     assert [name for name, verb in construct.items() if verb is not None] == ["glue"]
     assert _parsers_built(["validate", "-i", "x", "-o", "y"]) == 1

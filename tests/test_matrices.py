@@ -114,41 +114,50 @@ def test_snf_transform_must_match_its_operation_log(monkeypatch):
     # negating a row by -2 instead of -1 doubles one row of D: diagonality
     # and divisibility still hold, and only the row log replayed on A*V
     # exposes the row transform as non-unimodular
-    def doubling_negation(m, log, t):
-        m.rows[t] = {k: -2 * x for k, x in m.rows[t].items()}
+    def doubling_negation(major, minor, log, t):
+        for k, x in major[t].items():
+            major[t][k] = minor[k][t] = -2 * x
         log.append(("negate", t, t, 0))
 
-    monkeypatch.setattr(multisect.matrices, "_negate_row", doubling_negation)
+    monkeypatch.setattr(multisect.matrices, "_negate", doubling_negation)
     with pytest.raises(AssertionError, match="D is not A.V with the row log replayed"):
         smith_normal_form([[-1, 0], [0, 3]], 2)
 
 
-def test_snf_column_transform_must_match_its_operation_log(monkeypatch):
+def _replay_fails_on(side, a, misreport_add):
+    """A, whose elimination adds on ``side`` alone, passes with the other
+    side's additions misreported, and fails the replay with its own."""
+    misreport_add("columns" if side == "rows" else "rows")
+    assert smith_normal_form(a, 2).diagonal == (1, 3)
+    misreport_add(side)
+    with pytest.raises(AssertionError, match="D is not A.V with the row log replayed"):
+        smith_normal_form(a, 2)
+
+
+def test_snf_row_transform_must_match_its_operation_log(misreport_add):
+    # a row addition done with q but logged as 2q: the row log replayed
+    # on A*V then no longer gives D
+    _replay_fails_on("rows", [[1, 0], [2, 3]], misreport_add)
+
+
+def test_snf_column_transform_must_match_its_operation_log(misreport_add):
     # a column addition done with q but logged as 2q: V, the replayed
     # column log, is then not the transform the elimination applied, and
     # the row log replayed on A*V no longer gives D
-    original = multisect.matrices._add_col
-
-    def misreported_column_update(m, log, dst, src, q):
-        original(m, [], dst, src, q)
-        log.append(("add", dst, src, 2 * q))
-
-    monkeypatch.setattr(multisect.matrices, "_add_col", misreported_column_update)
-    with pytest.raises(AssertionError, match="D is not A.V with the row log replayed"):
-        smith_normal_form([[1, 2], [0, 3]], 2)
+    _replay_fails_on("columns", [[1, 2], [0, 3]], misreport_add)
 
 
 def test_snf_result_must_be_diagonal(monkeypatch):
     # after negating the first pivot row, add the next row to it: a logged
     # unimodular operation, so both replays agree, but D keeps an entry
     # off its diagonal that only the diagonal check sees
-    negate, add_row = multisect.matrices._negate_row, multisect.matrices._add_row
+    negate, add = multisect.matrices._negate, multisect.matrices._add
 
-    def negation_and_addition(m, log, t):
-        negate(m, log, t)
-        add_row(m, log, t, t + 1, 1)
+    def negation_and_addition(major, minor, log, t):
+        negate(major, minor, log, t)
+        add(major, minor, log, t, t + 1, 1)
 
-    monkeypatch.setattr(multisect.matrices, "_negate_row", negation_and_addition)
+    monkeypatch.setattr(multisect.matrices, "_negate", negation_and_addition)
     with pytest.raises(AssertionError, match="not diagonal"):
         smith_normal_form([[-1, 0], [0, 3]], 2)
 
@@ -295,3 +304,55 @@ def test_sparse_snf_agrees_with_the_dense_oracle_on_a_large_residue():
     assert snf.invariant_factors == (5,) * 240
     assert (*dense(snf, 240, 240), snf.invariant_factors) \
         == reference_smith_normal_form(a, 240)
+
+
+_OPERATIONS = st.tuples(st.sampled_from(["swap", "add", "add and undo", "negate"]),
+                        st.booleans(), st.integers(0, 6), st.integers(0, 6),
+                        st.integers(-3, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices(), st.lists(_OPERATIONS, max_size=12))
+def test_every_operation_keeps_the_columns_the_transpose_of_the_rows(matrix, operations):
+    # one kernel serves rows and columns: whichever way it acts, the
+    # matrix held the other way follows, and no zero entry is stored; an
+    # addition undone cancels every entry it made
+    a, cols = matrix
+    rows, columns = multisect.matrices._lines(a, cols)
+
+    def check():
+        transpose = [{} for _ in range(cols)]
+        for k, row in enumerate(rows):
+            for m, x in row.items():
+                assert x != 0
+                transpose[m][k] = x
+        assert (len(rows), columns) == (len(a), transpose)
+
+    for kind, on_rows, i, j, q in operations:
+        major, minor = (rows, columns) if on_rows else (columns, rows)
+        if not major:
+            continue
+        i, j = i % len(major), j % len(major)
+        if kind == "swap":
+            multisect.matrices._swap(major, minor, [], i, j)
+        elif kind == "negate":
+            multisect.matrices._negate(major, minor, [], i)
+        elif i != j:
+            multisect.matrices._add(major, minor, [], i, j, q)
+            if kind == "add and undo":
+                check()
+                multisect.matrices._add(major, minor, [], i, j, -q)
+        check()
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_snf_of_the_transpose_has_the_same_invariants(matrix):
+    # the elimination on A^T swaps the roles of its row and column
+    # operations, and the invariants do not depend on which is which
+    a, cols = matrix
+    snf = smith_normal_form(a, cols)
+    transposed = smith_normal_form([list(column) for column in zip(*a)] if a else
+                                   [[] for _ in range(cols)], len(a))
+    assert (transposed.rank, transposed.invariant_factors) == \
+        (snf.rank, snf.invariant_factors)
