@@ -2,10 +2,12 @@
 
 Every verb is a thin adapter over the library: files are parsed, one
 library call runs, and the result is serialized or reported.  Each verb
-is declared once, in :func:`build_parser`, with its flags, its input
-reader and its library call.  A command line builds one parser, that
-of the deepest level it names, with the ``prog`` and defaults it would
-have under the top, so help, usage and error text are unchanged.
+is declared once, in the table of :func:`_level`, with its flags, its
+input reader and its library call.  A well-formed line of one verb is
+read off that table with no parser built; any other line builds one
+argparse parser, that of the deepest level it names, with the ``prog``
+and defaults it has under the top, so help, usage and errors are
+argparse's own.
 Reports are byte-stable for fixed inputs and flags.  Diagram and
 presentation formats are the ones defined next to their types;
 stdin/stdout piping uses '-' (the default).
@@ -287,35 +289,15 @@ def _at_least(minimum: int):
     return parse
 
 
-def _add_flags(parser, flags) -> None:
-    """Add each flag, (*names, add_argument options); a list of flags is
-    one mutually exclusive group."""
-    for flag in flags:
-        if isinstance(flag, list):
-            _add_flags(parser.add_mutually_exclusive_group(), flag)
-        else:
-            parser.add_argument(*flag[:-1], **flag[-1])
-
-
-def build_parser(argv) -> tuple[argparse.ArgumentParser, int]:
-    """The parser of the command line ``argv``, and how many of argv's
-    leading tokens name its verb (0: the parser is the top).  Each verb is
-    declared here once, in one table: its help line, the defaults that
-    bind its handler ``run`` (a construct verb's also bind its reader
-    ``read``, None if it reads no input, and its construction
-    ``build(input, args)``), and its flags, or construct's own verbs.  The
-    table is built on every call, so a rebinding of the module globals (a
-    test double, the benchmark's tracer) takes effect.
-
-    The parser built is that of the deepest level argv's leading tokens
-    name (``validate ...``, ``construct glue ...``, ``construct ...``, or
-    the top), with the ``prog`` argparse gives it and the defaults of the
-    levels it passes through.  That is exact: argparse enters a
-    subcommand only on an exact token, no verb has an alias, no argument
-    is read from a file, and a level above a verb has no option but
-    ``-h`` and hands it every later token.  A level holds its flags, or
-    its verbs, each a name and a help line that has its parser only if
-    it is one of argv's tokens."""
+def _level(argv) -> tuple[list[str], dict, object]:
+    """The verbs argv's leading tokens name, the defaults of the levels
+    they pass through, and the deepest level's flags or verbs.  Each verb
+    is declared once, in one table built on every call (so a test double
+    or the benchmark's tracer takes effect): its help line, the defaults
+    that bind its handler ``run`` (a construct verb's also its reader
+    ``read``, None if it reads no input, and its ``build(input, args)``),
+    and its flags, or construct's own verbs.  A flag is (*names,
+    add_argument options); a list of flags is one mutually exclusive group."""
     source = ("-i", "--input", dict(default="-", help="input file ('-' for stdin)"))
     sink = ("-o", "--output", dict(default="-", help="output file ('-' for stdout)"))
     budget = ("--budget", dict(type=_at_least(1), default=DEFAULT_TIETZE_BUDGET,
@@ -387,6 +369,60 @@ def build_parser(argv) -> tuple[argparse.ArgumentParser, int]:
         path.append(token)
         _, own, body = body[token]
         defaults.update({dest: token}, **own)
+    return path, defaults, body
+
+
+def _read_line(argv) -> argparse.Namespace | None:
+    """The Namespace argparse gives ``argv``, read off the verb table with
+    no parser built, or None for argparse to read it, so that help, usage
+    and errors are argparse's alone.  Read is a verb, then its exact option
+    strings, each once, one per exclusive group, every required one: a
+    ``store_true`` flag alone, any other with the next token, ``-`` or not
+    led by ``-``, that its type and choices accept."""
+    path, defaults, body = _level(argv)
+    if isinstance(body, dict):
+        return None
+    flags, values, used, tokens = {}, {}, set(), iter(argv[len(path):])
+    try:
+        for item in body:
+            for *names, options in item if isinstance(item, list) else [item]:
+                if options.keys() - {"type", "default", "required", "choices", "help", "action"} \
+                        or options.get("action", "store_true") != "store_true":
+                    return None
+                # argparse's dest: the first long name, else the first, undashed
+                dest = next((n for n in names if n[:2] == "--"), names[0])
+                dest = dest.lstrip("-").replace("-", "_")
+                flags.update(dict.fromkeys(names, (dest, options, item)))
+                values[dest] = options.get("default", False if "action" in options else None)
+                if isinstance(values[dest], str):  # argparse converts a str default
+                    values[dest] = options.get("type", str)(values[dest])
+        for token in tokens:
+            dest, options, item = flags.get(token, (None, None, None))
+            if dest is None or id(item) in used:  # unknown, or a flag or exclusive group again
+                return None
+            used.add(id(item))
+            text = "" if "action" in options else next(tokens, None)
+            if text is None or text.startswith("-") and text != "-":
+                return None
+            values[dest] = True if "action" in options else options.get("type", str)(text)
+            if "choices" in options and values[dest] not in options["choices"]:
+                return None
+    except (ValueError, TypeError, argparse.ArgumentTypeError):
+        return None
+    if any(options.get("required") and id(item) not in used for _, options, item in flags.values()):
+        return None
+    return argparse.Namespace(**defaults, **values)
+
+
+def build_parser(argv) -> tuple[argparse.ArgumentParser, int]:
+    """The parser of a line :func:`_read_line` does not read, and how many
+    of argv's leading tokens name its verb (0: the top): the deepest level
+    they name, with its ``prog`` and defaults under the top, where a verb
+    argv does not name is a name and a help line.  That is exact: argparse
+    enters a subcommand only on an exact token, no verb has an alias, no
+    argument is read from a file, and a level above a verb has no option
+    but ``-h`` and hands it every later token."""
+    path, defaults, body = _level(argv)
     named = set(argv)
 
     def entered_only(entered, **options):
@@ -397,7 +433,10 @@ def build_parser(argv) -> tuple[argparse.ArgumentParser, int]:
         """``parser`` with ``body``'s flags, or a subcommand for each of
         its verbs, which has its parser only if argv names it."""
         if not isinstance(body, dict):
-            _add_flags(parser, body)
+            for item in body:
+                group = parser.add_mutually_exclusive_group() if isinstance(item, list) else parser
+                for *names, options in item if isinstance(item, list) else [item]:
+                    group.add_argument(*names, **options)
             return
         sub = parser.add_subparsers(dest=dest, required=True, parser_class=entered_only)
         for name, (help, own, inner) in body.items():
@@ -417,11 +456,12 @@ def build_parser(argv) -> tuple[argparse.ArgumentParser, int]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser, used = build_parser(argv)
-    args, extra = parser.parse_known_args(argv[used:])
-    if extra:  # argparse words leftover arguments at the top of the tree
-        (build_parser([])[0] if used else parser).error(
-            "unrecognized arguments: " + " ".join(extra))
+    if (args := _read_line(argv)) is None:
+        parser, used = build_parser(argv)
+        args, extra = parser.parse_known_args(argv[used:])
+        if extra:  # argparse words leftover arguments at the top of the tree
+            (build_parser([])[0] if used else parser).error(
+                "unrecognized arguments: " + " ".join(extra))
     try:
         code = args.run(args)
         # a reader that closed early shows up here, not at interpreter exit

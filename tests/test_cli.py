@@ -4,9 +4,11 @@ import builtins
 import hashlib
 import io
 import os
+import shlex
 import subprocess
 import sys
 import time
+from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
@@ -870,17 +872,20 @@ def test_help_of_a_fresh_process_is_pinned(line):
     "construct frobnicate -h", "construct glue --copies 2 lens",
     "distinguish --fl --diagram x", "construct lens --p 5 --q 2 extra",
     "construct glue --copies 2 --bogus -i missing.hd", "pi1 --budget 1 --budget 2",
-    *HELP_DIGESTS])
+    "construct lens --p 5 --q 2", "distinguish --flip --diagram x", "homology -i x -o -",
+    "render -i missing.msd --svg out.svg --size 10", *HELP_DIGESTS])
 def test_a_command_line_runs_as_under_a_parser_of_every_verb(line, tmp_path,
                                                              monkeypatch, capsys):
-    # a line led by a verb builds that verb's parser alone, any other the
-    # levels it enters with the verbs it names; both end as under the top
-    # of a tree that holds every verb's parser
+    # a well-formed line of one verb is read off the verb table, any other
+    # builds the parser of the deepest level it names; each ends as under
+    # the top of a tree that holds every verb's parser
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(tmp_path)
     argv = line.split()
     named = _outcome(argv, capsys)
+    # the oracle reads every line with argparse, never off the verb table
     monkeypatch.setattr(multisect.cli, "build_parser", every_verb_parser)
+    monkeypatch.setattr(multisect.cli, "_read_line", lambda _argv: None)
     assert _outcome(argv, capsys) == named
 
 
@@ -890,8 +895,9 @@ def _verbs(parser: argparse.ArgumentParser) -> dict:
                 if isinstance(a, argparse._SubParsersAction))
 
 
-def _parsers_built(argv) -> int:
-    """How many ArgumentParser objects one build of argv's parser makes."""
+def _parsers_built(argv, call=build_parser) -> int:
+    """How many ArgumentParser objects ``call(argv)`` makes, by default one
+    build of argv's parser; an argparse exit ends the call."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -899,9 +905,65 @@ def _parsers_built(argv) -> int:
         built.append(self)
         init(self, *args, **kwargs)
 
-    with patch.object(argparse.ArgumentParser, "__init__", counted):
-        build_parser(argv)
+    with patch.object(argparse.ArgumentParser, "__init__", counted), suppress(SystemExit):
+        call(argv)
     return len(built)
+
+
+# each line shape the benchmark's workloads run, in an order in which
+# every line finds the files it reads, and its exit code
+WORKLOAD_LINES = (
+    ("construct lens --p 5 --q 2 -o l52.hd", 0),
+    ("construct sum --copies 2 -i l52.hd -o sum.hd", 0),
+    ("construct bisect -i sum.hd -o bisect.msd", 0),
+    ("construct double -i bisect.msd -o double.msd", 0),
+    ("construct insert --position 2 --count 2 -i double.msd -o insert.msd", 0),
+    ("construct glue --copies 4 --cap auto -i sum.hd -o glue.msd", 0),
+    ("construct merge --interface 3 -i glue.msd -o merge.msd", 0),
+    ("validate -i insert.msd -o validate.txt", 0),
+    ("pi1 -i insert.msd -o pi1.txt", 0),
+    ("homology -i merge.msd -o homology.txt", 0),
+    ("render -i merge.msd --svg merge.svg", 0),
+    ("distinguish --presentation z5.txt --tuple1 'g1, g2' --tuple2 'g1, g2 g2' "
+     "--bound 10 -o z5-sq.txt", 20),
+    ("construct bisect -i l52.hd -o l52.msd", 0),
+    ("distinguish --flip --diagram l52.msd -o flip.txt", 0),
+)
+
+# lines at the edge of what main reads with no parser, and how many
+# parsers main builds for each: argparse reads every one but the first,
+# building the parsers it built when every line built its parser
+NEAR_MISSES = {
+    "homology -i missing.msd -o -": 0,  # '-' is a value, not a flag
+    "construct lens --p=5 --q 2 -o lens.hd": 1,
+    "construct sum --cop 2 -i missing.hd": 1,
+    "pi1 --budget 1 --budget 2 -i missing.msd": 1,
+    "distinguish --sector2 -1": 1,
+    "distinguish --flip --presentation p.txt": 1,
+    "distinguish --diagram --flip": 1,
+    "construct lens --p 5": 1,
+    "construct glue --copies 2 --cap x -i missing.hd": 1,
+    "construct trisect-restrict --drop 4 -i missing.msd": 1,
+    "validate -o --": 1,
+    "construct -- lens": 2,
+    "validate -h": 1,
+}
+
+
+def test_a_workload_line_builds_no_parser(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "z5.txt").write_text("gens 2\ng1 g2 g1^-1 g2^-1\ng1 g1 g1 g1 g1\n"
+                                     "g2 g2 g2 g2 g2\n")
+    codes = []
+    for line, code in WORKLOAD_LINES:
+        assert _parsers_built(shlex.split(line), lambda argv: codes.append(main(argv))) == 0
+    assert codes == [code for _, code in WORKLOAD_LINES]
+
+
+@pytest.mark.parametrize("line", NEAR_MISSES)
+def test_a_near_miss_builds_the_parsers_argparse_needs(line, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _parsers_built(line.split(), main) == NEAR_MISSES[line]
 
 
 def test_a_command_line_builds_the_parser_of_only_the_verbs_it_names():

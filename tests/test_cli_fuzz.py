@@ -4,7 +4,8 @@ presentation files, run through every verb that reads them, exit 0, 1,
 of this program that no input may bring about, and no exception escapes
 ``main``.  Random command lines may also end in argparse's own exits,
 ``SystemExit`` 2 for a usage error and 0 for ``--help``, and each ends
-as it does under a parser of every verb."""
+as it does under a parser of every verb; a line main reads off the verb
+table reads as argparse reads it."""
 
 import io
 import shlex
@@ -13,17 +14,18 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import multisect.cli
-from multisect.cli import main
+from multisect.cli import build_parser, main
 from multisect.constructions import (bisection_from_heegaard, double_bisection,
                                      lens_diagram)
 from multisect.diagrams import (CutSystem, MultisectionDiagram, SurfaceModel,
                                 format_diagram, format_heegaard,
                                 standard_alpha_system)
 from multisect.words import Word, automorphism
-from test_cli import every_verb_parser
+from test_cli import NEAR_MISSES, every_verb_parser
 from test_golden import PRESENTATION
 
 
@@ -217,8 +219,41 @@ def test_random_argv_exits_with_a_documented_code(tmp_path_factory, argv):
     argv = [paths.get(arg, arg) for arg in argv]
     exited, code, *_ = outcome = _outcome(argv)
     assert code in ((0, 2) if exited else (0, 1, 2, 10, 20)), argv
-    with patch.object(multisect.cli, "build_parser", every_verb_parser):
+    # the oracle reads every line with argparse, never off the verb table
+    with patch.object(multisect.cli, "build_parser", every_verb_parser), \
+            patch.object(multisect.cli, "_read_line", lambda _argv: None):
         assert _outcome(argv) == outcome, argv
+
+
+def _read_and_parsed(argv):
+    """What main's reader makes of argv, and the Namespace argparse gives
+    from the same verb table, None where it exits or leaves a token."""
+    level = multisect.cli._level(argv)
+    with patch.object(multisect.cli, "_level", lambda _argv: level), \
+            redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        read = multisect.cli._read_line(argv)
+        parser, used = build_parser(argv)
+        try:
+            parsed, extra = parser.parse_known_args(argv[used:])
+        except SystemExit:
+            return read, None
+    return read, None if extra else parsed
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_a_line_read_off_the_verb_table_is_read_as_argparse_reads_it(argv):
+    read, parsed = _read_and_parsed(argv)
+    assert read is None or read == parsed, argv
+
+
+@pytest.mark.parametrize("line", NEAR_MISSES)
+def test_a_near_miss_is_read_as_argparse_reads_it_or_left_to_argparse(line):
+    read, parsed = _read_and_parsed(line.split())
+    if NEAR_MISSES[line]:  # left to argparse
+        assert read is None
+    else:
+        assert read is not None and read == parsed
 
 
 def _outcome(argv):
