@@ -2,11 +2,10 @@
 
 Every verb is a thin adapter over the library: files are parsed, one
 library call runs, and the result is serialized or reported.  Each verb
-is declared once, in the table of :func:`_level`, with its flags, its
+is declared once, in the table of :func:`_verbs`, with its flags, its
 input reader and its library call.  A well-formed line of one verb is
-read off that table with no parser built; any other line builds one
-argparse parser, that of the deepest level it names, with the ``prog``
-and defaults it has under the top, so help, usage and errors are
+read off that table with no parser built; any other line is read by the
+one argparse tree of every verb, so help, usage and errors are
 argparse's own.
 Reports are byte-stable for fixed inputs and flags.  Diagram and
 presentation formats are the ones defined next to their types;
@@ -289,14 +288,12 @@ def _at_least(minimum: int):
     return parse
 
 
-def _level(argv) -> tuple[list[str], dict, object]:
-    """The verbs argv's leading tokens name, the defaults of the levels
-    they pass through, and the deepest level's flags or verbs.  Each verb
-    is declared once, in one table built on every call (so a test double
-    or the benchmark's tracer takes effect): its help line, the defaults
-    that bind its handler ``run`` (a construct verb's also its reader
-    ``read``, None if it reads no input, and its ``build(input, args)``),
-    and its flags, or construct's own verbs.  A flag is (*names,
+def _verbs() -> dict:
+    """Each verb, declared once, in one table built on every call (so a
+    test double or the benchmark's tracer takes effect): its help line,
+    the defaults that bind its handler ``run`` (a construct verb's also
+    its reader ``read``, None if it reads no input, and its ``build(input,
+    args)``), and its flags, or construct's own verbs.  A flag is (*names,
     add_argument options); a list of flags is one mutually exclusive group."""
     source = ("-i", "--input", dict(default="-", help="input file ('-' for stdin)"))
     sink = ("-o", "--output", dict(default="-", help="output file ('-' for stdout)"))
@@ -307,7 +304,7 @@ def _level(argv) -> tuple[list[str], dict, object]:
         """A construct verb's entry: its flags, then -i (unless ``read`` is None) and -o."""
         return help, dict(read=read, build=build), (*flags, *((source,) if read else ()), sink)
 
-    verbs = {
+    return {
         "construct": ("build diagrams", dict(run=cmd_construct), {
             "lens": make("lens space Heegaard diagram", None,
                          lambda _, a: cons.lens_diagram(a.p, a.q),
@@ -362,15 +359,6 @@ def _level(argv) -> tuple[list[str], dict, object]:
             ("--size", dict(type=_at_least(1), default=640)), source)),
     }
 
-    path, defaults, body = [], {}, verbs
-    for token, dest in zip(argv, ("command", "verb")):
-        if not isinstance(body, dict) or token not in body:
-            break
-        path.append(token)
-        _, own, body = body[token]
-        defaults.update({dest: token}, **own)
-    return path, defaults, body
-
 
 def _read_line(argv) -> argparse.Namespace | None:
     """The Namespace argparse gives ``argv``, read off the verb table with
@@ -379,7 +367,13 @@ def _read_line(argv) -> argparse.Namespace | None:
     strings, each once, one per exclusive group, every required one: a
     ``store_true`` flag alone, any other with the next token, ``-`` or not
     led by ``-``, that its type and choices accept."""
-    path, defaults, body = _level(argv)
+    path, defaults, body = [], {}, _verbs()
+    for token, dest in zip(argv, ("command", "verb")):
+        if not isinstance(body, dict) or token not in body:
+            break
+        path.append(token)
+        _, own, body = body[token]
+        defaults.update({dest: token}, **own)
     if isinstance(body, dict):
         return None
     flags, values, used, tokens = {}, {}, set(), iter(argv[len(path):])
@@ -414,54 +408,34 @@ def _read_line(argv) -> argparse.Namespace | None:
     return argparse.Namespace(**defaults, **values)
 
 
-def build_parser(argv) -> tuple[argparse.ArgumentParser, int]:
-    """The parser of a line :func:`_read_line` does not read, and how many
-    of argv's leading tokens name its verb (0: the top): the deepest level
-    they name, with its ``prog`` and defaults under the top, where a verb
-    argv does not name is a name and a help line.  That is exact: argparse
-    enters a subcommand only on an exact token, no verb has an alias, no
-    argument is read from a file, and a level above a verb has no option
-    but ``-h`` and hands it every later token."""
-    path, defaults, body = _level(argv)
-    named = set(argv)
-
-    def entered_only(entered, **options):
-        """A parser for a verb argv names, else None; argparse's options pass untouched."""
-        return argparse.ArgumentParser(**options) if entered else None
-
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every verb, for a line :func:`_read_line`
+    does not read."""
     def fill(parser, body, dest):
-        """``parser`` with ``body``'s flags, or a subcommand for each of
-        its verbs, which has its parser only if argv names it."""
+        """``parser`` with ``body``'s flags, or a subcommand for each of its verbs."""
         if not isinstance(body, dict):
             for item in body:
                 group = parser.add_mutually_exclusive_group() if isinstance(item, list) else parser
                 for *names, options in item if isinstance(item, list) else [item]:
                     group.add_argument(*names, **options)
             return
-        sub = parser.add_subparsers(dest=dest, required=True, parser_class=entered_only)
+        sub = parser.add_subparsers(dest=dest, required=True)
         for name, (help, own, inner) in body.items():
-            p = sub.add_parser(name, help=help, entered=name in named)
-            if p is not None:
-                p.set_defaults(**own)
-                fill(p, inner, "verb")
+            p = sub.add_parser(name, help=help)
+            p.set_defaults(**own)
+            fill(p, inner, "verb")
 
     parser = argparse.ArgumentParser(
-        prog=" ".join(["multisect", *path]),
-        description=None if path else "Construct, validate, and distinguish "
-                                      "multisection diagrams of 4-manifolds.")
-    parser.set_defaults(**defaults)
-    fill(parser, body, "verb" if path else "command")
-    return parser, len(path)
+        prog="multisect",
+        description="Construct, validate, and distinguish multisection diagrams of 4-manifolds.")
+    fill(parser, _verbs(), "command")
+    return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if (args := _read_line(argv)) is None:
-        parser, used = build_parser(argv)
-        args, extra = parser.parse_known_args(argv[used:])
-        if extra:  # argparse words leftover arguments at the top of the tree
-            (build_parser([])[0] if used else parser).error(
-                "unrecognized arguments: " + " ".join(extra))
+        args = build_parser().parse_args(argv)
     try:
         code = args.run(args)
         # a reader that closed early shows up here, not at interpreter exit

@@ -250,7 +250,10 @@ class GeometricHeegaardDiagram:
 def connected_sum(*hs: GeometricHeegaardDiagram) -> GeometricHeegaardDiagram:
     """Connected sum: genus adds, the curves of each summand move once
     into its own run of handles, standardizers combine blockwise, and the
-    names join with ``#`` (an unnamed summand adds nothing)."""
+    names join with ``#`` (an unnamed summand adds nothing).  One summand
+    is its own sum, parameters and all."""
+    if len(hs) == 1:
+        return hs[0]
     offsets = accumulate((2 * h.genus for h in hs), initial=0)
     surface = SurfaceModel(sum(h.genus for h in hs))
     curves = tuple(c.shift(offset, surface.rank) for h, offset in zip(hs, offsets)

@@ -374,8 +374,7 @@ def compose(phi: FreeAutomorphism, psi: FreeAutomorphism) -> FreeAutomorphism:
     it is not checked again: psi^-1 phi^-1 inverts it, as phi and psi passed."""
     if phi.rank != psi.rank:
         raise ValueError("rank mismatch in composition")
-    images = tuple(Word._made(phi.rank, _substitute(phi.table, img.letters))
-                   for img in psi.images)
+    images = tuple(apply(phi, img) for img in psi.images)
     if phi.inverse_images is None or psi.inverse_images is None:
         return FreeAutomorphism(phi.rank, images)
     psi_inverse = _signed_table([img.letters for img in psi.inverse_images])

@@ -500,6 +500,18 @@ def test_sum_mirror_stabilize(lens_hd, tmp_path):
     assert parse_heegaard((tmp_path / "s.hd").read_text()).genus == 3
 
 
+def test_a_sum_of_one_copy_is_its_input(tmp_path):
+    # one summand is its own sum, params line and all, as stabilizing
+    # zero times leaves a diagram as it is
+    h = lens_diagram(5, 2)
+    assert connected_sum(h) is h
+    source, out = tmp_path / "l52.hd", tmp_path / "out.hd"
+    source.write_text(format_heegaard(h))
+    for argv in (("sum", "--copies", 1), ("stabilize", "--times", 0)):
+        assert run("construct", *argv, "-i", source, "-o", out) == 0
+        assert out.read_bytes() == source.read_bytes()
+
+
 def test_construct_sum_shifts_each_word_once(tmp_path, monkeypatch):
     # one n-ary sum moves each copy's curves and standardizer images into
     # the final rank once, so the shifts double with the copies; a left
@@ -818,18 +830,6 @@ HELP_DIGESTS = {
     "render -h": "1c0890eb8165e38fa1c52385c1d8d0fff6f17c9dae4492f874fec3e75cc00520",
 }
 
-EVERY_VERB = ("construct", "lens", "sum", "mirror", "stabilize", "bisect", "double",
-              "trisect-restrict", "insert", "glue", "merge", "validate", "pi1",
-              "homology", "distinguish", "render")
-
-
-def every_verb_parser(_argv):
-    """The parser of every verb, entered from the top: a line not led by a
-    verb builds the levels it enters from the top, with the parser of
-    every verb it names."""
-    return build_parser(["--", *EVERY_VERB])
-
-
 def _outcome(argv, capsys):
     """Exit code, stdout and stderr of one command line."""
     try:
@@ -850,7 +850,7 @@ def test_help_text_is_pinned(line, monkeypatch, capsys):
 
 @pytest.mark.parametrize("line", ["-h", "construct -h", "validate -h"])
 def test_help_of_a_fresh_process_is_pinned(line):
-    # main(None) reads sys.argv; the verbs it does not name get no parser
+    # main(None) reads sys.argv; its help is the argparse tree's own
     env = {**os.environ, "COLUMNS": "80",
            "PYTHONPATH": str(Path(multisect.cli.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-m", "multisect", *line.split()],
@@ -877,27 +877,19 @@ def test_help_of_a_fresh_process_is_pinned(line):
 def test_a_command_line_runs_as_under_a_parser_of_every_verb(line, tmp_path,
                                                              monkeypatch, capsys):
     # a well-formed line of one verb is read off the verb table, any other
-    # builds the parser of the deepest level it names; each ends as under
-    # the top of a tree that holds every verb's parser
+    # by the argparse tree of every verb; each ends as under that tree
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(tmp_path)
     argv = line.split()
     named = _outcome(argv, capsys)
     # the oracle reads every line with argparse, never off the verb table
-    monkeypatch.setattr(multisect.cli, "build_parser", every_verb_parser)
     monkeypatch.setattr(multisect.cli, "_read_line", lambda _argv: None)
     assert _outcome(argv, capsys) == named
 
 
-def _verbs(parser: argparse.ArgumentParser) -> dict:
-    """The parsers of a parser's subcommands, by name."""
-    return next(a.choices for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction))
-
-
-def _parsers_built(argv, call=build_parser) -> int:
-    """How many ArgumentParser objects ``call(argv)`` makes, by default one
-    build of argv's parser; an argparse exit ends the call."""
+def _parsers_built(argv, call) -> int:
+    """How many ArgumentParser objects ``call(argv)`` makes; an argparse
+    exit ends the call."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -930,23 +922,23 @@ WORKLOAD_LINES = (
     ("distinguish --flip --diagram l52.msd -o flip.txt", 0),
 )
 
-# lines at the edge of what main reads with no parser, and how many
-# parsers main builds for each: argparse reads every one but the first,
-# building the parsers it built when every line built its parser
+# lines at the edge of what main reads off the verb table, each True
+# where main leaves it to argparse, which builds its one tree of every
+# verb, and False where main reads it with no parser built
 NEAR_MISSES = {
-    "homology -i missing.msd -o -": 0,  # '-' is a value, not a flag
-    "construct lens --p=5 --q 2 -o lens.hd": 1,
-    "construct sum --cop 2 -i missing.hd": 1,
-    "pi1 --budget 1 --budget 2 -i missing.msd": 1,
-    "distinguish --sector2 -1": 1,
-    "distinguish --flip --presentation p.txt": 1,
-    "distinguish --diagram --flip": 1,
-    "construct lens --p 5": 1,
-    "construct glue --copies 2 --cap x -i missing.hd": 1,
-    "construct trisect-restrict --drop 4 -i missing.msd": 1,
-    "validate -o --": 1,
-    "construct -- lens": 2,
-    "validate -h": 1,
+    "homology -i missing.msd -o -": False,  # '-' is a value, not a flag
+    "construct lens --p=5 --q 2 -o lens.hd": True,
+    "construct sum --cop 2 -i missing.hd": True,
+    "pi1 --budget 1 --budget 2 -i missing.msd": True,
+    "distinguish --sector2 -1": True,
+    "distinguish --flip --presentation p.txt": True,
+    "distinguish --diagram --flip": True,
+    "construct lens --p 5": True,
+    "construct glue --copies 2 --cap x -i missing.hd": True,
+    "construct trisect-restrict --drop 4 -i missing.msd": True,
+    "validate -o --": True,
+    "construct -- lens": True,
+    "validate -h": True,
 }
 
 
@@ -963,42 +955,8 @@ def test_a_workload_line_builds_no_parser(tmp_path, monkeypatch):
 @pytest.mark.parametrize("line", NEAR_MISSES)
 def test_a_near_miss_builds_the_parsers_argparse_needs(line, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert _parsers_built(line.split(), main) == NEAR_MISSES[line]
-
-
-def test_a_command_line_builds_the_parser_of_only_the_verbs_it_names():
-    parser, used = build_parser(["validate", "-i", "x", "-o", "y"])
-    assert (parser.prog, used) == ("multisect validate", 1)
-    assert [a.option_strings for a in parser._actions] == [
-        ["-h", "--help"], ["--budget"], ["-i", "--input"], ["-o", "--output"]]
-    assert (parser.get_default("command"), parser.get_default("run")) == \
-        ("validate", multisect.cli.cmd_validate)
-    parser, used = build_parser(["construct", "glue", "--copies", "2"])
-    assert (parser.prog, used) == ("multisect construct glue", 2)
-    assert [parser.get_default(d) for d in ("command", "verb", "run", "read")] == \
-        ["construct", "glue", multisect.cli.cmd_construct, multisect.cli.parse_heegaard]
-    # a line not led by a verb enters from the top, and of the verbs it
-    # does not name argparse holds only the name and help line
-    parser, used = build_parser(["-h", "validate"])
-    verbs = _verbs(parser)
-    assert (parser.prog, used) == ("multisect", 0)
-    assert list(verbs) == ["construct", "validate", "pi1", "homology", "distinguish",
-                           "render"]
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert [a.dest for a in sub._get_subactions()] == list(verbs)
-    assert all(a.help for a in sub._get_subactions())
-    assert [name for name, verb in verbs.items() if verb is not None] == ["validate"]
-    # a line led by construct but by none of its verbs builds construct's level
-    parser, used = build_parser(["construct", "--", "glue"])
-    assert (parser.prog, used) == ("multisect construct", 1)
-    assert parser.get_default("run") == multisect.cli.cmd_construct
-    construct = _verbs(parser)
-    assert list(construct) == list(EVERY_VERB[1:11])
-    assert [name for name, verb in construct.items() if verb is not None] == ["glue"]
-    assert _parsers_built(["validate", "-i", "x", "-o", "y"]) == 1
-    assert _parsers_built(["construct", "glue", "--copies", "2"]) == 1
-    assert _parsers_built(["distinguish", "--flip", "--diagram", "x"]) == 1
-    assert _parsers_built(["-h"]) == 1
+    tree = _parsers_built([], lambda _argv: build_parser())
+    assert _parsers_built(line.split(), main) == (tree if NEAR_MISSES[line] else 0)
 
 
 @pytest.mark.parametrize("verb, name, text, at, message", [

@@ -25,7 +25,7 @@ from multisect.diagrams import (CutSystem, MultisectionDiagram, SurfaceModel,
                                 format_diagram, format_heegaard,
                                 standard_alpha_system)
 from multisect.words import Word, automorphism
-from test_cli import NEAR_MISSES, every_verb_parser
+from test_cli import NEAR_MISSES
 from test_golden import PRESENTATION
 
 
@@ -220,21 +220,19 @@ def test_random_argv_exits_with_a_documented_code(tmp_path_factory, argv):
     exited, code, *_ = outcome = _outcome(argv)
     assert code in ((0, 2) if exited else (0, 1, 2, 10, 20)), argv
     # the oracle reads every line with argparse, never off the verb table
-    with patch.object(multisect.cli, "build_parser", every_verb_parser), \
-            patch.object(multisect.cli, "_read_line", lambda _argv: None):
+    with patch.object(multisect.cli, "_read_line", lambda _argv: None):
         assert _outcome(argv) == outcome, argv
 
 
 def _read_and_parsed(argv):
     """What main's reader makes of argv, and the Namespace argparse gives
     from the same verb table, None where it exits or leaves a token."""
-    level = multisect.cli._level(argv)
-    with patch.object(multisect.cli, "_level", lambda _argv: level), \
+    verbs = multisect.cli._verbs()
+    with patch.object(multisect.cli, "_verbs", lambda: verbs), \
             redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         read = multisect.cli._read_line(argv)
-        parser, used = build_parser(argv)
         try:
-            parsed, extra = parser.parse_known_args(argv[used:])
+            parsed, extra = build_parser().parse_known_args(argv)
         except SystemExit:
             return read, None
     return read, None if extra else parsed

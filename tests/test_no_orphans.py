@@ -18,7 +18,7 @@ SRC = ROOT / "src" / "multisect"
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 # reached only through TRACED: no package code calls them
-TRACED_ONLY = ["words.apply", "abelian.enumerate_abelian_groups",
+TRACED_ONLY = ["abelian.enumerate_abelian_groups",
                "presentations.verify_free_of_rank",
                "presentations.enumerate_finite_abelian_quotients",
                "diagrams.read_against", "nielsen.orbit_enumerate",
